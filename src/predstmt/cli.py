@@ -152,6 +152,29 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _check_config(cfg: RunConfig) -> None:
+    """Reject resolved settings of the wrong type or out of range as usage errors."""
+    if type(cfg.task) is not int or cfg.task not in (1, 2):
+        raise UsageError(f"task must be 1 or 2, got {cfg.task!r}")
+    if type(cfg.k) is not int or cfg.k < 2:
+        raise UsageError(f"k must be an integer >= 2, got {cfg.k!r}")
+    if type(cfg.seed) is not int:
+        raise UsageError(f"seed must be an integer, got {cfg.seed!r}")
+    if type(cfg.threshold) not in (int, float):
+        raise UsageError(f"threshold must be a number, got {cfg.threshold!r}")
+    for name, optional in (("out_dir", False), ("provider", False),
+                           ("dataset", True), ("tag", True), ("lexicon", True)):
+        value = getattr(cfg, name)
+        if not (isinstance(value, str) or optional and value is None):
+            raise UsageError(f"{name} must be a string, got {value!r}")
+    if not cfg.models:
+        raise UsageError(f"models must name at least one of {', '.join(MODEL_KINDS)}")
+    for kind in cfg.models:
+        if kind not in MODEL_KINDS:
+            raise UsageError(
+                f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
+
+
 def _config_payload(cfg: RunConfig) -> dict:
     return {
         "dataset": cfg.dataset,
@@ -422,6 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         cfg = _resolve_config(args)
+        _check_config(cfg)
         return _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -21,6 +21,21 @@ class DataError(ValueError):
     """Malformed input file, schema violation, or broken corpus invariant."""
 
 
+def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where: object):
+    """payload[key] when present and of the given type(s); DataError otherwise.
+
+    bool is rejected where int or float is asked for, as JSON keeps them apart.
+    """
+    if key not in payload:
+        raise DataError(f"{where}: missing key {key!r}")
+    value = payload[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DataError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
 class Task(IntEnum):
     PREDICTIVENESS = 1
     DIRECTION = 2
@@ -177,9 +192,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.documents)
-
-    def by_id(self) -> dict[str, Document]:
-        return {doc.id: doc for doc in self.documents}
 
     def labeled(self, task: Task) -> list[Document]:
         """Documents carrying a gold label for the given task, in corpus order."""
@@ -409,9 +421,6 @@ class FoldAssignment:
 
     k: int
     folds: Mapping[str, int]
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [doc_id for doc_id, f in self.folds.items() if f == fold]
 
     def sizes(self) -> list[int]:
         out = [0] * self.k

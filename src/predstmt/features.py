@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, require_field
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,12 @@ class TfidfModel:
     def dimension(self) -> int:
         return len(self.terms)
 
+    @cached_property
     def index(self) -> dict[str, int]:
+        """Term -> column lookup, built on first use and kept with the model.
+
+        Every caller gets the same dict, so it must not be modified.
+        """
         return {t: i for i, t in enumerate(self.terms)}
 
 
@@ -135,7 +141,7 @@ def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseVector:
     Out-of-vocabulary tokens are ignored; a document with no known tokens
     maps to the zero vector.
     """
-    index = model.index()
+    index = model.index
     counts: dict[int, int] = {}
     for term in tokens:
         i = index.get(term)
@@ -175,17 +181,37 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
+    """Read a model written by save_tfidf; any schema violation raises DataError."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"cannot load TF-IDF model from {path}: {exc}") from None
-    if payload.get("kind") != "tfidf":
+    if not isinstance(payload, dict) or payload.get("kind") != "tfidf":
         raise DataError(f"{path} does not contain a TF-IDF model")
+    terms = require_field(payload, "terms", list, path)
+    doc_freq = require_field(payload, "doc_freq", list, path)
+    idf = require_field(payload, "idf", list, path)
+    n_docs = require_field(payload, "n_docs", int, path)
+    config = require_field(payload, "config", dict, path)
+    if not len(terms) == len(doc_freq) == len(idf):
+        raise DataError(f"{path}: terms, doc_freq and idf must have equal length")
+    if not all(isinstance(t, str) for t in terms) or terms != sorted(set(terms)):
+        raise DataError(f"{path}: terms must be distinct strings in sorted order")
+    if n_docs < 1:
+        raise DataError(f"{path}: n_docs must be >= 1, got {n_docs}")
+    if not all(type(c) is int and 1 <= c <= n_docs for c in doc_freq):
+        raise DataError(f"{path}: doc_freq entries must be integers in [1, n_docs]")
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in idf):
+        raise DataError(f"{path}: idf entries must be finite numbers")
+    try:
+        tfidf_config = TfidfConfig.from_dict(config)
+    except TypeError as exc:
+        raise DataError(f"{path}: invalid TF-IDF config: {exc}") from None
     return TfidfModel(
-        terms=tuple(payload["terms"]),
-        doc_freq=tuple(payload["doc_freq"]),
-        idf=tuple(payload["idf"]),
-        n_docs=payload["n_docs"],
-        config=TfidfConfig.from_dict(payload["config"]),
+        terms=tuple(terms),
+        doc_freq=tuple(doc_freq),
+        idf=tuple(idf),
+        n_docs=n_docs,
+        config=tfidf_config,
     )

@@ -6,7 +6,10 @@ Three trainers share one sparse-input, dense-parameter design:
   softmax cross-entropy plus (l2/2)||W||^2, with step-halving so the loss
   never increases across epochs;
 * one-vs-rest linear SVM trained by Pegasos-style SGD on the L2-regularized
-  hinge loss, step size 1/(l2 * t);
+  hinge loss, step size 1/(l2 * t). The weights are kept as w = a * v, so
+  the shrink w *= 1 - step * l2 of every step scales the scalar a and only
+  a hinge-active step touches v, on the row's nonzero columns
+  (Shalev-Shwartz et al., Math. Prog. 2011);
 * a random forest of CART trees split on Gini impurity decrease over
   random feature subsets.
 
@@ -24,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, require_field
 from .features import SparseVector
 
 KIND_LOGREG = "logreg"
@@ -290,25 +293,46 @@ def svm_subgradient(w: np.ndarray, b: float, X: Sequence[SparseVector],
     return grad_w, float(coeff.sum())
 
 
-def _pegasos_binary(X: list[SparseVector], y_signed: np.ndarray, cfg: TrainConfig,
-                    rng: np.random.Generator, dim: int) -> tuple[np.ndarray, float]:
-    w = np.zeros(dim)
+_SCALE_FLOOR = 1e-9  # below this, a is folded into v to keep v's entries in range
+
+
+def _pegasos_binary(rows: list[tuple[np.ndarray, np.ndarray]], y_signed: np.ndarray,
+                    cfg: TrainConfig, rng: np.random.Generator,
+                    dim: int) -> tuple[np.ndarray, float]:
+    """Pegasos SGD for one binary problem; rows are (indices, values) pairs.
+
+    w = a * v throughout. At t = 1 the shrink factor 1 - step * l2 is
+    exactly 0 for most l2, which zeroes w: v is reset and a restarts at 1.
+    """
+    v = np.zeros(dim)
+    a = 1.0
     b = 0.0
     t = 0
-    n = len(X)
+    l2 = cfg.l2
+    ys = y_signed.tolist()
     for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(len(rows)).tolist():
             t += 1
-            step = 1.0 / (cfg.l2 * t)
-            x = X[i]
-            idx = np.asarray(x.indices, dtype=np.int64)
-            val = np.asarray(x.values, dtype=np.float64)
-            margin = y_signed[i] * (float(w[idx] @ val) + b)
-            w *= 1.0 - step * cfg.l2
+            step = 1.0 / (l2 * t)
+            idx, val = rows[i]
+            y = ys[i]
+            vi = v[idx]  # a copy, kept equal to v[idx] until the update below
+            margin = y * (a * float(vi.dot(val)) + b)
+            shrink = 1.0 - step * l2
+            if shrink == 0.0:
+                v[:] = 0.0
+                vi[:] = 0.0
+                a = 1.0
+            else:
+                a *= shrink
+                if a < _SCALE_FLOOR:
+                    v *= a
+                    vi *= a
+                    a = 1.0
             if margin < 1.0:
-                w[idx] += step * y_signed[i] * val
-                b += step * y_signed[i]
-    return w, b
+                v[idx] = vi + (step * y / a) * val
+                b += step * y
+    return a * v, b
 
 
 def train_svm_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> LinearModel:
@@ -321,14 +345,15 @@ def train_svm_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConf
     if cfg.l2 <= 0:
         raise DataError("linear SVM training requires l2 > 0")
     codes, y_idx, dim = _check_inputs(X, y)
-    X = list(X)
+    rows = [(np.asarray(x.indices, dtype=np.int64), np.asarray(x.values, dtype=np.float64))
+            for x in X]
     weights = np.zeros((len(codes), dim))
     bias = np.zeros(len(codes))
     for ci in range(len(codes)):
         y_signed = np.where(y_idx == ci, 1.0, -1.0)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
                                                            spawn_key=(ci,)))
-        weights[ci], bias[ci] = _pegasos_binary(X, y_signed, cfg, rng, dim)
+        weights[ci], bias[ci] = _pegasos_binary(rows, y_signed, cfg, rng, dim)
     return LinearModel(
         kind=KIND_SVM,
         weights=weights,
@@ -487,14 +512,22 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def _node_from_dict(data: object, n_features: int, k: int, where: str) -> TreeNode:
+    if not isinstance(data, dict):
+        raise DataError(f"{where}: tree node must be an object")
     if "dist" in data:
-        return TreeNode(feature=-1, dist=tuple(data["dist"]))
+        dist = require_field(data, "dist", list, where)
+        if len(dist) != k or not all(type(p) in (int, float) for p in dist):
+            raise DataError(f"{where}: leaf 'dist' must be {k} numbers")
+        return TreeNode(feature=-1, dist=tuple(dist))
+    feature = require_field(data, "feature", int, where)
+    if not 0 <= feature < n_features:
+        raise DataError(f"{where}: split feature {feature} out of range [0, {n_features})")
     return TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
+        feature=feature,
+        threshold=require_field(data, "threshold", (int, float), where),
+        left=_node_from_dict(require_field(data, "left", dict, where), n_features, k, where),
+        right=_node_from_dict(require_field(data, "right", dict, where), n_features, k, where),
     )
 
 
@@ -524,29 +557,55 @@ def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel | ForestModel:
+    """Read a model written by save_model; any schema violation raises DataError."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} does not contain a model")
     kind = payload.get("kind")
-    cfg = TrainConfig.from_dict(payload.get("config", {}))
-    if kind in (KIND_LOGREG, KIND_SVM):
-        return LinearModel(
-            kind=kind,
-            weights=np.array(payload["weights"], dtype=np.float64).reshape(
-                len(payload["class_codes"]), payload["n_features"]
-            ),
-            bias=np.array(payload["bias"], dtype=np.float64),
-            class_codes=tuple(payload["class_codes"]),
-            config=cfg,
-            loss_history=tuple(payload.get("loss_history", ())),
-        )
+    if kind not in (KIND_LOGREG, KIND_SVM, KIND_FOREST):
+        raise DataError(f"unknown model kind {kind!r} in {path}")
+    codes = require_field(payload, "class_codes", list, path)
+    if len(codes) < 2 or not all(type(c) is int for c in codes) or len(set(codes)) != len(codes):
+        raise DataError(f"{path}: class_codes must be at least 2 distinct integers")
+    n_features = require_field(payload, "n_features", int, path)
+    if n_features < 0:
+        raise DataError(f"{path}: n_features must be >= 0, got {n_features}")
+    try:
+        cfg = TrainConfig.from_dict(require_field(payload, "config", dict, path))
+    except TypeError as exc:
+        raise DataError(f"{path}: invalid training config: {exc}") from None
     if kind == KIND_FOREST:
+        trees = require_field(payload, "trees", list, path)
+        if not trees:
+            raise DataError(f"{path}: a forest needs at least one tree")
         return ForestModel(
-            trees=tuple(_node_from_dict(t) for t in payload["trees"]),
-            n_features=payload["n_features"],
-            class_codes=tuple(payload["class_codes"]),
+            trees=tuple(_node_from_dict(t, n_features, len(codes), str(path)) for t in trees),
+            n_features=n_features,
+            class_codes=tuple(codes),
             config=cfg,
         )
-    raise DataError(f"unknown model kind {kind!r} in {path}")
+    history = payload.get("loss_history", [])
+    if not isinstance(history, list) or not all(type(v) in (int, float) for v in history):
+        raise DataError(f"{path}: loss_history must be a list of numbers")
+    weights = require_field(payload, "weights", list, path)
+    bias = require_field(payload, "bias", list, path)
+    try:
+        weights = np.array(weights, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: weights and bias must be numeric arrays: {exc}") from None
+    if weights.shape != (len(codes), n_features):
+        raise DataError(f"{path}: weights shape {weights.shape} is not "
+                        f"({len(codes)}, {n_features})")
+    return LinearModel(
+        kind=kind,
+        weights=weights,
+        bias=bias,
+        class_codes=tuple(codes),
+        config=cfg,
+        loss_history=tuple(history),
+    )

@@ -126,7 +126,7 @@ class TestCv:
         config.write_text(json.dumps({"models": ["mystery"]}))
         code = run("cv", "--config", str(config), "--dataset", str(planted_path),
                    "--k", "3", "--out", str(tmp_path / "o"))
-        assert code == 2
+        assert code == 1
         assert "unknown model kind 'mystery'" in capsys.readouterr().err
 
 
@@ -279,6 +279,28 @@ class TestConfigPrecedence:
                    "--out", str(tmp_path / "o"))
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("stats", {"task": 3}, "task must be 1 or 2"),
+        ("cv", {"task": "1"}, "task must be 1 or 2"),
+        ("cv", {"k": "5"}, "k must be an integer >= 2"),
+        ("cv", {"k": 1}, "k must be an integer >= 2"),
+        ("cv", {"models": ["xgb"]}, "unknown model kind 'xgb'"),
+        ("cv", {"models": []}, "models must name at least one"),
+        ("stats", {"seed": "7"}, "seed must be an integer"),
+        ("emotion", {"threshold": "high"}, "threshold must be a number"),
+        ("stats", {"tag": 5}, "tag must be a string"),
+    ])
+    def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
+                                                            capsys, command, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = run(command, "--config", str(path), "--dataset", str(planted_path),
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_config_hash_tracks_settings_not_out_dir(self, planted_path, tmp_path,
                                                      capsys):

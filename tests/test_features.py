@@ -1,5 +1,6 @@
 """TF-IDF fitting and transformation tests."""
 
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from predstmt import (
     load_tfidf,
     save_tfidf,
     transform,
+    transform_many,
 )
 
 TWO_DOCS = [["btc", "up", "up"], ["btc", "down"]]
@@ -55,7 +57,7 @@ class TestFit:
     def test_vocabulary_sorted_and_bijective(self):
         model = fit_tfidf([["zeta", "alpha", "mid"], ["alpha", "extra"]])
         assert model.terms == tuple(sorted(model.terms))
-        index = model.index()
+        index = model.index
         assert sorted(index.values()) == list(range(len(model.terms)))
 
     def test_order_independence(self):
@@ -159,3 +161,70 @@ class TestPersistence:
         path.write_text('{"kind": "something"}')
         with pytest.raises(DataError, match="TF-IDF"):
             load_tfidf(path)
+
+    @pytest.mark.parametrize("change", [
+        {"terms": None},  # missing key
+        {"idf": None},
+        {"config": None},
+        {"terms": "btc"},  # ill-typed
+        {"n_docs": "2"},
+        {"n_docs": True},
+        {"config": []},
+        {"config": {"min_df": "3"}},
+        {"doc_freq": [2, 1, "1"]},
+        {"doc_freq": [2, 1, 3]},  # above n_docs
+        {"idf": [1.0, 1.4]},  # length mismatch
+        {"idf": [1.0, None, 1.4]},
+        {"terms": ["up", "btc", "down"]},  # not sorted
+        {"terms": ["btc", "btc", "up"]},
+    ])
+    def test_malformed_payload_is_data_error(self, tmp_path, change):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(TWO_DOCS), path)
+        payload = json.loads(path.read_text())
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_tfidf(path)
+
+    @pytest.mark.parametrize("text", ['{"kind": "tfidf"}', '["tfidf"]', '"tfidf"'])
+    def test_payload_without_fields_is_data_error(self, tmp_path, text):
+        path = tmp_path / "tfidf.json"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            load_tfidf(path)
+
+
+class TestTransformMany:
+    """transform_many must equal per-document transform, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("sublinear", [False, True])
+    def test_equals_per_document_transform(self, sublinear):
+        rng = random.Random(29)
+        vocab = [f"t{i:03d}" for i in range(60)]
+        train = [[rng.choice(vocab[:40]) for _ in range(rng.randint(1, 12))] for _ in range(50)]
+        model = fit_tfidf(train, TfidfConfig(min_df=2, sublinear_tf=sublinear))
+        docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 15))] for _ in range(80)]
+        docs += [
+            [],  # empty document
+            ["t055", "unseen", "t059"],  # only unknown tokens
+            ["t001"] * 7 + ["t002", "t001"],  # repeated tokens
+        ]
+        batch = transform_many(model, docs)
+        single = [transform(model, tokens) for tokens in docs]
+        assert len(batch) == len(single)
+        for got, want in zip(batch, single):
+            assert got.dimension == want.dimension
+            assert got.indices == want.indices
+            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+        assert batch[-3].indices == () and batch[-2].indices == ()
+        assert len(batch[-1].indices) == 2
+
+    def test_index_built_once_per_model(self):
+        model = fit_tfidf(TWO_DOCS)
+        assert model.index is model.index
+        assert model.index == {"btc": 0, "down": 1, "up": 2}

@@ -1,5 +1,6 @@
 """Random forest and decision tree tests."""
 
+import json
 import math
 import random
 
@@ -271,3 +272,22 @@ class TestForest:
 
         for tree in model.trees:
             features_used(tree)
+
+    @pytest.mark.parametrize("tree", [
+        {"dist": [1.0]},  # one class short
+        {"dist": [0.5, "0.5"]},
+        {"dist": [0.3, 0.3]},  # does not sum to 1
+        {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]}},  # no right child
+        {"feature": 2, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
+         "right": {"dist": [0.0, 1.0]}},  # feature out of range
+        {"feature": 0, "threshold": "0.5", "left": {"dist": [1.0, 0.0]},
+         "right": {"dist": [0.0, 1.0]}},
+        {"feature": 0, "threshold": 0.5, "left": [1.0, 0.0], "right": {"dist": [0.0, 1.0]}},
+        [0.0, 1.0],
+    ])
+    def test_malformed_tree_is_data_error(self, tmp_path, tree):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({"kind": "random_forest", "class_codes": [0, 1],
+                                    "n_features": 2, "config": {}, "trees": [tree]}))
+        with pytest.raises(DataError):
+            load_model(path)

@@ -1,5 +1,6 @@
 """Logistic regression and linear SVM tests."""
 
+import json
 import math
 import random
 
@@ -18,6 +19,7 @@ from predstmt import (
     train_logreg,
     train_svm_linear,
 )
+from predstmt import models
 from predstmt.models import (
     logreg_gradient,
     logreg_objective,
@@ -238,6 +240,72 @@ class TestSvm:
             predict_proba(model, X[0])
 
 
+def per_step_pegasos(X, y_signed, cfg, rng, dim):
+    """Pegasos as first written: the whole weight vector shrinks on every step."""
+    w = np.zeros(dim)
+    b = 0.0
+    t = 0
+    n = len(X)
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            step = 1.0 / (cfg.l2 * t)
+            x = X[i]
+            idx = np.asarray(x.indices, dtype=np.int64)
+            val = np.asarray(x.values, dtype=np.float64)
+            margin = y_signed[i] * (float(w[idx] @ val) + b)
+            w *= 1.0 - step * cfg.l2
+            if margin < 1.0:
+                w[idx] += step * y_signed[i] * val
+                b += step * y_signed[i]
+    return w, b
+
+
+def per_step_svm(X, y, cfg):
+    """One-vs-rest weights and bias from per_step_pegasos, seeded as train_svm_linear."""
+    codes = sorted(set(y))
+    dim = X[0].dimension
+    weights = np.zeros((len(codes), dim))
+    bias = np.zeros(len(codes))
+    for ci, code in enumerate(codes):
+        y_signed = np.array([1.0 if v == code else -1.0 for v in y])
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
+                                                           spawn_key=(ci,)))
+        weights[ci], bias[ci] = per_step_pegasos(X, y_signed, cfg, rng, dim)
+    return weights, bias
+
+
+class TestScaledPegasos:
+    """train_svm_linear keeps w = a * v; it must track the per-step shrink it replaced."""
+
+    @pytest.mark.parametrize("l2, exact_reset", [(1e-4, True), (0.05, True), (0.0019, False)])
+    def test_matches_per_step_reference(self, l2, exact_reset):
+        # at t = 1 the shrink factor is 1 - (1/l2) * l2: exactly 0 for most l2, not for all
+        assert (1.0 - (1.0 / l2) * l2 == 0.0) is exact_reset
+        rng = random.Random(41)
+        for n, d, k in ((60, 12, 3), (40, 30, 2)):
+            X, y = random_problem(rng, n=n, d=d, k=k)
+            cfg = TrainConfig(l2=l2, epochs=15, seed=9)
+            model = train_svm_linear(X, y, cfg)
+            ref_w, ref_b = per_step_svm(X, y, cfg)
+            assert np.abs(model.weights - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
+            assert np.abs(model.bias - ref_b).max() <= 1e-9 * max(1.0, np.abs(ref_b).max())
+            reference = LinearModel(kind=model.kind, weights=ref_w, bias=ref_b,
+                                    class_codes=model.class_codes, config=cfg)
+            assert [predict(model, x) for x in X] == [predict(reference, x) for x in X]
+
+    def test_folding_the_scale_keeps_the_weights(self, monkeypatch):
+        # a decays like 1/t, so a high floor folds a into v every few steps
+        rng = random.Random(43)
+        X, y = random_problem(rng, n=50, d=10, k=3)
+        cfg = TrainConfig(l2=1e-3, epochs=10, seed=2)
+        monkeypatch.setattr(models, "_SCALE_FLOOR", 0.5)
+        model = train_svm_linear(X, y, cfg)
+        ref_w, ref_b = per_step_svm(X, y, cfg)
+        assert np.abs(model.weights - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
+        assert np.abs(model.bias - ref_b).max() <= 1e-9 * max(1.0, np.abs(ref_b).max())
+
+
 class TestPersistence:
     def test_linear_round_trip_exact(self, tmp_path):
         rng = random.Random(17)
@@ -260,6 +328,50 @@ class TestPersistence:
         model = train_logreg(X, y, TrainConfig())
         with pytest.raises(DataError, match="dimension"):
             predict(model, sv([1.0, 2.0]))
+
+    @pytest.mark.parametrize("change", [
+        {"weights": None},  # missing key
+        {"class_codes": None},
+        {"n_features": None},
+        {"config": None},
+        {"weights": "0"},  # ill-typed
+        {"weights": [[0.0, "x"], [0.0, 0.0]]},
+        {"weights": [[0.0], [0.0, 0.0]]},
+        {"weights": [[0.0, 0.0]]},  # wrong shape
+        {"bias": [0.0]},
+        {"bias": [0.0, float("inf")]},
+        {"class_codes": [0, "1"]},
+        {"class_codes": [1, 1]},
+        {"n_features": "2"},
+        {"config": [1]},
+        {"config": {"epochs": "10"}},
+        {"loss_history": ["x"]},
+    ])
+    def test_malformed_linear_payload_is_data_error(self, tmp_path, change):
+        path = tmp_path / "m.json"
+        save_model(train_logreg(*random_problem(random.Random(5), n=8, d=2, k=2),
+                                TrainConfig(epochs=3)), path)
+        payload = json.loads(path.read_text())
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "logreg"}',
+        '{"kind": "svm_linear", "config": {}}',
+        '{"kind": "random_forest", "class_codes": [0, 1], "n_features": 1, "config": {}}',
+        '["logreg"]',
+    ])
+    def test_payload_without_fields_is_data_error(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            load_model(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
