@@ -78,7 +78,6 @@ from .augment import (
     balance,
     compute_plan,
     llm_label,
-    offline_paraphrase,
 )
 from .emotion import (
     CATEGORY_TITLES,

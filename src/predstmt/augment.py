@@ -230,11 +230,6 @@ class OfflineParaphraser:
         return out
 
 
-def offline_paraphrase(text: str, n: int, seed: int = 0) -> list[str]:
-    """Module-level shortcut using the bundled synonym table."""
-    return OfflineParaphraser().paraphrase(text, n, seed)
-
-
 # ---------------------------------------------------------------------------
 # remote provider
 
@@ -260,25 +255,13 @@ class ProviderConfig:
         if self.max_retries < 0:
             raise DataError("max_retries must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "api_key_env": self.api_key_env,
-            "model": self.model,
-            "request_delay_ms": self.request_delay_ms,
-            "max_retries": self.max_retries,
-            "timeout_s": self.timeout_s,
-            "temperature": self.temperature,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProviderConfig":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
-
 
 class _ChatClient:
-    """One-request-at-a-time JSON client with delay and transport retries."""
+    """One-request-at-a-time JSON client with delay and retries.
+
+    Transport errors, HTTP 429, 5xx statuses and malformed bodies are
+    retried; any other non-200 status (401, 404, ...) fails at once.
+    """
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
         self.config = config
@@ -294,7 +277,7 @@ class _ChatClient:
         return key
 
     def complete(self, prompt: str) -> str:
-        """POST one chat message, return the reply text. Retries transport errors."""
+        """POST one chat message, return the reply text."""
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -318,7 +301,10 @@ class _ChatClient:
                 continue
             if response.status_code != 200:
                 last_error = f"HTTP {response.status_code}: {response.text[:200]}"
-                continue
+                if response.status_code == 429 or response.status_code >= 500:
+                    continue
+                raise ProviderError(f"provider at {self.config.endpoint} refused the "
+                                    f"request ({last_error})")
             try:
                 return response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):

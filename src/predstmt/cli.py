@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .corpus import (
     DataError,
     Task,
     distribution,
+    from_dict,
     load_dataset,
     save_dataset,
 )
@@ -46,7 +50,7 @@ from .evaluation import (
 )
 from .features import TfidfConfig
 from .models import TrainConfig
-from .preprocess import DEFAULT_CLEAN, CleanConfig
+from .preprocess import CleanConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,133 +84,93 @@ class RunConfig:
     tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     provider_config: ProviderConfig | None = None
 
-
-_CONFIG_KEYS = {
-    "dataset", "task", "models", "k", "seed", "out_dir", "provider", "tag",
-    "lexicon", "threshold", "train", "clean", "tfidf", "provider_config",
-}
-
-
-def _config_from_file(path: Path) -> RunConfig:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise UsageError(f"config file {path} must contain a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys in {path}: {sorted(unknown)}")
-    try:
-        provider_config = (
-            ProviderConfig.from_dict(raw["provider_config"])
-            if raw.get("provider_config") else None
-        )
-    except TypeError as exc:
-        raise UsageError(f"incomplete provider_config in {path}: {exc}") from None
-    try:
-        return RunConfig(
-            dataset=raw.get("dataset"),
-            task=raw.get("task", 1),
-            models=list(raw.get("models", MODEL_KINDS)),
-            k=raw.get("k", 5),
-            seed=raw.get("seed", 42),
-            out_dir=raw.get("out_dir", "out"),
-            provider=raw.get("provider", "offline"),
-            tag=raw.get("tag"),
-            lexicon=raw.get("lexicon"),
-            threshold=raw.get("threshold", 0.0),
-            train=TrainConfig.from_dict(raw.get("train", {})),
-            clean=CleanConfig.from_dict(raw.get("clean", {})),
-            tfidf=TfidfConfig.from_dict(raw.get("tfidf", {})),
-            provider_config=provider_config,
-        )
-    except (DataError, ValueError, TypeError) as exc:
-        raise UsageError(f"invalid config file {path}: {exc}") from None
+    def __post_init__(self) -> None:
+        if self.task not in (1, 2):
+            raise DataError(f"task must be 1 or 2, got {self.task!r}")
+        if self.k < 2:
+            raise DataError(f"k must be an integer >= 2, got {self.k!r}")
+        if not self.models:
+            raise DataError(f"models must name at least one of {', '.join(MODEL_KINDS)}")
+        for kind in self.models:
+            if kind not in MODEL_KINDS:
+                raise DataError(
+                    f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
+        # the run directory and the staging names beside it must not collide
+        if self.tag and (self.tag == "latest" or self.tag.startswith(".") or "/" in self.tag):
+            raise DataError(f"tag must be a plain directory name other than 'latest', "
+                            f"got {self.tag!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _config_from_file(Path(args.config)) if args.config else RunConfig()
-    if args.dataset is not None:
-        cfg.dataset = args.dataset
-    if args.task is not None:
-        cfg.task = args.task
-    if args.models:
-        cfg.models = list(args.models)
-    if args.k is not None:
-        cfg.k = args.k
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.provider is not None:
-        cfg.provider = args.provider
-    if args.tag is not None:
-        cfg.tag = args.tag
-    if args.lexicon is not None:
-        cfg.lexicon = args.lexicon
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
-    return cfg
-
-
-def _check_config(cfg: RunConfig) -> None:
-    """Reject resolved settings of the wrong type or out of range as usage errors."""
-    if type(cfg.task) is not int or cfg.task not in (1, 2):
-        raise UsageError(f"task must be 1 or 2, got {cfg.task!r}")
-    if type(cfg.k) is not int or cfg.k < 2:
-        raise UsageError(f"k must be an integer >= 2, got {cfg.k!r}")
-    if type(cfg.seed) is not int:
-        raise UsageError(f"seed must be an integer, got {cfg.seed!r}")
-    if type(cfg.threshold) not in (int, float):
-        raise UsageError(f"threshold must be a number, got {cfg.threshold!r}")
-    for name, optional in (("out_dir", False), ("provider", False),
-                           ("dataset", True), ("tag", True), ("lexicon", True)):
-        value = getattr(cfg, name)
-        if not (isinstance(value, str) or optional and value is None):
-            raise UsageError(f"{name} must be a string, got {value!r}")
-    if not cfg.models:
-        raise UsageError(f"models must name at least one of {', '.join(MODEL_KINDS)}")
-    for kind in cfg.models:
-        if kind not in MODEL_KINDS:
-            raise UsageError(
-                f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
-
-
-def _config_payload(cfg: RunConfig) -> dict:
-    return {
-        "dataset": cfg.dataset,
-        "task": cfg.task,
-        "models": list(cfg.models),
-        "k": cfg.k,
-        "seed": cfg.seed,
-        "provider": cfg.provider,
-        "lexicon": cfg.lexicon,
-        "threshold": cfg.threshold,
-        "train": cfg.train.to_dict(),
-        "clean": cfg.clean.to_dict(),
-        "tfidf": cfg.tfidf.to_dict(),
-        "provider_config": cfg.provider_config.to_dict() if cfg.provider_config else None,
-    }
+    """The config file's object with the given flags laid over it, parsed once."""
+    raw = {}
+    if args.config:
+        path = Path(args.config)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read config file {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from None
+        if not isinstance(raw, dict):
+            raise UsageError(f"config file {path} must contain a JSON object")
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    try:
+        return from_dict(RunConfig, {**raw, **flags})
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    canonical = json.dumps(_config_payload(cfg), sort_keys=True)
+    payload = asdict(cfg)
+    del payload["out_dir"], payload["tag"]
+    canonical = json.dumps(payload, sort_keys=True)
     return {
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": cfg.seed,
     }
 
 
-def _prepare_out(cfg: RunConfig, command: str) -> Path:
+@contextmanager
+def _run_dir(cfg: RunConfig, command: str):
+    """Yield a staging directory that becomes <out_dir>/<command>/<tag> on success.
+
+    The staging directory sits beside the final one and is renamed into
+    place once the body returns; `latest` is rewritten after that, through
+    os.replace. A body that raises leaves no new directory and `latest`
+    unchanged. A rerun with an existing tag replaces that run directory.
+    """
     tag = cfg.tag or datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     command_dir = Path(cfg.out_dir) / command
-    run_dir = command_dir / tag
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (command_dir / "latest").write_text(tag + "\n", encoding="utf-8")
-    return run_dir
+    created = []  # directories this run creates, deepest first
+    parent = command_dir
+    while not parent.exists():
+        created.append(parent)
+        parent = parent.parent
+    command_dir.mkdir(parents=True, exist_ok=True)
+    staging = command_dir / f".partial-{os.getpid()}"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir()
+    try:
+        yield staging
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        for directory in created:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+    final = command_dir / tag
+    if final.exists():
+        old = command_dir / f".replaced-{os.getpid()}"
+        os.rename(final, old)
+        os.rename(staging, final)
+        shutil.rmtree(old)
+    else:
+        os.rename(staging, final)
+    pointer = command_dir / f".latest-{os.getpid()}"
+    pointer.write_text(tag + "\n", encoding="utf-8")
+    os.replace(pointer, command_dir / "latest")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -240,7 +204,6 @@ def _distribution_section(dataset, task: Task) -> tuple[dict, list[str]]:
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_required_dataset(cfg)
-    run_dir = _prepare_out(cfg, "stats")
     payload = {**_config_echo(cfg), "dataset": dataset.name, "documents": len(dataset)}
     md_lines: list[str] = []
     for task in (Task.PREDICTIVENESS, Task.DIRECTION):
@@ -248,16 +211,17 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
         payload[f"task{int(task)}"] = section
         md_lines.extend(lines + [""])
     markdown = "\n".join(md_lines).rstrip() + "\n"
-    _write_json(run_dir / "stats.json", payload)
-    (run_dir / "stats.md").write_text(markdown, encoding="utf-8")
+    with _run_dir(cfg, "stats") as run_dir:
+        _write_json(run_dir / "stats.json", payload)
+        (run_dir / "stats.md").write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     return EXIT_OK
 
 
 def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_required_dataset(cfg)
-    run_dir = _prepare_out(cfg, "cv")
     task = Task(cfg.task)
+    payloads = {}
     pooled_rows = {}
     mean_rows = {}
     md_parts = [f"## Cross-validation, task {int(task)}, k={cfg.k}, seed={cfg.seed}", ""]
@@ -266,7 +230,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
             dataset, task, kind, cfg.train,
             k=cfg.k, seed=cfg.seed, clean_cfg=cfg.clean, tfidf_cfg=cfg.tfidf,
         )
-        _write_json(run_dir / f"cv_{kind}.json", {**_config_echo(cfg), **report.to_dict()})
+        payloads[f"cv_{kind}.json"] = {**_config_echo(cfg), **report.to_dict()}
         pooled_rows[kind] = report_headline(report.pooled)
         mean_rows[kind] = report.fold_means()
         md_parts.extend([
@@ -278,7 +242,10 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     pooled_table = summary_table(pooled_rows, "Pooled (micro) metrics across folds:")
     means_table = summary_table(mean_rows, "Per-fold means:")
     markdown = "\n".join([md_parts[0], "", pooled_table, "", means_table, ""] + md_parts[2:])
-    (run_dir / "report.md").write_text(markdown, encoding="utf-8")
+    with _run_dir(cfg, "cv") as run_dir:
+        for name, payload in payloads.items():
+            _write_json(run_dir / name, payload)
+        (run_dir / "report.md").write_text(markdown, encoding="utf-8")
     print(pooled_table)
     return EXIT_OK
 
@@ -298,7 +265,6 @@ def _make_provider(cfg: RunConfig):
 
 def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_required_dataset(cfg)
-    run_dir = _prepare_out(cfg, "balance")
     task = Task(cfg.task)
     provider = _make_provider(cfg)
     plan = compute_plan(distribution(dataset, task))
@@ -313,17 +279,18 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
             print(f"warning: {warning.message}", file=sys.stderr)
     before = distribution(dataset, task)
     after = distribution(result, task)
-    save_dataset(result, run_dir / "balanced.jsonl")
-    _write_json(run_dir / "balance.json", {
-        **_config_echo(cfg),
-        "task": int(task),
-        "plan": plan.to_dict(),
-        "before": {str(c): n for c, n in sorted(before.counts.items())},
-        "after": {str(c): n for c, n in sorted(after.counts.items())},
-        "documents_before": len(dataset),
-        "documents_after": len(result),
-        "shortfall": shortfall,
-    })
+    with _run_dir(cfg, "balance") as run_dir:
+        save_dataset(result, run_dir / "balanced.jsonl")
+        _write_json(run_dir / "balance.json", {
+            **_config_echo(cfg),
+            "task": int(task),
+            "plan": plan.to_dict(),
+            "before": {str(c): n for c, n in sorted(before.counts.items())},
+            "after": {str(c): n for c, n in sorted(after.counts.items())},
+            "documents_before": len(dataset),
+            "documents_after": len(result),
+            "shortfall": shortfall,
+        })
     print(
         f"balanced task {int(task)}: {len(dataset)} -> {len(result)} documents "
         f"(target {plan.target_per_class} per class)"
@@ -333,13 +300,13 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_required_dataset(cfg)
-    run_dir = _prepare_out(cfg, "emotion")
     lexicon_path = Path(cfg.lexicon) if cfg.lexicon else bundled_lexicon_path()
     lexicon = load_lexicon(lexicon_path)
     report = aggregate(dataset, lexicon, threshold=cfg.threshold, clean_cfg=cfg.clean)
     markdown = render_markdown(report) + "\n"
-    _write_json(run_dir / "emotion.json", {**_config_echo(cfg), "cells": report.to_dict()})
-    (run_dir / "emotion.md").write_text(markdown, encoding="utf-8")
+    with _run_dir(cfg, "emotion") as run_dir:
+        _write_json(run_dir / "emotion.json", {**_config_echo(cfg), "cells": report.to_dict()})
+        (run_dir / "emotion.md").write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     return EXIT_OK
 
@@ -383,14 +350,14 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     ids = sorted(a)
     kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
-    run_dir = _prepare_out(cfg, "kappa")
-    _write_json(run_dir / "kappa.json", {
-        **_config_echo(cfg),
-        "kappa": kappa,
-        "n": len(ids),
-        "file_a": path_a.name,
-        "file_b": path_b.name,
-    })
+    with _run_dir(cfg, "kappa") as run_dir:
+        _write_json(run_dir / "kappa.json", {
+            **_config_echo(cfg),
+            "kappa": kappa,
+            "n": len(ids),
+            "file_a": path_a.name,
+            "file_b": path_b.name,
+        })
     print(f"{kappa:.4f}")
     return EXIT_OK
 
@@ -426,7 +393,7 @@ def build_parser() -> _ArgumentParser:
                          help="model kind; repeatable")
         sub.add_argument("--k", type=int, help="number of folds")
         sub.add_argument("--seed", type=int)
-        sub.add_argument("--out", metavar="DIR", help="output directory root")
+        sub.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory root")
         sub.add_argument("--provider", choices=("offline", "remote"))
         sub.add_argument("--tag", help="run directory name (default: UTC timestamp)")
         sub.add_argument("--lexicon", metavar="PATH", help="emotion lexicon JSON")
@@ -445,7 +412,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         cfg = _resolve_config(args)
-        _check_config(cfg)
         return _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,12 +9,16 @@ paraphrases pointing back at an original parent.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import random
+import types
+import typing
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 
 class DataError(ValueError):
@@ -34,6 +38,63 @@ def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where:
         names = " or ".join(k.__name__ for k in kinds)
         raise DataError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
     return value
+
+
+#: Field annotations a config dataclass may use (besides a nested dataclass
+#: and X | None), with the wording of their type errors and their check.
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    list[str]: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
+    type(None): ("null", lambda v: v is None),
+}
+
+_C = TypeVar("_C")
+
+
+def from_dict(cls: type[_C], data: object, where: str = "") -> _C:
+    """Build the dataclass cls from a JSON object, strictly.
+
+    Every key must name a field of cls; a missing key takes the field's
+    default, and a field without one is required. Each value must match
+    its field's annotation: int (bool excluded), float (an int is accepted
+    and kept as given; NaN and infinities are not), bool, str, list[str],
+    X | None, or a nested dataclass, parsed the same way. cls's own
+    __post_init__ checks run last. Errors name the dotted key path below
+    `where` and raise DataError.
+    """
+    if not isinstance(data, dict):
+        raise DataError(f"{where or 'config'} must be an object, got {type(data).__name__}")
+    prefix = f"{where}." if where else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(str(key) for key in set(data) - set(fields))
+    if unknown:
+        raise DataError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
+    missing = [name for name, f in fields.items() if name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise DataError(f"missing config keys: {', '.join(prefix + k for k in missing)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: _field_value(hints[key], value, prefix + key) for key, value in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # DataError included
+        raise DataError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _field_value(hint: object, value: object, key: str) -> object:
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for option in options:
+        if dataclasses.is_dataclass(option):
+            if isinstance(value, dict):
+                return from_dict(option, value, key)
+        elif _FIELD_TYPES[option][1](value):
+            return value
+    expected = " or ".join(
+        "an object" if dataclasses.is_dataclass(o) else _FIELD_TYPES[o][0] for o in options)
+    raise DataError(f"{key} must be {expected}, got {type(value).__name__}")
 
 
 class Task(IntEnum):

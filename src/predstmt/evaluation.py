@@ -9,7 +9,7 @@ split so no test-fold statistics leak into the features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -243,7 +243,7 @@ class CvReport:
             "model_kind": self.model_kind,
             "k": self.k,
             "seed": self.seed,
-            "train_config": self.train_config.to_dict(),
+            "train_config": asdict(self.train_config),
             "fold_sizes": list(self.fold_sizes),
             "per_fold": [r.to_dict() for r in self.per_fold],
             "fold_means": self.fold_means(),

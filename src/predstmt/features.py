@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, require_field
+from .corpus import DataError, from_dict, require_field
 
 
 @dataclass(frozen=True)
@@ -34,21 +34,6 @@ class TfidfConfig:
             raise DataError(f"min_df must be >= 1, got {self.min_df}")
         if self.max_features is not None and self.max_features < 1:
             raise DataError(f"max_features must be >= 1, got {self.max_features}")
-
-    def to_dict(self) -> dict:
-        return {
-            "min_df": self.min_df,
-            "max_features": self.max_features,
-            "sublinear_tf": self.sublinear_tf,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TfidfConfig":
-        return cls(
-            min_df=data.get("min_df", 1),
-            max_features=data.get("max_features"),
-            sublinear_tf=data.get("sublinear_tf", False),
-        )
 
 
 @dataclass(frozen=True)
@@ -171,7 +156,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "kind": "tfidf",
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "n_docs": model.n_docs,
         "terms": list(model.terms),
         "doc_freq": list(model.doc_freq),
@@ -205,9 +190,9 @@ def load_tfidf(path: str | Path) -> TfidfModel:
     if not all(type(v) in (int, float) and math.isfinite(v) for v in idf):
         raise DataError(f"{path}: idf entries must be finite numbers")
     try:
-        tfidf_config = TfidfConfig.from_dict(config)
-    except TypeError as exc:
-        raise DataError(f"{path}: invalid TF-IDF config: {exc}") from None
+        tfidf_config = from_dict(TfidfConfig, config, "config")
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return TfidfModel(
         terms=tuple(terms),
         doc_freq=tuple(doc_freq),

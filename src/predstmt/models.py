@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, require_field
+from .corpus import DataError, from_dict, require_field
 from .features import SparseVector
 
 KIND_LOGREG = "logreg"
@@ -61,23 +61,6 @@ class TrainConfig:
             raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise DataError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "bootstrap": self.bootstrap,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,7 +525,7 @@ def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
             "n_features": model.n_features,
             "weights": model.weights.tolist(),
             "bias": model.bias.tolist(),
-            "config": model.config.to_dict(),
+            "config": asdict(model.config),
             "loss_history": list(model.loss_history),
         }
     else:
@@ -550,7 +533,7 @@ def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
             "kind": KIND_FOREST,
             "class_codes": list(model.class_codes),
             "n_features": model.n_features,
-            "config": model.config.to_dict(),
+            "config": asdict(model.config),
             "trees": [_node_to_dict(t) for t in model.trees],
         }
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -574,10 +557,11 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
     n_features = require_field(payload, "n_features", int, path)
     if n_features < 0:
         raise DataError(f"{path}: n_features must be >= 0, got {n_features}")
+    config = require_field(payload, "config", dict, path)
     try:
-        cfg = TrainConfig.from_dict(require_field(payload, "config", dict, path))
-    except TypeError as exc:
-        raise DataError(f"{path}: invalid training config: {exc}") from None
+        cfg = from_dict(TrainConfig, config, "config")
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if kind == KIND_FOREST:
         trees = require_field(payload, "trees", list, path)
         if not trees:

@@ -36,23 +36,6 @@ class CleanConfig:
         if self.min_token_length < 1:
             raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
 
-    def to_dict(self) -> dict:
-        return {
-            "special_chars": self.special_chars,
-            "min_token_length": self.min_token_length,
-            "lowercase": self.lowercase,
-            "strip_digit_only_tokens": self.strip_digit_only_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CleanConfig":
-        return cls(
-            special_chars=data.get("special_chars"),
-            min_token_length=data.get("min_token_length", 3),
-            lowercase=data.get("lowercase", True),
-            strip_digit_only_tokens=data.get("strip_digit_only_tokens", False),
-        )
-
 
 DEFAULT_CLEAN = CleanConfig()
 

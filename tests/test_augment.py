@@ -17,7 +17,6 @@ from predstmt import (
     balance,
     compute_plan,
     distribution,
-    offline_paraphrase,
 )
 from predstmt.augment import normalize_key
 
@@ -58,7 +57,7 @@ class TestOfflineParaphraser:
     def test_outputs_distinct_and_differ_from_input(self):
         text = "btc will rise soon because demand keeps growing"
         for seed in range(5):
-            outs = offline_paraphrase(text, 8, seed=seed)
+            outs = OfflineParaphraser().paraphrase(text, 8, seed=seed)
             assert len(outs) == 8
             keys = {normalize_key(o) for o in outs}
             assert len(keys) == 8
@@ -70,19 +69,19 @@ class TestOfflineParaphraser:
         assert "price will increase soon" in outs
 
     def test_zero_request(self):
-        assert offline_paraphrase("anything goes here", 0) == []
+        assert OfflineParaphraser().paraphrase("anything goes here", 0) == []
 
     def test_empty_text_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            offline_paraphrase("   ", 3)
+            OfflineParaphraser().paraphrase("   ", 3)
 
     def test_deterministic(self):
         text = "eth looks weak but volume is holding"
-        assert offline_paraphrase(text, 6, seed=42) == offline_paraphrase(text, 6, seed=42)
+        assert OfflineParaphraser().paraphrase(text, 6, seed=42) == OfflineParaphraser().paraphrase(text, 6, seed=42)
 
     def test_seed_changes_output(self):
         text = "eth looks weak but volume is holding"
-        assert offline_paraphrase(text, 6, seed=1) != offline_paraphrase(text, 6, seed=2)
+        assert OfflineParaphraser().paraphrase(text, 6, seed=1) != OfflineParaphraser().paraphrase(text, 6, seed=2)
 
     def test_shortfall_carries_achieved_list(self):
         # no synonyms and no conjunction: only hedge placements can vary,

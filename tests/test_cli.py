@@ -1,11 +1,25 @@
 """Command line interface tests; every command runs in-process via main()."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from predstmt import Task, save_dataset
-from predstmt.cli import main
+from predstmt import (
+    CleanConfig,
+    DataError,
+    ProviderConfig,
+    Task,
+    TfidfConfig,
+    TrainConfig,
+    save_dataset,
+)
+from predstmt.cli import RunConfig, _config_echo, main
+from predstmt.corpus import from_dict
 
 from conftest import build_planted_dataset
 
@@ -265,6 +279,7 @@ class TestConfigPrecedence:
             "seed": 7,
             "out_dir": str(tmp_path / "od"),
             "tag": "fromconfig",
+            "provider_config": None,
         }))
         assert run("stats", "--config", str(config)) == 0
         capsys.readouterr()
@@ -280,16 +295,47 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"seed": "\xff"}', "cannot read config file"),
+        (b'{"seed": ', "is not valid JSON"),
+        (b'[1]', "must contain a JSON object"),
+    ])
+    def test_unreadable_config_file_is_usage_error(self, planted_path, tmp_path, capsys,
+                                                   content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code = run("stats", "--config", str(path), "--dataset", str(planted_path),
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("command, config, message", [
         ("stats", {"task": 3}, "task must be 1 or 2"),
-        ("cv", {"task": "1"}, "task must be 1 or 2"),
-        ("cv", {"k": "5"}, "k must be an integer >= 2"),
+        ("cv", {"task": "1"}, "task must be an integer"),
+        ("cv", {"k": "5"}, "k must be an integer"),
         ("cv", {"k": 1}, "k must be an integer >= 2"),
         ("cv", {"models": ["xgb"]}, "unknown model kind 'xgb'"),
         ("cv", {"models": []}, "models must name at least one"),
         ("stats", {"seed": "7"}, "seed must be an integer"),
         ("emotion", {"threshold": "high"}, "threshold must be a number"),
         ("stats", {"tag": 5}, "tag must be a string"),
+        ("cv", {"train": {"epoch": 10}}, "unknown config keys: train.epoch"),
+        ("cv", {"tfidf": {"min_dff": 3}}, "unknown config keys: tfidf.min_dff"),
+        ("cv", {"tfidf": {"sublinear_tf": "no"}}, "tfidf.sublinear_tf must be true or false"),
+        ("cv", {"train": {"epochs": True}}, "train.epochs must be an integer"),
+        ("cv", {"train": {"epochs": "5"}}, "train.epochs must be an integer"),
+        ("cv", {"train": {"epochs": 0}}, "train: epochs must be >= 1"),
+        ("cv", {"clean": {"lowercase": "no"}}, "clean.lowercase must be true or false"),
+        ("balance", {"provider_config": {"endpoint": "x"}},
+         "missing config keys: provider_config.api_key_env, provider_config.model"),
+        ("balance", {"provider_config": {}}, "missing config keys: provider_config.endpoint"),
+        ("balance", {"provider_config": []}, "provider_config must be an object or null"),
+        ("stats", {"threshold": float("inf")}, "threshold must be a number"),
+        ("stats", {"train": 5}, "train must be an object"),
+        ("stats", {"tag": "latest"}, "tag must be a plain directory name"),
+        ("stats", {"tag": "../elsewhere"}, "tag must be a plain directory name"),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -314,3 +360,117 @@ class TestConfigPrecedence:
         capsys.readouterr()
         assert h["a"] == h["b"]
         assert h["a"] != h["c"]
+
+    @pytest.mark.parametrize("config, digest", [
+        (RunConfig(dataset="d.jsonl"),
+         "f356b9ab64b693ffc47720d0a57fc13b42aba688e58866e9f949a1ba83538cbf"),
+        # ints given for float fields are kept as ints, as they always were
+        (from_dict(RunConfig, {
+            "dataset": "d.jsonl", "models": ["svm"], "threshold": 1, "provider": "remote",
+            "train": {"epochs": 3, "l2": 0}, "clean": {"special_chars": "#$"},
+            "provider_config": {"endpoint": "http://e", "api_key_env": "K", "model": "m",
+                                "timeout_s": 5},
+         }), "6eaa9bcf8a1173ae586a95b105c63ff0d3e9bb9da59bf27b32ce718c869aa9c3"),
+    ])
+    def test_config_hash_is_pinned(self, config, digest):
+        assert _config_echo(config)["config_hash"] == digest
+
+
+class TestRunDirectory:
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        data = tmp_path / "six.jsonl"
+        save_dataset(build_planted_dataset(Task.PREDICTIVENESS, {0: 3, 1: 3}, seed=3), data)
+        code = run("cv", "--dataset", str(data), "--k", "5", "--model", "logreg",
+                   "--out", str(tmp_path / "o"), "--tag", "t1")
+        assert code == 2
+        assert "fewer than k=5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_write_keeps_previous_run_and_latest(self, planted_path, tmp_path,
+                                                        capsys, monkeypatch):
+        out = tmp_path / "o"
+        assert run("balance", "--dataset", str(planted_path), "--out", str(out),
+                   "--tag", "good") == 0
+        before = {p.name: p.read_bytes() for p in (out / "balance" / "good").iterdir()}
+
+        def failing_save(dataset, path):
+            path.write_text("half a line")
+            raise DataError("disk full")
+
+        monkeypatch.setattr("predstmt.cli.save_dataset", failing_save)
+        for tag in ("bad", "good"):
+            code = run("balance", "--dataset", str(planted_path), "--out", str(out),
+                       "--tag", tag)
+            assert code == 2
+        capsys.readouterr()
+        assert sorted(p.name for p in (out / "balance").iterdir()) == ["good", "latest"]
+        assert (out / "balance" / "latest").read_text() == "good\n"
+        after = {p.name: p.read_bytes() for p in (out / "balance" / "good").iterdir()}
+        assert after == before
+
+    def test_rerun_replaces_the_run_directory(self, planted_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ("stats", "--dataset", str(planted_path), "--out", str(out), "--tag", "r")
+        assert run(*argv) == 0
+        first = {p.name: p.read_bytes() for p in (out / "stats" / "r").iterdir()}
+        (out / "stats" / "r" / "stale.txt").write_text("from an older run")
+        assert run("stats", "--dataset", str(planted_path), "--out", str(out),
+                   "--tag", "other") == 0
+        assert (out / "stats" / "latest").read_text() == "other\n"
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert {p.name: p.read_bytes() for p in (out / "stats" / "r").iterdir()} == first
+        assert sorted(p.name for p in (out / "stats").iterdir()) == ["latest", "other", "r"]
+        assert (out / "stats" / "latest").read_text() == "r\n"
+
+
+# ---------------------------------------------------------------------------
+# property test: whatever a config file holds, the CLI fails cleanly
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=4,
+)
+_PLAUSIBLE = st.sampled_from([0, 1, 2, 3, 5, -1, 0.5, 1e-4, True, False, None, "",
+                              "logreg", "x", ["svm"], ["rf", "xgb"], []])
+
+
+def _config_object(cls) -> st.SearchStrategy:
+    """JSON objects over cls's keys, typo'd keys and random values, nested sections too."""
+    nested = {"train": TrainConfig, "clean": CleanConfig, "tfidf": TfidfConfig,
+              "provider_config": ProviderConfig}
+    names = [f.name for f in fields(cls)]
+    defaults = {f.name: st.just(f.default) for f in fields(cls)
+                if type(f.default) in (int, float, bool, str, type(None))}
+    entries = {
+        name: st.one_of(_config_object(nested[name]), _PLAUSIBLE, _JSON)
+        if name in nested else st.one_of(defaults.get(name, _PLAUSIBLE), _PLAUSIBLE, _JSON)
+        for name in names
+    }
+    typos = st.dictionaries(st.sampled_from([name[:-1] for name in names]), _PLAUSIBLE,
+                            max_size=1)
+    return st.builds(lambda known, typo: {**known, **typo},
+                     st.fixed_dictionaries({}, optional=entries), typos)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(config=st.one_of(_config_object(RunConfig), _JSON))
+def test_any_config_succeeds_or_is_one_line_usage_error(tmp_path_factory, config):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data, path = tmp / "d.jsonl", tmp / "cfg.json"
+    save_dataset(build_planted_dataset(Task.PREDICTIVENESS, {0: 2, 1: 2}, seed=1), data)
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        # the flags keep every write inside tmp, whatever the file says
+        code = main(["stats", "--config", str(path), "--dataset", str(data),
+                     "--out", str(tmp / "o"), "--tag", "r"])
+    event(f"exit code {code}")
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
+        assert not (tmp / "o").exists()

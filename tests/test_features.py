@@ -177,6 +177,9 @@ class TestPersistence:
         {"idf": [1.0, None, 1.4]},
         {"terms": ["up", "btc", "down"]},  # not sorted
         {"terms": ["btc", "btc", "up"]},
+        {"config": {"min_dff": 3}},  # unknown config key
+        {"config": {"sublinear_tf": "no"}},
+        {"config": {"max_features": 2.5}},
     ])
     def test_malformed_payload_is_data_error(self, tmp_path, change):
         path = tmp_path / "tfidf.json"

@@ -346,6 +346,10 @@ class TestPersistence:
         {"config": [1]},
         {"config": {"epochs": "10"}},
         {"loss_history": ["x"]},
+        {"config": {"epoch": 10}},  # unknown config key
+        {"config": {"epochs": True}},
+        {"config": {"bootstrap": "false"}},
+        {"config": {"l2": float("nan")}},
     ])
     def test_malformed_linear_payload_is_data_error(self, tmp_path, change):
         path = tmp_path / "m.json"

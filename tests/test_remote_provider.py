@@ -140,6 +140,20 @@ class TestRemoteParaphraser:
         assert provider.paraphrase("text here", 1) == ["recovered"]
         assert len(server.requests) == 2
 
+    def test_rate_limit_then_success_retries(self, server, api_key):
+        server.script = [("status", 429, "slow down"), ("ok", "recovered")]
+        provider = RemoteParaphraser(make_config(server))
+        assert provider.paraphrase("text here", 1) == ["recovered"]
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_permanent_http_error_is_not_retried(self, server, api_key, status):
+        server.script = [("status", status, "denied"), ("ok", "never sent")]
+        provider = RemoteParaphraser(make_config(server, max_retries=3, request_delay_ms=50))
+        with pytest.raises(ProviderError, match=f"HTTP {status}: denied"):
+            provider.paraphrase("text here", 1)
+        assert len(server.requests) == 1
+
     def test_persistent_http_error_raises(self, server, api_key):
         server.script = [("status", 503, "down")] * 5
         provider = RemoteParaphraser(make_config(server, max_retries=2))
