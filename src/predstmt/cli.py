@@ -57,6 +57,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
+PROVIDERS = ("offline", "remote")
+
 
 class UsageError(Exception):
     pass
@@ -89,6 +91,9 @@ class RunConfig:
             raise DataError(f"task must be 1 or 2, got {self.task!r}")
         if self.k < 2:
             raise DataError(f"k must be an integer >= 2, got {self.k!r}")
+        if self.provider not in PROVIDERS:
+            raise DataError(
+                f"unknown provider {self.provider!r}; expected {' or '.join(PROVIDERS)}")
         if not self.models:
             raise DataError(f"models must name at least one of {', '.join(MODEL_KINDS)}")
         for kind in self.models:
@@ -140,34 +145,54 @@ def _run_dir(cfg: RunConfig, command: str):
     place once the body returns; `latest` is rewritten after that, through
     os.replace. A body that raises leaves no new directory and `latest`
     unchanged. A rerun with an existing tag replaces that run directory.
+    An OSError while creating, staging or renaming it is a UsageError.
     """
     tag = cfg.tag or datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     command_dir = Path(cfg.out_dir) / command
+    final = command_dir / tag
     created = []  # directories this run creates, deepest first
-    parent = command_dir
-    while not parent.exists():
-        created.append(parent)
-        parent = parent.parent
-    command_dir.mkdir(parents=True, exist_ok=True)
     staging = command_dir / f".partial-{os.getpid()}"
-    shutil.rmtree(staging, ignore_errors=True)
-    staging.mkdir()
-    try:
-        yield staging
-    except BaseException:
+
+    def discard() -> None:
         shutil.rmtree(staging, ignore_errors=True)
         for directory in created:
             with suppress(OSError):
                 directory.rmdir()
+
+    def unusable(exc: OSError) -> UsageError:
+        discard()
+        return UsageError(f"cannot write run directory {str(final)!r}: {exc.strerror or exc}")
+
+    try:
+        parent = command_dir
+        while not parent.exists():
+            created.append(parent)
+            parent = parent.parent
+        command_dir.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir()
+    except OSError as exc:
+        raise unusable(exc) from None
+    try:
+        yield staging
+    except BaseException:
+        discard()
         raise
-    final = command_dir / tag
-    if final.exists():
-        old = command_dir / f".replaced-{os.getpid()}"
-        os.rename(final, old)
-        os.rename(staging, final)
+    old = command_dir / f".replaced-{os.getpid()}"
+    replaced = final.exists()
+    try:
+        if replaced:
+            os.rename(final, old)
+        try:
+            os.rename(staging, final)
+        except OSError:
+            if replaced:
+                os.rename(old, final)
+            raise
+    except OSError as exc:
+        raise unusable(exc) from None
+    if replaced:
         shutil.rmtree(old)
-    else:
-        os.rename(staging, final)
     pointer = command_dir / f".latest-{os.getpid()}"
     pointer.write_text(tag + "\n", encoding="utf-8")
     os.replace(pointer, command_dir / "latest")
@@ -253,14 +278,12 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _make_provider(cfg: RunConfig):
     if cfg.provider == "offline":
         return OfflineParaphraser()
-    if cfg.provider == "remote":
-        if cfg.provider_config is None or not cfg.provider_config.endpoint:
-            raise ProviderError(
-                "remote provider selected but no endpoint configured; "
-                "set provider_config in the config file"
-            )
-        return RemoteParaphraser(cfg.provider_config)
-    raise UsageError(f"unknown provider {cfg.provider!r}; expected offline or remote")
+    if cfg.provider_config is None or not cfg.provider_config.endpoint:
+        raise ProviderError(
+            "remote provider selected but no endpoint configured; "
+            "set provider_config in the config file"
+        )
+    return RemoteParaphraser(cfg.provider_config)
 
 
 def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -394,7 +417,7 @@ def build_parser() -> _ArgumentParser:
         sub.add_argument("--k", type=int, help="number of folds")
         sub.add_argument("--seed", type=int)
         sub.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory root")
-        sub.add_argument("--provider", choices=("offline", "remote"))
+        sub.add_argument("--provider", choices=PROVIDERS)
         sub.add_argument("--tag", help="run directory name (default: UTC timestamp)")
         sub.add_argument("--lexicon", metavar="PATH", help="emotion lexicon JSON")
         sub.add_argument("--threshold", type=float, help="emotion weight threshold")

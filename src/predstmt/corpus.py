@@ -71,17 +71,23 @@ def from_dict(cls: type[_C], data: object, where: str = "") -> _C:
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(str(key) for key in set(data) - set(fields))
     if unknown:
-        raise DataError(f"unknown config keys: {', '.join(prefix + k for k in unknown)}")
+        raise DataError(f"unknown config keys: {_key_list(prefix, unknown)}")
     missing = [name for name, f in fields.items() if name not in data
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
-        raise DataError(f"missing config keys: {', '.join(prefix + k for k in missing)}")
+        raise DataError(f"missing config keys: {_key_list(prefix, missing)}")
     hints = typing.get_type_hints(cls)
     kwargs = {key: _field_value(hints[key], value, prefix + key) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:  # DataError included
         raise DataError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _key_list(prefix: str, keys: list[str]) -> str:
+    """Comma-joined dotted keys, non-printable characters escaped to keep one line."""
+    return ", ".join("".join(c if c.isprintable() else repr(c)[1:-1] for c in prefix + key)
+                     for key in keys)
 
 
 def _field_value(hint: object, value: object, key: str) -> object:

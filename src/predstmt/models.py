@@ -11,7 +11,10 @@ Three trainers share one sparse-input, dense-parameter design:
   a hinge-active step touches v, on the row's nonzero columns
   (Shalev-Shwartz et al., Math. Prog. 2011);
 * a random forest of CART trees split on Gini impurity decrease over
-  random feature subsets.
+  random feature subsets. A node's split search reads only its rows'
+  nonzeros on the sampled features, plus one weighted entry per feature for
+  the rows where it is zero, and sorts them once; no dense matrix is built
+  (sparsity-aware split finding, Chen & Guestrin, KDD 2016).
 
 All training is deterministic given the config seed. Ties in any argmax
 break toward the lowest class code.
@@ -153,12 +156,6 @@ class _Csr:
             return
         expanded = np.repeat(row_weights, self.row_lengths(), axis=0)
         np.add.at(acc.T, self.indices, self.data[:, None] * expanded)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.dim))
-        rows = np.repeat(np.arange(self.n), self.row_lengths())
-        out[rows, self.indices] = self.data
-        return out
 
 
 def _check_inputs(X: Sequence[SparseVector], y: Sequence[int]) -> tuple[list[int], np.ndarray, int]:
@@ -359,10 +356,17 @@ def gini(counts: Sequence[float]) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _grow_tree(dense: np.ndarray, y_idx: np.ndarray, rows: np.ndarray, depth: int,
+def _grow_tree(csr: _Csr, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray, depth: int,
                k: int, cfg: TrainConfig, n_sub: int, rng: np.random.Generator) -> TreeNode:
-    counts = np.bincount(y_idx[rows], minlength=k)
-    n = rows.size
+    """Grow one CART node over the distinct rows `rows`, row i counted mult[i] times.
+
+    Candidates are scored from each sampled feature's nonzeros plus one
+    weighted entry for its implicit zeros, all sorted together once; the
+    winner is the first best feature in sampled order, then its first best
+    cut, as a feature-by-feature scan of dense columns would find.
+    """
+    counts = np.bincount(y_idx[rows], weights=mult, minlength=k)
+    n = int(mult.sum())
 
     def leaf() -> TreeNode:
         return TreeNode(feature=-1, dist=tuple((counts / n).tolist()))
@@ -370,41 +374,67 @@ def _grow_tree(dense: np.ndarray, y_idx: np.ndarray, rows: np.ndarray, depth: in
     if depth >= cfg.max_depth or n < 2 * cfg.min_samples_leaf or np.count_nonzero(counts) <= 1:
         return leaf()
 
-    d = dense.shape[1]
-    feats = rng.choice(d, size=n_sub, replace=False) if n_sub < d else np.arange(d)
-    parent = gini(counts)
-    best_gain = 1e-12
-    best_feat = -1
-    best_thr = 0.0
-    for f in feats:
-        col = dense[rows, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y_idx[rows][order]
-        cut = np.nonzero(sv[1:] > sv[:-1])[0] + 1  # candidate left-side sizes
-        cut = cut[(cut >= cfg.min_samples_leaf) & (n - cut >= cfg.min_samples_leaf)]
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cut - 1]
-        right = counts - left
-        nl = cut.astype(np.float64)
-        nr = n - nl
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-        gain = parent - (nl / n) * gini_l - (nr / n) * gini_r
-        j = int(np.argmax(gain))
-        if gain[j] > best_gain:
-            best_gain = float(gain[j])
-            best_feat = int(f)
-            best_thr = float((sv[cut[j] - 1] + sv[cut[j]]) / 2.0)
-    if best_feat < 0:
+    feats = rng.choice(csr.dim, size=n_sub, replace=False) if n_sub < csr.dim \
+        else np.arange(csr.dim)
+    rank = np.full(csr.dim, -1)
+    rank[feats] = np.arange(feats.size)
+
+    # the node's explicit entries on sampled features: (rank, value, row position)
+    starts = csr.indptr[rows]
+    lengths = csr.indptr[rows + 1] - starts
+    pos = np.repeat(np.arange(rows.size), lengths)
+    ent = np.arange(pos.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    ent_rank = rank[csr.indices[ent]]
+    sampled = ent_rank >= 0
+    ent, ent_rank, pos = ent[sampled], ent_rank[sampled], pos[sampled]
+    ent_val = csr.data[ent]
+    ent_label = y_idx[rows[pos]]
+    ent_weight = mult[pos]
+    explicit = np.zeros((ent.size, k))
+    explicit[np.arange(ent.size), ent_label] = ent_weight
+
+    # one entry per sampled feature for its implicit zeros; none where no row is zero,
+    # since an empty entry would add a cut at a value no row has
+    zero_counts = counts - np.bincount(ent_rank * k + ent_label, weights=ent_weight,
+                                       minlength=feats.size * k).reshape(feats.size, k)
+    has_zero = zero_counts.sum(axis=1) > 0
+    entry_rank = np.concatenate([ent_rank, np.flatnonzero(has_zero)])
+    entry_val = np.concatenate([ent_val, np.zeros(int(has_zero.sum()))])
+    entry_counts = np.concatenate([explicit, zero_counts[has_zero]])
+
+    # sort by (rank, value); a cut sits where the value rises within a feature
+    order = np.lexsort((entry_val, entry_rank))
+    entry_rank, entry_val = entry_rank[order], entry_val[order]
+    cum = np.zeros((order.size + 1, k))
+    np.cumsum(entry_counts[order], axis=0, out=cum[1:])
+    cut = np.flatnonzero((entry_rank[1:] == entry_rank[:-1]) & (entry_val[1:] > entry_val[:-1]))
+    first = np.searchsorted(entry_rank, entry_rank[cut])  # where each cut's feature starts
+    left = cum[cut + 1] - cum[first]
+    nl = left.sum(axis=1)
+    keep = (nl >= cfg.min_samples_leaf) & (n - nl >= cfg.min_samples_leaf)
+    cut, left, nl = cut[keep], left[keep], nl[keep]
+    if cut.size == 0:
         return leaf()
-    mask = dense[rows, best_feat] <= best_thr
-    left_node = _grow_tree(dense, y_idx, rows[mask], depth + 1, k, cfg, n_sub, rng)
-    right_node = _grow_tree(dense, y_idx, rows[~mask], depth + 1, k, cfg, n_sub, rng)
+    # the dense scan's gain expression, elementwise, so ties and argmax fall the same way
+    parent = gini(counts)
+    right = counts - left
+    nr = n - nl
+    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+    gain = parent - (nl / n) * gini_l - (nr / n) * gini_r
+    j = int(np.argmax(gain))
+    if gain[j] <= 1e-12:
+        return leaf()
+    i = cut[j]
+    best_rank = entry_rank[i]
+    best_feat = int(feats[best_rank])
+    best_thr = float((entry_val[i] + entry_val[i + 1]) / 2.0)
+    values = np.zeros(rows.size)
+    chosen = ent_rank == best_rank
+    values[pos[chosen]] = ent_val[chosen]
+    mask = values <= best_thr
+    left_node = _grow_tree(csr, y_idx, rows[mask], mult[mask], depth + 1, k, cfg, n_sub, rng)
+    right_node = _grow_tree(csr, y_idx, rows[~mask], mult[~mask], depth + 1, k, cfg, n_sub, rng)
     return TreeNode(feature=best_feat, threshold=best_thr, left=left_node, right=right_node)
 
 
@@ -416,20 +446,17 @@ def train_random_forest(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainC
     features and is kept only when it strictly decreases Gini impurity.
     """
     codes, y_idx, dim = _check_inputs(X, y)
-    dense = _Csr(list(X)).to_dense()
+    csr = _Csr(list(X))
     n = len(X)
     k = len(codes)
-    n_sub = max(1, math.ceil(math.sqrt(dim))) if dim else 0
+    n_sub = max(1, math.ceil(math.sqrt(dim)))
     master = np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF)
     trees = []
     for child in master.spawn(cfg.n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        if dim == 0:
-            counts = np.bincount(y_idx[rows], minlength=k)
-            trees.append(TreeNode(feature=-1, dist=tuple((counts / rows.size).tolist())))
-            continue
-        trees.append(_grow_tree(dense, y_idx, np.sort(rows), 0, k, cfg, n_sub, rng))
+        rows, mult = np.unique(rows, return_counts=True)
+        trees.append(_grow_tree(csr, y_idx, rows, mult, 0, k, cfg, n_sub, rng))
     return ForestModel(trees=tuple(trees), n_features=dim, class_codes=tuple(codes), config=cfg)
 
 

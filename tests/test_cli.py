@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -336,6 +337,8 @@ class TestConfigPrecedence:
         ("stats", {"train": 5}, "train must be an object"),
         ("stats", {"tag": "latest"}, "tag must be a plain directory name"),
         ("stats", {"tag": "../elsewhere"}, "tag must be a plain directory name"),
+        ("stats", {"\n": None}, "unknown config keys: \\n"),
+        ("stats", {"train": {"a\rb": 1}}, "unknown config keys: train.a\\rb"),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -347,6 +350,17 @@ class TestConfigPrecedence:
         assert code == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", ["stats", "cv", "balance", "emotion", "kappa"])
+    def test_unknown_provider_is_usage_error(self, planted_path, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"provider": "xyz"}))
+        extra = ["a.jsonl", "b.jsonl"] if command == "kappa" else ["--dataset", str(planted_path)]
+        code = run(command, "--config", str(path), "--out", str(tmp_path / "o"), *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "usage error: unknown provider 'xyz'; expected offline or remote\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_hash_tracks_settings_not_out_dir(self, planted_path, tmp_path,
                                                      capsys):
@@ -407,6 +421,44 @@ class TestRunDirectory:
         assert (out / "balance" / "latest").read_text() == "good\n"
         after = {p.name: p.read_bytes() for p in (out / "balance" / "good").iterdir()}
         assert after == before
+
+    @pytest.mark.parametrize("blocker", ["out", "out/stats"])
+    def test_unusable_out_is_one_line_usage_error(self, planted_path, tmp_path, capsys,
+                                                  blocker):
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("a file, not a directory")
+        code = run("stats", "--dataset", str(planted_path), "--out", str(tmp_path / "out"),
+                   "--tag", "r")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: cannot write run directory ") and err.count("\n") == 1
+        assert str(tmp_path / "out" / "stats" / "r") in err
+        assert (tmp_path / blocker).read_text() == "a file, not a directory"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            {"out", blocker.split("/")[-1]})
+
+    def test_failed_rename_keeps_previous_run_and_latest(self, planted_path, tmp_path,
+                                                         capsys, monkeypatch):
+        out = tmp_path / "o"
+        argv = ("stats", "--dataset", str(planted_path), "--out", str(out), "--tag", "r")
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in (out / "stats" / "r").iterdir()}
+        real_rename = os.rename
+
+        def failing_rename(src, dst):
+            if ".partial-" in str(src):
+                raise PermissionError(13, "Permission denied", str(dst))
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing_rename)
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: cannot write run directory ") and err.count("\n") == 1
+        assert "Permission denied" in err
+        assert sorted(p.name for p in (out / "stats").iterdir()) == ["latest", "r"]
+        assert (out / "stats" / "latest").read_text() == "r\n"
+        assert {p.name: p.read_bytes() for p in (out / "stats" / "r").iterdir()} == before
 
     def test_rerun_replaces_the_run_directory(self, planted_path, tmp_path, capsys):
         out = tmp_path / "o"

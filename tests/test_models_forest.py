@@ -7,17 +7,23 @@ import random
 import numpy as np
 import pytest
 
+from conftest import build_planted_dataset
 from predstmt import (
     DataError,
     ForestModel,
     SparseVector,
+    Task,
     TrainConfig,
+    fit_tfidf,
     load_model,
     predict,
+    preprocess,
     save_model,
+    stratified_folds,
     train_logreg,
     train_random_forest,
     train_svm_linear,
+    transform_many,
 )
 from predstmt.models import TreeNode, gini
 
@@ -175,6 +181,117 @@ class TestSingleTree:
             check(node.right, rows[~mask])
 
         check(model.trees[0], np.arange(30))
+
+
+def dense_grow_tree(dense, y_idx, rows, depth, k, cfg, n_sub, rng):
+    """The split search as first written: a dense column scan, one feature at a time."""
+    counts = np.bincount(y_idx[rows], minlength=k)
+    n = rows.size
+
+    def leaf():
+        return TreeNode(feature=-1, dist=tuple((counts / n).tolist()))
+
+    if depth >= cfg.max_depth or n < 2 * cfg.min_samples_leaf or np.count_nonzero(counts) <= 1:
+        return leaf()
+
+    d = dense.shape[1]
+    feats = rng.choice(d, size=n_sub, replace=False) if n_sub < d else np.arange(d)
+    parent = gini(counts)
+    best_gain = 1e-12
+    best_feat = -1
+    best_thr = 0.0
+    for f in feats:
+        col = dense[rows, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        sy = y_idx[rows][order]
+        cut = np.nonzero(sv[1:] > sv[:-1])[0] + 1  # candidate left-side sizes
+        cut = cut[(cut >= cfg.min_samples_leaf) & (n - cut >= cfg.min_samples_leaf)]
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), sy] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cut - 1]
+        right = counts - left
+        nl = cut.astype(np.float64)
+        nr = n - nl
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        gain = parent - (nl / n) * gini_l - (nr / n) * gini_r
+        j = int(np.argmax(gain))
+        if gain[j] > best_gain:
+            best_gain = float(gain[j])
+            best_feat = int(f)
+            best_thr = float((sv[cut[j] - 1] + sv[cut[j]]) / 2.0)
+    if best_feat < 0:
+        return leaf()
+    mask = dense[rows, best_feat] <= best_thr
+    left_node = dense_grow_tree(dense, y_idx, rows[mask], depth + 1, k, cfg, n_sub, rng)
+    right_node = dense_grow_tree(dense, y_idx, rows[~mask], depth + 1, k, cfg, n_sub, rng)
+    return TreeNode(feature=best_feat, threshold=best_thr, left=left_node, right=right_node)
+
+
+def dense_forest(X, y, cfg):
+    """Trees of train_random_forest as first written, on the dense n x d matrix."""
+    codes = sorted(set(y))
+    y_idx = np.array([codes.index(v) for v in y])
+    dense = np.array([x.to_dense() for x in X])
+    n, dim = dense.shape
+    n_sub = max(1, math.ceil(math.sqrt(dim)))
+    trees = []
+    for child in np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF).spawn(cfg.n_trees):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        trees.append(dense_grow_tree(dense, y_idx, np.sort(rows), 0, len(codes), cfg, n_sub, rng))
+    return tuple(trees)
+
+
+def signed_sparse_problem(rng, n, d, k):
+    """Rows mixing tied, negative and random values, explicit 0.0 / -0.0, and empty rows."""
+    pool = (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
+    density = rng.choice((0.2, 0.5, 0.95))
+    X = []
+    for _ in range(n):
+        pairs = []
+        if rng.random() > 0.1:
+            for j in range(d):
+                if rng.random() < density:
+                    pairs.append((j, rng.choice(pool) if rng.random() < 0.6
+                                  else rng.uniform(-2.0, 2.0)))
+        X.append(SparseVector(indices=tuple(j for j, _ in pairs),
+                              values=tuple(v for _, v in pairs), dimension=d))
+    codes = rng.sample(range(-3, 9), k)
+    y = [rng.choice(codes) for _ in range(n)]
+    y[:k] = codes
+    return X, y
+
+
+class TestSparseSplitSearch:
+    """train_random_forest searches nonzeros only; its trees must equal the dense scan's."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 9, 30])  # ceil(sqrt(d)) >= d only for d <= 2
+    def test_matches_dense_reference(self, bootstrap, d):
+        rng = random.Random(1000 * d + bootstrap)
+        for trial in range(6):
+            X, y = signed_sparse_problem(rng, n=rng.randint(8, 60), d=d, k=rng.randint(2, 4))
+            cfg = TrainConfig(n_trees=3, bootstrap=bootstrap, seed=trial,
+                              min_samples_leaf=rng.randint(1, 3), max_depth=rng.randint(1, 8))
+            model = train_random_forest(X, y, cfg)
+            assert model.trees == dense_forest(X, y, cfg)
+
+    def test_matches_dense_reference_on_a_cv_fold(self):
+        ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=5)
+        assignment = stratified_folds(ds, Task.DIRECTION, 5, 42)
+        train = [doc for doc in ds.labeled(Task.DIRECTION) if assignment.folds[doc.id] != 0]
+        tokens = [preprocess(doc.text) for doc in train]
+        X = transform_many(fit_tfidf(tokens), tokens)
+        y = [doc.label(Task.DIRECTION) for doc in train]
+        cfg = TrainConfig(n_trees=5, seed=3, min_samples_leaf=1)
+        model = train_random_forest(X, y, cfg)
+        assert sum(t.feature >= 0 for t in model.trees) > 0
+        assert model.trees == dense_forest(X, y, cfg)
 
 
 class TestForest:
