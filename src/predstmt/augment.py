@@ -17,9 +17,10 @@ import time
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .corpus import (
     DataError,
@@ -261,9 +262,12 @@ class _ChatClient:
 
     Transport errors, HTTP 429, 5xx statuses and malformed bodies are
     retried; any other non-200 status (401, 404, ...) fails at once.
+    requests is imported here, so runs that never go remote do not load it.
     """
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
         self._sent_any = False
@@ -278,6 +282,8 @@ class _ChatClient:
 
     def complete(self, prompt: str) -> str:
         """POST one chat message, return the reply text."""
+        import requests
+
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -37,6 +37,7 @@ from .corpus import (
     distribution,
     from_dict,
     load_dataset,
+    parse_json,
     save_dataset,
 )
 from .emotion import aggregate, bundled_lexicon_path, load_lexicon, render_markdown
@@ -112,11 +113,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         path = Path(args.config)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from None
+        raw = parse_json(text, lambda reason: UsageError(
+            f"config file {path} is not valid JSON: {reason}"))
         if not isinstance(raw, dict):
             raise UsageError(f"config file {path} must contain a JSON object")
     flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
@@ -290,7 +291,8 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_required_dataset(cfg)
     task = Task(cfg.task)
     provider = _make_provider(cfg)
-    plan = compute_plan(distribution(dataset, task))
+    before = distribution(dataset, task)
+    plan = compute_plan(before)
     max_retries = cfg.provider_config.max_retries if cfg.provider_config else 3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -300,7 +302,6 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
         if isinstance(warning.message, BalanceShortfallWarning):
             shortfall = {str(c): n for c, n in warning.message.shortfall.items()}
             print(f"warning: {warning.message}", file=sys.stderr)
-    before = distribution(dataset, task)
     after = distribution(result, task)
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
@@ -338,23 +339,26 @@ def _read_annotation_file(path: Path) -> dict[str, int]:
     if not path.exists():
         raise DataError(f"annotation file not found: {path}")
     labels: dict[str, int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(rec, dict) or "id" not in rec or "label" not in rec:
-                raise DataError(f"{where}: expected an object with 'id' and 'label'")
-            doc_id = rec["id"]
-            if doc_id in labels:
-                raise DataError(f"{where}: duplicate id {doc_id!r}")
-            if not isinstance(rec["label"], int) or isinstance(rec["label"], bool):
-                raise DataError(f"{where}: 'label' must be an integer")
-            labels[doc_id] = rec["label"]
+    try:
+        with path.open(encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read annotation file {path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path.name}:{lineno}"
+        rec = parse_json(line, lambda reason: DataError(f"{where}: invalid JSON ({reason})"))
+        if not isinstance(rec, dict) or "id" not in rec or "label" not in rec:
+            raise DataError(f"{where}: expected an object with 'id' and 'label'")
+        doc_id = rec["id"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise DataError(f"{where}: 'id' must be a non-empty string")
+        if doc_id in labels:
+            raise DataError(f"{where}: duplicate id {doc_id!r}")
+        if not isinstance(rec["label"], int) or isinstance(rec["label"], bool):
+            raise DataError(f"{where}: 'label' must be an integer")
+        labels[doc_id] = rec["label"]
     if not labels:
         raise DataError(f"{path.name}: no annotations found")
     return labels

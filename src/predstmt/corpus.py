@@ -13,16 +13,36 @@ import dataclasses
 import json
 import math
 import random
+import sys
 import types
 import typing
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Mapping, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 
 class DataError(ValueError):
     """Malformed input file, schema violation, or broken corpus invariant."""
+
+
+def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> object:
+    """json.loads(text, **kwargs) for text read from an input file.
+
+    Malformed JSON, JSON nested too deeply to decode and integers too long
+    to convert all raise invalid(reason), the caller's one-line error,
+    instead of a traceback. A DataError from an object hook passes through.
+    """
+    try:
+        return json.loads(text, **kwargs)
+    except json.JSONDecodeError as exc:
+        raise invalid(exc.msg) from None
+    except RecursionError:
+        raise invalid("nested too deeply") from None
+    except DataError:
+        raise
+    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise invalid("integer too long") from None
 
 
 def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where: object):
@@ -44,7 +64,8 @@ def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where:
 #: and X | None), with the wording of their type errors and their check.
 _FIELD_TYPES = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    float: ("a number", lambda v: type(v) is float and math.isfinite(v)
+            or type(v) is int and abs(v) <= sys.float_info.max),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
     list[str]: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),
@@ -60,10 +81,10 @@ def from_dict(cls: type[_C], data: object, where: str = "") -> _C:
     Every key must name a field of cls; a missing key takes the field's
     default, and a field without one is required. Each value must match
     its field's annotation: int (bool excluded), float (an int is accepted
-    and kept as given; NaN and infinities are not), bool, str, list[str],
-    X | None, or a nested dataclass, parsed the same way. cls's own
-    __post_init__ checks run last. Errors name the dotted key path below
-    `where` and raise DataError.
+    and kept as given unless too large for a float; NaN and infinities are
+    not), bool, str, list[str], X | None, or a nested dataclass, parsed
+    the same way. cls's own __post_init__ checks run last. Errors name the
+    dotted key path below `where` and raise DataError.
     """
     if not isinstance(data, dict):
         raise DataError(f"{where or 'config'} must be an object, got {type(data).__name__}")
@@ -151,6 +172,19 @@ def label_enum(task: Task) -> type[IntEnum]:
     return Task1Label if Task(task) is Task.PREDICTIVENESS else Task2Label
 
 
+# Members by value for the loaders: a dict lookup costs a fraction of an Enum
+# call. Only values of the members' own type are looked up, so an unhashable
+# value never reaches a dict.
+_TASKS = {int(task): task for task in Task}
+_LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
+_COINS = {coin.value: coin for coin in Coin}
+_SOURCES = {source.value: source for source in Source}
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Annotation:
     """One annotator's judgement on one task for one document."""
@@ -160,18 +194,20 @@ class Annotation:
     label: int
 
     def __post_init__(self) -> None:
-        if not self.annotator:
+        if not isinstance(self.annotator, str) or not self.annotator:
             raise DataError("annotation requires a non-empty annotator id")
-        try:
-            object.__setattr__(self, "task", Task(self.task))
-        except ValueError:
-            raise DataError(f"unknown task {self.task!r} in annotation") from None
-        try:
-            object.__setattr__(self, "label", label_enum(self.task)(self.label))
-        except ValueError:
-            raise DataError(
-                f"unknown label code {self.label!r} for task {int(self.task)}"
-            ) from None
+        if not _is_int(self.task):
+            raise DataError(f"annotation task must be an integer, got {self.task!r}")
+        task = _TASKS.get(self.task)
+        if task is None:
+            raise DataError(f"unknown task {self.task!r} in annotation")
+        if not _is_int(self.label):
+            raise DataError(f"annotation label must be an integer, got {self.label!r}")
+        label = _LABELS[task].get(self.label)
+        if label is None:
+            raise DataError(f"unknown label code {self.label!r} for task {int(task)}")
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "label", label)
 
 
 @dataclass(frozen=True)
@@ -212,20 +248,23 @@ class Document:
 
     def label(self, task: Task) -> int | None:
         """Gold label code for the given task, or None when unlabeled."""
-        value = self.task1 if Task(task) is Task.PREDICTIVENESS else self.task2
+        if task == Task.PREDICTIVENESS:
+            value = self.task1
+        elif task == Task.DIRECTION:
+            value = self.task2
+        else:
+            raise ValueError(f"{task!r} is not a valid Task")
         return None if value is None else int(value)
 
 
 def _coerce_label(value: object, task: Task, doc_id: str) -> IntEnum:
-    enum = label_enum(task)
-    if isinstance(value, bool) or not isinstance(value, (int, IntEnum)):
+    if not _is_int(value):
         raise DataError(f"document {doc_id!r}: task{int(task)} label must be an integer")
-    try:
-        return enum(value)
-    except ValueError:
+    member = _LABELS[task].get(value)
+    if member is None:
         raise DataError(
-            f"document {doc_id!r}: unknown label code {value!r} for task {int(task)}"
-        ) from None
+            f"document {doc_id!r}: unknown label code {value!r} for task {int(task)}")
+    return member
 
 
 @dataclass(frozen=True)
@@ -292,6 +331,9 @@ def distribution(dataset: Dataset, task: Task) -> LabelDistribution:
 # serialization
 
 _COLUMNS = ("id", "text", "coin", "task1", "task2", "source", "parent_id", "annotations")
+_COLUMN_SET = frozenset(_COLUMNS)
+#: One encoder for every JSONL line; json.dumps with options builds one per call.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _doc_to_record(doc: Document) -> dict:
@@ -310,71 +352,65 @@ def _doc_to_record(doc: Document) -> dict:
     }
 
 
-def _doc_from_record(rec: object, where: str) -> Document:
+def _doc_from_record(rec: object) -> Document:
+    """Validate one parsed record; the caller prefixes errors with their location."""
     if not isinstance(rec, dict):
-        raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-    unknown = set(rec) - set(_COLUMNS)
+        raise DataError(f"expected a JSON object, got {type(rec).__name__}")
+    unknown = rec.keys() - _COLUMN_SET
     if unknown:
-        raise DataError(f"{where}: unknown fields {sorted(unknown)}")
+        raise DataError(f"unknown fields {sorted(unknown)}")
     doc_id = rec.get("id")
     if not isinstance(doc_id, str) or not doc_id:
-        raise DataError(f"{where}: 'id' must be a non-empty string")
+        raise DataError("'id' must be a non-empty string")
     text = rec.get("text")
     if not isinstance(text, str):
-        raise DataError(f"{where}: 'text' must be a string")
+        raise DataError("'text' must be a string")
 
     coin_raw = rec.get("coin")
     coin: Coin | None = None
     if coin_raw is not None:
-        try:
-            coin = Coin(coin_raw)
-        except ValueError:
-            raise DataError(f"{where}: unknown coin {coin_raw!r}") from None
+        coin = _COINS.get(coin_raw) if isinstance(coin_raw, str) else None
+        if coin is None:
+            raise DataError(f"unknown coin {coin_raw!r}")
 
     source_raw = rec.get("source")
-    if source_raw is None:
-        source = Source.ORIGINAL
-    else:
-        try:
-            source = Source(source_raw)
-        except ValueError:
-            raise DataError(f"{where}: unknown source {source_raw!r}") from None
+    source = Source.ORIGINAL
+    if source_raw is not None:
+        source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
+        if source is None:
+            raise DataError(f"unknown source {source_raw!r}")
 
     parent_id = rec.get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
-        raise DataError(f"{where}: 'parent_id' must be a string or null")
+        raise DataError("'parent_id' must be a string or null")
 
-    anns_raw = rec.get("annotations") or []
-    if not isinstance(anns_raw, list):
-        raise DataError(f"{where}: 'annotations' must be a list")
+    anns_raw = rec.get("annotations")
+    if anns_raw is None:
+        anns_raw = []
+    elif not isinstance(anns_raw, list):
+        raise DataError("'annotations' must be a list")
     annotations = []
     for a in anns_raw:
         if not isinstance(a, dict):
-            raise DataError(f"{where}: each annotation must be an object")
-        try:
-            annotations.append(
-                Annotation(
-                    annotator=a.get("annotator", ""),
-                    task=a.get("task"),
-                    label=a.get("label"),
-                )
-            )
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-
-    try:
-        return Document(
-            id=doc_id,
-            text=text,
-            coin=coin,
-            task1=rec.get("task1"),
-            task2=rec.get("task2"),
-            source=source,
-            parent_id=parent_id,
-            annotations=tuple(annotations),
+            raise DataError("each annotation must be an object")
+        annotations.append(
+            Annotation(annotator=a.get("annotator", ""), task=a.get("task"), label=a.get("label"))
         )
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from None
+
+    return Document(
+        id=doc_id,
+        text=text,
+        coin=coin,
+        task1=rec.get("task1"),
+        task2=rec.get("task2"),
+        source=source,
+        parent_id=parent_id,
+        annotations=tuple(annotations),
+    )
+
+
+def _invalid_json(reason: str) -> DataError:
+    return DataError(f"invalid JSON ({reason})")
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -400,33 +436,44 @@ def load_dataset(path: str | Path, fmt: str | None = None, name: str | None = No
     fmt = _infer_format(path, fmt)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    docs: list[Document] = []
-    if fmt == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path.name}:{lineno}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from None
-                docs.append(_doc_from_record(rec, where))
-    else:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != _COLUMNS:
-                raise DataError(
-                    f"{path.name}: expected header {','.join(_COLUMNS)}, "
-                    f"got {','.join(reader.fieldnames or ())}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                where = f"{path.name}:{lineno}"
-                docs.append(_doc_from_record(_csv_row_to_record(row, where), where))
+    try:
+        docs = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from None
     return Dataset(documents=tuple(docs), name=name or path.stem)
 
 
-def _csv_row_to_record(row: dict, where: str) -> dict:
+def _read_jsonl(path: Path) -> list[Document]:
+    docs: list[Document] = []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                docs.append(_doc_from_record(parse_json(line, _invalid_json)))
+            except DataError as exc:
+                raise DataError(f"{path.name}:{lineno}: {exc}") from None
+    return docs
+
+
+def _read_csv(path: Path) -> list[Document]:
+    docs: list[Document] = []
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != _COLUMNS:
+            raise DataError(
+                f"{path.name}: expected header {','.join(_COLUMNS)}, "
+                f"got {','.join(reader.fieldnames or ())}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                docs.append(_doc_from_record(_csv_row_to_record(row)))
+            except DataError as exc:
+                raise DataError(f"{path.name}:{lineno}: {exc}") from None
+    return docs
+
+
+def _csv_row_to_record(row: dict) -> dict:
     rec: dict = {}
     for key in _COLUMNS:
         cell = row.get(key)
@@ -437,12 +484,9 @@ def _csv_row_to_record(row: dict, where: str) -> dict:
             try:
                 rec[key] = int(cell)
             except ValueError:
-                raise DataError(f"{where}: '{key}' must be an integer, got {cell!r}") from None
+                raise DataError(f"'{key}' must be an integer, got {cell!r}") from None
         elif key == "annotations":
-            try:
-                rec[key] = json.loads(cell)
-            except json.JSONDecodeError:
-                raise DataError(f"{where}: 'annotations' cell is not valid JSON") from None
+            rec[key] = parse_json(cell, lambda _: DataError("'annotations' cell is not valid JSON"))
         else:
             rec[key] = cell
     if rec["text"] is None:
@@ -456,9 +500,10 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) -> 
     fmt = _infer_format(path, fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "jsonl":
+        encode = _JSONL_ENCODER.encode
         with path.open("w", encoding="utf-8") as fh:
             for doc in dataset:
-                fh.write(json.dumps(_doc_to_record(doc), ensure_ascii=False) + "\n")
+                fh.write(encode(_doc_to_record(doc)) + "\n")
         return
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

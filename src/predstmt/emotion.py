@@ -9,14 +9,15 @@ Categories co-occur freely, so row percentages need not sum to 100.
 
 from __future__ import annotations
 
-import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Coin, DataError, Dataset, Document, Task2Label
+from .corpus import Coin, DataError, Dataset, Document, Task2Label, parse_json
 from .preprocess import DEFAULT_CLEAN, CleanConfig, preprocess
 
 
@@ -59,6 +60,18 @@ class EmotionLexicon:
     grouping: Mapping[str, EmotionCategory]
     max_phrase_len: int
 
+    @cached_property
+    def phrase_lengths(self) -> dict[str, tuple[int, ...]]:
+        """First token of each term -> lengths of the terms it starts, longest first.
+
+        Terms longer than max_phrase_len are left out, as the scan never tries them.
+        """
+        lengths: dict[str, set[int]] = {}
+        for key in self.phrase_entries:
+            if len(key) <= self.max_phrase_len:
+                lengths.setdefault(key[0], set()).add(len(key))
+        return {first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()}
+
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     seen = set()
@@ -78,11 +91,11 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read lexicon {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"lexicon {path} is not valid JSON: {exc.msg}") from None
+    raw = parse_json(text, lambda reason: DataError(f"lexicon {path} is not valid JSON: {reason}"),
+                     object_pairs_hook=_reject_duplicate_keys)
     if not isinstance(raw, dict) or set(raw) != {"entries", "grouping"}:
         raise DataError(f"lexicon {path} must contain exactly 'entries' and 'grouping'")
 
@@ -118,14 +131,14 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
                     or not isinstance(row[1], (int, float)) or isinstance(row[1], bool)):
                 raise DataError(f"lexicon entry {term!r} has a malformed [emotion, weight] row")
             emotion = row[0].casefold()
-            weight = float(row[1])
+            weight = row[1]  # compared before float(), which overflows on a huge int
             if not 0.0 <= weight <= 1.0:
                 raise DataError(f"lexicon entry {term!r}: weight {weight} outside [0, 1]")
             if emotion not in grouping:
                 raise DataError(
                     f"lexicon entry {term!r} references ungrouped base emotion {row[0]!r}"
                 )
-            pairs.append((emotion, weight))
+            pairs.append((emotion, float(weight)))
         phrase_entries[key] = tuple(pairs)
         max_len = max(max_len, len(key))
     return EmotionLexicon(
@@ -147,20 +160,22 @@ def tag_document(doc: Document, lex: EmotionLexicon, threshold: float = 0.0,
     longest-first without overlap. No matches yield the empty set.
     """
     tokens = preprocess(doc.text, clean_cfg)
+    entries, phrase_lengths = lex.phrase_entries, lex.phrase_lengths
     found: set[EmotionCategory] = set()
     i = 0
     n = len(tokens)
     while i < n:
-        matched_len = 0
-        for length in range(min(lex.max_phrase_len, n - i), 0, -1):
-            entry = lex.phrase_entries.get(tuple(tokens[i:i + length]))
+        step = 1
+        # tokens that start no term are skipped without building any slice
+        for length in phrase_lengths.get(tokens[i], ()):
+            entry = entries.get(tuple(tokens[i:i + length])) if length <= n - i else None
             if entry is not None:
                 for emotion, weight in entry:
                     if weight > threshold:
                         found.add(lex.grouping[emotion])
-                matched_len = length
+                step = length
                 break
-        i += matched_len if matched_len else 1
+        i += step
     return found
 
 
@@ -199,25 +214,22 @@ def aggregate(dataset: Dataset, lex: EmotionLexicon, threshold: float = 0.0,
     percentage(category) = 100 * tagged / cell size, rounded half-up to
     two decimals. Cells with no documents are absent from the report.
     """
-    cells: dict[tuple[Coin, Task2Label], dict] = {}
+    sizes: Counter[tuple[Coin, Task2Label]] = Counter()
+    tagged: defaultdict[tuple[Coin, Task2Label], Counter] = defaultdict(Counter)
     for doc in dataset:
         if doc.coin is None or doc.task2 is None:
             continue
-        cell = cells.setdefault(
-            (doc.coin, doc.task2),
-            {"n": 0, "tagged": {cat: 0 for cat in EmotionCategory}},
-        )
-        cell["n"] += 1
+        key = (doc.coin, doc.task2)
+        sizes[key] += 1
+        counts = tagged[key]
         for category in tag_document(doc, lex, threshold, clean_cfg):
-            cell["tagged"][category] += 1
+            counts[category] += 1
     profiles = {
         key: EmotionProfile(
-            percentages={
-                cat: _round2(cell["tagged"][cat], cell["n"]) for cat in EmotionCategory
-            },
-            cell_count=cell["n"],
+            percentages={cat: _round2(tagged[key][cat], n) for cat in EmotionCategory},
+            cell_count=n,
         )
-        for key, cell in cells.items()
+        for key, n in sizes.items()
     }
     return EmotionReport(profiles=profiles)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, from_dict, require_field
+from .corpus import DataError, from_dict, parse_json, require_field
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,11 @@ def load_tfidf(path: str | Path) -> TfidfModel:
     """Read a model written by save_tfidf; any schema violation raises DataError."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot load TF-IDF model from {path}: {exc}") from None
+    payload = parse_json(text, lambda reason: DataError(
+        f"cannot load TF-IDF model from {path}: {reason}"))
     if not isinstance(payload, dict) or payload.get("kind") != "tfidf":
         raise DataError(f"{path} does not contain a TF-IDF model")
     terms = require_field(payload, "terms", list, path)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, from_dict, require_field
+from .corpus import DataError, from_dict, parse_json, require_field
 from .features import SparseVector
 
 KIND_LOGREG = "logreg"
@@ -570,9 +570,10 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
     """Read a model written by save_model; any schema violation raises DataError."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from None
+    payload = parse_json(text, lambda reason: DataError(f"cannot load model from {path}: {reason}"))
     if not isinstance(payload, dict):
         raise DataError(f"{path} does not contain a model")
     kind = payload.get("kind")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 
 # http(s) or www prefixed runs of non-space characters
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
@@ -45,16 +46,30 @@ def strip_urls(text: str) -> str:
     return _URL_RE.sub("", text)
 
 
-def _is_special(ch: str, config: CleanConfig) -> bool:
-    if config.special_chars is not None:
-        return ch in config.special_chars
-    return unicodedata.category(ch)[0] in ("P", "S")
+class _PunctSymbolTable(dict):
+    """str.translate table mapping every Unicode punctuation (P*) and symbol
+    (S*) character to a space and every other character to itself.
+
+    A code point's category is looked up once, on first use, and cached.
+    """
+
+    def __missing__(self, code: int) -> str | int:
+        value = " " if unicodedata.category(chr(code))[0] in "PS" else code
+        self[code] = value
+        return value
+
+
+@lru_cache(maxsize=32)
+def _special_table(special_chars: str | None) -> dict:
+    """The translate table for CleanConfig.special_chars, built once per value."""
+    if special_chars is None:
+        return _PunctSymbolTable()
+    return str.maketrans(special_chars, " " * len(special_chars))
 
 
 def preprocess(text: str, config: CleanConfig = DEFAULT_CLEAN) -> list[str]:
     """Clean and tokenize one text. Returns the kept tokens in order."""
-    text = strip_urls(text)
-    text = "".join(" " if _is_special(ch, config) else ch for ch in text)
+    text = strip_urls(text).translate(_special_table(config.special_chars))
     if config.lowercase:
         text = text.lower()
     text = unicodedata.normalize("NFC", text)

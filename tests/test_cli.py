@@ -3,8 +3,11 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -17,8 +20,10 @@ from predstmt import (
     Task,
     TfidfConfig,
     TrainConfig,
+    distribution,
     save_dataset,
 )
+from predstmt import cli
 from predstmt.cli import RunConfig, _config_echo, main
 from predstmt.corpus import from_dict
 
@@ -300,6 +305,10 @@ class TestConfigPrecedence:
         (b'{"seed": "\xff"}', "cannot read config file"),
         (b'{"seed": ', "is not valid JSON"),
         (b'[1]', "must contain a JSON object"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "is not valid JSON: nested too deeply",
+                     id="nested"),
+        pytest.param(b'{"seed": 1' + b"0" * 5000 + b"}", "is not valid JSON: integer too long",
+                     id="long-integer"),
     ])
     def test_unreadable_config_file_is_usage_error(self, planted_path, tmp_path, capsys,
                                                    content, message):
@@ -339,6 +348,9 @@ class TestConfigPrecedence:
         ("stats", {"tag": "../elsewhere"}, "tag must be a plain directory name"),
         ("stats", {"\n": None}, "unknown config keys: \\n"),
         ("stats", {"train": {"a\rb": 1}}, "unknown config keys: train.a\\rb"),
+        ("stats", {"threshold": 10 ** 400}, "threshold must be a number, got int"),
+        ("cv", {"train": {"learning_rate": 10 ** 400}},
+         "train.learning_rate must be a number, got int"),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -476,6 +488,103 @@ class TestRunDirectory:
         assert (out / "stats" / "latest").read_text() == "r\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def run_captured(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestUnparseableInputs:
+    """Every JSON input boundary turns malformed, too deep or undecodable input into one line."""
+
+    @pytest.mark.parametrize("line, message", [
+        (DEEP, "invalid JSON (nested too deeply)"),
+        ('{"id": "x", "text": "t", "coin": ["ADA"]}', "unknown coin ['ADA']"),
+        ('{"id": "x", "text": "t", "annotations": [{"annotator": ["x"], "task": 1, '
+         '"label": 1.0}]}', "annotation requires a non-empty annotator id"),
+    ], ids=["nested", "unhashable-coin", "ill-typed-annotation"])
+    def test_bad_dataset_line_is_data_error(self, planted_path, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(planted_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
+        code, err = run_captured("stats", "--dataset", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == f"data error: d.jsonl:{lineno}: {message}\n"
+
+    def test_undecodable_dataset_is_data_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"id": "x", "text": "caf\xe9"}\n')
+        code, err = run_captured("stats", "--dataset", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith(f"data error: cannot read dataset {path}: ") and err.count("\n") == 1
+
+    def test_deeply_nested_lexicon_is_data_error(self, planted_path, tmp_path):
+        path = tmp_path / "lex.json"
+        path.write_text(DEEP)
+        code, err = run_captured("emotion", "--dataset", str(planted_path), "--lexicon", str(path),
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err == f"data error: lexicon {path} is not valid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (DEEP.encode(), "a.jsonl:2: invalid JSON (nested too deeply)"),
+        (b'{"id": 1' + b"0" * 5000 + b', "label": 1}', "a.jsonl:2: invalid JSON (integer too long)"),
+        (b'{"id": ["d2"], "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
+        (b'{"id": 2, "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
+        (b'{"id": "", "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
+        (b'{"id": "caf\xe9", "label": 1}', "cannot read annotation file"),
+    ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8"])
+    def test_bad_annotation_file_is_data_error(self, tmp_path, content, message):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b'{"id": "d1", "label": 0}\n' + content + b"\n")
+        write_annotations(b, {"d1": 0, "d2": 1})
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestBalanceInputDistribution:
+    def test_input_distribution_computed_once(self, planted_path, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(dataset, task):
+            seen.append(len(dataset))
+            return distribution(dataset, task)
+
+        monkeypatch.setattr(cli, "distribution", counting)
+        code, err = run_captured("balance", "--dataset", str(planted_path),
+                                 "--out", str(tmp_path), "--tag", "r")
+        assert code == 0 and err == ""
+        payload = json.loads((tmp_path / "balance" / "r" / "balance.json").read_text())
+        # once for the input (plan and "before"), once for the balanced output
+        assert seen == [payload["documents_before"], payload["documents_after"]]
+        assert payload["before"] == {"0": 12, "1": 8} and payload["after"] == {"0": 12, "1": 12}
+
+
+def test_offline_commands_never_import_requests(planted_path, tmp_path):
+    """requests is imported only by the remote client, so offline runs start faster."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import predstmt.cli\n"
+        "assert 'requests' not in sys.modules, 'imported by predstmt.cli'\n"
+        "out, data = sys.argv[1], sys.argv[2]\n"
+        "for argv in (['stats', '--dataset', data], ['balance', '--dataset', data],\n"
+        "             ['emotion', '--dataset', data]):\n"
+        "    assert predstmt.cli.main(argv + ['--out', out]) == 0, argv\n"
+        "assert 'requests' not in sys.modules, 'imported by an offline command'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o"), str(planted_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # property test: whatever a config file holds, the CLI fails cleanly
 
@@ -526,3 +635,82 @@ def test_any_config_succeeds_or_is_one_line_usage_error(tmp_path_factory, config
         assert code == 1
         assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
         assert not (tmp / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# property tests: whatever a dataset line or a lexicon holds, the CLI fails cleanly
+
+def _maybe(valid: list) -> st.SearchStrategy:
+    return st.one_of(st.sampled_from(valid), _JSON)
+
+
+_ANNOTATION = st.fixed_dictionaries({}, optional={
+    "annotator": _maybe(["ann1", "", ["x"]]),
+    "task": _maybe([1, 2, 3, True, 1.0, "1"]),
+    "label": _maybe([0, 1, 2, 3, 4, False, 1.0]),
+    "extra": _PLAUSIBLE,
+})
+_RECORD = st.fixed_dictionaries({
+    "id": _maybe(["a", "b", "c", "d", "", ["a"]]),
+    "text": _maybe(["ada will rise", "x", ""]),
+}, optional={
+    "coin": _maybe(["ADA", "Other", "DOGE", ["ADA"], None]),
+    "task1": _maybe([0, 1, 2, None, True, 1.0]),
+    "task2": _maybe([1, 2, 3, 4, None]),
+    "source": _maybe(["original", "synthetic", "scraped", None]),
+    "parent_id": _maybe(["a", "zz", None, 3]),
+    "annotations": st.one_of(st.lists(_ANNOTATION, max_size=2), _JSON),
+    "extra": _PLAUSIBLE,
+})
+_LINE = st.one_of(_RECORD.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=12))
+
+
+def _one_line_or_success(code: int, err: str, allowed: int, prefix: str) -> None:
+    event(f"exit code {code}")
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == allowed
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=3))
+def test_any_dataset_line_loads_or_is_one_line_data_error(tmp_path_factory, lines):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogatepass")
+    code, err = run_captured("stats", "--dataset", str(path), "--out", str(tmp / "o"),
+                             "--tag", "r")
+    _one_line_or_success(code, err, 2, "data error: ")
+
+
+_EMOTIONS = ["joy", "fear", "JOY", "zeal"]
+_LEXICON = st.one_of(
+    st.fixed_dictionaries({
+        "entries": st.one_of(st.dictionaries(
+            st.sampled_from(["happy", "Happy", "over the moon", " ", "moon"]) | st.text(max_size=4),
+            st.one_of(st.lists(st.one_of(
+                st.tuples(st.sampled_from(_EMOTIONS) | _JSON,
+                          st.sampled_from([0, 0.5, 1, 1.5, -0.1, True, 10 ** 400, "x"]) | _JSON
+                          ).map(list),
+                _JSON), max_size=3), _JSON),
+            max_size=3), _JSON),
+        "grouping": st.one_of(st.dictionaries(
+            st.sampled_from(_EMOTIONS) | st.text(max_size=4),
+            st.sampled_from(["delight_joy", "fear_anxiety", "ecstasy"]) | _JSON,
+            max_size=3), _JSON),
+    }, optional={"extra": _PLAUSIBLE}),
+    _JSON,
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(lexicon=_LEXICON)
+def test_any_lexicon_loads_or_is_one_line_data_error(tmp_path_factory, planted_path, lexicon):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "lex.json"
+    path.write_text(json.dumps(lexicon), encoding="utf-8", errors="surrogatepass")
+    code, err = run_captured("emotion", "--dataset", str(planted_path), "--lexicon", str(path),
+                             "--out", str(tmp / "o"), "--tag", "r")
+    _one_line_or_success(code, err, 2, "data error: ")

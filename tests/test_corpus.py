@@ -77,6 +77,28 @@ class TestDocumentValidation:
         with pytest.raises(DataError, match="annotator"):
             Annotation(annotator="", task=1, label=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"annotator": ["x"]}, "annotation requires a non-empty annotator id"),
+        ({"annotator": 7}, "annotation requires a non-empty annotator id"),
+        ({"annotator": None}, "annotation requires a non-empty annotator id"),
+        ({"task": "1"}, "annotation task must be an integer, got '1'"),
+        ({"task": True}, "annotation task must be an integer, got True"),
+        ({"task": 1.0}, "annotation task must be an integer, got 1.0"),
+        ({"task": [1]}, "annotation task must be an integer, got [1]"),
+        ({"label": 1.0}, "annotation label must be an integer, got 1.0"),
+        ({"label": False}, "annotation label must be an integer, got False"),
+        ({"label": None}, "annotation label must be an integer, got None"),
+        ({"task": 3, "label": 1.0}, "unknown task 3 in annotation"),
+    ])
+    def test_annotation_types_are_strict(self, kwargs, message):
+        with pytest.raises(DataError) as info:
+            Annotation(**{"annotator": "ann1", "task": 1, "label": 1, **kwargs})
+        assert str(info.value) == message
+
+    def test_label_of_unknown_task_raises(self):
+        with pytest.raises(ValueError, match="3 is not a valid Task"):
+            doc(task1=1).label(3)
+
 
 class TestDatasetInvariants:
     def test_duplicate_ids_rejected(self):
@@ -148,6 +170,63 @@ class TestJsonl:
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("line, message", [
+        ('[1]', "expected a JSON object, got list"),
+        ('{"id": "a", "text": "t", "zz": 1, "aa": 2}', "unknown fields ['aa', 'zz']"),
+        ('{"id": "", "text": "t"}', "'id' must be a non-empty string"),
+        ('{"id": "a", "text": 5}', "'text' must be a string"),
+        ('{"id": "a", "text": ""}', "document 'a': text must be a non-empty string"),
+        ('{"id": "a", "text": "t", "coin": "DOGE"}', "unknown coin 'DOGE'"),
+        ('{"id": "a", "text": "t", "coin": ["ADA"]}', "unknown coin ['ADA']"),
+        ('{"id": "a", "text": "t", "coin": {"ADA": 1}}', "unknown coin {'ADA': 1}"),
+        ('{"id": "a", "text": "t", "source": "scraped"}', "unknown source 'scraped'"),
+        ('{"id": "a", "text": "t", "source": ["original"]}', "unknown source ['original']"),
+        ('{"id": "a", "text": "t", "parent_id": 3}', "'parent_id' must be a string or null"),
+        ('{"id": "a", "text": "t", "annotations": {"x": 1}}', "'annotations' must be a list"),
+        ('{"id": "a", "text": "t", "annotations": {}}', "'annotations' must be a list"),
+        ('{"id": "a", "text": "t", "annotations": false}', "'annotations' must be a list"),
+        ('{"id": "a", "text": "t", "annotations": ""}', "'annotations' must be a list"),
+        ('{"id": "a", "text": "t", "annotations": [1]}', "each annotation must be an object"),
+        ('{"id": "a", "text": "t", "annotations": [{"task": 1, "label": 1}]}',
+         "annotation requires a non-empty annotator id"),
+        ('{"id": "a", "text": "t", "annotations": [{"annotator": "x", "task": 5, "label": 1}]}',
+         "unknown task 5 in annotation"),
+        ('{"id": "a", "text": "t", "task1": true}', "document 'a': task1 label must be an integer"),
+        ('{"id": "a", "text": "t", "task1": [1]}', "document 'a': task1 label must be an integer"),
+        ('{"id": "a", "text": "t", "task1": 1, "task2": 4}',
+         "document 'a': unknown label code 4 for task 2"),
+        ('{"id": "a", "text": "t", "task2": 1}',
+         "document 'a': direction label requires task1 == 1 (predictive)"),
+        ('{"id": "a", "text": "t", "source": "synthetic"}',
+         "document 'a': synthetic documents require a parent_id"),
+        ('{"id": "a", "text": "t"', "invalid JSON (Expecting ',' delimiter)"),
+        ('{"id": "a", "text": "t", "annotations": '
+         '[{"annotator": ["x"], "task": 1, "label": 1.0}]}',
+         "annotation requires a non-empty annotator id"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)",
+                     id="nested-line"),
+        pytest.param('{"id": "a", "text": "t", "annotations": '
+                     + "[" * 100_000 + "]" * 100_000 + "}",
+                     "invalid JSON (nested too deeply)", id="nested-annotations"),
+        pytest.param('{"id": "a", "text": "t", "task1": 1' + "0" * 5000 + "}",
+                     "invalid JSON (integer too long)", id="long-integer"),
+    ])
+    def test_record_errors_name_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"bad.jsonl:3: {message}"
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')
+        with pytest.raises(DataError, match="cannot read dataset .*latin1.jsonl"):
+            load_dataset(path)
+        (tmp_path / "dir.jsonl").mkdir()
+        with pytest.raises(DataError, match="cannot read dataset .*dir.jsonl"):
+            load_dataset(tmp_path / "dir.jsonl")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataError, match="format"):
             load_dataset(tmp_path / "data.parquet")
@@ -176,6 +255,31 @@ class TestRoundTrip:
         save_dataset(ds, path)
         again = load_dataset(path)
         assert again.documents == ds.documents
+
+    @pytest.mark.parametrize("cell", ["[" * 20_000 + "]" * 20_000, "[{", "1" * 5000],
+                             ids=["nested", "truncated", "long-integer"])
+    def test_csv_annotations_cell_must_parse(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
+                        f"a,hello,,,,original,,{cell}\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == "bad.csv:2: 'annotations' cell is not valid JSON"
+
+    def test_csv_field_over_the_size_limit_is_data_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
+                        f"a,{'x' * 200_000},,,,original,,\n")
+        with pytest.raises(DataError, match="cannot read dataset .*field larger than"):
+            load_dataset(path)
+
+    def test_csv_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
+                        "a,hello,,,,original,,\nb,bye,ADA,x,,original,,\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == "bad.csv:3: 'task1' must be an integer, got 'x'"
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

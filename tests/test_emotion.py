@@ -1,11 +1,14 @@
 """Emotion lexicon, tagging, and aggregation tests."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
 from predstmt import (
     CATEGORY_TITLES,
+    CleanConfig,
     Coin,
     DataError,
     Dataset,
@@ -14,6 +17,7 @@ from predstmt import (
     aggregate,
     bundled_lexicon_path,
     load_lexicon,
+    preprocess,
     render_markdown,
     tag_document,
 )
@@ -112,6 +116,29 @@ class TestLoadLexicon:
             load_lexicon(tmp_path / "missing.json")
         path = write_lexicon(tmp_path, "{not json")
         with pytest.raises(DataError, match="not valid JSON"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize("payload", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"entries": {"x": ' + "[" * 100_000 + "]" * 100_000 + '}, "grouping": {}}',
+    ], ids=["top-level", "in-entries"])
+    def test_deeply_nested_json_is_data_error(self, tmp_path, payload):
+        path = write_lexicon(tmp_path, payload)
+        with pytest.raises(DataError, match="not valid JSON: nested too deeply"):
+            load_lexicon(path)
+
+    def test_undecodable_file_and_huge_numbers_are_data_errors(self, tmp_path):
+        path = tmp_path / "lex.json"
+        path.write_bytes(b'{"entries": {"caf\xe9": []}, "grouping": {}}')
+        with pytest.raises(DataError, match="cannot read lexicon"):
+            load_lexicon(path)
+        path = write_lexicon(tmp_path, '{"entries": {"x": [["joy", 1' + "0" * 400 + ']]}, '
+                                       '"grouping": {"joy": "delight_joy"}}')
+        with pytest.raises(DataError, match="outside"):
+            load_lexicon(path)
+        path = write_lexicon(tmp_path, '{"entries": {"x": [["joy", 1' + "0" * 5000 + ']]}, '
+                                       '"grouping": {"joy": "delight_joy"}}')
+        with pytest.raises(DataError, match="not valid JSON: integer too long"):
             load_lexicon(path)
 
     def test_bundled_lexicon_loads(self):
@@ -268,3 +295,71 @@ class TestRenderMarkdown:
                                          small_lexicon))
         rows = [line for line in text.splitlines() if line.startswith("| XRP")]
         assert [r.split(" | ")[1] for r in rows] == ["Incremental", "Decremental", "Neutral"]
+
+
+def _reference_tag(doc, lex, threshold=0.0, clean_cfg=CleanConfig()):
+    """The tagger loop that slices every phrase length at every token, kept as the oracle."""
+    tokens = preprocess(doc.text, clean_cfg)
+    found = set()
+    i = 0
+    n = len(tokens)
+    while i < n:
+        matched_len = 0
+        for length in range(min(lex.max_phrase_len, n - i), 0, -1):
+            entry = lex.phrase_entries.get(tuple(tokens[i:i + length]))
+            if entry is not None:
+                for emotion, weight in entry:
+                    if weight > threshold:
+                        found.add(lex.grouping[emotion])
+                matched_len = length
+                break
+        i += matched_len if matched_len else 1
+    return found
+
+
+@pytest.fixture
+def prefix_lexicon(tmp_path):
+    """Terms that share first tokens and prefixes at every length up to five."""
+    terms = {
+        "moon": 0.4, "moon shot": 0.9, "moon shot now": 0.6, "moon shot now and back": 0.8,
+        "shot": 0.2, "shot now": 0.7, "now and": 0.5, "the moon": 0.3, "the moon shot": 0.95,
+        "rekt": 0.6, "rekt rekt": 0.1, "pump and dump": 0.85, "pump and": 0.45, "dump": 0.55,
+    }
+    emotions = sorted(GROUPING)
+    entries = {term: [[emotions[i % len(emotions)], weight],
+                      [emotions[(i + 2) % len(emotions)], weight / 2]]
+               for i, (term, weight) in enumerate(terms.items())}
+    return load_lexicon(write_lexicon(tmp_path, {"entries": entries, "grouping": GROUPING}))
+
+
+def _token_streams(vocabulary, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 30)))
+
+
+class TestTaggerMatchesReference:
+    VOCABULARY = ["moon", "shot", "now", "and", "back", "the", "rekt", "pump", "dump",
+                  "filler", "MOON", "moon!", "the,moon", "pump-and-dump", "to"]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.9])
+    def test_shared_prefix_phrases(self, prefix_lexicon, threshold):
+        for text in _token_streams(self.VOCABULARY, 400, seed=int(threshold * 10)):
+            d = doc(text)
+            assert tag_document(d, prefix_lexicon, threshold) \
+                == _reference_tag(d, prefix_lexicon, threshold), text
+
+    def test_terms_longer_than_max_phrase_len_never_match(self, prefix_lexicon):
+        short = dataclasses.replace(prefix_lexicon, max_phrase_len=2)
+        for text in _token_streams(self.VOCABULARY, 400, seed=7):
+            d = doc(text)
+            assert tag_document(d, short) == _reference_tag(d, short), text
+
+    def test_bundled_lexicon_on_its_own_tokens(self):
+        lex = load_lexicon(bundled_lexicon_path())
+        vocabulary = sorted({t for key in lex.phrase_entries for t in key}) + ["filler", "zzz"]
+        clean = CleanConfig(min_token_length=1)
+        for text in _token_streams(vocabulary, 400, seed=11):
+            d = doc(text)
+            assert tag_document(d, lex, 0.0, clean) == _reference_tag(d, lex, 0.0, clean)
+            assert tag_document(d, lex) == _reference_tag(d, lex)

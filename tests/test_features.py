@@ -202,6 +202,21 @@ class TestPersistence:
             load_tfidf(path)
 
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b'{"kind": "tfidf", "n_features": 1' + b"0" * 5000 + b"}", "integer too long"),
+        (b'{"kind": "tfidf"', "Expecting ',' delimiter"),
+        (b'{"kind": "caf\xe9"}', "'utf-8' codec can't decode"),
+    ], ids=["nested", "long-integer", "truncated", "not-utf-8"])
+    def test_unparseable_file_is_one_line_data_error(self, tmp_path, content, reason):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            load_tfidf(path)
+        message = str(info.value)
+        assert message.startswith(f"cannot load TF-IDF model from {path}: ") and "\n" not in message
+        assert reason in message
+
 class TestTransformMany:
     """transform_many must equal per-document transform, field for field and bit for bit."""
 

@@ -377,6 +377,21 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b'{"kind": "logreg", "n_features": 1' + b"0" * 5000 + b"}", "integer too long"),
+        (b'{"kind": "logreg"', "Expecting ',' delimiter"),
+        (b'{"kind": "caf\xe9"}', "'utf-8' codec can't decode"),
+    ], ids=["nested", "long-integer", "truncated", "not-utf-8"])
+    def test_unparseable_file_is_one_line_data_error(self, tmp_path, content, reason):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        message = str(info.value)
+        assert message.startswith(f"cannot load model from {path}: ") and "\n" not in message
+        assert reason in message
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"kind": "mystery", "config": {}}')

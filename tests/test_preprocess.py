@@ -1,11 +1,15 @@
 """Cleaning and tokenization tests."""
 
+import importlib
 import random
 import string
+import unicodedata
 
 import pytest
 
 from predstmt import CleanConfig, preprocess, strip_urls
+
+preprocess_module = importlib.import_module("predstmt.preprocess")
 
 
 class TestStripUrls:
@@ -111,3 +115,64 @@ class TestProperties:
                 assert len(token) >= cfg.min_token_length
                 assert token == token.lower()
                 assert " " not in token
+
+
+def _reference_preprocess(text: str, config: CleanConfig = CleanConfig()) -> list[str]:
+    """The per-character pipeline that the translate table replaced, kept as the oracle."""
+    def is_special(ch: str) -> bool:
+        if config.special_chars is not None:
+            return ch in config.special_chars
+        return unicodedata.category(ch)[0] in ("P", "S")
+
+    text = strip_urls(text)
+    text = "".join(" " if is_special(ch) else ch for ch in text)
+    if config.lowercase:
+        text = text.lower()
+    text = unicodedata.normalize("NFC", text)
+    kept = [t for t in text.split() if len(t) >= config.min_token_length]
+    if config.strip_digit_only_tokens:
+        kept = [t for t in kept if not t.isdigit()]
+    return kept
+
+
+class TestTranslateTable:
+    CONFIGS = {
+        "default": CleanConfig(),
+        "explicit": CleanConfig(special_chars="#-é€́★"),
+        "lowercase_off": CleanConfig(lowercase=False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_code_point_matches_reference(self, name):
+        config = self.CONFIGS[name]
+        code_points = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+        try:
+            for start in range(0, len(code_points), 8192):
+                chunk = code_points[start:start + 8192]
+                # a special character splits its token in two short ones, which are dropped
+                text = " ".join(f"x{chr(c)}y" for c in chunk)
+                assert preprocess(text, config) == _reference_preprocess(text, config), start
+                # the cache is a plain dict; emptying it keeps the test's memory small
+                preprocess_module._special_table(None).clear()
+        finally:
+            preprocess_module._special_table(None).clear()
+
+    @pytest.mark.parametrize("text", [
+        "İstanbul ΣΊΣΥΦΟΣ straße ǅemal",
+        "café é́ ́alone",
+        "a b c​d　e f",
+        "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 🚀🚀 price💰up ∑∞≠ ＡＢＣ！？",
+        "\x00\x1f\x7f tabs\tand\nnewlines\r\n",
+        "",
+    ], ids=["lowercase-changes-length", "combining-marks", "unicode-spaces", "astral-fullwidth",
+            "control-characters", "empty"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_edge_cases_match_reference(self, name, text):
+        config = self.CONFIGS[name]
+        assert preprocess(text, config) == _reference_preprocess(text, config)
+
+    def test_explicit_table_is_built_once_per_string(self):
+        config = CleanConfig(special_chars="#")
+        assert (preprocess_module._special_table(config.special_chars)
+                is preprocess_module._special_table("#"))
+        assert preprocess("keep-dash #drop", config) == ["keep-dash", "drop"]
