@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .preprocess import CleanConfig, preprocess, strip_urls
 from .features import (
-    SparseVector,
+    SparseBatch,
     TfidfConfig,
     TfidfModel,
     fit_tfidf,

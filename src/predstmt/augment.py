@@ -404,7 +404,7 @@ def _derived_seed(seed: int, counter: int) -> int:
 
 
 def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
-            seed: int, max_retries: int = 3) -> Dataset:
+            seed: int, max_retries: int = 3, plan: AugmentPlan | None = None) -> Dataset:
     """Upsample minority classes with synthetic paraphrases until all class
     counts match the majority class.
 
@@ -414,10 +414,12 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
     duplicating any document text already in the output (after whitespace
     normalization and case folding) is regenerated up to max_retries times;
     slots still unfilled are reported through a BalanceShortfallWarning and
-    the partial dataset is returned.
+    the partial dataset is returned. A caller that has already counted the
+    dataset passes its compute_plan as plan, so the dataset is counted once.
     """
     task = Task(task)
-    plan = compute_plan(distribution(dataset, task))
+    if plan is None:
+        plan = compute_plan(distribution(dataset, task))
     rng = random.Random(seed)
     existing_ids = {doc.id for doc in dataset}
     seen_texts = {normalize_key(doc.text) for doc in dataset}

@@ -296,7 +296,8 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     max_retries = cfg.provider_config.max_retries if cfg.provider_config else 3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = balance(dataset, task, provider, seed=cfg.seed, max_retries=max_retries)
+        result = balance(dataset, task, provider, seed=cfg.seed, max_retries=max_retries,
+                         plan=plan)
     shortfall = {}
     for warning in caught:
         if isinstance(warning.message, BalanceShortfallWarning):

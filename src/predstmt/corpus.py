@@ -60,12 +60,24 @@ def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where:
     return value
 
 
+def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
+    """DataError naming the keys of payload that are not in known, if any."""
+    unknown = payload.keys() - known
+    if unknown:
+        raise DataError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def is_finite_number(value: object) -> bool:
+    """A JSON number a float can hold: a finite float, or an int in float range (not bool)."""
+    return (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
+
+
 #: Field annotations a config dataclass may use (besides a nested dataclass
 #: and X | None), with the wording of their type errors and their check.
 _FIELD_TYPES = {
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) is float and math.isfinite(v)
-            or type(v) is int and abs(v) <= sys.float_info.max),
+    float: ("a number", is_finite_number),
     bool: ("true or false", lambda v: type(v) is bool),
     str: ("a string", lambda v: type(v) is str),
     list[str]: ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)),

@@ -81,13 +81,10 @@ class ClassMetrics:
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
+
+#: The headline fields of a MetricsReport, as its reports list them.
+HEADLINE = ("accuracy", "macro_precision", "macro_recall", "macro_f1",
+            "weighted_precision", "weighted_recall", "weighted_f1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +103,8 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {
             "confusion": self.confusion.to_dict(),
-            "per_class": {str(code): cm.to_dict() for code, cm in self.per_class.items()},
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
+            "per_class": {str(code): asdict(cm) for code, cm in self.per_class.items()},
+            **report_headline(self),
             "n_classes": self.n_classes,
         }
 
@@ -227,15 +218,8 @@ class CvReport:
 
     def fold_means(self) -> dict[str, float]:
         """Unweighted means of the headline metrics across folds."""
-        names = (
-            "accuracy",
-            "macro_precision", "macro_recall", "macro_f1",
-            "weighted_precision", "weighted_recall", "weighted_f1",
-        )
-        return {
-            name: sum(getattr(r, name) for r in self.per_fold) / len(self.per_fold)
-            for name in names
-        }
+        return {name: sum(getattr(r, name) for r in self.per_fold) / len(self.per_fold)
+                for name in HEADLINE}
 
     def to_dict(self) -> dict:
         return {
@@ -328,24 +312,11 @@ def summary_table(rows: Mapping[str, Mapping[str, float]], caption: str) -> str:
         "| --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     for model_name, vals in rows.items():
-        lines.append(
-            "| {} | {:.4f} | {:.4f} | {:.4f} | {:.4f} | {:.4f} | {:.4f} | {:.4f} |".format(
-                model_name,
-                vals["weighted_precision"], vals["weighted_recall"], vals["weighted_f1"],
-                vals["macro_precision"], vals["macro_recall"], vals["macro_f1"],
-                vals["accuracy"],
-            )
-        )
+        cells = [vals[f"{mean}_{m}"] for mean in ("weighted", "macro")
+                 for m in ("precision", "recall", "f1")] + [vals["accuracy"]]
+        lines.append("| " + " | ".join([model_name] + [f"{v:.4f}" for v in cells]) + " |")
     return "\n".join(lines)
 
 
 def report_headline(report: MetricsReport) -> dict[str, float]:
-    return {
-        "accuracy": report.accuracy,
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "macro_f1": report.macro_f1,
-        "weighted_precision": report.weighted_precision,
-        "weighted_recall": report.weighted_recall,
-        "weighted_f1": report.weighted_f1,
-    }
+    return {name: getattr(report, name) for name in HEADLINE}

@@ -1,4 +1,4 @@
-"""TF-IDF features over tokenized documents.
+"""TF-IDF features over tokenized documents, in one sparse batch format.
 
 The weighting is the smoothed variant
 
@@ -7,6 +7,9 @@ The weighting is the smoothed variant
 with raw term counts by default (optionally 1 + ln(tf)) and L2-normalized
 document vectors. Vocabulary indices follow lexicographic term order, so a
 fitted model is independent of document order.
+
+Features travel as one SparseBatch (CSR arrays) from transform_many to
+the trainers and predict_many in models; a single document is a one-row batch.
 """
 
 from __future__ import annotations
@@ -15,12 +18,20 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, from_dict, parse_json, require_field
+from .corpus import (
+    DataError,
+    from_dict,
+    is_finite_number,
+    parse_json,
+    reject_unknown_keys,
+    require_field,
+)
 
 
 @dataclass(frozen=True)
@@ -36,36 +47,69 @@ class TfidfConfig:
             raise DataError(f"max_features must be >= 1, got {self.max_features}")
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """L2-normalized sparse feature vector with strictly increasing indices."""
+class SparseBatch:
+    """n sparse rows over dim columns in CSR form, checked once when built.
 
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    dimension: int
+    Row r has the strictly increasing columns indices[indptr[r]:indptr[r + 1]]
+    and the finite values at the same positions of data. Indexing (and so
+    iteration) gives one-row batches that share the arrays.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
+    __slots__ = ("indptr", "indices", "data", "dim")
+
+    def __init__(self, indptr, indices, data, dim: int) -> None:
+        try:
+            arrays = [np.asarray(a) for a in (indptr, indices, data)]
+        except ValueError:  # ragged
+            raise DataError("indptr, indices and data must be flat arrays") from None
+        if any(a.ndim != 1 or a.size and a.dtype.kind not in kinds
+               for a, kinds in zip(arrays, ("iu", "iu", "iuf"))):
+            raise DataError("indptr and indices must hold integers and data numbers")
+        if type(dim) is bool or not isinstance(dim, (int, np.integer)) or dim < 0:
+            raise DataError(f"dimension must be a non-negative integer, got {dim!r}")
+        self.indptr, self.indices = (a.astype(np.int64, copy=False) for a in arrays[:2])
+        self.data, self.dim = arrays[2].astype(np.float64, copy=False), int(dim)
+        nnz = self.indices.size
+        if self.data.size != nnz:
             raise DataError("indices and values must have equal length")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise DataError("indices must be strictly increasing")
-            prev = i
-        if prev >= self.dimension:
-            raise DataError(f"index {prev} out of range for dimension {self.dimension}")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DataError("vector values must be finite")
+        if self.indptr.size == 0 or self.indptr[0] != 0 or self.indptr[-1] != nnz \
+                or (np.diff(self.indptr) < 0).any():
+            raise DataError(f"indptr must rise from 0 to the {nnz} entries")
+        rising = np.diff(self.indices) > 0
+        starts = self.indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < nnz)] - 1] = True  # a row may start lower
+        if not rising.all():
+            raise DataError("indices must be strictly increasing within a row")
+        outside = self.indices[(self.indices < 0) | (self.indices >= self.dim)]
+        if outside.size:
+            raise DataError(f"index {outside[0]} out of range for dimension {self.dim}")
+        if not np.isfinite(self.data).all():
+            raise DataError("vector values must be finite")
 
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
+    def __len__(self) -> int:
+        return self.indptr.size - 1
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        for i, v in zip(self.indices, self.values):
-            out[i] = v
+    def __getitem__(self, row: int) -> SparseBatch:
+        r = range(len(self))[row]
+        start, end = self.indptr[r], self.indptr[r + 1]
+        one = object.__new__(SparseBatch)  # the rows of a checked batch need no check
+        one.indptr, one.indices, one.data, one.dim = (
+            np.array([0, end - start]), self.indices[start:end], self.data[start:end], self.dim)
+        return one
+
+    def scores(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Per-row class scores: X @ weights.T + bias, shape (n, k)."""
+        out = np.tile(bias, (len(self), 1))
+        contrib = self.data[:, None] * weights.T[self.indices]
+        starts = self.indptr[:-1]
+        nonempty = starts < self.indptr[1:]
+        out[nonempty] += np.add.reduceat(contrib, starts[nonempty], axis=0)
         return out
+
+    def add_outer(self, acc: np.ndarray, row_weights: np.ndarray) -> None:
+        """acc[c, j] += sum_i row_weights[i, c] * X[i, j], in place."""
+        expanded = np.repeat(row_weights, np.diff(self.indptr), axis=0)
+        np.add.at(acc.T, self.indices, self.data[:, None] * expanded)
 
 
 @dataclass(frozen=True)
@@ -84,10 +128,7 @@ class TfidfModel:
 
     @cached_property
     def index(self) -> dict[str, int]:
-        """Term -> column lookup, built on first use and kept with the model.
-
-        Every caller gets the same dict, so it must not be modified.
-        """
+        """Term -> column lookup, built once per model; callers must not modify it."""
         return {t: i for i, t in enumerate(self.terms)}
 
 
@@ -120,35 +161,41 @@ def fit_tfidf(docs: Sequence[Sequence[str]], config: TfidfConfig = TfidfConfig()
     )
 
 
-def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseVector:
-    """Map one tokenized document to an L2-normalized TF-IDF vector.
+def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseBatch:
+    """The one-row batch of one tokenized document."""
+    return transform_many(model, [tokens])
 
-    Out-of-vocabulary tokens are ignored; a document with no known tokens
-    maps to the zero vector.
+
+def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBatch:
+    """The batch of L2-normalized TF-IDF rows of tokenized documents.
+
+    Out-of-vocabulary tokens are ignored, so a document without known ones
+    is an empty row. The float operations and their order are those of one
+    document at a time: the squares of a row are summed left to right.
     """
-    index = model.index
-    counts: dict[int, int] = {}
-    for term in tokens:
-        i = index.get(term)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-    if not counts:
-        return SparseVector(indices=(), values=(), dimension=model.dimension)
-    indices = sorted(counts)
-    values = []
-    for i in indices:
-        tf = float(counts[i])
-        if model.config.sublinear_tf:
-            tf = 1.0 + math.log(tf)
-        values.append(tf * model.idf[i])
-    norm = math.sqrt(sum(v * v for v in values))
-    if norm > 0:
-        values = [v / norm for v in values]
-    return SparseVector(indices=tuple(indices), values=tuple(values), dimension=model.dimension)
-
-
-def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> list[SparseVector]:
-    return [transform(model, tokens) for tokens in docs]
+    n, stride = len(docs), max(model.dimension, 1)
+    sizes = np.fromiter(map(len, docs), dtype=np.int64, count=n)
+    ids = np.fromiter(map(model.index.get, chain.from_iterable(docs), repeat(-1)),
+                      dtype=np.int64, count=int(sizes.sum()))
+    known = ids >= 0  # -1: out of vocabulary
+    doc_of = np.repeat(np.arange(n, dtype=np.int64), sizes)[known]
+    keys, counts = np.unique(doc_of * stride + ids[known], return_counts=True)
+    rows, indices = np.divmod(keys, stride)
+    lengths = np.bincount(rows, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    if model.config.sublinear_tf:  # math.log, as numpy's log may round differently
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        counts = np.array([1.0 + math.log(c) for c in distinct.tolist()])[inverse]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the check
+        values = counts * np.array(model.idf, dtype=np.float64)[indices]
+        norm_sq = np.zeros(n)
+        for position in range(int(lengths.max(initial=0))):
+            live = np.flatnonzero(lengths > position)
+            norm_sq[live] += values[indptr[live] + position] ** 2
+        norm = np.sqrt(norm_sq)
+        norm[norm == 0.0] = 1.0
+        values /= np.repeat(norm, lengths)
+    return SparseBatch(indptr, indices, values, model.dimension)
 
 
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
@@ -176,6 +223,7 @@ def load_tfidf(path: str | Path) -> TfidfModel:
         f"cannot load TF-IDF model from {path}: {reason}"))
     if not isinstance(payload, dict) or payload.get("kind") != "tfidf":
         raise DataError(f"{path} does not contain a TF-IDF model")
+    reject_unknown_keys(payload, {"kind", "config", "n_docs", "terms", "doc_freq", "idf"}, path)
     terms = require_field(payload, "terms", list, path)
     doc_freq = require_field(payload, "doc_freq", list, path)
     idf = require_field(payload, "idf", list, path)
@@ -189,7 +237,7 @@ def load_tfidf(path: str | Path) -> TfidfModel:
         raise DataError(f"{path}: n_docs must be >= 1, got {n_docs}")
     if not all(type(c) is int and 1 <= c <= n_docs for c in doc_freq):
         raise DataError(f"{path}: doc_freq entries must be integers in [1, n_docs]")
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in idf):
+    if not all(map(is_finite_number, idf)):
         raise DataError(f"{path}: idf entries must be finite numbers")
     try:
         tfidf_config = from_dict(TfidfConfig, config, "config")

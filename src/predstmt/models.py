@@ -1,6 +1,7 @@
-"""From-scratch classifiers over sparse feature vectors.
+"""From-scratch classifiers over sparse feature batches.
 
-Three trainers share one sparse-input, dense-parameter design:
+Three trainers share one sparse-input, dense-parameter design; each reads
+the CSR arrays of a features.SparseBatch directly:
 
 * multinomial logistic regression, full-batch gradient descent on the
   softmax cross-entropy plus (l2/2)||W||^2, with step-halving so the loss
@@ -16,6 +17,10 @@ Three trainers share one sparse-input, dense-parameter design:
   the rows where it is zero, and sorts them once; no dense matrix is built
   (sparsity-aware split finding, Chen & Guestrin, KDD 2016).
 
+predict_many classifies a whole batch at once; a forest sends all the rows
+that reach a tree node left or right together. predict and predict_proba
+take a one-row batch.
+
 All training is deterministic given the config seed. Ties in any argmax
 break toward the lowest class code.
 """
@@ -30,8 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, from_dict, parse_json, require_field
-from .features import SparseVector
+from .corpus import (
+    DataError,
+    from_dict,
+    is_finite_number,
+    parse_json,
+    reject_unknown_keys,
+    require_field,
+)
+from .features import SparseBatch
 
 KIND_LOGREG = "logreg"
 KIND_SVM = "svm_linear"
@@ -54,16 +66,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2 < 0:
             raise DataError(f"l2 must be non-negative, got {self.l2}")
-        if self.n_trees < 1:
-            raise DataError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth < 1:
-            raise DataError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise DataError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        for name in ("epochs", "n_trees", "max_depth", "min_samples_leaf"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,63 +123,15 @@ class ForestModel:
     config: TrainConfig
 
 
-# ---------------------------------------------------------------------------
-# sparse batch representation
-
-class _Csr:
-    """Row-major concatenated sparse matrix used internally by the trainers."""
-
-    def __init__(self, X: Sequence[SparseVector]):
-        self.n = len(X)
-        self.dim = X[0].dimension if X else 0
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, x in enumerate(X):
-            indptr[i + 1] = indptr[i] + len(x.indices)
-        self.indptr = indptr
-        self.indices = np.concatenate([np.asarray(x.indices, dtype=np.int64) for x in X]) \
-            if self.n else np.zeros(0, dtype=np.int64)
-        self.data = np.concatenate([np.asarray(x.values, dtype=np.float64) for x in X]) \
-            if self.n else np.zeros(0)
-
-    def row_lengths(self) -> np.ndarray:
-        return self.indptr[1:] - self.indptr[:-1]
-
-    def scores(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Per-row class scores: X @ weights.T + bias, shape (n, k)."""
-        k = weights.shape[0]
-        out = np.tile(bias, (self.n, 1))
-        if self.data.size == 0:
-            return out
-        contrib = self.data[:, None] * weights.T[self.indices]
-        starts = self.indptr[:-1]
-        nonempty = starts < self.indptr[1:]
-        sums = np.add.reduceat(contrib, starts[nonempty], axis=0)
-        out[nonempty] += sums
-        return out
-
-    def add_outer(self, acc: np.ndarray, row_weights: np.ndarray) -> None:
-        """acc[c, j] += sum_i row_weights[i, c] * X[i, j], in place."""
-        if self.data.size == 0:
-            return
-        expanded = np.repeat(row_weights, self.row_lengths(), axis=0)
-        np.add.at(acc.T, self.indices, self.data[:, None] * expanded)
-
-
-def _check_inputs(X: Sequence[SparseVector], y: Sequence[int]) -> tuple[list[int], np.ndarray, int]:
+def _check_inputs(X: SparseBatch, y: Sequence[int]) -> tuple[list[int], np.ndarray]:
     if len(X) != len(y):
         raise DataError(f"X and y lengths differ: {len(X)} vs {len(y)}")
     if len(X) < 2:
         raise DataError("training requires at least 2 documents")
-    dim = X[0].dimension
-    for x in X:
-        if x.dimension != dim:
-            raise DataError(f"inconsistent feature dimensions: {x.dimension} vs {dim}")
     codes = sorted({int(v) for v in y})
     if len(codes) < 2:
         raise DataError("training requires at least 2 distinct label classes")
-    code_index = {c: i for i, c in enumerate(codes)}
-    y_idx = np.array([code_index[int(v)] for v in y], dtype=np.int64)
-    return codes, y_idx, dim
+    return codes, np.searchsorted(codes, [int(v) for v in y])
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -185,52 +144,48 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 # logistic regression
 
 def logreg_objective(weights: np.ndarray, bias: np.ndarray,
-                     X: Sequence[SparseVector], y_idx: Sequence[int],
-                     l2: float) -> float:
+                     X: SparseBatch, y_idx: Sequence[int], l2: float) -> float:
     """Mean cross-entropy plus (l2/2)||W||^2; bias is not regularized."""
-    csr = X if isinstance(X, _Csr) else _Csr(list(X))
     y_idx = np.asarray(y_idx, dtype=np.int64)
-    scores = csr.scores(weights, bias)
+    scores = X.scores(weights, bias)
     logp = scores - scores.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    nll = -logp[np.arange(csr.n), y_idx].mean()
+    nll = -logp[np.arange(len(X)), y_idx].mean()
     return float(nll + 0.5 * l2 * float((weights * weights).sum()))
 
 
 def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
-                    X: Sequence[SparseVector], y_idx: Sequence[int],
+                    X: SparseBatch, y_idx: Sequence[int],
                     l2: float) -> tuple[np.ndarray, np.ndarray]:
     """Analytic full-batch gradient of logreg_objective, as (dW, db)."""
-    csr = X if isinstance(X, _Csr) else _Csr(list(X))
     y_idx = np.asarray(y_idx, dtype=np.int64)
-    probs = _softmax(csr.scores(weights, bias))
-    probs[np.arange(csr.n), y_idx] -= 1.0
-    probs /= csr.n
+    probs = _softmax(X.scores(weights, bias))
+    probs[np.arange(len(X)), y_idx] -= 1.0
+    probs /= len(X)
     grad_w = l2 * weights
-    csr.add_outer(grad_w, probs)
+    X.add_outer(grad_w, probs)
     return grad_w, probs.sum(axis=0)
 
 
-def train_logreg(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> LinearModel:
+def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     """Fit a multinomial softmax classifier by full-batch gradient descent.
 
     The step size halves whenever a step would raise the objective, so the
     recorded loss history is non-increasing (up to 1e-8) by construction.
     """
-    codes, y_idx, dim = _check_inputs(X, y)
-    csr = _Csr(list(X))
+    codes, y_idx = _check_inputs(X, y)
     k = len(codes)
-    weights = np.zeros((k, dim))
+    weights = np.zeros((k, X.dim))
     bias = np.zeros(k)
     lr = cfg.learning_rate
-    loss = logreg_objective(weights, bias, csr, y_idx, cfg.l2)
+    loss = logreg_objective(weights, bias, X, y_idx, cfg.l2)
     history = [loss]
     for _ in range(cfg.epochs):
-        grad_w, grad_b = logreg_gradient(weights, bias, csr, y_idx, cfg.l2)
+        grad_w, grad_b = logreg_gradient(weights, bias, X, y_idx, cfg.l2)
         while True:
             next_w = weights - lr * grad_w
             next_b = bias - lr * grad_b
-            next_loss = logreg_objective(next_w, next_b, csr, y_idx, cfg.l2)
+            next_loss = logreg_objective(next_w, next_b, X, y_idx, cfg.l2)
             if next_loss <= loss + 1e-8 or lr < 1e-12:
                 break
             lr *= 0.5
@@ -250,26 +205,24 @@ def train_logreg(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
 # ---------------------------------------------------------------------------
 # linear SVM (one-vs-rest, Pegasos)
 
-def svm_objective(w: np.ndarray, b: float, X: Sequence[SparseVector],
+def svm_objective(w: np.ndarray, b: float, X: SparseBatch,
                   y_signed: Sequence[float], l2: float) -> float:
     """(l2/2)||w||^2 + mean hinge loss for one binary one-vs-rest problem."""
-    csr = X if isinstance(X, _Csr) else _Csr(list(X))
     y_signed = np.asarray(y_signed, dtype=np.float64)
-    margins = y_signed * (csr.scores(w[None, :], np.array([b]))[:, 0])
+    margins = y_signed * (X.scores(w[None, :], np.array([b]))[:, 0])
     hinge = np.maximum(0.0, 1.0 - margins)
     return float(0.5 * l2 * float(w @ w) + hinge.mean())
 
 
-def svm_subgradient(w: np.ndarray, b: float, X: Sequence[SparseVector],
+def svm_subgradient(w: np.ndarray, b: float, X: SparseBatch,
                     y_signed: Sequence[float], l2: float) -> tuple[np.ndarray, float]:
     """Full-batch subgradient of svm_objective, as (dw, db)."""
-    csr = X if isinstance(X, _Csr) else _Csr(list(X))
     y_signed = np.asarray(y_signed, dtype=np.float64)
-    margins = y_signed * (csr.scores(w[None, :], np.array([b]))[:, 0])
+    margins = y_signed * (X.scores(w[None, :], np.array([b]))[:, 0])
     active = (margins < 1.0).astype(np.float64)
-    coeff = -(active * y_signed / csr.n)[:, None]
+    coeff = -(active * y_signed / len(X))[:, None]
     grad_w = l2 * w.copy()
-    csr.add_outer(grad_w[None, :], coeff)
+    X.add_outer(grad_w[None, :], coeff)
     return grad_w, float(coeff.sum())
 
 
@@ -315,7 +268,7 @@ def _pegasos_binary(rows: list[tuple[np.ndarray, np.ndarray]], y_signed: np.ndar
     return a * v, b
 
 
-def train_svm_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> LinearModel:
+def train_svm_linear(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     """Fit one Pegasos-trained binary separator per class (one-vs-rest).
 
     Requires l2 > 0 since the step size is 1/(l2 * t). The per-class RNG is
@@ -324,16 +277,16 @@ def train_svm_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConf
     """
     if cfg.l2 <= 0:
         raise DataError("linear SVM training requires l2 > 0")
-    codes, y_idx, dim = _check_inputs(X, y)
-    rows = [(np.asarray(x.indices, dtype=np.int64), np.asarray(x.values, dtype=np.float64))
-            for x in X]
-    weights = np.zeros((len(codes), dim))
+    codes, y_idx = _check_inputs(X, y)
+    bounds = X.indptr.tolist()
+    rows = [(X.indices[start:end], X.data[start:end]) for start, end in zip(bounds, bounds[1:])]
+    weights = np.zeros((len(codes), X.dim))
     bias = np.zeros(len(codes))
     for ci in range(len(codes)):
         y_signed = np.where(y_idx == ci, 1.0, -1.0)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
                                                            spawn_key=(ci,)))
-        weights[ci], bias[ci] = _pegasos_binary(rows, y_signed, cfg, rng, dim)
+        weights[ci], bias[ci] = _pegasos_binary(rows, y_signed, cfg, rng, X.dim)
     return LinearModel(
         kind=KIND_SVM,
         weights=weights,
@@ -356,7 +309,7 @@ def gini(counts: Sequence[float]) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _grow_tree(csr: _Csr, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray, depth: int,
+def _grow_tree(X: SparseBatch, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray, depth: int,
                k: int, cfg: TrainConfig, n_sub: int, rng: np.random.Generator) -> TreeNode:
     """Grow one CART node over the distinct rows `rows`, row i counted mult[i] times.
 
@@ -374,20 +327,20 @@ def _grow_tree(csr: _Csr, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray,
     if depth >= cfg.max_depth or n < 2 * cfg.min_samples_leaf or np.count_nonzero(counts) <= 1:
         return leaf()
 
-    feats = rng.choice(csr.dim, size=n_sub, replace=False) if n_sub < csr.dim \
-        else np.arange(csr.dim)
-    rank = np.full(csr.dim, -1)
+    feats = rng.choice(X.dim, size=n_sub, replace=False) if n_sub < X.dim \
+        else np.arange(X.dim)
+    rank = np.full(X.dim, -1)
     rank[feats] = np.arange(feats.size)
 
     # the node's explicit entries on sampled features: (rank, value, row position)
-    starts = csr.indptr[rows]
-    lengths = csr.indptr[rows + 1] - starts
+    starts = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - starts
     pos = np.repeat(np.arange(rows.size), lengths)
     ent = np.arange(pos.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    ent_rank = rank[csr.indices[ent]]
+    ent_rank = rank[X.indices[ent]]
     sampled = ent_rank >= 0
     ent, ent_rank, pos = ent[sampled], ent_rank[sampled], pos[sampled]
-    ent_val = csr.data[ent]
+    ent_val = X.data[ent]
     ent_label = y_idx[rows[pos]]
     ent_weight = mult[pos]
     explicit = np.zeros((ent.size, k))
@@ -433,79 +386,92 @@ def _grow_tree(csr: _Csr, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray,
     chosen = ent_rank == best_rank
     values[pos[chosen]] = ent_val[chosen]
     mask = values <= best_thr
-    left_node = _grow_tree(csr, y_idx, rows[mask], mult[mask], depth + 1, k, cfg, n_sub, rng)
-    right_node = _grow_tree(csr, y_idx, rows[~mask], mult[~mask], depth + 1, k, cfg, n_sub, rng)
+    left_node = _grow_tree(X, y_idx, rows[mask], mult[mask], depth + 1, k, cfg, n_sub, rng)
+    right_node = _grow_tree(X, y_idx, rows[~mask], mult[~mask], depth + 1, k, cfg, n_sub, rng)
     return TreeNode(feature=best_feat, threshold=best_thr, left=left_node, right=right_node)
 
 
-def train_random_forest(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> ForestModel:
+def train_random_forest(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> ForestModel:
     """Fit a bagged ensemble of Gini CART trees.
 
     Each tree gets its own bootstrap sample and RNG stream spawned from the
     config seed; every split searches a random subset of ceil(sqrt(d))
     features and is kept only when it strictly decreases Gini impurity.
     """
-    codes, y_idx, dim = _check_inputs(X, y)
-    csr = _Csr(list(X))
+    codes, y_idx = _check_inputs(X, y)
     n = len(X)
     k = len(codes)
-    n_sub = max(1, math.ceil(math.sqrt(dim)))
+    n_sub = max(1, math.ceil(math.sqrt(X.dim)))
     master = np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF)
     trees = []
     for child in master.spawn(cfg.n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         rows, mult = np.unique(rows, return_counts=True)
-        trees.append(_grow_tree(csr, y_idx, rows, mult, 0, k, cfg, n_sub, rng))
-    return ForestModel(trees=tuple(trees), n_features=dim, class_codes=tuple(codes), config=cfg)
-
-
-def _tree_class(node: TreeNode, x: np.ndarray) -> int:
-    while node.feature >= 0:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return int(np.argmax(node.dist))
+        trees.append(_grow_tree(X, y_idx, rows, mult, 0, k, cfg, n_sub, rng))
+    return ForestModel(trees=tuple(trees), n_features=X.dim, class_codes=tuple(codes), config=cfg)
 
 
 # ---------------------------------------------------------------------------
 # prediction
 
-def _check_dim(model: LinearModel | ForestModel, x: SparseVector) -> None:
-    if x.dimension != model.n_features:
-        raise DataError(
-            f"feature dimension {x.dimension} does not match model ({model.n_features})"
-        )
+def _check_dim(model: LinearModel | ForestModel, X: SparseBatch) -> None:
+    if X.dim != model.n_features:
+        raise DataError(f"feature dimension {X.dim} does not match model ({model.n_features})")
 
 
-def decision_scores(model: LinearModel, x: SparseVector) -> np.ndarray:
-    _check_dim(model, x)
-    idx = np.asarray(x.indices, dtype=np.int64)
-    val = np.asarray(x.values, dtype=np.float64)
-    return model.weights[:, idx] @ val + model.bias
+def _one_row(x: SparseBatch) -> SparseBatch:
+    if len(x) != 1:
+        raise DataError(f"expected a one-row batch, got {len(x)} rows")
+    return x
 
 
-def predict_proba(model: LinearModel, x: SparseVector) -> np.ndarray:
-    """Softmax class probabilities; defined for logistic regression models."""
+def _forest_votes(model: ForestModel, X: SparseBatch) -> np.ndarray:
+    """(n, k) tree votes per row; each node splits the rows that reach it at once,
+    reading its feature's nonzeros from the entries sorted by column."""
+    n = len(X)
+    by_column = np.argsort(X.indices, kind="stable")
+    columns = X.indices[by_column]
+    col_rows = np.repeat(np.arange(n), np.diff(X.indptr))[by_column]
+    col_vals = X.data[by_column]
+    values = np.zeros(n)  # the split feature's value per row, zeroed after each split
+    votes = np.zeros((n, len(model.class_codes)), dtype=np.int64)
+    for tree in model.trees:
+        stack = [(tree, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            if node.feature < 0:
+                votes[rows, int(np.argmax(node.dist))] += 1
+            elif rows.size:
+                entries = slice(*np.searchsorted(columns, (node.feature, node.feature + 1)))
+                values[col_rows[entries]] = col_vals[entries]
+                left = values[rows] <= node.threshold
+                values[col_rows[entries]] = 0.0
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+    return votes
+
+
+def predict_many(model: LinearModel | ForestModel, X: SparseBatch) -> list[int]:
+    """Predicted class code of every row; ties break toward the lowest code."""
+    _check_dim(model, X)
+    if isinstance(model, LinearModel):
+        winners = np.argmax(X.scores(model.weights, model.bias), axis=1)
+    else:
+        winners = np.argmax(_forest_votes(model, X), axis=1)
+    return [model.class_codes[i] for i in winners.tolist()]
+
+
+def predict(model: LinearModel | ForestModel, x: SparseBatch) -> int:
+    """Predicted class code of a one-row batch."""
+    return predict_many(model, _one_row(x))[0]
+
+
+def predict_proba(model: LinearModel, x: SparseBatch) -> np.ndarray:
+    """Softmax class probabilities of a one-row batch; defined for logistic regression."""
     if model.kind != KIND_LOGREG:
         raise DataError(f"predict_proba requires a {KIND_LOGREG} model, got {model.kind}")
-    return _softmax(decision_scores(model, x))
-
-
-def predict(model: LinearModel | ForestModel, x: SparseVector) -> int:
-    """Predicted class code; ties break toward the lowest code."""
-    if isinstance(model, LinearModel):
-        scores = decision_scores(model, x)
-        return int(model.class_codes[int(np.argmax(scores))])
     _check_dim(model, x)
-    dense = x.to_dense()
-    votes = np.bincount(
-        [_tree_class(tree, dense) for tree in model.trees],
-        minlength=len(model.class_codes),
-    )
-    return int(model.class_codes[int(np.argmax(votes))])
-
-
-def predict_many(model: LinearModel | ForestModel, X: Sequence[SparseVector]) -> list[int]:
-    return [predict(model, x) for x in X]
+    return _softmax(_one_row(x).scores(model.weights, model.bias))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,55 +480,56 @@ def predict_many(model: LinearModel | ForestModel, X: Sequence[SparseVector]) ->
 def _node_to_dict(node: TreeNode) -> dict:
     if node.feature < 0:
         return {"dist": list(node.dist)}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+    return {"feature": node.feature, "threshold": node.threshold,
+            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
 
 
 def _node_from_dict(data: object, n_features: int, k: int, where: str) -> TreeNode:
     if not isinstance(data, dict):
         raise DataError(f"{where}: tree node must be an object")
     if "dist" in data:
+        reject_unknown_keys(data, {"dist"}, f"{where}: leaf")
         dist = require_field(data, "dist", list, where)
-        if len(dist) != k or not all(type(p) in (int, float) for p in dist):
-            raise DataError(f"{where}: leaf 'dist' must be {k} numbers")
+        if len(dist) != k or not all(is_finite_number(p) and 0 <= p <= 1 for p in dist):
+            raise DataError(f"{where}: leaf 'dist' must be {k} numbers in [0, 1]")
         return TreeNode(feature=-1, dist=tuple(dist))
+    reject_unknown_keys(data, {"feature", "threshold", "left", "right"}, f"{where}: tree node")
     feature = require_field(data, "feature", int, where)
     if not 0 <= feature < n_features:
         raise DataError(f"{where}: split feature {feature} out of range [0, {n_features})")
+    threshold = require_field(data, "threshold", (int, float), where)
+    if not is_finite_number(threshold):
+        raise DataError(f"{where}: split threshold must be a finite number")
     return TreeNode(
         feature=feature,
-        threshold=require_field(data, "threshold", (int, float), where),
+        threshold=float(threshold),
         left=_node_from_dict(require_field(data, "left", dict, where), n_features, k, where),
         right=_node_from_dict(require_field(data, "right", dict, where), n_features, k, where),
     )
+
+
+def _finite_numbers(values: object, what: str, where: object) -> list:
+    """values when it is a list of finite numbers; DataError otherwise."""
+    if not isinstance(values, list) or not all(map(is_finite_number, values)):
+        raise DataError(f"{where}: {what} must be a list of finite numbers")
+    return values
 
 
 def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
     """Write a model as JSON sufficient for exact reload."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "kind": model.kind if isinstance(model, LinearModel) else KIND_FOREST,
+        "class_codes": list(model.class_codes),
+        "n_features": model.n_features,
+        "config": asdict(model.config),
+    }
     if isinstance(model, LinearModel):
-        payload = {
-            "kind": model.kind,
-            "class_codes": list(model.class_codes),
-            "n_features": model.n_features,
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-            "config": asdict(model.config),
-            "loss_history": list(model.loss_history),
-        }
+        payload.update(weights=model.weights.tolist(), bias=model.bias.tolist(),
+                       loss_history=list(model.loss_history))
     else:
-        payload = {
-            "kind": KIND_FOREST,
-            "class_codes": list(model.class_codes),
-            "n_features": model.n_features,
-            "config": asdict(model.config),
-            "trees": [_node_to_dict(t) for t in model.trees],
-        }
+        payload["trees"] = [_node_to_dict(t) for t in model.trees]
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -579,6 +546,8 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
     kind = payload.get("kind")
     if kind not in (KIND_LOGREG, KIND_SVM, KIND_FOREST):
         raise DataError(f"unknown model kind {kind!r} in {path}")
+    reject_unknown_keys(payload, {"kind", "class_codes", "n_features", "config"} | (
+        {"trees"} if kind == KIND_FOREST else {"weights", "bias", "loss_history"}), path)
     codes = require_field(payload, "class_codes", list, path)
     if len(codes) < 2 or not all(type(c) is int for c in codes) or len(set(codes)) != len(codes):
         raise DataError(f"{path}: class_codes must be at least 2 distinct integers")
@@ -600,23 +569,17 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
             class_codes=tuple(codes),
             config=cfg,
         )
-    history = payload.get("loss_history", [])
-    if not isinstance(history, list) or not all(type(v) in (int, float) for v in history):
-        raise DataError(f"{path}: loss_history must be a list of numbers")
-    weights = require_field(payload, "weights", list, path)
-    bias = require_field(payload, "bias", list, path)
-    try:
-        weights = np.array(weights, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: weights and bias must be numeric arrays: {exc}") from None
-    if weights.shape != (len(codes), n_features):
-        raise DataError(f"{path}: weights shape {weights.shape} is not "
-                        f"({len(codes)}, {n_features})")
+    history = _finite_numbers(payload.get("loss_history", []), "loss_history", path)
+    rows = require_field(payload, "weights", list, path)
+    if len(rows) != len(codes) or not all(isinstance(row, list) and len(row) == n_features
+                                          for row in rows):
+        raise DataError(f"{path}: weights are not a ({len(codes)}, {n_features}) table")
+    _finite_numbers([v for row in rows for v in row], "weights", path)
+    bias = _finite_numbers(require_field(payload, "bias", list, path), "bias", path)
     return LinearModel(
         kind=kind,
-        weights=weights,
-        bias=bias,
+        weights=np.array(rows, dtype=np.float64),
+        bias=np.array(bias, dtype=np.float64),
         class_codes=tuple(codes),
         config=cfg,
         loss_history=tuple(history),

@@ -4,9 +4,10 @@ import random
 import socket
 import time
 
+import numpy as np
 import pytest
 
-from predstmt import Coin, Dataset, Document
+from predstmt import Coin, Dataset, Document, SparseBatch
 
 SESSION_START = time.perf_counter()
 
@@ -37,6 +38,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line(
         f"suite wall time: {elapsed:.1f}s (budget 120s, within budget: {elapsed < 120})"
     )
+
+
+def dense_batch(rows, dim=None) -> SparseBatch:
+    """The batch of the given dense rows, zeros left out; dim defaults to the first row's length."""
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        for j, v in enumerate(row):
+            if v != 0.0:
+                indices.append(j)
+                data.append(v)
+        indptr.append(len(indices))
+    return SparseBatch(indptr, indices, data, dim or len(rows[0]))
+
+
+def dense_rows(X: SparseBatch) -> np.ndarray:
+    """The n x dim dense matrix of a batch."""
+    out = np.zeros((len(X), X.dim))
+    out[np.repeat(np.arange(len(X)), np.diff(X.indptr)), X.indices] = X.data
+    return out
 
 
 FILLER_WORDS = (

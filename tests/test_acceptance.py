@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import FILLER_WORDS, build_planted_dataset
+from conftest import FILLER_WORDS, build_planted_dataset, dense_batch, dense_rows
 from predstmt import (
     Coin,
     Dataset,
     Document,
     OfflineParaphraser,
-    SparseVector,
     Task,
     TrainConfig,
     aggregate,
@@ -162,18 +161,13 @@ def test_criterion_05_fold_arithmetic(reference_corpus):
 def test_criterion_06_gradient_checks():
     """Analytic gradients match central finite differences to 1e-4 relative."""
 
-    def sv(values, d):
-        pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-        return SparseVector(indices=tuple(i for i, _ in pairs),
-                            values=tuple(v for _, v in pairs), dimension=d)
-
     rng = random.Random(606)
     t0 = time.perf_counter()
     eps = 1e-6
 
     for _ in range(6):
         n, d, k = rng.randint(8, 20), rng.randint(3, 6), rng.choice([2, 3])
-        X = [sv([rng.gauss(0, 1) for _ in range(d)], d) for _ in range(n)]
+        X = dense_batch([[rng.gauss(0, 1) for _ in range(d)] for _ in range(n)], d)
         y = [rng.randrange(k) for _ in range(n)]
         for c in range(k):
             y[c] = c
@@ -197,11 +191,11 @@ def test_criterion_06_gradient_checks():
     checked = 0
     while checked < 6:
         n, d = rng.randint(8, 16), rng.randint(3, 5)
-        X = [sv([rng.gauss(0, 1) for _ in range(d)], d) for _ in range(n)]
+        X = dense_batch([[rng.gauss(0, 1) for _ in range(d)] for _ in range(n)], d)
         y_signed = [rng.choice([-1.0, 1.0]) for _ in range(n)]
         w = np.array([rng.gauss(0, 1) for _ in range(d)])
         b = rng.gauss(0, 1)
-        margins = [ys * (x.to_dense() @ w + b) for x, ys in zip(X, y_signed)]
+        margins = [ys * (x @ w + b) for x, ys in zip(dense_rows(X), y_signed)]
         if min(abs(m - 1.0) for m in margins) < 1e-3:
             continue  # hinge kink, not differentiable there
         grad_w, grad_b = svm_subgradient(w, b, X, y_signed, l2=0.05)

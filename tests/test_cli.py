@@ -23,7 +23,7 @@ from predstmt import (
     distribution,
     save_dataset,
 )
-from predstmt import cli
+from predstmt import augment, cli
 from predstmt.cli import RunConfig, _config_echo, main
 from predstmt.corpus import from_dict
 
@@ -549,6 +549,23 @@ class TestUnparseableInputs:
 
 
 class TestBalanceInputDistribution:
+    def test_each_run_counts_its_input_once(self, planted_path, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(dataset, task):
+            seen.append(len(dataset))
+            return distribution(dataset, task)
+
+        # every name through which a balance run reaches distribution
+        monkeypatch.setattr(cli, "distribution", counting)
+        monkeypatch.setattr(augment, "distribution", counting)
+        code, err = run_captured("balance", "--dataset", str(planted_path),
+                                 "--out", str(tmp_path), "--tag", "r")
+        assert code == 0 and err == ""
+        payload = json.loads((tmp_path / "balance" / "r" / "balance.json").read_text())
+        assert seen == [payload["documents_before"], payload["documents_after"]]
+        assert payload["plan"]["needed"] == {"1": 4}
+
     def test_input_distribution_computed_once(self, planted_path, tmp_path, monkeypatch):
         seen = []
 

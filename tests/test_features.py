@@ -9,7 +9,7 @@ import pytest
 
 from predstmt import (
     DataError,
-    SparseVector,
+    SparseBatch,
     TfidfConfig,
     fit_tfidf,
     load_tfidf,
@@ -21,20 +21,60 @@ from predstmt import (
 TWO_DOCS = [["btc", "up", "up"], ["btc", "down"]]
 
 
-class TestSparseVector:
+class TestSparseBatch:
     def test_invariants_enforced(self):
         with pytest.raises(DataError, match="length"):
-            SparseVector(indices=(0, 1), values=(1.0,), dimension=3)
+            SparseBatch([0, 2], [0, 1], [1.0], 3)
         with pytest.raises(DataError, match="increasing"):
-            SparseVector(indices=(1, 1), values=(1.0, 2.0), dimension=3)
+            SparseBatch([0, 2], [1, 1], [1.0, 2.0], 3)
         with pytest.raises(DataError, match="out of range"):
-            SparseVector(indices=(3,), values=(1.0,), dimension=3)
+            SparseBatch([0, 1], [3], [1.0], 3)
         with pytest.raises(DataError, match="finite"):
-            SparseVector(indices=(0,), values=(float("nan"),), dimension=3)
+            SparseBatch([0, 1], [0], [float("nan")], 3)
 
-    def test_dense_round_trip(self):
-        v = SparseVector(indices=(0, 2), values=(0.5, 1.5), dimension=4)
-        assert v.to_dense().tolist() == [0.5, 0.0, 1.5, 0.0]
+    @pytest.mark.parametrize("indptr, indices, data, dim, message", [
+        ([0, 2, 2], [2, 1], [1.0, 1.0], 3, "increasing"),  # falls within a row
+        ([0, 1, 2], [0, -1], [1.0, 1.0], 3, "out of range"),
+        ([0, 1], [0], [float("inf")], 3, "finite"),
+        ([1, 1], [0], [1.0], 3, "indptr"),  # does not start at 0
+        ([0, 2, 1], [0, 1], [1.0, 1.0], 3, "indptr"),  # falls
+        ([0, 1], [0, 1], [1.0, 1.0], 3, "indptr"),  # ends before the last entry
+        ([], [], [], 3, "indptr"),
+        ([0, 1], [0.5], [1.0], 3, "integers"),
+        ([0, 1], [True], [1.0], 3, "integers"),
+        ([0, 1], [0], ["1.0"], 3, "numbers"),
+        ([0, 1], [0], [10 ** 400], 3, "numbers"),
+        ([0, 1], [[0]], [[1.0]], 3, "integers"),  # not flat
+        ([0, 1], [[0], [0, 1]], [1.0], 3, "flat"),  # ragged
+        ([0, 1], [0], [1.0], -1, "dimension"),
+        ([0, 1], [0], [1.0], True, "dimension"),
+    ])
+    def test_malformed_arrays_are_data_errors(self, indptr, indices, data, dim, message):
+        with pytest.raises(DataError, match=message):
+            SparseBatch(indptr, indices, data, dim)
+
+    def test_rows_may_restart_low_and_be_empty(self):
+        batch = SparseBatch([0, 0, 2, 2, 4, 4], [1, 2, 0, 1], [1.0, 2.0, 3.0, 4.0], 3)
+        assert len(batch) == 5
+        rows = [(row.indices.tolist(), row.data.tolist(), row.dim) for row in batch]
+        assert rows == [([], [], 3), ([1, 2], [1.0, 2.0], 3), ([], [], 3),
+                        ([0, 1], [3.0, 4.0], 3), ([], [], 3)]
+        assert batch[-2].indices.tolist() == [0, 1] and len(batch[-2]) == 1
+        with pytest.raises(IndexError):
+            batch[5]
+
+    def test_empty_batch(self):
+        batch = SparseBatch([0], [], [], 4)
+        assert len(batch) == 0 and list(batch) == []
+
+    def test_scores_equal_dense_product(self):
+        rng = np.random.default_rng(3)
+        batch = SparseBatch([0, 2, 2, 5], [0, 3, 1, 2, 3], rng.normal(size=5), 4)
+        dense = np.zeros((3, 4))
+        dense[[0, 0, 2, 2, 2], batch.indices] = batch.data
+        weights, bias = rng.normal(size=(2, 4)), rng.normal(size=2)
+        np.testing.assert_allclose(batch.scores(weights, bias), dense @ weights.T + bias,
+                                   rtol=1e-12)
 
 
 class TestFit:
@@ -97,7 +137,7 @@ class TestTransform:
     def test_hand_computed_vector(self):
         model = fit_tfidf(TWO_DOCS)
         vec = transform(model, ["btc", "up", "up"])
-        by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.values)}
+        by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.data)}
         idf_up = math.log(3 / 2) + 1
         norm = math.hypot(1.0, 2 * idf_up)
         assert by_term["btc"] == pytest.approx(1.0 / norm, abs=1e-9)
@@ -114,12 +154,12 @@ class TestTransform:
     def test_all_oov_gives_zero_vector(self):
         model = fit_tfidf(TWO_DOCS)
         vec = transform(model, ["nothing", "matches"])
-        assert vec.indices == () and vec.norm() == 0.0
-        assert vec.dimension == model.dimension
+        assert vec.indices.size == 0 and np.linalg.norm(vec.data) == 0.0
+        assert vec.dim == model.dimension
 
     def test_empty_tokens_give_zero_vector(self):
         model = fit_tfidf(TWO_DOCS)
-        assert transform(model, []).indices == ()
+        assert transform(model, []).indices.size == 0
 
     def test_unit_norm_property(self):
         rng = random.Random(99)
@@ -127,12 +167,12 @@ class TestTransform:
         docs = [[rng.choice(vocab) for _ in range(rng.randint(1, 15))] for _ in range(40)]
         model = fit_tfidf(docs)
         for tokens in docs:
-            assert transform(model, tokens).norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(transform(model, tokens).data) == pytest.approx(1.0, abs=1e-9)
 
     def test_sublinear_tf(self):
         model = fit_tfidf(TWO_DOCS, TfidfConfig(sublinear_tf=True))
         vec = transform(model, ["up", "up", "btc"])
-        by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.values)}
+        by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.data)}
         idf_up = math.log(3 / 2) + 1
         raw = {"btc": 1.0, "up": (1 + math.log(2)) * idf_up}
         norm = math.hypot(raw["btc"], raw["up"])
@@ -142,6 +182,7 @@ class TestTransform:
         model = fit_tfidf(TWO_DOCS)
         vec = transform(model, ["up", "btc", "down", "btc"])
         assert list(vec.indices) == sorted(vec.indices)
+        assert len(vec) == 1
 
 
 class TestPersistence:
@@ -180,6 +221,8 @@ class TestPersistence:
         {"config": {"min_dff": 3}},  # unknown config key
         {"config": {"sublinear_tf": "no"}},
         {"config": {"max_features": 2.5}},
+        {"idf": [1.0, 10 ** 400, 1.4]},  # past the float range
+        {"vocabulary": {}},  # unknown key
     ])
     def test_malformed_payload_is_data_error(self, tmp_path, change):
         path = tmp_path / "tfidf.json"
@@ -191,8 +234,9 @@ class TestPersistence:
             else:
                 payload[key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             load_tfidf(path)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("text", ['{"kind": "tfidf"}', '["tfidf"]', '"tfidf"'])
     def test_payload_without_fields_is_data_error(self, tmp_path, text):
@@ -217,8 +261,40 @@ class TestPersistence:
         assert message.startswith(f"cannot load TF-IDF model from {path}: ") and "\n" not in message
         assert reason in message
 
+def per_document_transform(model, tokens):
+    """transform as first written, one document at a time: (indices, values) tuples."""
+    index = model.index
+    counts = {}
+    for term in tokens:
+        i = index.get(term)
+        if i is not None:
+            counts[i] = counts.get(i, 0) + 1
+    if not counts:
+        return (), ()
+    indices = sorted(counts)
+    values = []
+    for i in indices:
+        tf = float(counts[i])
+        if model.config.sublinear_tf:
+            tf = 1.0 + math.log(tf)
+        values.append(tf * model.idf[i])
+    norm = math.sqrt(sum(v * v for v in values))
+    if norm > 0:
+        values = [v / norm for v in values]
+    return tuple(indices), tuple(values)
+
+
 class TestTransformMany:
-    """transform_many must equal per-document transform, field for field and bit for bit."""
+    """transform_many must equal the per-document transform, field for field and bit for bit."""
+
+    def assert_equals_per_document(self, model, docs):
+        batch = transform_many(model, docs)
+        assert len(batch) == len(docs) and batch.dim == model.dimension
+        for row, tokens in zip(batch, docs):
+            indices, values = per_document_transform(model, tokens)
+            assert tuple(row.indices.tolist()) == indices
+            assert [v.hex() for v in row.data.tolist()] == [v.hex() for v in values]
+        return batch
 
     @pytest.mark.parametrize("sublinear", [False, True])
     def test_equals_per_document_transform(self, sublinear):
@@ -232,15 +308,32 @@ class TestTransformMany:
             ["t055", "unseen", "t059"],  # only unknown tokens
             ["t001"] * 7 + ["t002", "t001"],  # repeated tokens
         ]
-        batch = transform_many(model, docs)
-        single = [transform(model, tokens) for tokens in docs]
-        assert len(batch) == len(single)
-        for got, want in zip(batch, single):
-            assert got.dimension == want.dimension
-            assert got.indices == want.indices
-            assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
-        assert batch[-3].indices == () and batch[-2].indices == ()
+        batch = self.assert_equals_per_document(model, docs)
+        assert batch[-3].indices.size == 0 and batch[-2].indices.size == 0
         assert len(batch[-1].indices) == 2
+
+    @pytest.mark.parametrize("sublinear", [False, True])
+    def test_equals_per_document_transform_on_long_zipfian_rows(self, sublinear):
+        # rows of up to 120 distinct terms, where the order of the norm's sum shows
+        rng = random.Random(71)
+        vocab = [f"w{i}" for i in range(400)]
+        weights = [1.0 / (r + 1) for r in range(len(vocab))]
+        docs = [rng.choices(vocab, weights, k=rng.randint(0, 200)) for _ in range(300)]
+        model = fit_tfidf(docs[:200], TfidfConfig(sublinear_tf=sublinear))
+        self.assert_equals_per_document(model, docs)
+
+    def test_equals_per_document_transform_with_loaded_integer_idf(self, tmp_path):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(TWO_DOCS), path)
+        payload = json.loads(path.read_text())
+        payload["idf"] = [1, 3, 2.5]
+        path.write_text(json.dumps(payload))
+        model = load_tfidf(path)
+        self.assert_equals_per_document(model, [["up", "btc", "down", "up"], ["down"], []])
+
+    def test_no_documents_give_an_empty_batch(self):
+        batch = transform_many(fit_tfidf(TWO_DOCS), [])
+        assert len(batch) == 0 and batch.dim == 3
 
     def test_index_built_once_per_model(self):
         model = fit_tfidf(TWO_DOCS)

@@ -7,16 +7,17 @@ import random
 import numpy as np
 import pytest
 
-from conftest import build_planted_dataset
+from conftest import build_planted_dataset, dense_batch, dense_rows
 from predstmt import (
     DataError,
     ForestModel,
-    SparseVector,
+    SparseBatch,
     Task,
     TrainConfig,
     fit_tfidf,
     load_model,
     predict,
+    predict_many,
     preprocess,
     save_model,
     stratified_folds,
@@ -29,14 +30,8 @@ from predstmt.models import TreeNode, gini
 
 
 def sv(values, dimension=None):
-    values = list(values)
-    dimension = dimension or len(values)
-    pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-    return SparseVector(
-        indices=tuple(i for i, _ in pairs),
-        values=tuple(v for _, v in pairs),
-        dimension=dimension,
-    )
+    """The one-row batch of a dense row."""
+    return dense_batch([list(values)], dimension)
 
 
 class TestGini:
@@ -102,7 +97,7 @@ class TestSingleTree:
             labels[0], labels[1] = 0, 1
             cfg = TrainConfig(n_trees=1, bootstrap=False, max_depth=1,
                               min_samples_leaf=1, seed=trial)
-            model = train_random_forest([sv(p) for p in points], labels, cfg)
+            model = train_random_forest(dense_batch(points), labels, cfg)
             root = model.trees[0]
             oracle = best_depth1_gain(points, labels, min_leaf=1)
             if oracle <= 1e-12:
@@ -122,12 +117,12 @@ class TestSingleTree:
         labels = [1 if p[0] > 0 else 0 for p in points]
         cfg = TrainConfig(n_trees=1, bootstrap=False, max_depth=1,
                           min_samples_leaf=1, seed=7)
-        model = train_random_forest([sv(p) for p in points], labels, cfg)
+        model = train_random_forest(dense_batch(points), labels, cfg)
         hits = sum(predict(model, sv(p)) == t for p, t in zip(points, labels))
         assert hits == len(points)
 
     def test_pure_node_becomes_leaf(self):
-        X = [sv([0.1, 5.0]), sv([0.9, -3.0]), sv([0.4, 1.0]), sv([0.6, 2.0])]
+        X = dense_batch([[0.1, 5.0], [0.9, -3.0], [0.4, 1.0], [0.6, 2.0]])
         y = [0, 0, 0, 1]
         cfg = TrainConfig(n_trees=1, bootstrap=False, max_depth=8,
                           min_samples_leaf=1, seed=0)
@@ -147,7 +142,7 @@ class TestSingleTree:
 
     def test_max_depth_respected(self):
         rng = random.Random(23)
-        X = [sv([rng.uniform(0, 1) for _ in range(3)]) for _ in range(40)]
+        X = dense_batch([[rng.uniform(0, 1) for _ in range(3)] for _ in range(40)])
         y = [rng.randrange(3) for _ in range(40)]
         y[0], y[1], y[2] = 0, 1, 2
         for depth_cap in (1, 2, 3):
@@ -164,13 +159,13 @@ class TestSingleTree:
 
     def test_min_samples_leaf_respected(self):
         rng = random.Random(29)
-        X = [sv([rng.uniform(0, 1)]) for _ in range(30)]
+        X = dense_batch([[rng.uniform(0, 1)] for _ in range(30)])
         y = [rng.randrange(2) for _ in range(30)]
         y[0], y[1] = 0, 1
         cfg = TrainConfig(n_trees=1, bootstrap=False, max_depth=16,
                           min_samples_leaf=5, seed=1)
         model = train_random_forest(X, y, cfg)
-        dense = np.array([x.to_dense() for x in X])
+        dense = dense_rows(X)
 
         def check(node, rows):
             if node.feature == -1:
@@ -236,7 +231,7 @@ def dense_forest(X, y, cfg):
     """Trees of train_random_forest as first written, on the dense n x d matrix."""
     codes = sorted(set(y))
     y_idx = np.array([codes.index(v) for v in y])
-    dense = np.array([x.to_dense() for x in X])
+    dense = dense_rows(X)
     n, dim = dense.shape
     n_sub = max(1, math.ceil(math.sqrt(dim)))
     trees = []
@@ -251,16 +246,16 @@ def signed_sparse_problem(rng, n, d, k):
     """Rows mixing tied, negative and random values, explicit 0.0 / -0.0, and empty rows."""
     pool = (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
     density = rng.choice((0.2, 0.5, 0.95))
-    X = []
+    indptr, indices, data = [0], [], []
     for _ in range(n):
-        pairs = []
         if rng.random() > 0.1:
             for j in range(d):
                 if rng.random() < density:
-                    pairs.append((j, rng.choice(pool) if rng.random() < 0.6
-                                  else rng.uniform(-2.0, 2.0)))
-        X.append(SparseVector(indices=tuple(j for j, _ in pairs),
-                              values=tuple(v for _, v in pairs), dimension=d))
+                    indices.append(j)
+                    data.append(rng.choice(pool) if rng.random() < 0.6
+                                else rng.uniform(-2.0, 2.0))
+        indptr.append(len(indices))
+    X = SparseBatch(indptr, indices, data, d)
     codes = rng.sample(range(-3, 9), k)
     y = [rng.choice(codes) for _ in range(n)]
     y[:k] = codes
@@ -294,23 +289,74 @@ class TestSparseSplitSearch:
         assert model.trees == dense_forest(X, y, cfg)
 
 
+def per_document_predict(model, X):
+    """Forest prediction as first written: each row made dense and walked down every tree."""
+    out = []
+    for x in dense_rows(X):
+        votes = np.zeros(len(model.class_codes), dtype=np.int64)
+        for node in model.trees:
+            while node.feature >= 0:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            votes[int(np.argmax(node.dist))] += 1
+        out.append(model.class_codes[int(np.argmax(votes))])
+    return out
+
+
+class TestBatchPredict:
+    """predict_many routes the whole batch through each tree; it must equal the per-row walk."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3, 9, 30])
+    def test_matches_per_document_walk(self, d):
+        rng = random.Random(500 + d)
+        for trial in range(5):
+            X, y = signed_sparse_problem(rng, n=rng.randint(8, 60), d=d, k=rng.randint(2, 4))
+            cfg = TrainConfig(n_trees=5, seed=trial, min_samples_leaf=1,
+                              max_depth=rng.randint(1, 8))
+            model = train_random_forest(X, y, cfg)
+            unseen, _ = signed_sparse_problem(rng, n=40, d=d, k=2)  # values on thresholds too
+            for batch in (X, unseen):
+                expected = per_document_predict(model, batch)
+                assert predict_many(model, batch) == expected
+                assert [predict(model, row) for row in batch] == expected
+
+    def test_matches_per_document_walk_on_a_cv_fold(self):
+        ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=8)
+        assignment = stratified_folds(ds, Task.DIRECTION, 5, 42)
+        docs = ds.labeled(Task.DIRECTION)
+        train = [preprocess(doc.text) for doc in docs if assignment.folds[doc.id] != 0]
+        test = [preprocess(doc.text) + ["unseen"] for doc in docs if assignment.folds[doc.id] == 0]
+        tfidf = fit_tfidf(train)
+        y = [doc.label(Task.DIRECTION) for doc in docs if assignment.folds[doc.id] != 0]
+        model = train_random_forest(transform_many(tfidf, train), y,
+                                    TrainConfig(n_trees=7, seed=4))
+        X = transform_many(tfidf, test)
+        assert predict_many(model, X) == per_document_predict(model, X)
+
+    def test_multi_row_batch_refused_by_predict(self):
+        X = dense_batch([[1.0], [-1.0]])
+        model = train_random_forest(X, [0, 1], TrainConfig(n_trees=2, seed=1))
+        with pytest.raises(DataError, match="one-row"):
+            predict(model, X)
+
+
 class TestForest:
     def test_fits_training_data(self):
         rng = random.Random(37)
-        X, y = [], []
+        rows, y = [], []
         for i in range(60):
             c = i % 3
             base = [0.0, 0.0, 0.0]
             base[c] = 1.0 + rng.uniform(0, 0.2)
-            X.append(sv(base))
+            rows.append(base)
             y.append(c + 1)
+        X = dense_batch(rows)
         model = train_random_forest(X, y, TrainConfig(n_trees=20, seed=3))
         hits = sum(predict(model, x) == t for x, t in zip(X, y))
         assert hits == 60
 
     def test_deterministic_and_persistence(self, tmp_path):
         rng = random.Random(41)
-        X = [sv([rng.uniform(0, 1) for _ in range(4)]) for _ in range(30)]
+        X = dense_batch([[rng.uniform(0, 1) for _ in range(4)] for _ in range(30)])
         y = [rng.randrange(3) for _ in range(30)]
         y[0], y[1], y[2] = 0, 1, 2
         cfg = TrainConfig(n_trees=7, seed=12)
@@ -341,7 +387,7 @@ class TestForest:
 
     def test_leaf_distributions_sum_to_one(self):
         rng = random.Random(43)
-        X = [sv([rng.uniform(0, 1) for _ in range(3)]) for _ in range(25)]
+        X = dense_batch([[rng.uniform(0, 1) for _ in range(3)] for _ in range(25)])
         y = [rng.randrange(2) for _ in range(25)]
         y[0], y[1] = 0, 1
         model = train_random_forest(X, y, TrainConfig(n_trees=5, seed=2))
@@ -358,14 +404,14 @@ class TestForest:
             walk(tree)
 
     def test_single_class_rejected_by_all_trainers(self):
-        X = [sv([1.0]), sv([2.0]), sv([3.0])]
+        X = dense_batch([[1.0], [2.0], [3.0]])
         y = [1, 1, 1]
         for trainer in (train_logreg, train_svm_linear, train_random_forest):
             with pytest.raises(DataError, match="distinct label"):
                 trainer(X, y, TrainConfig())
 
     def test_predict_dimension_mismatch(self):
-        X = [sv([1.0]), sv([-1.0])]
+        X = dense_batch([[1.0], [-1.0]])
         model = train_random_forest(X, [0, 1], TrainConfig(n_trees=2, seed=1))
         with pytest.raises(DataError, match="dimension"):
             predict(model, sv([1.0, 2.0]))
@@ -374,7 +420,7 @@ class TestForest:
         # ceil(sqrt(9)) = 3 of 9 features per split; just confirm training
         # runs and uses in-range feature ids
         rng = random.Random(47)
-        X = [sv([rng.uniform(0, 1) for _ in range(9)]) for _ in range(40)]
+        X = dense_batch([[rng.uniform(0, 1) for _ in range(9)] for _ in range(40)])
         y = [rng.randrange(2) for _ in range(40)]
         y[0], y[1] = 0, 1
         assert math.ceil(math.sqrt(9)) == 3
@@ -401,10 +447,26 @@ class TestForest:
          "right": {"dist": [0.0, 1.0]}},
         {"feature": 0, "threshold": 0.5, "left": [1.0, 0.0], "right": {"dist": [0.0, 1.0]}},
         [0.0, 1.0],
+        {"feature": 0, "threshold": float("nan"), "left": {"dist": [1.0, 0.0]},
+         "right": {"dist": [0.0, 1.0]}},
+        {"dist": [10 ** 400, 0]},  # past the float range
+        {"dist": [1.5, -0.5]},  # sums to 1, but not probabilities
+        {"dist": [1.0, 0.0], "feature": 0},  # unknown keys
+        {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
+         "right": {"dist": [0.0, 1.0]}, "thresh": 0.5},
     ])
     def test_malformed_tree_is_data_error(self, tmp_path, tree):
         path = tmp_path / "forest.json"
         path.write_text(json.dumps({"kind": "random_forest", "class_codes": [0, 1],
                                     "n_features": 2, "config": {}, "trees": [tree]}))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert "\n" not in str(info.value)
+
+    def test_unknown_forest_key_is_data_error(self, tmp_path):
+        path = tmp_path / "forest.json"
+        path.write_text(json.dumps({"kind": "random_forest", "class_codes": [0, 1],
+                                    "n_features": 2, "config": {}, "weights": [[0.0, 0.0]],
+                                    "trees": [{"dist": [1.0, 0.0]}]}))
+        with pytest.raises(DataError, match=r"unknown keys \['weights'\]"):
             load_model(path)

@@ -7,13 +7,14 @@ import random
 import numpy as np
 import pytest
 
+from conftest import dense_batch, dense_rows
 from predstmt import (
     DataError,
     LinearModel,
-    SparseVector,
     TrainConfig,
     load_model,
     predict,
+    predict_many,
     predict_proba,
     save_model,
     train_logreg,
@@ -29,21 +30,15 @@ from predstmt.models import (
 
 
 def sv(values, dimension=None):
-    values = list(values)
-    dimension = dimension or len(values)
-    pairs = [(i, v) for i, v in enumerate(values) if v != 0.0]
-    return SparseVector(
-        indices=tuple(i for i, _ in pairs),
-        values=tuple(v for _, v in pairs),
-        dimension=dimension,
-    )
+    """The one-row batch of a dense row."""
+    return dense_batch([list(values)], dimension)
 
 
 def random_problem(rng, n, d, k):
-    X = []
+    rows = []
     for _ in range(n):
-        row = [rng.gauss(0, 1) if rng.random() < 0.6 else 0.0 for _ in range(d)]
-        X.append(sv(row, d))
+        rows.append([rng.gauss(0, 1) if rng.random() < 0.6 else 0.0 for _ in range(d)])
+    X = dense_batch(rows, d)
     y = [rng.randrange(k) for _ in range(n)]
     # make sure every class appears
     for c in range(k):
@@ -51,12 +46,12 @@ def random_problem(rng, n, d, k):
     return X, y
 
 
-SEPARABLE_1D = ([sv([1.0]), sv([-1.0])], [1, 0])
+SEPARABLE_1D = (dense_batch([[1.0], [-1.0]]), [1, 0])
 
 
 def brute_force_1d_best_accuracy(X, y):
     """Best training accuracy any 1-D linear rule sign(w*x + b) can reach."""
-    xs = [x.to_dense()[0] for x in X]
+    xs = dense_rows(X)[:, 0].tolist()
     best = 0.0
     for w in np.linspace(-4, 4, 81):
         for b in np.linspace(-2, 2, 41):
@@ -144,7 +139,7 @@ class TestLogreg:
                                    atol=1e-12)
 
     def test_class_codes_preserved(self):
-        X = [sv([1.0]), sv([-1.0]), sv([0.9]), sv([-0.8])]
+        X = dense_batch([[1.0], [-1.0], [0.9], [-0.8]])
         y = [3, 1, 3, 1]
         model = train_logreg(X, y, TrainConfig())
         assert model.class_codes == (1, 3)
@@ -152,13 +147,13 @@ class TestLogreg:
 
     def test_input_validation(self):
         with pytest.raises(DataError, match="lengths differ"):
-            train_logreg([sv([1.0])], [1, 0], TrainConfig())
+            train_logreg(sv([1.0]), [1, 0], TrainConfig())
         with pytest.raises(DataError, match="at least 2 documents"):
-            train_logreg([sv([1.0])], [1], TrainConfig())
+            train_logreg(sv([1.0]), [1], TrainConfig())
         with pytest.raises(DataError, match="distinct label"):
-            train_logreg([sv([1.0]), sv([2.0])], [1, 1], TrainConfig())
+            train_logreg(dense_batch([[1.0], [2.0]]), [1, 1], TrainConfig())
         with pytest.raises(DataError, match="dimension"):
-            train_logreg([sv([1.0]), sv([1.0, 2.0])], [0, 1], TrainConfig())
+            train_logreg(dense_batch([[1.0], [1.0, 2.0]], 1), [0, 1], TrainConfig())
 
 
 class TestSvm:
@@ -173,7 +168,7 @@ class TestSvm:
         # all margins >= 1: subgradient reduces to the regularizer term l2*w
         w = np.array([2.0, 0.0])
         b = 0.0
-        X = [sv([1.0, 0.0]), sv([-1.0, 0.0])]
+        X = dense_batch([[1.0, 0.0], [-1.0, 0.0]])
         y_signed = [1.0, -1.0]
         grad_w, grad_b = svm_subgradient(w, b, X, y_signed, l2=0.1)
         np.testing.assert_allclose(grad_w, 0.1 * w, atol=1e-12)
@@ -184,11 +179,11 @@ class TestSvm:
         checked = 0
         while checked < 10:
             d = 4
-            X = [sv([rng.gauss(0, 1) for _ in range(d)], d) for _ in range(10)]
+            X = dense_batch([[rng.gauss(0, 1) for _ in range(d)] for _ in range(10)], d)
             y_signed = [rng.choice([-1.0, 1.0]) for _ in range(10)]
             w = np.array([rng.gauss(0, 1) for _ in range(d)])
             b = rng.gauss(0, 1)
-            margins = [ys * (x.to_dense() @ w + b) for x, ys in zip(X, y_signed)]
+            margins = [ys * (x @ w + b) for x, ys in zip(dense_rows(X), y_signed)]
             if min(abs(m - 1.0) for m in margins) < 1e-3:
                 continue  # too close to the hinge kink for a clean check
             grad_w, grad_b = svm_subgradient(w, b, X, y_signed, l2=0.05)
@@ -240,6 +235,40 @@ class TestSvm:
             predict_proba(model, X[0])
 
 
+class TestBatchPredict:
+    """predict_many scores the batch at once; it must pick what per-row scores pick."""
+
+    def test_matches_per_document_scores(self):
+        rng = random.Random(61)
+        for trainer in (train_logreg, train_svm_linear):
+            for _ in range(4):
+                X, y = random_problem(rng, n=40, d=8, k=3)
+                model = trainer(X, y, TrainConfig(epochs=20, seed=1))
+                expected = [model.class_codes[int(np.argmax(
+                    model.weights[:, x.indices] @ x.data + model.bias))] for x in X]
+                assert predict_many(model, X) == expected
+                assert [predict(model, x) for x in X] == expected
+
+    def test_ties_and_empty_rows_go_to_the_lowest_code(self):
+        model = LinearModel(kind="logreg", weights=np.zeros((3, 2)), bias=np.zeros(3),
+                            class_codes=(4, 6, 9), config=TrainConfig())
+        assert predict_many(model, dense_batch([[0.0, 0.0], [1.0, -2.0]])) == [4, 4]
+
+    def test_multi_row_batch_refused_by_single_row_calls(self):
+        X, y = SEPARABLE_1D
+        model = train_logreg(X, y, TrainConfig())
+        with pytest.raises(DataError, match="one-row"):
+            predict(model, X)
+        with pytest.raises(DataError, match="one-row"):
+            predict_proba(model, X)
+
+    def test_batch_dimension_mismatch(self):
+        X, y = SEPARABLE_1D
+        model = train_logreg(X, y, TrainConfig())
+        with pytest.raises(DataError, match="dimension"):
+            predict_many(model, dense_batch([[1.0, 2.0], [0.0, 1.0]]))
+
+
 def per_step_pegasos(X, y_signed, cfg, rng, dim):
     """Pegasos as first written: the whole weight vector shrinks on every step."""
     w = np.zeros(dim)
@@ -251,8 +280,8 @@ def per_step_pegasos(X, y_signed, cfg, rng, dim):
             t += 1
             step = 1.0 / (cfg.l2 * t)
             x = X[i]
-            idx = np.asarray(x.indices, dtype=np.int64)
-            val = np.asarray(x.values, dtype=np.float64)
+            idx = x.indices
+            val = x.data
             margin = y_signed[i] * (float(w[idx] @ val) + b)
             w *= 1.0 - step * cfg.l2
             if margin < 1.0:
@@ -264,7 +293,7 @@ def per_step_pegasos(X, y_signed, cfg, rng, dim):
 def per_step_svm(X, y, cfg):
     """One-vs-rest weights and bias from per_step_pegasos, seeded as train_svm_linear."""
     codes = sorted(set(y))
-    dim = X[0].dimension
+    dim = X.dim
     weights = np.zeros((len(codes), dim))
     bias = np.zeros(len(codes))
     for ci, code in enumerate(codes):
@@ -350,6 +379,12 @@ class TestPersistence:
         {"config": {"epochs": True}},
         {"config": {"bootstrap": "false"}},
         {"config": {"l2": float("nan")}},
+        {"weights": [[0.0, "1.0"], [0.0, 0.0]]},  # numpy would read these as numbers
+        {"weights": [[True, False], [0.0, 0.0]]},
+        {"weights": [[10 ** 400, 0.0], [0.0, 0.0]]},  # past the float range
+        {"loss_history": [0.7, float("nan")]},
+        {"trees": []},  # unknown keys
+        {"extra": 1},
     ])
     def test_malformed_linear_payload_is_data_error(self, tmp_path, change):
         path = tmp_path / "m.json"
@@ -362,8 +397,9 @@ class TestPersistence:
             else:
                 payload[key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             load_model(path)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("text", [
         '{"kind": "logreg"}',
