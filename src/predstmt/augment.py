@@ -10,6 +10,7 @@ asking the endpoint to label a document.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import re
@@ -257,11 +258,26 @@ class ProviderConfig:
             raise DataError("max_retries must be >= 0")
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """The delay a numeric Retry-After header asks for, in seconds; None otherwise.
+
+    The HTTP-date form and anything else unparseable are ignored, as are
+    negative and non-finite numbers.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
+
+
 class _ChatClient:
     """One-request-at-a-time JSON client with delay and retries.
 
     Transport errors, HTTP 429, 5xx statuses and malformed bodies are
-    retried; any other non-200 status (401, 404, ...) fails at once.
+    retried; any other non-200 status (401, 404, ...) fails at once. A 429
+    or 503 with a numeric Retry-After waits that long before the retry,
+    capped at timeout_s and never shorter than request_delay_ms.
     requests is imported here, so runs that never go remote do not load it.
     """
 
@@ -291,10 +307,13 @@ class _ChatClient:
         }
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         last_error = "no request sent"
+        base_delay = self.config.request_delay_ms / 1000.0
+        delay = base_delay
         for _ in range(self.config.max_retries + 1):
-            if self._sent_any and self.config.request_delay_ms:
-                time.sleep(self.config.request_delay_ms / 1000.0)
+            if self._sent_any and delay:
+                time.sleep(delay)
             self._sent_any = True
+            delay = base_delay
             try:
                 response = self.session.post(
                     self.config.endpoint,
@@ -307,6 +326,10 @@ class _ChatClient:
                 continue
             if response.status_code != 200:
                 last_error = f"HTTP {response.status_code}: {response.text[:200]}"
+                if response.status_code in (429, 503):
+                    retry_after = _retry_after_s(response.headers.get("Retry-After"))
+                    if retry_after is not None:
+                        delay = max(base_delay, min(retry_after, self.config.timeout_s))
                 if response.status_code == 429 or response.status_code >= 500:
                     continue
                 raise ProviderError(f"provider at {self.config.endpoint} refused the "

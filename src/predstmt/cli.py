@@ -4,7 +4,8 @@ Subcommands: stats, cv, balance, emotion, kappa. One JSON config file can
 set everything; flags override it. Every output file embeds the resolved
 config hash and seed, and contains no timestamps, so reruns with the same
 tag are byte-identical. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 provider error.
+error, 3 provider error. Only cv loads numpy, through evaluation, which
+it imports when it runs; the other commands start without it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .augment import (
     balance,
     compute_plan,
 )
+from .config import MODEL_KINDS, TfidfConfig, TrainConfig
 from .corpus import (
     LABEL_NAMES,
     DataError,
     Task,
+    cohen_kappa,
     distribution,
     from_dict,
     load_dataset,
@@ -41,16 +44,6 @@ from .corpus import (
     save_dataset,
 )
 from .emotion import aggregate, bundled_lexicon_path, load_lexicon, render_markdown
-from .evaluation import (
-    MODEL_KINDS,
-    classification_report,
-    cohen_kappa,
-    cross_validate,
-    report_headline,
-    summary_table,
-)
-from .features import TfidfConfig
-from .models import TrainConfig
 from .preprocess import CleanConfig
 
 EXIT_OK = 0
@@ -244,7 +237,16 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cross_validate(*args, **kwargs):
+    """evaluation.cross_validate, imported on first call: only cv loads numpy."""
+    from .evaluation import cross_validate
+
+    return cross_validate(*args, **kwargs)
+
+
 def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .evaluation import classification_report, report_headline, summary_table
+
     dataset = _load_required_dataset(cfg)
     task = Task(cfg.task)
     payloads = {}

@@ -1,0 +1,54 @@
+"""Feature and training settings, free of numpy.
+
+The CLI parses and hashes these for every command, so they live apart from
+features, models and evaluation, which load numpy and which only `cv`
+needs. features and models import them from here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .corpus import DataError
+
+#: Model kinds cross_validate accepts, in the CLI's default order.
+MODEL_KINDS = ("logreg", "svm", "rf")
+
+
+@dataclass(frozen=True)
+class TfidfConfig:
+    min_df: int = 1
+    max_features: int | None = None
+    sublinear_tf: bool = False
+
+    def __post_init__(self) -> None:
+        if self.min_df < 1:
+            raise DataError(f"min_df must be >= 1, got {self.min_df}")
+        if self.max_features is not None and self.max_features < 1:
+            raise DataError(f"max_features must be >= 1, got {self.max_features}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Shared training settings.
+
+    n_trees, max_depth, min_samples_leaf and bootstrap apply to the forest only.
+    """
+
+    learning_rate: float = 0.1
+    epochs: int = 100
+    l2: float = 1e-4
+    seed: int = 0
+    n_trees: int = 100
+    max_depth: int = 16
+    min_samples_leaf: int = 2
+    bootstrap: bool = True
+
+    def __post_init__(self) -> None:
+        if self.learning_rate <= 0:
+            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.l2 < 0:
+            raise DataError(f"l2 must be non-negative, got {self.l2}")
+        for name in ("epochs", "n_trees", "max_depth", "min_samples_leaf"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -1,9 +1,11 @@
-"""Tweet corpus schema, loading, label statistics, and stratified fold assignment.
+"""Tweet corpus schema, loading, label statistics, stratified folds and agreement.
 
 A corpus is a flat collection of annotated tweet documents. Each document may
 carry a binary predictiveness label (task 1) and, when predictive, a movement
 direction label (task 2). Documents are either scraped originals or synthetic
-paraphrases pointing back at an original parent.
+paraphrases pointing back at an original parent. Annotations record each
+annotator's judgement, and cohen_kappa measures how far two raters agree.
+Like every module the offline commands use, this one needs no numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import typing
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 
 class DataError(ValueError):
@@ -191,10 +193,42 @@ _TASKS = {int(task): task for task in Task}
 _LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
 _COINS = {coin.value: coin for coin in Coin}
 _SOURCES = {source.value: source for source in Source}
+# Members the loader compares against on every record. Reading a member off
+# its Enum class costs several times a global lookup (a descriptor call in
+# Python 3.11), so the per-record path reads these.
+_ORIGINAL, _SYNTHETIC, _PREDICTIVE = Source.ORIGINAL, Source.SYNTHETIC, Task1Label.PREDICTIVE
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked_annotation(annotator: object, task: object, label: object) -> tuple[Task, IntEnum]:
+    """The Task and label members of an annotation's fields; DataError if one is invalid."""
+    if not isinstance(annotator, str) or not annotator:
+        raise DataError("annotation requires a non-empty annotator id")
+    if not _is_int(task):
+        raise DataError(f"annotation task must be an integer, got {task!r}")
+    member = _TASKS.get(task)
+    if member is None:
+        raise DataError(f"unknown task {task!r} in annotation")
+    if not _is_int(label):
+        raise DataError(f"annotation label must be an integer, got {label!r}")
+    label_member = _LABELS[member].get(label)
+    if label_member is None:
+        raise DataError(f"unknown label code {label!r} for task {int(member)}")
+    return member, label_member
+
+
+def _prechecked(cls: type[_C], fields: dict) -> _C:
+    """An instance of the frozen dataclass cls holding fields as given.
+
+    For the loader only, which has already made every check of cls's
+    __post_init__ on these fields, with the same messages.
+    """
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -206,20 +240,59 @@ class Annotation:
     label: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.annotator, str) or not self.annotator:
-            raise DataError("annotation requires a non-empty annotator id")
-        if not _is_int(self.task):
-            raise DataError(f"annotation task must be an integer, got {self.task!r}")
-        task = _TASKS.get(self.task)
-        if task is None:
-            raise DataError(f"unknown task {self.task!r} in annotation")
-        if not _is_int(self.label):
-            raise DataError(f"annotation label must be an integer, got {self.label!r}")
-        label = _LABELS[task].get(self.label)
-        if label is None:
-            raise DataError(f"unknown label code {self.label!r} for task {int(task)}")
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "label", label)
+        task, label = _checked_annotation(self.annotator, self.task, self.label)
+        self.__dict__.update(task=task, label=label)  # frozen: bypass __setattr__
+
+
+def cohen_kappa(a: Sequence[int], b: Sequence[int]) -> float:
+    """Chance-corrected agreement (p0 - pe) / (1 - pe) between two raters."""
+    if len(a) != len(b):
+        raise DataError(f"annotation lengths differ: {len(a)} vs {len(b)}")
+    if not a:
+        raise DataError("cannot compute kappa on empty annotations")
+    n = len(a)
+    agree = sum(1 for x, y in zip(a, b) if x == y)
+    p0 = agree / n
+    labels = set(a) | set(b)
+    count_a = {lab: 0 for lab in labels}
+    count_b = {lab: 0 for lab in labels}
+    for x in a:
+        count_a[x] += 1
+    for y in b:
+        count_b[y] += 1
+    pe = sum((count_a[lab] / n) * (count_b[lab] / n) for lab in labels)
+    if pe >= 1.0:
+        if p0 == 1.0:
+            return 1.0
+        raise DataError("chance agreement is 1 but raters disagree")
+    return (p0 - pe) / (1.0 - pe)
+
+
+def _checked_labels(doc_id: str, task1: object, task2: object, source: Source,
+                    parent_id: str | None) -> tuple[IntEnum | None, IntEnum | None]:
+    """A document's label members, after its label and provenance checks."""
+    if task1 is not None:
+        task1 = _coerce_label(task1, 1, doc_id)
+    if task2 is not None:
+        task2 = _coerce_label(task2, 2, doc_id)
+        if task1 is not _PREDICTIVE:
+            raise DataError(
+                f"document {doc_id!r}: direction label requires task1 == 1 (predictive)"
+            )
+    if source is _SYNTHETIC and not parent_id:
+        raise DataError(f"document {doc_id!r}: synthetic documents require a parent_id")
+    if source is _ORIGINAL and parent_id is not None:
+        raise DataError(f"document {doc_id!r}: original documents must not carry a parent_id")
+    return task1, task2
+
+
+def _coerce_label(value: object, task: int, doc_id: str) -> IntEnum:
+    if type(value) is not int and not _is_int(value):  # a plain int needs no second look
+        raise DataError(f"document {doc_id!r}: task{task} label must be an integer")
+    member = _LABELS[task].get(value)
+    if member is None:
+        raise DataError(f"document {doc_id!r}: unknown label code {value!r} for task {task}")
+    return member
 
 
 @dataclass(frozen=True)
@@ -244,19 +317,11 @@ class Document:
             raise DataError("document id must be a non-empty string")
         if not isinstance(self.text, str) or not self.text:
             raise DataError(f"document {self.id!r}: text must be a non-empty string")
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        if self.task1 is not None:
-            object.__setattr__(self, "task1", _coerce_label(self.task1, Task.PREDICTIVENESS, self.id))
-        if self.task2 is not None:
-            object.__setattr__(self, "task2", _coerce_label(self.task2, Task.DIRECTION, self.id))
-            if self.task1 is not Task1Label.PREDICTIVE:
-                raise DataError(
-                    f"document {self.id!r}: direction label requires task1 == 1 (predictive)"
-                )
-        if self.source is Source.SYNTHETIC and not self.parent_id:
-            raise DataError(f"document {self.id!r}: synthetic documents require a parent_id")
-        if self.source is Source.ORIGINAL and self.parent_id is not None:
-            raise DataError(f"document {self.id!r}: original documents must not carry a parent_id")
+        annotations = tuple(self.annotations)
+        task1, task2 = _checked_labels(self.id, self.task1, self.task2, self.source,
+                                       self.parent_id)
+        # frozen: bypass __setattr__
+        self.__dict__.update(task1=task1, task2=task2, annotations=annotations)
 
     def label(self, task: Task) -> int | None:
         """Gold label code for the given task, or None when unlabeled."""
@@ -267,16 +332,6 @@ class Document:
         else:
             raise ValueError(f"{task!r} is not a valid Task")
         return None if value is None else int(value)
-
-
-def _coerce_label(value: object, task: Task, doc_id: str) -> IntEnum:
-    if not _is_int(value):
-        raise DataError(f"document {doc_id!r}: task{int(task)} label must be an integer")
-    member = _LABELS[task].get(value)
-    if member is None:
-        raise DataError(
-            f"document {doc_id!r}: unknown label code {value!r} for task {int(task)}")
-    return member
 
 
 @dataclass(frozen=True)
@@ -364,61 +419,66 @@ def _doc_to_record(doc: Document) -> dict:
     }
 
 
+def _annotation_from_record(rec: object) -> Annotation:
+    if not isinstance(rec, dict):
+        raise DataError("each annotation must be an object")
+    annotator = rec.get("annotator", "")
+    task, label = _checked_annotation(annotator, rec.get("task"), rec.get("label"))
+    return _prechecked(Annotation, {"annotator": annotator, "task": task, "label": label})
+
+
 def _doc_from_record(rec: object) -> Document:
-    """Validate one parsed record; the caller prefixes errors with their location."""
+    """Validate one parsed record; the caller prefixes errors with their location.
+
+    Each field is checked once, here: first its JSON type, then Document's
+    own checks in the order Document(...) makes them, so a record fails
+    with the message the constructor would give. The checked fields then
+    become the Document without running those checks again.
+    """
     if not isinstance(rec, dict):
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
-    unknown = rec.keys() - _COLUMN_SET
-    if unknown:
-        raise DataError(f"unknown fields {sorted(unknown)}")
-    doc_id = rec.get("id")
+    if not _COLUMN_SET.issuperset(rec):
+        raise DataError(f"unknown fields {sorted(rec.keys() - _COLUMN_SET)}")
+    get = rec.get
+    doc_id = get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise DataError("'id' must be a non-empty string")
-    text = rec.get("text")
+    text = get("text")
     if not isinstance(text, str):
         raise DataError("'text' must be a string")
 
-    coin_raw = rec.get("coin")
+    coin_raw = get("coin")
     coin: Coin | None = None
     if coin_raw is not None:
         coin = _COINS.get(coin_raw) if isinstance(coin_raw, str) else None
         if coin is None:
             raise DataError(f"unknown coin {coin_raw!r}")
 
-    source_raw = rec.get("source")
-    source = Source.ORIGINAL
+    source_raw = get("source")
+    source = _ORIGINAL
     if source_raw is not None:
         source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
         if source is None:
             raise DataError(f"unknown source {source_raw!r}")
 
-    parent_id = rec.get("parent_id")
+    parent_id = get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
         raise DataError("'parent_id' must be a string or null")
 
-    anns_raw = rec.get("annotations")
-    if anns_raw is None:
-        anns_raw = []
-    elif not isinstance(anns_raw, list):
-        raise DataError("'annotations' must be a list")
-    annotations = []
-    for a in anns_raw:
-        if not isinstance(a, dict):
-            raise DataError("each annotation must be an object")
-        annotations.append(
-            Annotation(annotator=a.get("annotator", ""), task=a.get("task"), label=a.get("label"))
-        )
+    anns_raw = get("annotations")
+    annotations: tuple[Annotation, ...] = ()
+    if anns_raw is not None:
+        if not isinstance(anns_raw, list):
+            raise DataError("'annotations' must be a list")
+        annotations = tuple(map(_annotation_from_record, anns_raw))
 
-    return Document(
-        id=doc_id,
-        text=text,
-        coin=coin,
-        task1=rec.get("task1"),
-        task2=rec.get("task2"),
-        source=source,
-        parent_id=parent_id,
-        annotations=tuple(annotations),
-    )
+    if not text:
+        raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+    task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
+    return _prechecked(Document, {
+        "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
+        "source": source, "parent_id": parent_id, "annotations": annotations,
+    })
 
 
 def _invalid_json(reason: str) -> DataError:

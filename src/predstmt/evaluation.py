@@ -1,4 +1,4 @@
-"""Metrics, agreement, and the cross-validated experiment harness.
+"""Metrics and the cross-validated experiment harness.
 
 Confusion matrices are gold-by-predicted count tables. Per-class precision,
 recall, and F1 use the zero-division-to-zero convention; macro metrics are
@@ -14,18 +14,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import MODEL_KINDS, TfidfConfig, TrainConfig
 from .corpus import LABEL_NAMES, DataError, Dataset, Task, stratified_folds
-from .features import TfidfConfig, fit_tfidf, transform_many
+from .corpus import cohen_kappa  # noqa: F401  re-exported for evaluation.cohen_kappa callers
+from .features import fit_tfidf, transform_many
 from .models import (
-    TrainConfig,
     predict_many,
     train_logreg,
     train_random_forest,
     train_svm_linear,
 )
 from .preprocess import DEFAULT_CLEAN, CleanConfig, preprocess
-
-MODEL_KINDS = ("logreg", "svm", "rf")
 
 _TRAINERS = {
     "logreg": train_logreg,
@@ -176,30 +175,6 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         weighted_f1=sum(w * m.f1 for w, m in zip(weight, values)),
         n_classes=k,
     )
-
-
-def cohen_kappa(a: Sequence[int], b: Sequence[int]) -> float:
-    """Chance-corrected agreement (p0 - pe) / (1 - pe) between two raters."""
-    if len(a) != len(b):
-        raise DataError(f"annotation lengths differ: {len(a)} vs {len(b)}")
-    if not a:
-        raise DataError("cannot compute kappa on empty annotations")
-    n = len(a)
-    agree = sum(1 for x, y in zip(a, b) if x == y)
-    p0 = agree / n
-    labels = set(a) | set(b)
-    count_a = {lab: 0 for lab in labels}
-    count_b = {lab: 0 for lab in labels}
-    for x in a:
-        count_a[x] += 1
-    for y in b:
-        count_b[y] += 1
-    pe = sum((count_a[lab] / n) * (count_b[lab] / n) for lab in labels)
-    if pe >= 1.0:
-        if p0 == 1.0:
-            return 1.0
-        raise DataError("chance agreement is 1 but raters disagree")
-    return (p0 - pe) / (1.0 - pe)
 
 
 # ---------------------------------------------------------------------------

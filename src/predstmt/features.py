@@ -32,19 +32,7 @@ from .corpus import (
     reject_unknown_keys,
     require_field,
 )
-
-
-@dataclass(frozen=True)
-class TfidfConfig:
-    min_df: int = 1
-    max_features: int | None = None
-    sublinear_tf: bool = False
-
-    def __post_init__(self) -> None:
-        if self.min_df < 1:
-            raise DataError(f"min_df must be >= 1, got {self.min_df}")
-        if self.max_features is not None and self.max_features < 1:
-            raise DataError(f"max_features must be >= 1, got {self.max_features}")
+from .config import TfidfConfig
 
 
 class SparseBatch:
@@ -212,6 +200,14 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _max_idf(n_docs: int) -> float:
+    """The largest idf fit_tfidf gives on n_docs documents: that of a term in one of them."""
+    try:
+        return math.log((1 + n_docs) / 2) + 1.0  # fit_tfidf's expression at df = 1
+    except OverflowError:  # more documents than a float can count
+        return math.log(1 + n_docs) - math.log(2) + 1.0
+
+
 def load_tfidf(path: str | Path) -> TfidfModel:
     """Read a model written by save_tfidf; any schema violation raises DataError."""
     path = Path(path)
@@ -239,6 +235,10 @@ def load_tfidf(path: str | Path) -> TfidfModel:
         raise DataError(f"{path}: doc_freq entries must be integers in [1, n_docs]")
     if not all(map(is_finite_number, idf)):
         raise DataError(f"{path}: idf entries must be finite numbers")
+    top = _max_idf(n_docs)
+    if not all(1 <= value <= top for value in idf):
+        raise DataError(f"{path}: idf entries must lie in [1, {top!r}], "
+                        "the range a fit on n_docs documents gives")
     try:
         tfidf_config = from_dict(TfidfConfig, config, "config")
     except DataError as exc:

@@ -43,34 +43,12 @@ from .corpus import (
     reject_unknown_keys,
     require_field,
 )
+from .config import TrainConfig
 from .features import SparseBatch
 
 KIND_LOGREG = "logreg"
 KIND_SVM = "svm_linear"
 KIND_FOREST = "random_forest"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Shared training settings; forest_* fields apply to the forest only."""
-
-    learning_rate: float = 0.1
-    epochs: int = 100
-    l2: float = 1e-4
-    seed: int = 0
-    n_trees: int = 100
-    max_depth: int = 16
-    min_samples_leaf: int = 2
-    bootstrap: bool = True
-
-    def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise DataError(f"l2 must be non-negative, got {self.l2}")
-        for name in ("epochs", "n_trees", "max_depth", "min_samples_leaf"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

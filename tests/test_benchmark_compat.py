@@ -34,3 +34,23 @@ def test_traced_cv_observes_every_layer(tmp_path):
     for name in ("features.docs", "features.nnz", "features.dim", "models.logreg.epochs_moved",
                  "models.svm.steps", "models.forest.nodes"):
         assert counters.get(name, 0) > 0, name
+
+
+def test_traced_text_path_observes_every_layer(tmp_path):
+    save_dataset(build_planted_dataset(Task.DIRECTION, {1: 12, 2: 10, 3: 8}, seed=5),
+                 tmp_path / "corpus.jsonl")
+    traced = [sys.executable, str(ROOT / "perfbench" / "traced.py")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    spans = {}
+    for command in (["balance", "--task", "2", "--dataset", "corpus.jsonl"],
+                    ["emotion", "--dataset", "out/balance/r/balanced.jsonl"]):
+        argv = traced + [f"{command[0]}.json", *command, "--out", "out", "--tag", "r"]
+        proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((tmp_path / f"{command[0]}.json").read_text())
+        assert [name for name in record["counters"] if name.endswith(".unobserved")] == []
+        for name, start, end, _ in record["spans"]:
+            spans[name] = spans.get(name, 0.0) + end - start
+    for name in ("corpus.load_dataset", "augment.balance", "emotion.aggregate"):
+        assert spans.get(name, 0.0) > 0, name

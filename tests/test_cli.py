@@ -602,6 +602,35 @@ def test_offline_commands_never_import_requests(planted_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_only_cv_imports_numpy(planted_path, tmp_path):
+    """numpy is loaded by features, models and evaluation, which only cv reaches."""
+    src = Path(cli.__file__).resolve().parents[1]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_annotations(a, {"d1": 0, "d2": 1, "d3": 1})
+    write_annotations(b, {"d1": 0, "d2": 1, "d3": 0})
+    script = (
+        "import sys\n"
+        "import predstmt.cli\n"
+        "assert 'numpy' not in sys.modules, 'imported by predstmt.cli'\n"
+        "import predstmt\n"
+        "assert 'numpy' not in sys.modules, 'imported by predstmt'\n"
+        "out, data, a, b = sys.argv[1:]\n"
+        "for argv in (['stats', '--dataset', data], ['balance', '--dataset', data],\n"
+        "             ['emotion', '--dataset', data], ['kappa', a, b]):\n"
+        "    assert predstmt.cli.main(argv + ['--out', out]) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, f'imported by {argv[0]}'\n"
+        "argv = ['cv', '--dataset', data, '--model', 'logreg', '--k', '3', '--out', out]\n"
+        "assert predstmt.cli.main(argv) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o"), str(planted_path),
+                           str(a), str(b)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "| logreg |" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # property test: whatever a config file holds, the CLI fails cleanly
 

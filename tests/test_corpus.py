@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predstmt import (
     Annotation,
@@ -20,6 +22,7 @@ from predstmt import (
     save_dataset,
     stratified_folds,
 )
+from predstmt.corpus import _doc_from_record
 
 
 def doc(i="d1", text="ada looks strong today", **kw):
@@ -230,6 +233,92 @@ class TestJsonl:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataError, match="format"):
             load_dataset(tmp_path / "data.parquet")
+
+
+def _reference_doc_from_record(rec: object) -> Document:
+    """The loader before it checked each field once: its own checks, then Document(...)."""
+    if not isinstance(rec, dict):
+        raise DataError(f"expected a JSON object, got {type(rec).__name__}")
+    unknown = rec.keys() - {"id", "text", "coin", "task1", "task2", "source", "parent_id",
+                            "annotations"}
+    if unknown:
+        raise DataError(f"unknown fields {sorted(unknown)}")
+    doc_id = rec.get("id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise DataError("'id' must be a non-empty string")
+    text = rec.get("text")
+    if not isinstance(text, str):
+        raise DataError("'text' must be a string")
+    coin_raw = rec.get("coin")
+    coin = None
+    if coin_raw is not None:
+        coin = {c.value: c for c in Coin}.get(coin_raw) if isinstance(coin_raw, str) else None
+        if coin is None:
+            raise DataError(f"unknown coin {coin_raw!r}")
+    source_raw = rec.get("source")
+    source = Source.ORIGINAL
+    if source_raw is not None:
+        source = {s.value: s for s in Source}.get(source_raw) \
+            if isinstance(source_raw, str) else None
+        if source is None:
+            raise DataError(f"unknown source {source_raw!r}")
+    parent_id = rec.get("parent_id")
+    if parent_id is not None and not isinstance(parent_id, str):
+        raise DataError("'parent_id' must be a string or null")
+    anns_raw = rec.get("annotations")
+    if anns_raw is None:
+        anns_raw = []
+    elif not isinstance(anns_raw, list):
+        raise DataError("'annotations' must be a list")
+    annotations = []
+    for a in anns_raw:
+        if not isinstance(a, dict):
+            raise DataError("each annotation must be an object")
+        annotations.append(
+            Annotation(annotator=a.get("annotator", ""), task=a.get("task"), label=a.get("label")))
+    return Document(id=doc_id, text=text, coin=coin, task1=rec.get("task1"),
+                    task2=rec.get("task2"), source=source, parent_id=parent_id,
+                    annotations=tuple(annotations))
+
+
+_FIELD_VALUES = {
+    "id": ["a", "", 5, None, ["a"]],
+    "text": ["t", "", 3, None],
+    "coin": [None, "ADA", "Other", "DOGE", ["ADA"], 1],
+    "task1": [None, 0, 1, 2, True, 1.0, "1", [1]],
+    "task2": [None, 1, 2, 3, 4, 0, False, 2.0],
+    "source": [None, "original", "synthetic", "scraped", 1],
+    "parent_id": [None, "p", "", 3],
+    "annotations": [None, [], {}, "", [1], [{"annotator": "x", "task": 1, "label": 1}],
+                    [{"task": 2, "label": 3}], [{"annotator": "y", "task": 2, "label": 9}],
+                    [{"annotator": "z", "task": True, "label": 1}],
+                    [{"annotator": "x", "task": 2, "label": 1}, {"annotator": 7}]],
+    "zz": [1],
+}
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(
+    st.fixed_dictionaries({}, optional={key: st.sampled_from(values)
+                                        for key, values in _FIELD_VALUES.items()}),
+    st.sampled_from([[1], "x", None, 3])))
+def test_loader_agrees_with_document_constructor(rec):
+    """Same Document, or the same error message, as the checks-then-construct loader."""
+    try:
+        expected = _reference_doc_from_record(rec)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            _doc_from_record(rec)
+        assert str(info.value) == str(exc)
+        return
+    loaded = _doc_from_record(rec)
+    assert loaded == expected
+    assert vars(loaded) == vars(expected)
+    for field in ("task1", "task2", "coin", "source"):
+        assert getattr(loaded, field) is getattr(expected, field)
+    for ann, ref in zip(loaded.annotations, expected.annotations, strict=True):
+        assert (ann.task, ann.label) == (ref.task, ref.label)
+        assert type(ann.task) is type(ref.task) and type(ann.label) is type(ref.label)
 
 
 class TestRoundTrip:

@@ -222,6 +222,8 @@ class TestPersistence:
         {"config": {"sublinear_tf": "no"}},
         {"config": {"max_features": 2.5}},
         {"idf": [1.0, 10 ** 400, 1.4]},  # past the float range
+        {"idf": [0.5, 1.4, 1.4]},  # below the idf of a term in every document
+        {"idf": [1.0, 1.41, 1.4]},  # above the idf of a term in one document
         {"vocabulary": {}},  # unknown key
     ])
     def test_malformed_payload_is_data_error(self, tmp_path, change):
@@ -237,6 +239,31 @@ class TestPersistence:
         with pytest.raises(DataError) as info:
             load_tfidf(path)
         assert "\n" not in str(info.value)
+
+    def test_idf_past_what_a_fit_gives_is_rejected(self, tmp_path):
+        # 1e308 on a term counted twice used to load, then fail in transform with
+        # "vector values must be finite" once tf * idf overflowed
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(TWO_DOCS), path)
+        payload = json.loads(path.read_text())
+        payload["idf"][payload["terms"].index("up")] = 1e308
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as info:
+            load_tfidf(path)
+        assert str(info.value) == (f"{path}: idf entries must lie in [1, {math.log(3 / 2) + 1!r}], "
+                                   "the range a fit on n_docs documents gives")
+
+    def test_idf_bound_holds_for_counts_past_the_float_range(self, tmp_path):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(TWO_DOCS), path)
+        payload = json.loads(path.read_text())
+        payload["n_docs"], payload["idf"] = 10 ** 400, [1.0, 900.0, 1e308]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="idf entries must lie in"):
+            load_tfidf(path)
+        payload["idf"] = [1.0, 900.0, 900.0]
+        path.write_text(json.dumps(payload))
+        assert load_tfidf(path).idf == (1.0, 900.0, 900.0)
 
     @pytest.mark.parametrize("text", ['{"kind": "tfidf"}', '["tfidf"]', '"tfidf"'])
     def test_payload_without_fields_is_data_error(self, tmp_path, text):
@@ -326,7 +353,7 @@ class TestTransformMany:
         path = tmp_path / "tfidf.json"
         save_tfidf(fit_tfidf(TWO_DOCS), path)
         payload = json.loads(path.read_text())
-        payload["idf"] = [1, 3, 2.5]
+        payload["n_docs"], payload["idf"] = 20, [1, 3, 2.5]  # idf may reach 1 + ln(21 / 2)
         path.write_text(json.dumps(payload))
         model = load_tfidf(path)
         self.assert_equals_per_document(model, [["up", "btc", "down", "up"], ["down"], []])

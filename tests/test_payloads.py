@@ -116,7 +116,4 @@ def test_any_payload_loads_or_is_one_line_data_error(tmp_path_factory, payload):
             empty = SparseBatch([0, 0], [], [], loaded.n_features)
             assert predict_many(loaded, empty)[0] in loaded.class_codes
         else:
-            try:
-                assert len(transform(loaded, list(loaded.terms))) == 1
-            except DataError as exc:  # tf * idf past the float range
-                assert "finite" in str(exc)
+            assert len(transform(loaded, list(loaded.terms))) == 1

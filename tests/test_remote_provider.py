@@ -16,6 +16,7 @@ from predstmt import (
     Task2Label,
     llm_label,
 )
+from predstmt import augment
 from predstmt.augment import default_label_template
 
 KEY_ENV = "PREDSTMT_TEST_KEY"
@@ -45,6 +46,8 @@ class _Handler(BaseHTTPRequestHandler):
             status = action[1]
             data = (action[2] if len(action) > 2 else "error").encode()
         self.send_response(status)
+        for name, value in (action[3] if len(action) > 3 else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -184,6 +187,39 @@ class TestRemoteParaphraser:
         assert elapsed >= 0.07
         gap = server.requests[1]["at"] - server.requests[0]["at"]
         assert gap >= 0.07
+
+    @pytest.mark.parametrize("status, header, delay_ms, slept", [
+        (429, "2", 0, 2.0),  # honoured
+        (503, "1.5", 0, 1.5),
+        (503, "120", 0, 5.0),  # capped at timeout_s
+        (429, "0", 250, 0.25),  # never shorter than the request delay
+    ], ids=["429", "503-fraction", "capped", "delay-floor"])
+    def test_retry_after_sets_the_wait(self, server, api_key, monkeypatch,
+                                       status, header, delay_ms, slept):
+        sleeps = []
+        monkeypatch.setattr(augment.time, "sleep", sleeps.append)
+        server.script = [("status", status, "busy", {"Retry-After": header}), ("ok", "done")]
+        config = make_config(server, request_delay_ms=delay_ms, timeout_s=5.0)
+        assert RemoteParaphraser(config).paraphrase("text here", 1) == ["done"]
+        assert sleeps == [slept]
+
+    @pytest.mark.parametrize("header", ["soon", "Wed, 21 Oct 2015 07:28:00 GMT", "-3", "nan",
+                                        "inf", ""])
+    def test_unparseable_retry_after_keeps_the_request_delay(self, server, api_key,
+                                                              monkeypatch, header):
+        sleeps = []
+        monkeypatch.setattr(augment.time, "sleep", sleeps.append)
+        server.script = [("status", 429, "busy", {"Retry-After": header}), ("ok", "done")]
+        provider = RemoteParaphraser(make_config(server, request_delay_ms=40))
+        assert provider.paraphrase("text here", 1) == ["done"]
+        assert sleeps == [0.04]
+
+    def test_retry_after_only_on_429_and_503(self, server, api_key, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(augment.time, "sleep", sleeps.append)
+        server.script = [("status", 500, "boom", {"Retry-After": "3"}), ("ok", "done")]
+        assert RemoteParaphraser(make_config(server)).paraphrase("text here", 1) == ["done"]
+        assert sleeps == []
 
     def test_zero_request_returns_empty(self, server, api_key):
         assert RemoteParaphraser(make_config(server)).paraphrase("text", 0) == []
