@@ -450,12 +450,16 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
     shortfall: dict[int, int] = {}
     request_counter = 0
     serial = 0
+    parents_of: dict[int, list[Document]] = {code: [] for code in plan.needed}
+    original = Source.ORIGINAL
+    for doc in dataset:  # one pass; each class keeps corpus order
+        if doc.source is original:
+            parents = parents_of.get(doc.label(task))
+            if parents is not None:
+                parents.append(doc)
     for code in sorted(plan.needed):
         needed = plan.needed[code]
-        parents = [
-            doc for doc in dataset
-            if doc.source is Source.ORIGINAL and doc.label(task) == code
-        ]
+        parents = parents_of[code]
         if not parents:
             shortfall[code] = needed
             continue

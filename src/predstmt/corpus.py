@@ -193,10 +193,11 @@ _TASKS = {int(task): task for task in Task}
 _LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
 _COINS = {coin.value: coin for coin in Coin}
 _SOURCES = {source.value: source for source in Source}
-# Members the loader compares against on every record. Reading a member off
-# its Enum class costs several times a global lookup (a descriptor call in
-# Python 3.11), so the per-record path reads these.
+# Members the loader and Document.label compare against on every record.
+# Reading a member off its Enum class costs several times a global lookup (a
+# descriptor call in Python 3.11), so the per-record path reads these.
 _ORIGINAL, _SYNTHETIC, _PREDICTIVE = Source.ORIGINAL, Source.SYNTHETIC, Task1Label.PREDICTIVE
+_PREDICTIVENESS, _DIRECTION = Task.PREDICTIVENESS, Task.DIRECTION
 
 
 def _is_int(value: object) -> bool:
@@ -325,9 +326,9 @@ class Document:
 
     def label(self, task: Task) -> int | None:
         """Gold label code for the given task, or None when unlabeled."""
-        if task == Task.PREDICTIVENESS:
+        if task == _PREDICTIVENESS:
             value = self.task1
-        elif task == Task.DIRECTION:
+        elif task == _DIRECTION:
             value = self.task2
         else:
             raise ValueError(f"{task!r} is not a valid Task")
@@ -515,6 +516,27 @@ def load_dataset(path: str | Path, fmt: str | None = None, name: str | None = No
     return Dataset(documents=tuple(docs), name=name or path.stem)
 
 
+#: The C scanner under json.loads, called without loads' per-call wrappers.
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def _parse_line(line: str) -> object:
+    """The value parse_json(line, _invalid_json) gives, or the error it raises.
+
+    The scanner alone takes a line that is one JSON value from its first
+    character to its end or its newline. Any other line (leading whitespace,
+    a BOM, trailing text, malformed JSON) goes through parse_json, so every
+    error message stays json.loads'.
+    """
+    try:
+        value, end = _SCAN_JSON(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # no value at 0, or a malformed one
+        return parse_json(line, _invalid_json)
+    if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+        return value
+    return parse_json(line, _invalid_json)
+
+
 def _read_jsonl(path: Path) -> list[Document]:
     docs: list[Document] = []
     with path.open(encoding="utf-8") as fh:
@@ -522,7 +544,7 @@ def _read_jsonl(path: Path) -> list[Document]:
             if not line.strip():
                 continue
             try:
-                docs.append(_doc_from_record(parse_json(line, _invalid_json)))
+                docs.append(_doc_from_record(_parse_line(line)))
             except DataError as exc:
                 raise DataError(f"{path.name}:{lineno}: {exc}") from None
     return docs

@@ -19,6 +19,8 @@ from .corpus import LABEL_NAMES, DataError, Dataset, Task, stratified_folds
 from .corpus import cohen_kappa  # noqa: F401  re-exported for evaluation.cohen_kappa callers
 from .features import fit_tfidf, transform_many
 from .models import (
+    ForestModel,
+    forest_size,
     predict_many,
     train_logreg,
     train_random_forest,
@@ -190,6 +192,7 @@ class CvReport:
     per_fold: tuple[MetricsReport, ...]
     pooled: MetricsReport
     fold_sizes: tuple[int, ...]
+    forest_sizes: tuple[dict, ...] = ()  # forest_size of each fold's model; rf only
 
     def fold_means(self) -> dict[str, float]:
         """Unweighted means of the headline metrics across folds."""
@@ -197,6 +200,9 @@ class CvReport:
                 for name in HEADLINE}
 
     def to_dict(self) -> dict:
+        per_fold = [r.to_dict() for r in self.per_fold]
+        for fold, size in zip(per_fold, self.forest_sizes):
+            fold["forest"] = size
         return {
             "task": int(self.task),
             "model_kind": self.model_kind,
@@ -204,7 +210,7 @@ class CvReport:
             "seed": self.seed,
             "train_config": asdict(self.train_config),
             "fold_sizes": list(self.fold_sizes),
-            "per_fold": [r.to_dict() for r in self.per_fold],
+            "per_fold": per_fold,
             "fold_means": self.fold_means(),
             "pooled": self.pooled.to_dict(),
         }
@@ -231,6 +237,7 @@ def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: Tra
 
     per_fold = []
     fold_sizes = []
+    forest_sizes = []
     pooled_counts = np.zeros((len(class_codes), len(class_codes)), dtype=np.int64)
     for fold in range(k):
         train_docs = [d for d in docs if assignment.folds[d.id] != fold]
@@ -240,6 +247,8 @@ def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: Tra
         x_train = transform_many(tfidf, [tokens[d.id] for d in train_docs])
         y_train = [labels[d.id] for d in train_docs]
         model = _TRAINERS[model_kind](x_train, y_train, train_cfg)
+        if isinstance(model, ForestModel):
+            forest_sizes.append(forest_size(model))
         x_test = transform_many(tfidf, [tokens[d.id] for d in test_docs])
         y_test = [labels[d.id] for d in test_docs]
         predictions = predict_many(model, x_test)
@@ -256,6 +265,7 @@ def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: Tra
         per_fold=tuple(per_fold),
         pooled=pooled,
         fold_sizes=tuple(fold_sizes),
+        forest_sizes=tuple(forest_sizes),
     )
 
 

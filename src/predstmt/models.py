@@ -12,10 +12,15 @@ the CSR arrays of a features.SparseBatch directly:
   a hinge-active step touches v, on the row's nonzero columns
   (Shalev-Shwartz et al., Math. Prog. 2011);
 * a random forest of CART trees split on Gini impurity decrease over
-  random feature subsets. A node's split search reads only its rows'
-  nonzeros on the sampled features, plus one weighted entry per feature for
-  the rows where it is zero, and sorts them once; no dense matrix is built
-  (sparsity-aware split finding, Chen & Guestrin, KDD 2016).
+  random feature subsets (Breiman, Machine Learning 2001). All trees of a
+  fit grow together, one depth level per step, over one column-major view
+  of the batch: a step reads, for every node it may split, the nonzeros of
+  the node's sampled columns whose row is in the node, plus one weighted
+  entry per (node, feature) for the node's rows where the feature is zero.
+  Each column's entries are sorted by value once per fit, so no step sorts
+  and no dense matrix is built (sparsity-aware, column-block split finding,
+  Chen & Guestrin, KDD 2016). A node's features are drawn from a stream
+  keyed by the node itself, so a tree does not depend on growth order.
 
 predict_many classifies a whole batch at once; a forest sends all the rows
 that reach a tree node left or right together. predict and predict_proba
@@ -287,107 +292,242 @@ def gini(counts: Sequence[float]) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _grow_tree(X: SparseBatch, y_idx: np.ndarray, rows: np.ndarray, mult: np.ndarray, depth: int,
-               k: int, cfg: TrainConfig, n_sub: int, rng: np.random.Generator) -> TreeNode:
-    """Grow one CART node over the distinct rows `rows`, row i counted mult[i] times.
+def _column_view(X: SparseBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X column-major: column j's rows and values sit at col_ptr[j]:col_ptr[j + 1], by value."""
+    by_column = np.lexsort((X.data, X.indices))
+    col_ptr = np.zeros(X.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(X.indices, minlength=X.dim), out=col_ptr[1:])
+    col_rows = np.repeat(np.arange(len(X)), np.diff(X.indptr))[by_column]
+    return col_ptr, col_rows, X.data[by_column]
 
-    Candidates are scored from each sampled feature's nonzeros plus one
-    weighted entry for its implicit zeros, all sorted together once; the
-    winner is the first best feature in sampled order, then its first best
-    cut, as a feature-by-feature scan of dense columns would find.
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1 for every i, concatenated."""
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(shift.size) + shift
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SIDES = np.array([1, 2], dtype=np.uint64)  # hashed into a left and a right child's key
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every uint64 in x: x + gamma, well mixed (Steele et al., OOPSLA 2014)."""
+    x = x + _GAMMA
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _root_keys(seed: int, n_trees: int) -> np.ndarray:
+    """The feature-draw key of every tree's root."""
+    seeds = _mix(np.full(n_trees, seed & 0xFFFFFFFF, dtype=np.uint64))
+    return _mix(seeds ^ np.arange(n_trees, dtype=np.uint64))
+
+
+def _child_keys(keys: np.ndarray) -> np.ndarray:
+    """The keys of the left and right child of every node, interleaved.
+
+    A key hashes its parent's key and its side, so it is a function of the
+    seed, the tree and the node's path alone: a tree does not depend on the
+    order in which its nodes are grown.
     """
-    counts = np.bincount(y_idx[rows], weights=mult, minlength=k)
-    n = int(mult.sum())
+    return _mix((keys[:, None] ^ _SIDES).ravel())
 
-    def leaf() -> TreeNode:
-        return TreeNode(feature=-1, dist=tuple((counts / n).tolist()))
 
-    if depth >= cfg.max_depth or n < 2 * cfg.min_samples_leaf or np.count_nonzero(counts) <= 1:
-        return leaf()
+def _node_features(keys: np.ndarray, dim: int, n_sub: int) -> np.ndarray:
+    """(nodes, n_sub): the features each node searches, in sampled order.
 
-    feats = rng.choice(X.dim, size=n_sub, replace=False) if n_sub < X.dim \
-        else np.arange(X.dim)
-    rank = np.full(X.dim, -1)
-    rank[feats] = np.arange(feats.size)
+    A node samples without replacement: the first n_sub distinct values of
+    word % dim over the splitmix64 stream of its key.
+    """
+    if n_sub >= dim:
+        return np.tile(np.arange(dim), (keys.size, 1))
+    # with n_sub about sqrt(dim), n_sub + 8 words almost always hold n_sub distinct
+    # features; when a node's do not, every node reads a stream twice as long
+    width = n_sub + 8
+    while True:
+        words = _mix(keys[:, None] + _GAMMA * np.arange(width, dtype=np.uint64))
+        feats = (words % np.uint64(dim)).astype(np.int64)
+        flat = (feats + np.arange(0, keys.size * dim, dim)[:, None]).ravel()
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        fresh = np.empty(flat.size, dtype=bool)
+        fresh[order] = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        fresh = fresh.reshape(feats.shape)
+        if (fresh.sum(axis=1) >= n_sub).all():
+            return feats[fresh & (np.cumsum(fresh, axis=1) <= n_sub)].reshape(keys.size, n_sub)
+        width *= 2
 
-    # the node's explicit entries on sampled features: (rank, value, row position)
-    starts = X.indptr[rows]
-    lengths = X.indptr[rows + 1] - starts
-    pos = np.repeat(np.arange(rows.size), lengths)
-    ent = np.arange(pos.size) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    ent_rank = rank[X.indices[ent]]
-    sampled = ent_rank >= 0
-    ent, ent_rank, pos = ent[sampled], ent_rank[sampled], pos[sampled]
-    ent_val = X.data[ent]
-    ent_label = y_idx[rows[pos]]
-    ent_weight = mult[pos]
-    explicit = np.zeros((ent.size, k))
-    explicit[np.arange(ent.size), ent_label] = ent_weight
 
-    # one entry per sampled feature for its implicit zeros; none where no row is zero,
-    # since an empty entry would add a cut at a value no row has
-    zero_counts = counts - np.bincount(ent_rank * k + ent_label, weights=ent_weight,
-                                       minlength=feats.size * k).reshape(feats.size, k)
-    has_zero = zero_counts.sum(axis=1) > 0
-    entry_rank = np.concatenate([ent_rank, np.flatnonzero(has_zero)])
-    entry_val = np.concatenate([ent_val, np.zeros(int(has_zero.sum()))])
-    entry_counts = np.concatenate([explicit, zero_counts[has_zero]])
+def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
+                 cfg: TrainConfig) -> list[TreeNode]:
+    """Grow tree t over the rows of X, row i counted weights[t, i] times, for every t at once.
 
-    # sort by (rank, value); a cut sits where the value rises within a feature
-    order = np.lexsort((entry_val, entry_rank))
-    entry_rank, entry_val = entry_rank[order], entry_val[order]
-    cum = np.zeros((order.size + 1, k))
-    np.cumsum(entry_counts[order], axis=0, out=cum[1:])
-    cut = np.flatnonzero((entry_rank[1:] == entry_rank[:-1]) & (entry_val[1:] > entry_val[:-1]))
-    first = np.searchsorted(entry_rank, entry_rank[cut])  # where each cut's feature starts
-    left = cum[cut + 1] - cum[first]
-    nl = left.sum(axis=1)
-    keep = (nl >= cfg.min_samples_leaf) & (n - nl >= cfg.min_samples_leaf)
-    cut, left, nl = cut[keep], left[keep], nl[keep]
-    if cut.size == 0:
-        return leaf()
-    # the dense scan's gain expression, elementwise, so ties and argmax fall the same way
-    parent = gini(counts)
-    right = counts - left
-    nr = n - nl
-    gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-    gain = parent - (nl / n) * gini_l - (nr / n) * gini_r
-    j = int(np.argmax(gain))
-    if gain[j] <= 1e-12:
-        return leaf()
-    i = cut[j]
-    best_rank = entry_rank[i]
-    best_feat = int(feats[best_rank])
-    best_thr = float((entry_val[i] + entry_val[i + 1]) / 2.0)
-    values = np.zeros(rows.size)
-    chosen = ent_rank == best_rank
-    values[pos[chosen]] = ent_val[chosen]
-    mask = values <= best_thr
-    left_node = _grow_tree(X, y_idx, rows[mask], mult[mask], depth + 1, k, cfg, n_sub, rng)
-    right_node = _grow_tree(X, y_idx, rows[~mask], mult[~mask], depth + 1, k, cfg, n_sub, rng)
-    return TreeNode(feature=best_feat, threshold=best_thr, left=left_node, right=right_node)
+    The trees grow together, one depth level per step. A step scores every
+    cut of every splittable node of the level in one pass over the entries
+    of each node's sampled columns whose row is in the node, plus one
+    weighted entry per (node, feature) for the node's rows where the feature
+    is zero. A node takes its first best feature in sampled order, then that
+    feature's first best cut, as a feature-by-feature scan of dense columns
+    would.
+    """
+    n_trees, n = weights.shape
+    dim = X.dim
+    n_sub = min(dim, max(1, math.ceil(math.sqrt(dim))))
+    min_leaf = cfg.min_samples_leaf
+    col_ptr, col_rows, col_vals = _column_view(X)
+    col_len = np.diff(col_ptr)
+    w_flat = weights.ravel()
+    y_flat = np.tile(y_idx, n_trees)
+    # the level's node holding (tree t, row i), at t * n + i; -1 when in no node of the level
+    node_of = np.where(w_flat > 0, np.repeat(np.arange(n_trees), n), -1)
+    goes_right = np.zeros(w_flat.size, dtype=bool)
+    node_tree, node_key = np.arange(n_trees), _root_keys(cfg.seed, n_trees)
+    levels = []  # per depth: each node's class distribution; {split node: (feature, threshold)}
+    depth = 0
+    while node_tree.size:
+        m = node_tree.size
+        act = np.flatnonzero(node_of >= 0)
+        node_act = node_of[act]
+        counts = np.bincount(node_act * k + y_flat[act], weights=w_flat[act],
+                             minlength=m * k).reshape(m, k)
+        total = counts.sum(axis=1)
+        dist = counts / total[:, None]
+        cand = np.flatnonzero((total >= 2 * min_leaf) & (np.count_nonzero(counts, axis=1) > 1)
+                              & (depth < cfg.max_depth))
+        feats = _node_features(node_key[cand], dim, n_sub)
+
+        # a (node, sampled feature) pair is cand slot * n_sub + rank; gather each pair's column
+        # entries whose row is in the node, which come sorted by (pair, value)
+        pair_feat = feats.ravel()
+        pair_node = np.repeat(cand, n_sub)
+        n_pairs = pair_feat.size
+        lengths = col_len[pair_feat]
+        ent = _segments(col_ptr[pair_feat], lengths)
+        pair = np.repeat(np.arange(n_pairs), lengths)
+        flat = np.repeat(node_tree[pair_node] * n, lengths) + col_rows[ent]
+        inside = node_of[flat] == pair_node[pair]
+        ent, pair, flat = ent[inside], pair[inside], flat[inside]
+        val, label, weight = col_vals[ent], y_flat[flat], w_flat[flat]
+        # one entry per pair for the node's implicit zeros, placed after the pair's negative
+        # values; none where no row is zero, since an empty entry would add a cut at a value
+        # no row has
+        zero = np.repeat(counts[cand], n_sub, axis=0) - np.bincount(
+            pair * k + label, weights=weight, minlength=n_pairs * k).reshape(n_pairs, k)
+        has_zero = np.flatnonzero(zero.sum(axis=1) > 0)
+        below_zero = np.bincount(pair[val < 0.0], minlength=n_pairs)[has_zero]
+        zero_at = np.searchsorted(pair, has_zero) + below_zero + np.arange(has_zero.size)
+        at = np.ones(pair.size + has_zero.size, dtype=bool)
+        at[zero_at] = False
+        at = np.flatnonzero(at)
+        entry_pair = np.empty(at.size + has_zero.size, dtype=np.int64)
+        entry_pair[at], entry_pair[zero_at] = pair, has_zero
+        entry_val = np.zeros(entry_pair.size)
+        entry_val[at] = val
+        cum = np.zeros((entry_pair.size + 1, k))
+        cum[1 + at, label] = weight
+        cum[1 + zero_at] = zero[has_zero]
+        np.cumsum(cum, axis=0, out=cum)
+
+        # a cut sits where the value rises within a pair
+        cut = np.flatnonzero((entry_pair[1:] == entry_pair[:-1])
+                             & (entry_val[1:] > entry_val[:-1]))
+        left = cum[cut + 1] - cum[np.searchsorted(entry_pair, entry_pair[cut])]
+        nl = left.sum(axis=1)
+        node = pair_node[entry_pair[cut]]
+        nn = total[node]
+        keep = (nl >= min_leaf) & (nn - nl >= min_leaf)
+        cut, left, nl, node, nn = cut[keep], left[keep], nl[keep], node[keep], nn[keep]
+        # the dense scan's gain expression, elementwise, so ties and argmax fall the same way
+        parent = 1.0 - (dist * dist).sum(axis=1)
+        right = counts[node] - left
+        nr = nn - nl
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        gain = parent[node] - (nl / nn) * gini_l - (nr / nn) * gini_r
+        # cuts come grouped by node; each node's first cut of its best gain
+        firsts = np.flatnonzero(np.diff(node, prepend=-1))
+        top = np.maximum.reduceat(gain, firsts) if firsts.size else gain
+        best = np.flatnonzero(gain == np.repeat(top, np.diff(firsts, append=gain.size)))
+        best = best[np.flatnonzero(np.diff(node[best], prepend=-1))]
+        best = best[gain[best] > 1e-12]
+        split = node[best]
+        best_pair = entry_pair[cut[best]]
+        threshold = (entry_val[cut[best]] + entry_val[cut[best] + 1]) / 2.0
+
+        # route each split node's rows: a zero goes by 0 <= threshold, an entry of the
+        # chosen column by its value
+        thr_of_node = np.full(m, np.nan)
+        thr_of_node[split] = threshold
+        goes_right[act] = thr_of_node[node_act] < 0.0
+        thr_of_pair = np.full(n_pairs, np.nan)
+        thr_of_pair[best_pair] = threshold
+        chosen = np.flatnonzero(~np.isnan(thr_of_pair[pair]))
+        goes_right[flat[chosen]] = val[chosen] > thr_of_pair[pair[chosen]]
+        child = np.full(m, -1)
+        child[split] = np.arange(0, 2 * split.size, 2)
+        child_act = child[node_act]
+        node_of[act] = np.where(child_act >= 0, child_act + goes_right[act], -1)
+
+        levels.append((dist.tolist(), dict(zip(split.tolist(), zip(
+            pair_feat[best_pair].tolist(), threshold.tolist())))))
+        node_tree, node_key = np.repeat(node_tree[split], 2), _child_keys(node_key[split])
+        depth += 1
+
+    # bottom-up: split node j of a level (in node order) has children 2j and 2j + 1 below it
+    below: list[TreeNode] = []
+    for dists, splits in reversed(levels):
+        nodes, children = [], iter(below)
+        for i, node_dist in enumerate(dists):
+            if i in splits:
+                feature, threshold = splits[i]
+                nodes.append(TreeNode(feature=feature, threshold=threshold,
+                                      left=next(children), right=next(children)))
+            else:
+                nodes.append(TreeNode(feature=-1, dist=tuple(node_dist)))
+        below = nodes
+    return below
 
 
 def train_random_forest(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> ForestModel:
     """Fit a bagged ensemble of Gini CART trees.
 
-    Each tree gets its own bootstrap sample and RNG stream spawned from the
-    config seed; every split searches a random subset of ceil(sqrt(d))
-    features and is kept only when it strictly decreases Gini impurity.
+    Each tree gets its own bootstrap sample, drawn from an RNG stream spawned
+    from the config seed; every split searches a random subset of
+    ceil(sqrt(d)) features, drawn from a stream keyed by (seed, tree, node),
+    and is kept only when it strictly decreases Gini impurity.
     """
     codes, y_idx = _check_inputs(X, y)
     n = len(X)
-    k = len(codes)
-    n_sub = max(1, math.ceil(math.sqrt(X.dim)))
-    master = np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF)
-    trees = []
-    for child in master.spawn(cfg.n_trees):
-        rng = np.random.default_rng(child)
-        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        rows, mult = np.unique(rows, return_counts=True)
-        trees.append(_grow_tree(X, y_idx, rows, mult, 0, k, cfg, n_sub, rng))
+    if cfg.bootstrap:
+        master = np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF)
+        weights = np.array([np.bincount(np.random.default_rng(child).integers(0, n, size=n),
+                                        minlength=n) for child in master.spawn(cfg.n_trees)],
+                           dtype=np.float64)
+    else:
+        weights = np.ones((cfg.n_trees, n))
+    trees = _grow_forest(X, y_idx, weights, len(codes), cfg)
     return ForestModel(trees=tuple(trees), n_features=X.dim, class_codes=tuple(codes), config=cfg)
+
+
+def forest_size(model: ForestModel) -> dict:
+    """Node and leaf counts over all trees, and the mean and max of the tree depths."""
+    nodes = leaves = 0
+    depths = []
+    for tree in model.trees:
+        deepest, stack = 0, [(tree, 0)]
+        while stack:
+            node, depth = stack.pop()
+            nodes += 1
+            if node.feature < 0:
+                leaves += 1
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        depths.append(deepest)
+    return {"nodes": nodes, "leaves": leaves, "mean_depth": sum(depths) / len(depths),
+            "max_depth": max(depths)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +546,9 @@ def _one_row(x: SparseBatch) -> SparseBatch:
 
 def _forest_votes(model: ForestModel, X: SparseBatch) -> np.ndarray:
     """(n, k) tree votes per row; each node splits the rows that reach it at once,
-    reading its feature's nonzeros from the entries sorted by column."""
+    reading its feature's nonzeros from the column view."""
     n = len(X)
-    by_column = np.argsort(X.indices, kind="stable")
-    columns = X.indices[by_column]
-    col_rows = np.repeat(np.arange(n), np.diff(X.indptr))[by_column]
-    col_vals = X.data[by_column]
+    col_ptr, col_rows, col_vals = _column_view(X)
     values = np.zeros(n)  # the split feature's value per row, zeroed after each split
     votes = np.zeros((n, len(model.class_codes)), dtype=np.int64)
     for tree in model.trees:
@@ -421,7 +558,7 @@ def _forest_votes(model: ForestModel, X: SparseBatch) -> np.ndarray:
             if node.feature < 0:
                 votes[rows, int(np.argmax(node.dist))] += 1
             elif rows.size:
-                entries = slice(*np.searchsorted(columns, (node.feature, node.feature + 1)))
+                entries = slice(col_ptr[node.feature], col_ptr[node.feature + 1])
                 values[col_rows[entries]] = col_vals[entries]
                 left = values[rows] <= node.threshold
                 values[col_rows[entries]] = 0.0

@@ -221,6 +221,30 @@ class TestJsonl:
             load_dataset(path)
         assert str(info.value) == f"bad.jsonl:3: {message}"
 
+    # a line the JSON scanner cannot take whole goes through json.loads for its message
+    @pytest.mark.parametrize("line, message", [
+        ('\ufeff{"id": "a", "text": "t"}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"id": "a", "text": "t"}{"id": "b", "text": "u"}', "Extra data"),
+        ('{"id": "a", "text": "t"} x', "Extra data"),
+        ('{"id": "a",\n"text": "t"}', "Expecting property name enclosed in double quotes"),
+    ])
+    def test_scanner_fallback_keeps_json_loads_errors(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"bad.jsonl:2: invalid JSON ({message})"
+        with pytest.raises(json.JSONDecodeError) as reference:
+            json.loads(line.split("\n")[0] + "\n")
+        assert reference.value.msg == message
+
+    @pytest.mark.parametrize("line", [' {"id": "a", "text": "t"}', '{"id": "a", "text": "t"} \t',
+                                      '\t{"id": "a", "text": "t"}\r'])
+    def test_whitespace_around_a_record_is_read(self, tmp_path, line):
+        path = tmp_path / "ok.jsonl"
+        path.write_text(line + "\n" + '{"id": "b", "text": "u"}', encoding="utf-8")
+        assert [doc.id for doc in load_dataset(path)] == ["a", "b"]
+
     def test_unreadable_file_is_data_error(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')

@@ -239,6 +239,22 @@ class TestCrossValidate:
         }
         assert all(0.0 <= v <= 1.0 for v in means.values())
 
+    def test_forest_size_recorded_per_fold(self, planted):
+        cfg = TrainConfig(n_trees=4, max_depth=3, seed=2)
+        folds = cross_validate(planted, Task.PREDICTIVENESS, "rf", cfg, k=3, seed=11).to_dict()
+        for fold in folds["per_fold"]:
+            size = fold["forest"]
+            assert set(size) == {"nodes", "leaves", "mean_depth", "max_depth"}
+            assert size["nodes"] == 2 * size["leaves"] - cfg.n_trees  # binary trees
+            assert 0 <= size["mean_depth"] <= size["max_depth"] <= cfg.max_depth
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm"])
+    def test_linear_reports_carry_no_forest_size(self, planted, kind):
+        cfg = TrainConfig(epochs=5, seed=0)
+        report = cross_validate(planted, Task.PREDICTIVENESS, kind, cfg, k=3, seed=11)
+        assert report.forest_sizes == ()
+        assert all("forest" not in fold for fold in report.to_dict()["per_fold"])
+
     def test_unknown_model_kind(self, planted):
         with pytest.raises(DataError, match="unknown model kind 'mystery'"):
             cross_validate(planted, Task.PREDICTIVENESS, "mystery", TrainConfig(), k=3)

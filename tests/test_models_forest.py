@@ -26,7 +26,14 @@ from predstmt import (
     train_svm_linear,
     transform_many,
 )
-from predstmt.models import TreeNode, gini
+from predstmt.models import (
+    TreeNode,
+    _child_keys,
+    _node_features,
+    _root_keys,
+    forest_size,
+    gini,
+)
 
 
 def sv(values, dimension=None):
@@ -178,8 +185,13 @@ class TestSingleTree:
         check(model.trees[0], np.arange(30))
 
 
-def dense_grow_tree(dense, y_idx, rows, depth, k, cfg, n_sub, rng):
-    """The split search as first written: a dense column scan, one feature at a time."""
+def dense_grow_tree(dense, y_idx, rows, depth, k, cfg, n_sub, key):
+    """The split search as first written: a dense column scan, one feature at a time.
+
+    Depth-first and recursive; each node draws its features from its own key,
+    as the level-by-level grower does, so equal trees also show that a tree
+    does not depend on the order its nodes are grown in.
+    """
     counts = np.bincount(y_idx[rows], minlength=k)
     n = rows.size
 
@@ -190,7 +202,7 @@ def dense_grow_tree(dense, y_idx, rows, depth, k, cfg, n_sub, rng):
         return leaf()
 
     d = dense.shape[1]
-    feats = rng.choice(d, size=n_sub, replace=False) if n_sub < d else np.arange(d)
+    feats = _node_features(np.array([key]), d, n_sub)[0]
     parent = gini(counts)
     best_gain = 1e-12
     best_feat = -1
@@ -222,8 +234,9 @@ def dense_grow_tree(dense, y_idx, rows, depth, k, cfg, n_sub, rng):
     if best_feat < 0:
         return leaf()
     mask = dense[rows, best_feat] <= best_thr
-    left_node = dense_grow_tree(dense, y_idx, rows[mask], depth + 1, k, cfg, n_sub, rng)
-    right_node = dense_grow_tree(dense, y_idx, rows[~mask], depth + 1, k, cfg, n_sub, rng)
+    left_key, right_key = _child_keys(np.array([key]))
+    left_node = dense_grow_tree(dense, y_idx, rows[mask], depth + 1, k, cfg, n_sub, left_key)
+    right_node = dense_grow_tree(dense, y_idx, rows[~mask], depth + 1, k, cfg, n_sub, right_key)
     return TreeNode(feature=best_feat, threshold=best_thr, left=left_node, right=right_node)
 
 
@@ -235,10 +248,11 @@ def dense_forest(X, y, cfg):
     n, dim = dense.shape
     n_sub = max(1, math.ceil(math.sqrt(dim)))
     trees = []
-    for child in np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF).spawn(cfg.n_trees):
-        rng = np.random.default_rng(child)
-        rows = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        trees.append(dense_grow_tree(dense, y_idx, np.sort(rows), 0, len(codes), cfg, n_sub, rng))
+    seeds = np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF).spawn(cfg.n_trees)
+    for child, key in zip(seeds, _root_keys(cfg.seed, cfg.n_trees)):
+        rows = np.random.default_rng(child).integers(0, n, size=n) if cfg.bootstrap \
+            else np.arange(n)
+        trees.append(dense_grow_tree(dense, y_idx, np.sort(rows), 0, len(codes), cfg, n_sub, key))
     return tuple(trees)
 
 
@@ -287,6 +301,74 @@ class TestSparseSplitSearch:
         model = train_random_forest(X, y, cfg)
         assert sum(t.feature >= 0 for t in model.trees) > 0
         assert model.trees == dense_forest(X, y, cfg)
+
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_matches_dense_reference_at_uncapped_depth(self, bootstrap):
+        rng = random.Random(77 + bootstrap)
+        depths = []
+        for trial in range(4):
+            X, y = signed_sparse_problem(rng, n=rng.randint(60, 120), d=rng.choice((3, 9, 30)),
+                                         k=rng.randint(2, 4))
+            cfg = TrainConfig(n_trees=3, bootstrap=bootstrap, seed=trial, min_samples_leaf=1,
+                              max_depth=10_000)
+            model = train_random_forest(X, y, cfg)
+            assert model.trees == dense_forest(X, y, cfg)
+            depths += [tree_depth(tree) for tree in model.trees]
+        assert max(depths) > TrainConfig().max_depth  # deeper than the default cap
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_first_trees_do_not_depend_on_forest_size(self, bootstrap):
+        X, y = signed_sparse_problem(random.Random(88), n=50, d=30, k=3)
+        three = train_random_forest(X, y, TrainConfig(n_trees=3, bootstrap=bootstrap, seed=6))
+        five = train_random_forest(X, y, TrainConfig(n_trees=5, bootstrap=bootstrap, seed=6))
+        assert five.trees[:3] == three.trees
+        assert any(tree.feature >= 0 for tree in three.trees)
+
+    def test_no_eligible_split_gives_leaves(self):
+        rng = random.Random(99)
+        X, y = signed_sparse_problem(rng, n=20, d=9, k=3)
+        constant = dense_batch([[0.5, 0.0, -1.0]] * 12)  # splittable nodes, but no cut
+        cases = [(X, y, TrainConfig(n_trees=4, seed=1, min_samples_leaf=11)),
+                 (X, y, TrainConfig(n_trees=4, seed=1, bootstrap=False, min_samples_leaf=11)),
+                 (constant, [0, 1, 2] * 4, TrainConfig(n_trees=4, seed=2, min_samples_leaf=1))]
+        for X, y, cfg in cases:
+            model = train_random_forest(X, y, cfg)
+            assert all(tree.feature == -1 for tree in model.trees)
+            assert model.trees == dense_forest(X, y, cfg)
+
+
+def tree_depth(node):
+    return 0 if node.feature == -1 else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+class TestFeatureDraw:
+    """Each node's features: a uniform sample without replacement, keyed by the node."""
+
+    def test_samples_are_distinct_and_uniform(self):
+        feats = _node_features(_root_keys(3, 4000), 10, 4)
+        assert feats.shape == (4000, 4)
+        assert all(len(set(row)) == 4 for row in feats.tolist())
+        for rank in range(4):  # each feature at each rank about 400 times; sd about 19
+            counts = np.bincount(feats[:, rank], minlength=10)
+            assert np.abs(counts - 400).max() < 80
+
+    def test_nearly_full_sample_reads_further_down_the_stream(self):
+        feats = _node_features(_child_keys(_root_keys(0, 30)), 40, 39)
+        assert feats.shape == (60, 39)
+        assert all(len(set(row)) == 39 and max(row) < 40 for row in feats.tolist())
+
+    def test_whole_range_when_the_subset_covers_it(self):
+        assert _node_features(_root_keys(0, 2), 2, 2).tolist() == [[0, 1], [0, 1]]
+        assert _node_features(_root_keys(0, 2), 0, 0).shape == (2, 0)
+
+    def test_keys_differ_by_seed_tree_and_path(self):
+        roots = _root_keys(5, 50)
+        children = _child_keys(roots)
+        grandchildren = _child_keys(children)
+        keys = np.concatenate([roots, _root_keys(6, 50), children, grandchildren])
+        assert np.unique(keys).size == keys.size
+        assert (_child_keys(roots[7:8]) == children[14:16]).all()
 
 
 def per_document_predict(model, X):
@@ -415,6 +497,15 @@ class TestForest:
         model = train_random_forest(X, [0, 1], TrainConfig(n_trees=2, seed=1))
         with pytest.raises(DataError, match="dimension"):
             predict(model, sv([1.0, 2.0]))
+
+    def test_forest_size_by_hand(self):
+        leaf = TreeNode(feature=-1, dist=(1.0, 0.0))
+        deep = TreeNode(feature=0, threshold=0.5, left=leaf,
+                        right=TreeNode(feature=1, threshold=0.0, left=leaf, right=leaf))
+        model = ForestModel(trees=(deep, leaf), n_features=2, class_codes=(0, 1),
+                            config=TrainConfig())
+        assert forest_size(model) == {"nodes": 6, "leaves": 4, "mean_depth": 1.0,
+                                      "max_depth": 2}
 
     def test_feature_subset_size(self):
         # ceil(sqrt(9)) = 3 of 9 features per split; just confirm training
