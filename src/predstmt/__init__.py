@@ -41,9 +41,7 @@ from .preprocess import CleanConfig, preprocess, strip_urls
 from .config import TfidfConfig, TrainConfig
 from .augment import (
     AugmentPlan,
-    BalanceShortfallWarning,
     OfflineParaphraser,
-    ParaphraseShortfallError,
     ProviderConfig,
     ProviderError,
     RemoteParaphraser,
@@ -82,9 +80,8 @@ __all__ = [
     "distribution", "load_dataset", "save_dataset", "stratified_folds",
     "CleanConfig", "preprocess", "strip_urls",
     "TfidfConfig", "TrainConfig",
-    "AugmentPlan", "BalanceShortfallWarning", "OfflineParaphraser", "ParaphraseShortfallError",
-    "ProviderConfig", "ProviderError", "RemoteParaphraser", "balance", "compute_plan",
-    "llm_label",
+    "AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError", "RemoteParaphraser",
+    "balance", "compute_plan", "llm_label",
     "CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile", "EmotionReport",
     "aggregate", "bundled_lexicon_path", "load_lexicon", "render_markdown", "tag_document",
     *_LAZY,

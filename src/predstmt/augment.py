@@ -4,8 +4,10 @@ Minority classes are upsampled to the majority count by paraphrasing
 original documents. Paraphrases come from a pluggable provider: either a
 deterministic offline rewriter (seeded synonym substitution, hedge phrases,
 clause reordering) or a remote chat-completion endpoint called one request
-at a time with a rate-limit delay. The same remote plumbing also supports
-asking the endpoint to label a document.
+at a time with a rate-limit delay. A provider returns one candidate per
+call; balance() alone rejects blank and duplicate candidates, retries, and
+leaves the shortfall to be read from the result's counts. The same remote
+plumbing also supports asking the endpoint to label a document.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import os
 import random
 import re
 import time
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
@@ -41,34 +42,14 @@ class ProviderError(RuntimeError):
     """Remote provider unreachable, unauthorized, or persistently unparseable."""
 
 
-class ParaphraseShortfallError(RuntimeError):
-    """The requested number of distinct paraphrases is not achievable."""
-
-    def __init__(self, requested: int, achieved: list[str]):
-        self.requested = requested
-        self.achieved = achieved
-        super().__init__(
-            f"only {len(achieved)} of {requested} distinct paraphrases achievable"
-        )
-
-
-class BalanceShortfallWarning(UserWarning):
-    """balance() could not fully reach the plan; carries per-class shortfall."""
-
-    def __init__(self, shortfall: Mapping[int, int]):
-        self.shortfall = dict(shortfall)
-        missing = ", ".join(f"class {c}: {n}" for c, n in sorted(self.shortfall.items()))
-        super().__init__(f"balancing fell short of the plan ({missing})")
-
-
 def normalize_key(text: str) -> str:
     """Duplicate-detection key: collapsed whitespace, case-folded."""
     return " ".join(text.split()).casefold()
 
 
 class ParaphraseProvider(Protocol):
-    def paraphrase(self, text: str, n: int, seed: int = 0) -> list[str]:
-        """Return up to n pairwise-distinct paraphrases, none equal to text."""
+    def paraphrase(self, text: str, seed: int = 0) -> str:
+        """Return one candidate paraphrase of text; balance() judges it."""
         ...
 
 
@@ -176,7 +157,7 @@ class OfflineParaphraser:
 
     Edits are meaning-light: synonym swaps from a fixed table, optional
     hedge phrases at either end, and clause reordering around a
-    conjunction. Output is a pure function of (text, n, seed).
+    conjunction. Output is a pure function of (text, seed).
     """
 
     def __init__(self, synonyms: Mapping[str, Sequence[str]] | None = None):
@@ -210,26 +191,22 @@ class OfflineParaphraser:
             candidate = candidate + rng.choice(_HEDGE_SUFFIXES)
         return candidate
 
-    def paraphrase(self, text: str, n: int, seed: int = 0) -> list[str]:
+    def paraphrase(self, text: str, seed: int = 0) -> str:
+        """The first seeded candidate whose key differs from text's.
+
+        After 260 candidates without one, the last is returned and
+        balance() rejects it as a duplicate of its parent.
+        """
         if not text.strip():
             raise DataError("cannot paraphrase empty text")
-        if n <= 0:
-            return []
         rng = random.Random(seed)
-        seen = {normalize_key(text)}
-        out: list[str] = []
-        budget = 60 * n + 200
-        for _ in range(budget):
-            if len(out) == n:
-                break
+        own_key = normalize_key(text)
+        for _ in range(260):
             candidate = self._mutate(text, rng)
             key = normalize_key(candidate)
-            if key and key not in seen:
-                seen.add(key)
-                out.append(candidate)
-        if len(out) < n:
-            raise ParaphraseShortfallError(requested=n, achieved=out)
-        return out
+            if key and key != own_key:
+                break
+        return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +233,8 @@ class ProviderConfig:
             raise DataError("request_delay_ms must be >= 0")
         if self.max_retries < 0:
             raise DataError("max_retries must be >= 0")
+        if not self.timeout_s > 0:
+            raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
 
 
 def _retry_after_s(value: str | None) -> float | None:
@@ -274,10 +253,11 @@ def _retry_after_s(value: str | None) -> float | None:
 class _ChatClient:
     """One-request-at-a-time JSON client with delay and retries.
 
-    Transport errors, HTTP 429, 5xx statuses and malformed bodies are
-    retried; any other non-200 status (401, 404, ...) fails at once. A 429
-    or 503 with a numeric Retry-After waits that long before the retry,
-    capped at timeout_s and never shorter than request_delay_ms.
+    Transport errors, HTTP 429, 5xx statuses and malformed bodies (a reply
+    content that is not a string among them) are retried; any other non-200
+    status (401, 404, ...) fails at once. A 429 or 503 with a numeric
+    Retry-After waits that long before the retry, capped at timeout_s and
+    never shorter than request_delay_ms.
     requests is imported here, so runs that never go remote do not load it.
     """
 
@@ -335,10 +315,12 @@ class _ChatClient:
                 raise ProviderError(f"provider at {self.config.endpoint} refused the "
                                     f"request ({last_error})")
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
-                last_error = "response body is not chat-completion shaped"
-                continue
+                content = None
+            if isinstance(content, str):
+                return content
+            last_error = "response body is not chat-completion shaped"
         raise ProviderError(
             f"provider at {self.config.endpoint} failed after "
             f"{self.config.max_retries + 1} attempts ({last_error})"
@@ -354,35 +336,17 @@ _PARAPHRASE_PROMPT = (
 class RemoteParaphraser:
     """Paraphrase provider backed by a chat-completion endpoint.
 
-    Requests go out strictly one at a time; sampling temperature, not the
-    seed argument, drives variation. Distinctness is enforced locally with
-    regeneration up to max_retries per variant.
+    Each call sends one chat request and returns the stripped reply;
+    sampling temperature, not the seed argument, drives variation.
     """
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
         self.client = _ChatClient(config, session)
 
-    def paraphrase(self, text: str, n: int, seed: int = 0) -> list[str]:
+    def paraphrase(self, text: str, seed: int = 0) -> str:
         if not text.strip():
             raise DataError("cannot paraphrase empty text")
-        if n <= 0:
-            return []
-        seen = {normalize_key(text)}
-        out: list[str] = []
-        retries = self.client.config.max_retries
-        for _ in range(n):
-            accepted = False
-            for _ in range(retries + 1):
-                reply = self.client.complete(_PARAPHRASE_PROMPT.format(text=text)).strip()
-                key = normalize_key(reply)
-                if reply and key not in seen:
-                    seen.add(key)
-                    out.append(reply)
-                    accepted = True
-                    break
-            if not accepted:
-                raise ParaphraseShortfallError(requested=n, achieved=out)
-        return out
+        return self.client.complete(_PARAPHRASE_PROMPT.format(text=text)).strip()
 
 
 def default_label_template() -> str:
@@ -433,12 +397,14 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
 
     Parents are original documents of the minority class, visited
     round-robin in seeded-shuffled order. Each synthetic document inherits
-    its parent's labels and coin and records the parent id. A paraphrase
-    duplicating any document text already in the output (after whitespace
-    normalization and case folding) is regenerated up to max_retries times;
-    slots still unfilled are reported through a BalanceShortfallWarning and
-    the partial dataset is returned. A caller that has already counted the
-    dataset passes its compute_plan as plan, so the dataset is counted once.
+    its parent's labels and coin and records the parent id. Each attempt
+    asks the provider for one candidate; a blank one, or one duplicating any
+    document text already in the output (after whitespace normalization and
+    case folding), is regenerated up to max_retries times. Slots still
+    unfilled are left out and the partial dataset is returned; the shortfall
+    is compute_plan(distribution(result, task)).needed, since the majority
+    class is never upsampled. A caller that has already counted the dataset
+    passes its compute_plan as plan, so the dataset is counted once.
     """
     task = Task(task)
     if plan is None:
@@ -447,7 +413,6 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
     existing_ids = {doc.id for doc in dataset}
     seen_texts = {normalize_key(doc.text) for doc in dataset}
     new_docs = list(dataset.documents)
-    shortfall: dict[int, int] = {}
     request_counter = 0
     serial = 0
     parents_of: dict[int, list[Document]] = {code: [] for code in plan.needed}
@@ -458,34 +423,21 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
             if parents is not None:
                 parents.append(doc)
     for code in sorted(plan.needed):
-        needed = plan.needed[code]
         parents = parents_of[code]
         if not parents:
-            shortfall[code] = needed
             continue
         rng.shuffle(parents)
-        missed = 0
-        for slot in range(needed):
+        for slot in range(plan.needed[code]):
             parent = parents[slot % len(parents)]
-            made = None
             for _ in range(max_retries + 1):
                 request_counter += 1
-                try:
-                    texts = provider.paraphrase(
-                        parent.text, 1, seed=_derived_seed(seed, request_counter)
-                    )
-                except ParaphraseShortfallError:
-                    continue
-                if not texts:
-                    continue
-                key = normalize_key(texts[0])
-                if key not in seen_texts:
-                    made = texts[0]
+                made = provider.paraphrase(parent.text, seed=_derived_seed(seed, request_counter))
+                key = normalize_key(made)
+                if key and key not in seen_texts:
                     seen_texts.add(key)
                     break
-            if made is None:
-                missed += 1
-                continue
+            else:
+                continue  # every attempt rejected: the slot stays unfilled
             while True:
                 serial += 1
                 syn_id = f"syn-{int(task)}-{serial:05d}"
@@ -503,9 +455,4 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
                     parent_id=parent.id,
                 )
             )
-        if missed:
-            shortfall[code] = missed
-    result = Dataset(documents=tuple(new_docs), name=f"{dataset.name}-balanced")
-    if shortfall:
-        warnings.warn(BalanceShortfallWarning(shortfall), stacklevel=2)
-    return result
+    return Dataset(documents=tuple(new_docs), name=f"{dataset.name}-balanced")

@@ -16,14 +16,12 @@ import json
 import os
 import shutil
 import sys
-import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .augment import (
-    BalanceShortfallWarning,
     OfflineParaphraser,
     ProviderConfig,
     ProviderError,
@@ -296,16 +294,14 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     before = distribution(dataset, task)
     plan = compute_plan(before)
     max_retries = cfg.provider_config.max_retries if cfg.provider_config else 3
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = balance(dataset, task, provider, seed=cfg.seed, max_retries=max_retries,
-                         plan=plan)
-    shortfall = {}
-    for warning in caught:
-        if isinstance(warning.message, BalanceShortfallWarning):
-            shortfall = {str(c): n for c, n in warning.message.shortfall.items()}
-            print(f"warning: {warning.message}", file=sys.stderr)
+    result = balance(dataset, task, provider, seed=cfg.seed, max_retries=max_retries,
+                     plan=plan)
     after = distribution(result, task)
+    # the majority class is never upsampled, so what the result still needs is the shortfall
+    shortfall = sorted(compute_plan(after).needed.items())
+    if shortfall:
+        missing = ", ".join(f"class {c}: {n}" for c, n in shortfall)
+        print(f"warning: balancing fell short of the plan ({missing})", file=sys.stderr)
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
         _write_json(run_dir / "balance.json", {
@@ -316,7 +312,7 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
             "after": {str(c): n for c, n in sorted(after.counts.items())},
             "documents_before": len(dataset),
             "documents_after": len(result),
-            "shortfall": shortfall,
+            "shortfall": {str(c): n for c, n in shortfall},
         })
     print(
         f"balanced task {int(task)}: {len(dataset)} -> {len(result)} documents "

@@ -1,17 +1,16 @@
 """Paraphrase generation and class balancing tests."""
 
 import random
+import warnings
 
 import pytest
 
 from predstmt import (
-    BalanceShortfallWarning,
     Coin,
     DataError,
     Dataset,
     Document,
     OfflineParaphraser,
-    ParaphraseShortfallError,
     Source,
     Task,
     balance,
@@ -56,42 +55,39 @@ class TestPlan:
 class TestOfflineParaphraser:
     def test_outputs_distinct_and_differ_from_input(self):
         text = "btc will rise soon because demand keeps growing"
-        for seed in range(5):
-            outs = OfflineParaphraser().paraphrase(text, 8, seed=seed)
-            assert len(outs) == 8
-            keys = {normalize_key(o) for o in outs}
-            assert len(keys) == 8
-            assert normalize_key(text) not in keys
+        outs = [OfflineParaphraser().paraphrase(text, seed=seed) for seed in range(8)]
+        keys = {normalize_key(o) for o in outs}
+        assert len(keys) == 8
+        assert normalize_key(text) not in keys
 
     def test_synonym_swap_surfaces_plain_variant(self):
         para = OfflineParaphraser(synonyms={"rise": ("increase",)})
-        outs = para.paraphrase("price will rise soon", 10, seed=0)
+        outs = [para.paraphrase("price will rise soon", seed=seed) for seed in range(10)]
         assert "price will increase soon" in outs
-
-    def test_zero_request(self):
-        assert OfflineParaphraser().paraphrase("anything goes here", 0) == []
 
     def test_empty_text_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            OfflineParaphraser().paraphrase("   ", 3)
+            OfflineParaphraser().paraphrase("   ")
 
     def test_deterministic(self):
         text = "eth looks weak but volume is holding"
-        assert OfflineParaphraser().paraphrase(text, 6, seed=42) == OfflineParaphraser().paraphrase(text, 6, seed=42)
+        assert OfflineParaphraser().paraphrase(text, seed=42) == OfflineParaphraser().paraphrase(text, seed=42)
 
     def test_seed_changes_output(self):
         text = "eth looks weak but volume is holding"
-        assert OfflineParaphraser().paraphrase(text, 6, seed=1) != OfflineParaphraser().paraphrase(text, 6, seed=2)
+        assert OfflineParaphraser().paraphrase(text, seed=1) != OfflineParaphraser().paraphrase(text, seed=2)
 
-    def test_shortfall_carries_achieved_list(self):
-        # no synonyms and no conjunction: only hedge placements can vary,
-        # giving 6 prefixes * (1 + 5 suffixes) = 36 possible variants
-        para = OfflineParaphraser(synonyms={})
-        with pytest.raises(ParaphraseShortfallError) as exc:
-            para.paraphrase("tiny sample text", 50, seed=3)
-        assert exc.value.requested == 50
-        assert len(exc.value.achieved) == 36
-        assert len({normalize_key(t) for t in exc.value.achieved}) == 36
+    def test_gives_up_after_260_candidates_with_the_last(self):
+        para = OfflineParaphraser()
+        candidates = []
+
+        def echo(text, rng):  # alternately an empty key and the input's own key
+            candidates.append(text.upper() if len(candidates) % 2 else "  ")
+            return candidates[-1]
+
+        para._mutate = echo
+        assert para.paraphrase("btc holds", seed=3) == "BTC HOLDS"
+        assert len(candidates) == 260
 
 
 class ScriptedProvider:
@@ -102,12 +98,12 @@ class ScriptedProvider:
         self.counters = {}
         self.calls = []
 
-    def paraphrase(self, text, n, seed=0):
-        self.calls.append((text, n, seed))
+    def paraphrase(self, text, seed=0):
+        self.calls.append((text, seed))
         i = self.counters.get(text, 0)
         self.counters[text] = i + 1
         outs = self.script[text]
-        return [outs[min(i, len(outs) - 1)]]
+        return outs[min(i, len(outs) - 1)]
 
 
 class TestBalance:
@@ -189,7 +185,7 @@ class TestBalance:
         assert [d.text for d in synth] == ["fresh paraphrase"]
         assert len(provider.calls) == 2
 
-    def test_exhausted_retries_warn_and_return_partial(self):
+    def test_exhausted_retries_return_partial(self):
         docs = (
             Document(id="a", text="alpha text one", coin=Coin.BNB, task1=0),
             Document(id="b", text="beta text two", coin=Coin.BNB, task1=0),
@@ -197,15 +193,23 @@ class TestBalance:
         )
         ds = Dataset(documents=docs, name="d")
         provider = ScriptedProvider({"gamma text three": ["alpha text one"]})
-        with pytest.warns(BalanceShortfallWarning) as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             balanced = balance(ds, Task.PREDICTIVENESS, provider, seed=1, max_retries=2)
-        assert record[0].message.shortfall == {1: 1}
         assert len(balanced) == 3
+        assert compute_plan(distribution(balanced, Task.PREDICTIVENESS)).needed == {1: 1}
         assert len(provider.calls) == 3  # one attempt plus two retries
+
+    def test_class_without_parents_is_all_shortfall(self):
+        ds = build_planted_dataset(Task.DIRECTION, {1: 5, 2: 2, 3: 0}, seed=6)
+        balanced = balance(ds, Task.DIRECTION, OfflineParaphraser(), seed=2)
+        after = distribution(balanced, Task.DIRECTION)
+        assert after.counts == {1: 5, 2: 5, 3: 0}
+        assert compute_plan(after).needed == {3: 5}
 
     def test_provider_error_propagates(self):
         class Exploding:
-            def paraphrase(self, text, n, seed=0):
+            def paraphrase(self, text, seed=0):
                 raise RuntimeError("provider down")
 
         ds = build_planted_dataset(Task.PREDICTIVENESS, {0: 3, 1: 1}, seed=8)
@@ -219,9 +223,9 @@ class TestBalance:
             for i, doc in enumerate(ds) if doc.task1 == 1
         })
         balance(ds, Task.PREDICTIVENESS, provider, seed=5)
-        seeds = [seed for _, _, seed in provider.calls]
+        seeds = [seed for _, seed in provider.calls]
         assert len(set(seeds)) == len(seeds)
         assert all(0 <= s < 2 ** 31 for s in seeds)
         again = ScriptedProvider(provider.script)
         balance(ds, Task.PREDICTIVENESS, again, seed=5)
-        assert [s for _, _, s in again.calls] == seeds
+        assert [s for _, s in again.calls] == seeds

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from predstmt import (
     CleanConfig,
+    Coin,
     DataError,
+    Dataset,
+    Document,
     ProviderConfig,
     Task,
     TfidfConfig,
@@ -186,6 +189,26 @@ class TestBalance:
                 counts[label] = counts.get(label, 0) + 1
         assert counts == {1: 570, 2: 570, 3: 570}
 
+    def test_shortfall_is_reported_and_recorded(self, tmp_path, capsys):
+        # a one-parent class with no synonym or conjunction runs out of distinct variants
+        docs = [Document(id=f"m{i:02d}", text=f"plain words number {i} here", coin=Coin.ADA,
+                         task1=0) for i in range(60)]
+        docs.append(Document(id="p00", text="tiny sample text", coin=Coin.ADA, task1=1))
+        path = tmp_path / "short.jsonl"
+        save_dataset(Dataset(documents=tuple(docs), name="short"), path)
+        code = run("balance", "--dataset", str(path), "--task", "1", "--out", str(tmp_path),
+                   "--tag", "r")
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "warning: balancing fell short of the plan (class 1: 26)\n"
+        assert captured.out == "balanced task 1: 61 -> 94 documents (target 60 per class)\n"
+        run_dir = tmp_path / "balance" / "r"
+        payload = json.loads((run_dir / "balance.json").read_text())
+        assert payload["shortfall"] == {"1": 26}
+        assert payload["after"] == {"0": 60, "1": 34}
+        assert payload["documents_after"] == 94
+        assert len((run_dir / "balanced.jsonl").read_text().splitlines()) == 94
+
     def test_remote_without_endpoint_is_provider_error(self, planted_path, tmp_path,
                                                        capsys):
         code = run("balance", "--dataset", str(planted_path), "--provider", "remote",
@@ -351,6 +374,10 @@ class TestConfigPrecedence:
         ("stats", {"threshold": 10 ** 400}, "threshold must be a number, got int"),
         ("cv", {"train": {"learning_rate": 10 ** 400}},
          "train.learning_rate must be a number, got int"),
+        *(("balance", {"provider": "remote", "provider_config": {
+            "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K", "model": "m",
+            "timeout_s": timeout}}, f"provider_config: timeout_s must be > 0, got {timeout}")
+          for timeout in (0, -1.5)),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):

@@ -25,8 +25,7 @@ EXPORTS = {
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                    "classification_report", "cohen_kappa", "confusion", "cross_validate",
                    "metrics", "summary_table"),
-    "augment": ("AugmentPlan", "BalanceShortfallWarning", "OfflineParaphraser",
-                "ParaphraseShortfallError", "ProviderConfig", "ProviderError",
+    "augment": ("AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError",
                 "RemoteParaphraser", "balance", "compute_plan", "llm_label"),
     "emotion": ("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
                 "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",

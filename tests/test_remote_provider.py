@@ -3,21 +3,31 @@
 import json
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from predstmt import (
-    ParaphraseShortfallError,
+    Coin,
+    DataError,
+    Dataset,
+    Document,
     ProviderConfig,
     ProviderError,
     RemoteParaphraser,
+    Source,
     Task,
     Task2Label,
+    balance,
+    compute_plan,
+    distribution,
     llm_label,
+    save_dataset,
 )
 from predstmt import augment
 from predstmt.augment import default_label_template
+from predstmt.cli import main
 
 KEY_ENV = "PREDSTMT_TEST_KEY"
 
@@ -91,13 +101,17 @@ def api_key(monkeypatch):
     monkeypatch.setenv(KEY_ENV, "test-key-123")
 
 
+#: Chat contents that are valid JSON but not a string.
+NON_STRING_CONTENT = pytest.mark.parametrize("content", [None, 3, ["a list"], {"text": "x"}],
+                                             ids=["null", "number", "list", "object"])
+
+
 class TestRemoteParaphraser:
-    def test_happy_path_and_request_shape(self, server, api_key):
-        server.script = [("ok", "first rewrite"), ("ok", "second rewrite")]
+    def test_one_request_returns_the_stripped_reply(self, server, api_key):
+        server.script = [("ok", "  first rewrite \n"), ("ok", "never sent")]
         provider = RemoteParaphraser(make_config(server))
-        outs = provider.paraphrase("btc to the moon", 2, seed=99)
-        assert outs == ["first rewrite", "second rewrite"]
-        assert len(server.requests) == 2
+        assert provider.paraphrase("btc to the moon", seed=99) == "first rewrite"
+        assert len(server.requests) == 1
         req = server.requests[0]
         assert req["auth"] == "Bearer test-key-123"
         assert req["body"]["model"] == "stub-model"
@@ -107,46 +121,34 @@ class TestRemoteParaphraser:
         assert messages[0]["role"] == "user"
         assert "btc to the moon" in messages[0]["content"]
 
+    def test_echo_is_returned_for_balance_to_judge(self, server, api_key):
+        server.script = [("ok", "Original  Text"), ("ok", "never sent")]
+        provider = RemoteParaphraser(make_config(server))
+        assert provider.paraphrase("original text") == "Original  Text"
+        assert len(server.requests) == 1
+
+    def test_empty_text_sends_nothing(self, server, api_key):
+        with pytest.raises(DataError, match="empty"):
+            RemoteParaphraser(make_config(server)).paraphrase(" \t ")
+        assert server.requests == []
+
     def test_missing_api_key_sends_nothing(self, server, monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)
         provider = RemoteParaphraser(make_config(server))
         with pytest.raises(ProviderError, match=KEY_ENV):
-            provider.paraphrase("some text", 1)
+            provider.paraphrase("some text")
         assert server.requests == []
-
-    def test_duplicate_reply_regenerated(self, server, api_key):
-        server.script = [("ok", "same thing"), ("ok", "Same  THING"),
-                         ("ok", "different thing")]
-        provider = RemoteParaphraser(make_config(server))
-        outs = provider.paraphrase("original", 2)
-        assert outs == ["same thing", "different thing"]
-        assert len(server.requests) == 3
-
-    def test_echoing_input_is_rejected(self, server, api_key):
-        server.script = [("ok", "Original  Text"), ("ok", "a real rewrite")]
-        provider = RemoteParaphraser(make_config(server))
-        assert provider.paraphrase("original text", 1) == ["a real rewrite"]
-
-    def test_repeating_endpoint_shortfall(self, server, api_key):
-        server.script = [("ok", "stuck")] * 10
-        provider = RemoteParaphraser(make_config(server, max_retries=1))
-        with pytest.raises(ParaphraseShortfallError) as exc:
-            provider.paraphrase("original", 3)
-        assert exc.value.requested == 3
-        assert exc.value.achieved == ["stuck"]
-        # one accepted, then two rejected attempts for the second variant
-        assert len(server.requests) == 3
 
     def test_http_error_then_success_retries(self, server, api_key):
         server.script = [("status", 500, "boom"), ("ok", "recovered")]
         provider = RemoteParaphraser(make_config(server))
-        assert provider.paraphrase("text here", 1) == ["recovered"]
+        assert provider.paraphrase("text here") == "recovered"
         assert len(server.requests) == 2
 
     def test_rate_limit_then_success_retries(self, server, api_key):
         server.script = [("status", 429, "slow down"), ("ok", "recovered")]
         provider = RemoteParaphraser(make_config(server))
-        assert provider.paraphrase("text here", 1) == ["recovered"]
+        assert provider.paraphrase("text here") == "recovered"
         assert len(server.requests) == 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404])
@@ -154,20 +156,35 @@ class TestRemoteParaphraser:
         server.script = [("status", status, "denied"), ("ok", "never sent")]
         provider = RemoteParaphraser(make_config(server, max_retries=3, request_delay_ms=50))
         with pytest.raises(ProviderError, match=f"HTTP {status}: denied"):
-            provider.paraphrase("text here", 1)
+            provider.paraphrase("text here")
         assert len(server.requests) == 1
 
     def test_persistent_http_error_raises(self, server, api_key):
         server.script = [("status", 503, "down")] * 5
         provider = RemoteParaphraser(make_config(server, max_retries=2))
         with pytest.raises(ProviderError, match="after 3 attempts"):
-            provider.paraphrase("text here", 1)
+            provider.paraphrase("text here")
         assert len(server.requests) == 3
 
     def test_malformed_body_then_success(self, server, api_key):
         server.script = [("malformed",), ("ok", "good one")]
         provider = RemoteParaphraser(make_config(server))
-        assert provider.paraphrase("text here", 1) == ["good one"]
+        assert provider.paraphrase("text here") == "good one"
+
+    @NON_STRING_CONTENT
+    def test_non_string_content_then_success(self, server, api_key, content):
+        server.script = [("ok", content), ("ok", "good one")]
+        provider = RemoteParaphraser(make_config(server))
+        assert provider.paraphrase("text here") == "good one"
+        assert len(server.requests) == 2
+
+    @NON_STRING_CONTENT
+    def test_persistent_non_string_content_raises(self, server, api_key, content):
+        server.script = [("ok", content)] * 5
+        provider = RemoteParaphraser(make_config(server, max_retries=2))
+        with pytest.raises(ProviderError, match="after 3 attempts .*not chat-completion shaped"):
+            provider.paraphrase("text here")
+        assert len(server.requests) == 3
 
     def test_unreachable_endpoint(self, api_key):
         config = ProviderConfig(
@@ -176,17 +193,7 @@ class TestRemoteParaphraser:
             max_retries=0, timeout_s=0.5,
         )
         with pytest.raises(ProviderError, match="request failed"):
-            RemoteParaphraser(config).paraphrase("text", 1)
-
-    def test_delay_applies_between_requests_only(self, server, api_key):
-        server.script = [("ok", "one"), ("ok", "two")]
-        provider = RemoteParaphraser(make_config(server, request_delay_ms=80))
-        start = time.perf_counter()
-        provider.paraphrase("text here", 2)
-        elapsed = time.perf_counter() - start
-        assert elapsed >= 0.07
-        gap = server.requests[1]["at"] - server.requests[0]["at"]
-        assert gap >= 0.07
+            RemoteParaphraser(config).paraphrase("text")
 
     @pytest.mark.parametrize("status, header, delay_ms, slept", [
         (429, "2", 0, 2.0),  # honoured
@@ -200,7 +207,7 @@ class TestRemoteParaphraser:
         monkeypatch.setattr(augment.time, "sleep", sleeps.append)
         server.script = [("status", status, "busy", {"Retry-After": header}), ("ok", "done")]
         config = make_config(server, request_delay_ms=delay_ms, timeout_s=5.0)
-        assert RemoteParaphraser(config).paraphrase("text here", 1) == ["done"]
+        assert RemoteParaphraser(config).paraphrase("text here") == "done"
         assert sleeps == [slept]
 
     @pytest.mark.parametrize("header", ["soon", "Wed, 21 Oct 2015 07:28:00 GMT", "-3", "nan",
@@ -211,19 +218,92 @@ class TestRemoteParaphraser:
         monkeypatch.setattr(augment.time, "sleep", sleeps.append)
         server.script = [("status", 429, "busy", {"Retry-After": header}), ("ok", "done")]
         provider = RemoteParaphraser(make_config(server, request_delay_ms=40))
-        assert provider.paraphrase("text here", 1) == ["done"]
+        assert provider.paraphrase("text here") == "done"
         assert sleeps == [0.04]
 
     def test_retry_after_only_on_429_and_503(self, server, api_key, monkeypatch):
         sleeps = []
         monkeypatch.setattr(augment.time, "sleep", sleeps.append)
         server.script = [("status", 500, "boom", {"Retry-After": "3"}), ("ok", "done")]
-        assert RemoteParaphraser(make_config(server)).paraphrase("text here", 1) == ["done"]
+        assert RemoteParaphraser(make_config(server)).paraphrase("text here") == "done"
         assert sleeps == []
 
-    def test_zero_request_returns_empty(self, server, api_key):
-        assert RemoteParaphraser(make_config(server)).paraphrase("text", 0) == []
-        assert server.requests == []
+
+def one_parent_dataset(needed: int) -> Dataset:
+    """needed + 1 task-1 = 0 documents and one task-1 = 1 parent, "original text"."""
+    docs = [Document(id=f"m{i:03d}", text=f"majority document {i}", coin=Coin.ADA, task1=0)
+            for i in range(needed + 1)]
+    docs.append(Document(id="p", text="original text", coin=Coin.ADA, task1=1))
+    return Dataset(documents=tuple(docs), name="one-parent")
+
+
+def balance_remote(server, needed: int, **overrides) -> tuple[list[str], dict[int, int]]:
+    """Balance a one-parent dataset through the stub; the synthetic texts and the shortfall."""
+    config = make_config(server, **overrides)
+    balanced = balance(one_parent_dataset(needed), Task.PREDICTIVENESS,
+                       RemoteParaphraser(config), seed=1, max_retries=config.max_retries)
+    synthetic = [doc.text for doc in balanced if doc.source is Source.SYNTHETIC]
+    return synthetic, dict(compute_plan(distribution(balanced, Task.PREDICTIVENESS)).needed)
+
+
+class TestBalanceOverRemote:
+    def test_one_reply_per_slot(self, server, api_key):
+        server.script = [("ok", "first rewrite"), ("ok", "second rewrite")]
+        assert balance_remote(server, 2) == (["first rewrite", "second rewrite"], {})
+        assert len(server.requests) == 2
+
+    def test_duplicate_reply_regenerated(self, server, api_key):
+        server.script = [("ok", "same thing"), ("ok", "Same  THING"),
+                         ("ok", "different thing")]
+        assert balance_remote(server, 2) == (["same thing", "different thing"], {})
+        assert len(server.requests) == 3
+
+    def test_echoing_input_is_rejected(self, server, api_key):
+        server.script = [("ok", "Original  Text"), ("ok", "a real rewrite")]
+        assert balance_remote(server, 1) == (["a real rewrite"], {})
+        assert len(server.requests) == 2
+
+    def test_blank_reply_is_rejected(self, server, api_key):
+        server.script = [("ok", " \n "), ("ok", ""), ("ok", "a real rewrite")]
+        assert balance_remote(server, 1) == (["a real rewrite"], {})
+        assert len(server.requests) == 3
+
+    @pytest.mark.parametrize("retries", [0, 1, 3])
+    def test_echoing_endpoint_stops_after_r_plus_1_replies_per_slot(self, server, api_key,
+                                                                     retries):
+        server.script = [("ok", "original text")] * 20
+        assert balance_remote(server, 3, max_retries=retries) == ([], {1: 3})
+        assert len(server.requests) == 3 * (retries + 1)
+
+    def test_repeating_endpoint_shortfall(self, server, api_key):
+        server.script = [("ok", "stuck")] * 10
+        assert balance_remote(server, 3, max_retries=1) == (["stuck"], {1: 2})
+        # one accepted, then two rejected attempts for each of the other two slots
+        assert len(server.requests) == 5
+
+    def test_delay_applies_between_requests_only(self, server, api_key):
+        server.script = [("ok", "one"), ("ok", "two")]
+        start = time.perf_counter()
+        assert balance_remote(server, 2, request_delay_ms=80) == (["one", "two"], {})
+        elapsed = time.perf_counter() - start
+        assert elapsed >= 0.07
+        gap = server.requests[1]["at"] - server.requests[0]["at"]
+        assert gap >= 0.07
+
+    def test_cli_non_string_content_is_provider_error(self, server, api_key, tmp_path, capsys):
+        server.script = [("ok", None)] * 5
+        data = tmp_path / "d.jsonl"
+        save_dataset(one_parent_dataset(2), data)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"provider": "remote",
+                                      "provider_config": asdict(make_config(server))}))
+        code = main(["balance", "--config", str(config), "--dataset", str(data),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("provider error: ") and err.count("\n") == 1
+        assert "not chat-completion shaped" in err
+        assert len(server.requests) == 3
 
 
 class TestLlmLabel:
@@ -268,6 +348,22 @@ class TestLlmLabel:
                   template=self.TEMPLATE)
         content = server.requests[0]["body"]["messages"][0]["content"]
         assert content == "label task 1: the document body"
+
+    @NON_STRING_CONTENT
+    def test_non_string_content_then_valid(self, server, api_key, content):
+        server.script = [("ok", content), ("ok", "1")]
+        label = llm_label(make_config(server), "btc pumping", Task.DIRECTION,
+                          template=self.TEMPLATE)
+        assert label is Task2Label.INCREMENTAL
+        assert len(server.requests) == 2
+
+    @NON_STRING_CONTENT
+    def test_persistent_non_string_content_raises(self, server, api_key, content):
+        server.script = [("ok", content)] * 5
+        with pytest.raises(ProviderError, match="not chat-completion shaped"):
+            llm_label(make_config(server, max_retries=2), "text", Task.DIRECTION,
+                      template=self.TEMPLATE)
+        assert len(server.requests) == 3
 
     def test_default_template_has_placeholders(self):
         template = default_label_template()
