@@ -1,13 +1,13 @@
 """Class balancing through paraphrase generation.
 
 Minority classes are upsampled to the majority count by paraphrasing
-original documents. Paraphrases come from a pluggable provider: either a
-deterministic offline rewriter (seeded synonym substitution, hedge phrases,
-clause reordering) or a remote chat-completion endpoint called one request
-at a time with a rate-limit delay. A provider returns one candidate per
-call; balance() alone rejects blank and duplicate candidates, retries, and
-leaves the shortfall to be read from the result's counts. The same remote
-plumbing also supports asking the endpoint to label a document.
+original documents. A provider returns one candidate per call: a seeded
+offline rewriter (synonym swaps, hedge phrases, clause reordering) or a
+remote chat-completion endpoint called one request at a time with a
+rate-limit delay. balance() alone rejects blank and duplicate candidates
+and regenerates them; the shortfall is read from the result's counts. The
+chat client alone retries requests, and llm_label() counts a reply with no
+valid label code against that same budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 import time
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import requests
@@ -36,6 +36,8 @@ from .corpus import (
     distribution,
     label_enum,
 )
+
+_T = TypeVar("_T")
 
 
 class ProviderError(RuntimeError):
@@ -192,21 +194,10 @@ class OfflineParaphraser:
         return candidate
 
     def paraphrase(self, text: str, seed: int = 0) -> str:
-        """The first seeded candidate whose key differs from text's.
-
-        After 260 candidates without one, the last is returned and
-        balance() rejects it as a duplicate of its parent.
-        """
+        """One seeded candidate; it may echo text, and balance() then rejects it."""
         if not text.strip():
             raise DataError("cannot paraphrase empty text")
-        rng = random.Random(seed)
-        own_key = normalize_key(text)
-        for _ in range(260):
-            candidate = self._mutate(text, rng)
-            key = normalize_key(candidate)
-            if key and key != own_key:
-                break
-        return candidate
+        return self._mutate(text, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +244,9 @@ def _retry_after_s(value: str | None) -> float | None:
 class _ChatClient:
     """One-request-at-a-time JSON client with delay and retries.
 
-    Transport errors, HTTP 429, 5xx statuses and malformed bodies (a reply
-    content that is not a string among them) are retried; any other non-200
+    Transport errors, HTTP 429, 5xx statuses, malformed bodies (a reply
+    content that is not a string among them) and replies the caller's check
+    rejects share one budget of max_retries + 1 requests; any other non-200
     status (401, 404, ...) fails at once. A 429 or 503 with a numeric
     Retry-After waits that long before the retry, capped at timeout_s and
     never shorter than request_delay_ms.
@@ -276,8 +268,9 @@ class _ChatClient:
             )
         return key
 
-    def complete(self, prompt: str) -> str:
-        """POST one chat message, return the reply text."""
+    def complete(self, prompt: str, check: Callable[[str], _T | None],
+                 rejected: str = "reply rejected") -> _T:
+        """POST one chat message and return check(reply text); a None is retried."""
         import requests
 
         body = {
@@ -318,9 +311,13 @@ class _ChatClient:
                 content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
                 content = None
-            if isinstance(content, str):
-                return content
-            last_error = "response body is not chat-completion shaped"
+            if not isinstance(content, str):
+                last_error = "response body is not chat-completion shaped"
+                continue
+            value = check(content)
+            if value is not None:
+                return value
+            last_error = rejected
         raise ProviderError(
             f"provider at {self.config.endpoint} failed after "
             f"{self.config.max_retries + 1} attempts ({last_error})"
@@ -346,7 +343,7 @@ class RemoteParaphraser:
     def paraphrase(self, text: str, seed: int = 0) -> str:
         if not text.strip():
             raise DataError("cannot paraphrase empty text")
-        return self.client.complete(_PARAPHRASE_PROMPT.format(text=text)).strip()
+        return self.client.complete(_PARAPHRASE_PROMPT.format(text=text), str.strip)
 
 
 def default_label_template() -> str:
@@ -362,25 +359,23 @@ def llm_label(config: ProviderConfig, text: str, task: Task,
     """Ask the remote endpoint to label one document.
 
     The reply is parsed by taking the first integer that is a valid label
-    code for the task; unparseable replies are retried, then raised.
+    code for the task; a reply without one is retried like a malformed body.
     """
     task = Task(task)
     if template is None:
         template = default_label_template()
-    prompt = template.format(text=text, task=int(task))
     enum = label_enum(task)
     valid = {int(member) for member in enum}
-    client = _ChatClient(config, session)
-    for _ in range(config.max_retries + 1):
-        reply = client.complete(prompt)
+
+    def parse(reply: str) -> Task1Label | Task2Label | None:
         for match in _INT_RE.findall(reply):
-            code = int(match)
-            if code in valid:
-                return enum(code)
-    raise ProviderError(
-        f"no valid task-{int(task)} label code in provider replies "
-        f"after {config.max_retries + 1} attempts"
-    )
+            if int(match) in valid:
+                return enum(int(match))
+        return None
+
+    return _ChatClient(config, session).complete(
+        template.format(text=text, task=int(task)), parse,
+        rejected=f"no valid task-{int(task)} label code in the reply")
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ from .corpus import (
     from_dict,
     load_dataset,
     parse_json,
+    reject_unknown_keys,
     save_dataset,
+    write_json,
 )
 from .emotion import aggregate, bundled_lexicon_path, load_lexicon, render_markdown
 from .preprocess import CleanConfig
@@ -190,10 +192,6 @@ def _run_dir(cfg: RunConfig, command: str):
     os.replace(pointer, command_dir / "latest")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _load_required_dataset(cfg: RunConfig):
     if not cfg.dataset:
         raise UsageError("a dataset is required; pass --dataset or set it in the config")
@@ -229,7 +227,7 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
         md_lines.extend(lines + [""])
     markdown = "\n".join(md_lines).rstrip() + "\n"
     with _run_dir(cfg, "stats") as run_dir:
-        _write_json(run_dir / "stats.json", payload)
+        write_json(run_dir / "stats.json", payload)
         (run_dir / "stats.md").write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     return EXIT_OK
@@ -270,7 +268,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     markdown = "\n".join([md_parts[0], "", pooled_table, "", means_table, ""] + md_parts[2:])
     with _run_dir(cfg, "cv") as run_dir:
         for name, payload in payloads.items():
-            _write_json(run_dir / name, payload)
+            write_json(run_dir / name, payload)
         (run_dir / "report.md").write_text(markdown, encoding="utf-8")
     print(pooled_table)
     return EXIT_OK
@@ -293,9 +291,8 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     provider = _make_provider(cfg)
     before = distribution(dataset, task)
     plan = compute_plan(before)
-    max_retries = cfg.provider_config.max_retries if cfg.provider_config else 3
-    result = balance(dataset, task, provider, seed=cfg.seed, max_retries=max_retries,
-                     plan=plan)
+    budget = {"max_retries": cfg.provider_config.max_retries} if cfg.provider == "remote" else {}
+    result = balance(dataset, task, provider, seed=cfg.seed, plan=plan, **budget)
     after = distribution(result, task)
     # the majority class is never upsampled, so what the result still needs is the shortfall
     shortfall = sorted(compute_plan(after).needed.items())
@@ -304,7 +301,7 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"warning: balancing fell short of the plan ({missing})", file=sys.stderr)
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
-        _write_json(run_dir / "balance.json", {
+        write_json(run_dir / "balance.json", {
             **_config_echo(cfg),
             "task": int(task),
             "plan": plan.to_dict(),
@@ -328,7 +325,7 @@ def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = aggregate(dataset, lexicon, threshold=cfg.threshold, clean_cfg=cfg.clean)
     markdown = render_markdown(report) + "\n"
     with _run_dir(cfg, "emotion") as run_dir:
-        _write_json(run_dir / "emotion.json", {**_config_echo(cfg), "cells": report.to_dict()})
+        write_json(run_dir / "emotion.json", {**_config_echo(cfg), "cells": report.to_dict()})
         (run_dir / "emotion.md").write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     return EXIT_OK
@@ -350,6 +347,7 @@ def _read_annotation_file(path: Path) -> dict[str, int]:
         rec = parse_json(line, lambda reason: DataError(f"{where}: invalid JSON ({reason})"))
         if not isinstance(rec, dict) or "id" not in rec or "label" not in rec:
             raise DataError(f"{where}: expected an object with 'id' and 'label'")
+        reject_unknown_keys(rec, {"id", "label"}, where)
         doc_id = rec["id"]
         if not isinstance(doc_id, str) or not doc_id:
             raise DataError(f"{where}: 'id' must be a non-empty string")
@@ -377,7 +375,7 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
     ids = sorted(a)
     kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
     with _run_dir(cfg, "kappa") as run_dir:
-        _write_json(run_dir / "kappa.json", {
+        write_json(run_dir / "kappa.json", {
             **_config_echo(cfg),
             "kappa": kappa,
             "n": len(ids),

@@ -69,6 +69,11 @@ def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
         raise DataError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def write_json(path: Path, payload: object) -> None:
+    """Write payload in the one JSON artifact format: sorted keys, indent 2, final newline."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def is_finite_number(value: object) -> bool:
     """A JSON number a float can hold: a finite float, or an int in float range (not bool)."""
     return (type(value) is float and math.isfinite(value)

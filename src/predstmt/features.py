@@ -14,7 +14,6 @@ the trainers and predict_many in models; a single document is a one-row batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -31,6 +30,7 @@ from .corpus import (
     parse_json,
     reject_unknown_keys,
     require_field,
+    write_json,
 )
 from .config import TfidfConfig
 
@@ -197,7 +197,7 @@ def save_tfidf(model: TfidfModel, path: str | Path) -> None:
         "doc_freq": list(model.doc_freq),
         "idf": list(model.idf),
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def _max_idf(n_docs: int) -> float:

@@ -32,7 +32,6 @@ break toward the lowest class code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -47,6 +46,7 @@ from .corpus import (
     parse_json,
     reject_unknown_keys,
     require_field,
+    write_json,
 )
 from .config import TrainConfig
 from .features import SparseBatch
@@ -645,7 +645,7 @@ def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
                        loss_history=list(model.loss_history))
     else:
         payload["trees"] = [_node_to_dict(t) for t in model.trees]
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_model(path: str | Path) -> LinearModel | ForestModel:

@@ -77,17 +77,26 @@ class TestOfflineParaphraser:
         text = "eth looks weak but volume is holding"
         assert OfflineParaphraser().paraphrase(text, seed=1) != OfflineParaphraser().paraphrase(text, seed=2)
 
-    def test_gives_up_after_260_candidates_with_the_last(self):
+    def test_echo_is_returned_and_balance_regenerates_the_slot(self):
+        # seed 1 swaps the clauses of "up but up" and adds no hedge: an echo
         para = OfflineParaphraser()
-        candidates = []
+        assert para.paraphrase("up but up", seed=1) == "up but up"
+        seeds = []
 
-        def echo(text, rng):  # alternately an empty key and the input's own key
-            candidates.append(text.upper() if len(candidates) % 2 else "  ")
-            return candidates[-1]
+        class Recording:
+            def paraphrase(self, text, seed=0):
+                seeds.append(seed)
+                return para.paraphrase(text, seed=seed)
 
-        para._mutate = echo
-        assert para.paraphrase("btc holds", seed=3) == "BTC HOLDS"
-        assert len(candidates) == 260
+        docs = [Document(id=f"m{i}", text=f"majority doc {i}", coin=Coin.ADA, task1=0)
+                for i in range(2)]
+        docs.append(Document(id="p", text="up but up", coin=Coin.ADA, task1=1))
+        ds = Dataset(documents=tuple(docs), name="echo")
+        balanced = balance(ds, Task.PREDICTIVENESS, Recording(), seed=0)
+        assert seeds == [1, 2]  # the echo is rejected and the slot regenerated
+        synthetic = [d for d in balanced if d.source is Source.SYNTHETIC]
+        assert [d.text for d in synthetic] == [para.paraphrase("up but up", seed=2)]
+        assert synthetic[0].text != "up but up"
 
 
 class ScriptedProvider:

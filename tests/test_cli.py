@@ -189,13 +189,18 @@ class TestBalance:
                 counts[label] = counts.get(label, 0) + 1
         assert counts == {1: 570, 2: 570, 3: 570}
 
-    def test_shortfall_is_reported_and_recorded(self, tmp_path, capsys):
-        # a one-parent class with no synonym or conjunction runs out of distinct variants
+    @staticmethod
+    def shortfall_corpus(tmp_path):
+        """A one-parent class with no synonym or conjunction: it runs out of distinct variants."""
         docs = [Document(id=f"m{i:02d}", text=f"plain words number {i} here", coin=Coin.ADA,
                          task1=0) for i in range(60)]
         docs.append(Document(id="p00", text="tiny sample text", coin=Coin.ADA, task1=1))
         path = tmp_path / "short.jsonl"
         save_dataset(Dataset(documents=tuple(docs), name="short"), path)
+        return path
+
+    def test_shortfall_is_reported_and_recorded(self, tmp_path, capsys):
+        path = self.shortfall_corpus(tmp_path)
         code = run("balance", "--dataset", str(path), "--task", "1", "--out", str(tmp_path),
                    "--tag", "r")
         captured = capsys.readouterr()
@@ -208,6 +213,20 @@ class TestBalance:
         assert payload["after"] == {"0": 60, "1": 34}
         assert payload["documents_after"] == 94
         assert len((run_dir / "balanced.jsonl").read_text().splitlines()) == 94
+
+    def test_offline_budget_ignores_remote_max_retries(self, tmp_path, capsys):
+        # a remote setting must not change an offline run
+        path = self.shortfall_corpus(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"provider_config": {
+            "endpoint": "http://e", "api_key_env": "K", "model": "m", "max_retries": 0}}))
+        code = run("balance", "--config", str(config), "--provider", "offline",
+                   "--dataset", str(path), "--task", "1", "--out", str(tmp_path), "--tag", "r")
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: balancing fell short of the plan (class 1: 26)\n")
+        payload = json.loads((tmp_path / "balance" / "r" / "balance.json").read_text())
+        assert payload["shortfall"] == {"1": 26}
 
     def test_remote_without_endpoint_is_provider_error(self, planted_path, tmp_path,
                                                        capsys):
@@ -564,7 +583,9 @@ class TestUnparseableInputs:
         (b'{"id": 2, "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
         (b'{"id": "", "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
         (b'{"id": "caf\xe9", "label": 1}', "cannot read annotation file"),
-    ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8"])
+        (b'{"id": "d2", "label": 0, "lable": 5}', "a.jsonl:2: unknown keys ['lable']"),
+    ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8",
+            "unknown-key"])
     def test_bad_annotation_file_is_data_error(self, tmp_path, content, message):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_bytes(b'{"id": "d1", "label": 0}\n' + content + b"\n")

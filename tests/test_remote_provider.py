@@ -335,6 +335,17 @@ class TestLlmLabel:
                       template=self.TEMPLATE)
         assert len(server.requests) == 3
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_missing_label_code_shares_the_request_budget(self, server, api_key, r):
+        # r server errors, then a reply with no label code, repeated
+        server.script = ([("status", 500, "boom")] * r + [("ok", "no idea")]) * (r + 1)
+        with pytest.raises(ProviderError) as info:
+            llm_label(make_config(server, max_retries=r), "text", Task.DIRECTION,
+                      template=self.TEMPLATE)
+        assert len(server.requests) == r + 1
+        assert str(info.value).endswith(
+            f"failed after {r + 1} attempts (no valid task-2 label code in the reply)")
+
     def test_binary_task_range(self, server, api_key):
         # 2 is not a valid predictiveness code, the retry answers 0
         server.script = [("ok", "2"), ("ok", "0")]
