@@ -70,8 +70,8 @@ _LAZY = {
                      "predict_many", "predict_proba", "save_model", "train_logreg",
                      "train_random_forest", "train_svm_linear"), "models"),
     **dict.fromkeys(("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
-                     "classification_report", "confusion", "cross_validate", "metrics",
-                     "summary_table"), "evaluation"),
+                     "classification_report", "confusion", "cross_validate",
+                     "cross_validate_models", "metrics", "summary_table"), "evaluation"),
 }
 
 __all__ = [

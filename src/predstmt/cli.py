@@ -5,7 +5,8 @@ set everything; flags override it. Every output file embeds the resolved
 config hash and seed, and contains no timestamps, so reruns with the same
 tag are byte-identical. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 provider error. Only cv loads numpy, through evaluation, which
-it imports when it runs; the other commands start without it.
+it imports when it runs, with one BLAS thread unless the user set a
+count; the other commands start without it.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ class RunConfig:
                 f"unknown provider {self.provider!r}; expected {' or '.join(PROVIDERS)}")
         if not self.models:
             raise DataError(f"models must name at least one of {', '.join(MODEL_KINDS)}")
-        for kind in self.models:
+        for i, kind in enumerate(self.models):
             if kind not in MODEL_KINDS:
                 raise DataError(
                     f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
+            if kind in self.models[:i]:
+                raise DataError(f"model kind {kind!r} is listed twice")
         # the run directory and the staging names beside it must not collide
         if self.tag and (self.tag == "latest" or self.tag.startswith(".") or "/" in self.tag):
             raise DataError(f"tag must be a plain directory name other than 'latest', "
@@ -234,13 +237,28 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cross_validate(*args, **kwargs):
-    """evaluation.cross_validate, imported on first call: only cv loads numpy."""
-    from .evaluation import cross_validate
+    """evaluation.cross_validate_models, imported on first call: only cv loads numpy."""
+    from .evaluation import cross_validate_models
 
-    return cross_validate(*args, **kwargs)
+    return cross_validate_models(*args, **kwargs)
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Start numpy's BLAS with one thread unless the user chose a thread count.
+
+    Nothing in cv does BLAS matrix work, so a thread pool only costs start-up
+    time. OpenBLAS reads the variable once, when numpy loads; a process that
+    has loaded numpy already keeps its environment as it is.
+    """
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _one_blas_thread()
     from .evaluation import classification_report, report_headline, summary_table
 
     dataset = _load_required_dataset(cfg)
@@ -249,11 +267,11 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     pooled_rows = {}
     mean_rows = {}
     md_parts = [f"## Cross-validation, task {int(task)}, k={cfg.k}, seed={cfg.seed}", ""]
-    for kind in cfg.models:
-        report = cross_validate(
-            dataset, task, kind, cfg.train,
-            k=cfg.k, seed=cfg.seed, clean_cfg=cfg.clean, tfidf_cfg=cfg.tfidf,
-        )
+    reports = cross_validate(
+        dataset, task, cfg.models, cfg.train,
+        k=cfg.k, seed=cfg.seed, clean_cfg=cfg.clean, tfidf_cfg=cfg.tfidf,
+    )
+    for kind, report in reports.items():
         payloads[f"cv_{kind}.json"] = {**_config_echo(cfg), **report.to_dict()}
         pooled_rows[kind] = report_headline(report.pooled)
         mean_rows[kind] = report.fold_means()

@@ -4,7 +4,10 @@ Confusion matrices are gold-by-predicted count tables. Per-class precision,
 recall, and F1 use the zero-division-to-zero convention; macro metrics are
 unweighted means over all classes and weighted metrics are support-weighted
 sums. Cross-validation refits the TF-IDF vocabulary inside every training
-split so no test-fold statistics leak into the features.
+split so no test-fold statistics leak into the features. cross_validate_models
+evaluates several model kinds on the same folds: each document is cleaned
+once and each fold is featurized once for all of them, by _fold_predictions,
+the per-fold "fit TF-IDF, train, predict" step.
 """
 
 from __future__ import annotations
@@ -220,53 +223,86 @@ def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: Tra
                    k: int = 5, seed: int = 42,
                    clean_cfg: CleanConfig = DEFAULT_CLEAN,
                    tfidf_cfg: TfidfConfig = TfidfConfig()) -> CvReport:
-    """Run stratified k-fold evaluation of one model kind on one task.
+    """Run stratified k-fold evaluation of one model kind on one task."""
+    return cross_validate_models(dataset, task, (model_kind,), train_cfg, k=k, seed=seed,
+                                 clean_cfg=clean_cfg, tfidf_cfg=tfidf_cfg)[model_kind]
 
-    Every fold refits TF-IDF on its training split only, trains a fresh
-    model, and scores the held-out fold. The pooled report merges all fold
-    confusion matrices; per-fold reports and their means are kept alongside.
+
+def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[str],
+                          train_cfg: TrainConfig, k: int = 5, seed: int = 42,
+                          clean_cfg: CleanConfig = DEFAULT_CLEAN,
+                          tfidf_cfg: TfidfConfig = TfidfConfig()) -> dict[str, CvReport]:
+    """Run stratified k-fold evaluation of several model kinds on the same folds.
+
+    Each document is preprocessed once. Every fold refits TF-IDF on its
+    training split only, featurizes both splits once, then trains a fresh
+    model of each kind, in the order given, and scores the held-out fold.
+    A kind's pooled report merges its fold confusion matrices; per-fold
+    reports and their means are kept alongside. The reports are keyed by
+    kind and equal those of one cross_validate call per kind.
     """
-    if model_kind not in _TRAINERS:
-        raise DataError(f"unknown model kind {model_kind!r}; expected one of {MODEL_KINDS}")
+    for kind in model_kinds:
+        if kind not in _TRAINERS:
+            raise DataError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if len(set(model_kinds)) != len(model_kinds):
+        raise DataError(f"model kinds must be distinct, got {list(model_kinds)}")
     task = Task(task)
     assignment = stratified_folds(dataset, task, k, seed)
     docs = dataset.labeled(task)
-    tokens = {doc.id: preprocess(doc.text, clean_cfg) for doc in docs}
-    labels = {doc.id: doc.label(task) for doc in docs}
-    class_codes = sorted(set(labels.values()))
+    tokens = [preprocess(doc.text, clean_cfg) for doc in docs]
+    labels = [doc.label(task) for doc in docs]
+    doc_folds = [assignment.folds[doc.id] for doc in docs]
+    class_codes = sorted(set(labels))
 
-    per_fold = []
     fold_sizes = []
-    forest_sizes = []
-    pooled_counts = np.zeros((len(class_codes), len(class_codes)), dtype=np.int64)
+    per_fold = {kind: [] for kind in model_kinds}
+    forest_sizes = {kind: [] for kind in model_kinds}
+    pooled_counts = {kind: np.zeros((len(class_codes), len(class_codes)), dtype=np.int64)
+                     for kind in model_kinds}
     for fold in range(k):
-        train_docs = [d for d in docs if assignment.folds[d.id] != fold]
-        test_docs = [d for d in docs if assignment.folds[d.id] == fold]
-        fold_sizes.append(len(test_docs))
-        tfidf = fit_tfidf([tokens[d.id] for d in train_docs], tfidf_cfg)
-        x_train = transform_many(tfidf, [tokens[d.id] for d in train_docs])
-        y_train = [labels[d.id] for d in train_docs]
-        model = _TRAINERS[model_kind](x_train, y_train, train_cfg)
-        if isinstance(model, ForestModel):
-            forest_sizes.append(forest_size(model))
-        x_test = transform_many(tfidf, [tokens[d.id] for d in test_docs])
-        y_test = [labels[d.id] for d in test_docs]
-        predictions = predict_many(model, x_test)
-        cm = confusion(y_test, predictions, class_codes)
-        per_fold.append(metrics(cm))
-        pooled_counts += cm.counts
-    pooled = metrics(ConfusionMatrix(class_codes=tuple(class_codes), counts=pooled_counts))
-    return CvReport(
-        task=task,
-        model_kind=model_kind,
-        k=k,
-        seed=seed,
-        train_config=train_cfg,
-        per_fold=tuple(per_fold),
-        pooled=pooled,
-        fold_sizes=tuple(fold_sizes),
-        forest_sizes=tuple(forest_sizes),
-    )
+        train = [i for i, f in enumerate(doc_folds) if f != fold]
+        test = [i for i, f in enumerate(doc_folds) if f == fold]
+        fold_sizes.append(len(test))
+        y_test = [labels[i] for i in test]
+        for kind, model, predictions in _fold_predictions(
+                [tokens[i] for i in train], [labels[i] for i in train],
+                [tokens[i] for i in test], model_kinds, train_cfg, tfidf_cfg):
+            if isinstance(model, ForestModel):
+                forest_sizes[kind].append(forest_size(model))
+            cm = confusion(y_test, predictions, class_codes)
+            per_fold[kind].append(metrics(cm))
+            pooled_counts[kind] += cm.counts
+    return {
+        kind: CvReport(
+            task=task,
+            model_kind=kind,
+            k=k,
+            seed=seed,
+            train_config=train_cfg,
+            per_fold=tuple(per_fold[kind]),
+            pooled=metrics(ConfusionMatrix(class_codes=tuple(class_codes),
+                                           counts=pooled_counts[kind])),
+            fold_sizes=tuple(fold_sizes),
+            forest_sizes=tuple(forest_sizes[kind]),
+        )
+        for kind in model_kinds
+    }
+
+
+def _fold_predictions(train_tokens: Sequence[Sequence[str]], y_train: Sequence[int],
+                      test_tokens: Sequence[Sequence[str]], model_kinds: Sequence[str],
+                      train_cfg: TrainConfig, tfidf_cfg: TfidfConfig):
+    """Yield (kind, model, test predictions) for each kind on one train/test split.
+
+    TF-IDF is fitted on the training split alone, and both splits are
+    featurized once for all kinds.
+    """
+    tfidf = fit_tfidf(train_tokens, tfidf_cfg)
+    x_train = transform_many(tfidf, train_tokens)
+    x_test = transform_many(tfidf, test_tokens)
+    for kind in model_kinds:
+        model = _TRAINERS[kind](x_train, y_train, train_cfg)
+        yield kind, model, predict_many(model, x_test)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,9 @@ class SparseBatch:
     def scores(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """Per-row class scores: X @ weights.T + bias, shape (n, k)."""
         out = np.tile(bias, (len(self), 1))
-        contrib = self.data[:, None] * weights.T[self.indices]
+        # a row gather from the transposed copy beats a fancy index into weights.T
+        contrib = np.ascontiguousarray(weights.T, dtype=np.float64).take(self.indices, axis=0)
+        contrib *= self.data[:, None]
         starts = self.indptr[:-1]
         nonempty = starts < self.indptr[1:]
         out[nonempty] += np.add.reduceat(contrib, starts[nonempty], axis=0)
@@ -96,8 +98,11 @@ class SparseBatch:
 
     def add_outer(self, acc: np.ndarray, row_weights: np.ndarray) -> None:
         """acc[c, j] += sum_i row_weights[i, c] * X[i, j], in place."""
-        expanded = np.repeat(row_weights, np.diff(self.indptr), axis=0)
-        np.add.at(acc.T, self.indices, self.data[:, None] * expanded)
+        # one flat np.add.at per class: each acc[c, j] gets the same sums in the same order
+        # as one 2-D np.add.at on acc.T, far faster
+        row_lengths = np.diff(self.indptr)
+        for c in range(acc.shape[0]):
+            np.add.at(acc[c], self.indices, self.data * np.repeat(row_weights[:, c], row_lengths))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ the CSR arrays of a features.SparseBatch directly:
 
 * multinomial logistic regression, full-batch gradient descent on the
   softmax cross-entropy plus (l2/2)||W||^2, with step-halving so the loss
-  never increases across epochs;
+  never increases across epochs. Each trial step scores the batch once, and
+  the scores of the step it accepts give the next gradient;
 * one-vs-rest linear SVM trained by Pegasos-style SGD on the L2-regularized
   hinge loss, step size 1/(l2 * t). The weights are kept as w = a * v, so
   the shrink w *= 1 - step * l2 of every step scales the scalar a and only
@@ -126,23 +127,19 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # logistic regression
 
-def logreg_objective(weights: np.ndarray, bias: np.ndarray,
-                     X: SparseBatch, y_idx: Sequence[int], l2: float) -> float:
-    """Mean cross-entropy plus (l2/2)||W||^2; bias is not regularized."""
-    y_idx = np.asarray(y_idx, dtype=np.int64)
-    scores = X.scores(weights, bias)
+def _logreg_loss(scores: np.ndarray, weights: np.ndarray, y_idx: np.ndarray,
+                 l2: float) -> float:
+    """logreg_objective from the batch's class scores at (weights, bias)."""
     logp = scores - scores.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    nll = -logp[np.arange(len(X)), y_idx].mean()
+    nll = -logp[np.arange(len(scores)), y_idx].mean()
     return float(nll + 0.5 * l2 * float((weights * weights).sum()))
 
 
-def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
-                    X: SparseBatch, y_idx: Sequence[int],
-                    l2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic full-batch gradient of logreg_objective, as (dW, db)."""
-    y_idx = np.asarray(y_idx, dtype=np.int64)
-    probs = _softmax(X.scores(weights, bias))
+def _logreg_grad(scores: np.ndarray, weights: np.ndarray, X: SparseBatch,
+                 y_idx: np.ndarray, l2: float) -> tuple[np.ndarray, np.ndarray]:
+    """logreg_gradient from the batch's class scores at (weights, bias)."""
+    probs = _softmax(scores)
     probs[np.arange(len(X)), y_idx] -= 1.0
     probs /= len(X)
     grad_w = l2 * weights
@@ -150,30 +147,49 @@ def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
     return grad_w, probs.sum(axis=0)
 
 
+def logreg_objective(weights: np.ndarray, bias: np.ndarray,
+                     X: SparseBatch, y_idx: Sequence[int], l2: float) -> float:
+    """Mean cross-entropy plus (l2/2)||W||^2; bias is not regularized."""
+    return _logreg_loss(X.scores(weights, bias), weights,
+                        np.asarray(y_idx, dtype=np.int64), l2)
+
+
+def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
+                    X: SparseBatch, y_idx: Sequence[int],
+                    l2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic full-batch gradient of logreg_objective, as (dW, db)."""
+    return _logreg_grad(X.scores(weights, bias), weights, X,
+                        np.asarray(y_idx, dtype=np.int64), l2)
+
+
 def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     """Fit a multinomial softmax classifier by full-batch gradient descent.
 
     The step size halves whenever a step would raise the objective, so the
     recorded loss history is non-increasing (up to 1e-8) by construction.
+    The scores of an accepted step give the next epoch's gradient, so each
+    trial step scores the batch once.
     """
     codes, y_idx = _check_inputs(X, y)
     k = len(codes)
     weights = np.zeros((k, X.dim))
     bias = np.zeros(k)
     lr = cfg.learning_rate
-    loss = logreg_objective(weights, bias, X, y_idx, cfg.l2)
+    scores = X.scores(weights, bias)
+    loss = _logreg_loss(scores, weights, y_idx, cfg.l2)
     history = [loss]
     for _ in range(cfg.epochs):
-        grad_w, grad_b = logreg_gradient(weights, bias, X, y_idx, cfg.l2)
+        grad_w, grad_b = _logreg_grad(scores, weights, X, y_idx, cfg.l2)
         while True:
             next_w = weights - lr * grad_w
             next_b = bias - lr * grad_b
-            next_loss = logreg_objective(next_w, next_b, X, y_idx, cfg.l2)
+            next_scores = X.scores(next_w, next_b)
+            next_loss = _logreg_loss(next_scores, next_w, y_idx, cfg.l2)
             if next_loss <= loss + 1e-8 or lr < 1e-12:
                 break
             lr *= 0.5
         if next_loss <= loss + 1e-8:
-            weights, bias, loss = next_w, next_b, next_loss
+            weights, bias, loss, scores = next_w, next_b, next_loss, next_scores
         history.append(loss)
     return LinearModel(
         kind=KIND_LOGREG,

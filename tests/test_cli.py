@@ -26,7 +26,7 @@ from predstmt import (
     distribution,
     save_dataset,
 )
-from predstmt import augment, cli
+from predstmt import augment, cli, evaluation
 from predstmt.cli import RunConfig, _config_echo, main
 from predstmt.corpus import from_dict
 
@@ -151,6 +151,39 @@ class TestCv:
                    "--k", "3", "--out", str(tmp_path / "o"))
         assert code == 1
         assert "unknown model kind 'mystery'" in capsys.readouterr().err
+
+    def test_repeated_model_flag_is_one_line_usage_error(self, planted_path, tmp_path,
+                                                         capsys):
+        code = run("cv", "--dataset", str(planted_path), "--model", "svm", "--model", "logreg",
+                   "--model", "svm", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "usage error: model kind 'svm' is listed twice\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_two_models_share_folds_tokens_and_features(self, planted_path, tmp_path, monkeypatch):
+        calls = {"cross_validate": 0, "preprocess": 0, "fit_tfidf": 0, "transform_many": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every name that perfbench/traced.py wraps on the cv path
+        monkeypatch.setattr(cli, "cross_validate", counting("cross_validate", cli.cross_validate))
+        for name in ("preprocess", "fit_tfidf", "transform_many"):
+            monkeypatch.setattr(evaluation, name, counting(name, getattr(evaluation, name)))
+        code, err = run_captured("cv", "--dataset", str(planted_path), "--model", "logreg",
+                                 "--model", "svm", "--k", "4", "--out", str(tmp_path),
+                                 "--tag", "r")
+        assert code == 0 and err == ""
+        payloads = [json.loads((tmp_path / "cv" / "r" / f"cv_{kind}.json").read_text())
+                    for kind in ("logreg", "svm")]
+        docs = sum(payloads[0]["fold_sizes"])
+        assert payloads[1]["fold_sizes"] == payloads[0]["fold_sizes"]
+        assert calls == {"cross_validate": 1, "preprocess": docs, "fit_tfidf": 4,
+                         "transform_many": 8}
 
 
 class TestBalance:
@@ -370,6 +403,7 @@ class TestConfigPrecedence:
         ("cv", {"k": 1}, "k must be an integer >= 2"),
         ("cv", {"models": ["xgb"]}, "unknown model kind 'xgb'"),
         ("cv", {"models": []}, "models must name at least one"),
+        ("cv", {"models": ["rf", "logreg", "rf"]}, "model kind 'rf' is listed twice"),
         ("stats", {"seed": "7"}, "seed must be an integer"),
         ("emotion", {"threshold": "high"}, "threshold must be a number"),
         ("stats", {"tag": 5}, "tag must be a string"),
@@ -677,6 +711,36 @@ def test_only_cv_imports_numpy(planted_path, tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert "| logreg |" in proc.stdout
+
+
+@pytest.mark.parametrize("user, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["default", "openblas-set", "omp-set"])
+def test_cv_starts_numpy_with_one_blas_thread_by_default(planted_path, tmp_path, user,
+                                                         expected):
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import json, os, sys\n"
+        "import predstmt.cli\n"
+        "argv = ['cv', '--dataset', sys.argv[1], '--model', 'logreg', '--k', '3',\n"
+        "        '--out', sys.argv[2]]\n"
+        "assert predstmt.cli.main(argv) == 0\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script, str(planted_path), str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**env, **user, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    value, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert value == expected
+    if not user and threads is not None:
+        assert threads == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from predstmt import (
     cohen_kappa,
     confusion,
     cross_validate,
+    cross_validate_models,
     metrics,
     summary_table,
 )
+
+from predstmt import evaluation
 
 from conftest import build_planted_dataset
 
@@ -258,6 +261,36 @@ class TestCrossValidate:
     def test_unknown_model_kind(self, planted):
         with pytest.raises(DataError, match="unknown model kind 'mystery'"):
             cross_validate(planted, Task.PREDICTIVENESS, "mystery", TrainConfig(), k=3)
+
+
+class TestCrossValidateModels:
+    """Several model kinds share each fold's folds, tokens and features."""
+
+    def test_reports_equal_one_cross_validate_per_kind(self, planted):
+        cfg = TrainConfig(epochs=15, n_trees=4, max_depth=4, seed=1)
+        kinds = ("logreg", "svm", "rf")
+        reports = cross_validate_models(planted, Task.PREDICTIVENESS, kinds, cfg, k=3, seed=11)
+        assert tuple(reports) == kinds
+        for kind in kinds:
+            alone = cross_validate(planted, Task.PREDICTIVENESS, kind, cfg, k=3, seed=11)
+            assert reports[kind].to_dict() == alone.to_dict()
+
+    @pytest.mark.parametrize("kinds", [("mystery",), ("logreg", "mystery"),
+                                       ("svm", "rf", "mystery")])
+    def test_unknown_kind_anywhere_raises_before_any_work(self, planted, monkeypatch, kinds):
+        calls = []
+        for kind, trainer in list(evaluation._TRAINERS.items()):
+            monkeypatch.setitem(evaluation._TRAINERS, kind,
+                                lambda *a, _kind=kind, _train=trainer: calls.append(_kind))
+        monkeypatch.setattr(evaluation, "preprocess", lambda *a: calls.append("preprocess"))
+        with pytest.raises(DataError, match="unknown model kind 'mystery'"):
+            cross_validate_models(planted, Task.PREDICTIVENESS, kinds, TrainConfig(), k=3)
+        assert calls == []
+
+    def test_repeated_kind_is_refused(self, planted):
+        with pytest.raises(DataError, match="model kinds must be distinct"):
+            cross_validate_models(planted, Task.PREDICTIVENESS, ("svm", "logreg", "svm"),
+                                  TrainConfig(epochs=2), k=3)
 
 
 class TestRendering:

@@ -11,6 +11,7 @@ from conftest import dense_batch, dense_rows
 from predstmt import (
     DataError,
     LinearModel,
+    SparseBatch,
     TrainConfig,
     load_model,
     predict,
@@ -333,6 +334,125 @@ class TestScaledPegasos:
         ref_w, ref_b = per_step_svm(X, y, cfg)
         assert np.abs(model.weights - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
         assert np.abs(model.bias - ref_b).max() <= 1e-9 * max(1.0, np.abs(ref_b).max())
+
+
+def two_pass_scores(X, weights, bias):
+    """SparseBatch.scores as first written: a fancy index into weights.T."""
+    out = np.tile(bias, (len(X), 1))
+    contrib = X.data[:, None] * weights.T[X.indices]
+    starts = X.indptr[:-1]
+    nonempty = starts < X.indptr[1:]
+    out[nonempty] += np.add.reduceat(contrib, starts[nonempty], axis=0)
+    return out
+
+
+def two_pass_add_outer(X, acc, row_weights):
+    """SparseBatch.add_outer as first written: one 2-D np.add.at on acc.T."""
+    expanded = np.repeat(row_weights, np.diff(X.indptr), axis=0)
+    np.add.at(acc.T, X.indices, X.data[:, None] * expanded)
+
+
+def two_pass_logreg(X, y, cfg):
+    """train_logreg as first written: each epoch scores the batch at the weights it
+    already scored when it accepted them, once for the gradient and once per trial step.
+
+    Returns the weights, bias and loss history, the number of halvings and the last lr.
+    """
+    codes = sorted(set(y))
+    y_idx = np.searchsorted(codes, y)
+    rows = np.arange(len(X))
+
+    def objective(w, b):
+        scores = two_pass_scores(X, w, b)
+        logp = scores - scores.max(axis=1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        return float(-logp[rows, y_idx].mean() + 0.5 * cfg.l2 * float((w * w).sum()))
+
+    def gradient(w, b):
+        scores = two_pass_scores(X, w, b)
+        exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs[rows, y_idx] -= 1.0
+        probs /= len(X)
+        grad_w = cfg.l2 * w
+        two_pass_add_outer(X, grad_w, probs)
+        return grad_w, probs.sum(axis=0)
+
+    weights, bias = np.zeros((len(codes), X.dim)), np.zeros(len(codes))
+    lr, halvings = cfg.learning_rate, 0
+    loss = objective(weights, bias)
+    history = [loss]
+    for _ in range(cfg.epochs):
+        grad_w, grad_b = gradient(weights, bias)
+        while True:
+            next_w, next_b = weights - lr * grad_w, bias - lr * grad_b
+            next_loss = objective(next_w, next_b)
+            if next_loss <= loss + 1e-8 or lr < 1e-12:
+                break
+            lr *= 0.5
+            halvings += 1
+        if next_loss <= loss + 1e-8:
+            weights, bias, loss = next_w, next_b, next_loss
+        history.append(loss)
+    return weights, bias, tuple(history), halvings, lr
+
+
+def seeded_batch(rng, n, dim):
+    """A batch of n rows over dim columns where about a quarter of the rows are empty."""
+    indptr, indices = [0], []
+    for _ in range(n):
+        width = 0 if rng.random() < 0.25 else int(rng.integers(1, dim + 1))
+        indices.extend(sorted(rng.choice(dim, size=width, replace=False).tolist()))
+        indptr.append(len(indices))
+    return SparseBatch(indptr, indices, rng.normal(size=len(indices)), dim)
+
+
+def scaled_problem(seed, scale):
+    """40 docs over 12 columns with every seventh row empty, values of about scale."""
+    rng = random.Random(seed)
+    rows = [[rng.gauss(0, scale) if rng.random() < 0.6 else 0.0 for _ in range(12)]
+            if i % 7 else [0.0] * 12 for i in range(40)]
+    y = [rng.randrange(3) for _ in rows]
+    y[1:4] = [0, 1, 2]
+    return dense_batch(rows, 12), y
+
+
+class TestOneScoringPerStep:
+    """train_logreg, scores and add_outer must give what the code they replaced gave,
+    bit for bit: no tolerance."""
+
+    @pytest.mark.parametrize("scale, lr, regime", [
+        (1.0, 0.1, "never halves"),
+        (1.0, 50.0, "halves"),
+        (1.0, 1000.0, "halves"),
+        (3e6, 1.0, "reaches the floor"),
+    ])
+    def test_training_matches_two_pass_reference(self, scale, lr, regime):
+        X, y = scaled_problem(6, scale)
+        cfg = TrainConfig(learning_rate=lr, epochs=40, l2=1e-3)
+        ref_w, ref_b, ref_history, halvings, last_lr = two_pass_logreg(X, y, cfg)
+        assert regime == ("never halves" if halvings == 0 else
+                          "reaches the floor" if last_lr < 1e-12 else "halves")
+        if regime == "reaches the floor":  # some steps after the floor are rejected
+            assert 1 < len(set(ref_history)) < len(ref_history)
+        model = train_logreg(X, y, cfg)
+        assert np.array_equal(model.weights, ref_w)
+        assert np.array_equal(model.bias, ref_b)
+        assert model.loss_history == ref_history
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_scores_and_add_outer_match_two_pass_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        for n, dim in ((1, 3), (17, 9), (60, 25)):
+            X = seeded_batch(rng, n, dim)
+            weights, bias = rng.normal(size=(k, dim)), rng.normal(size=k)
+            assert np.array_equal(X.scores(weights, bias), two_pass_scores(X, weights, bias))
+            row_weights = rng.normal(size=(n, k))
+            acc = rng.normal(size=(k, dim))
+            expected = acc.copy()
+            two_pass_add_outer(X, expected, row_weights)
+            X.add_outer(acc, row_weights)
+            assert np.array_equal(acc, expected)
 
 
 class TestPersistence:

@@ -24,7 +24,7 @@ EXPORTS = {
                "train_random_forest", "train_svm_linear"),
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                    "classification_report", "cohen_kappa", "confusion", "cross_validate",
-                   "metrics", "summary_table"),
+                   "cross_validate_models", "metrics", "summary_table"),
     "augment": ("AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError",
                 "RemoteParaphraser", "balance", "compute_plan", "llm_label"),
     "emotion": ("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
