@@ -198,7 +198,7 @@ _TASKS = {int(task): task for task in Task}
 _LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
 _COINS = {coin.value: coin for coin in Coin}
 _SOURCES = {source.value: source for source in Source}
-# Members the loader and Document.label compare against on every record.
+# Members the loader, Dataset and Document.label compare against on every record.
 # Reading a member off its Enum class costs several times a global lookup (a
 # descriptor call in Python 3.11), so the per-record path reads these.
 _ORIGINAL, _SYNTHETIC, _PREDICTIVE = Source.ORIGINAL, Source.SYNTHETIC, Task1Label.PREDICTIVE
@@ -355,13 +355,13 @@ class Dataset:
                 raise DataError(f"duplicate document id {doc.id!r}")
             ids[doc.id] = doc
         for doc in self.documents:
-            if doc.source is Source.SYNTHETIC:
+            if doc.source is _SYNTHETIC:
                 parent = ids.get(doc.parent_id)
                 if parent is None:
                     raise DataError(
                         f"document {doc.id!r}: parent_id {doc.parent_id!r} not in dataset"
                     )
-                if parent.source is not Source.ORIGINAL:
+                if parent.source is not _ORIGINAL:
                     raise DataError(
                         f"document {doc.id!r}: parent {doc.parent_id!r} is not an original"
                     )
@@ -405,8 +405,6 @@ def distribution(dataset: Dataset, task: Task) -> LabelDistribution:
 
 _COLUMNS = ("id", "text", "coin", "task1", "task2", "source", "parent_id", "annotations")
 _COLUMN_SET = frozenset(_COLUMNS)
-#: One encoder for every JSONL line; json.dumps with options builds one per call.
-_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _doc_to_record(doc: Document) -> dict:
@@ -423,6 +421,42 @@ def _doc_to_record(doc: Document) -> dict:
             for a in doc.annotations
         ],
     }
+
+
+# The JSONL line of a document: the fields of _COLUMNS in order, with the
+# separators of json.JSONEncoder(ensure_ascii=False).
+_JSONL_LINE = ('{"id": %s, "text": %s, "coin": %s, "task1": %s, "task2": %s, '
+               '"source": %s, "parent_id": %s, "annotations": [%s]}\n')
+# The string encoder JSONEncoder(ensure_ascii=False) itself calls, so every
+# string is escaped exactly as it would escape it.
+_json_str = json.encoder.encode_basestring
+
+
+def _annotation_json(ann: Annotation) -> str:
+    return '{"annotator": %s, "task": %d, "label": %d}' % (_json_str(ann.annotator),
+                                                            ann.task, ann.label)
+
+
+def _jsonl_line(doc: Document) -> str:
+    """The JSONL line of doc, newline included.
+
+    Equal to json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(doc))
+    plus "\\n", built with one %-format: every document has the same keys
+    in the same order. Labels print as their int codes ("%d"), and members
+    are read through _value_, which skips the per-call cost of Enum.value.
+    """
+    coin, task1, task2 = doc.coin, doc.task1, doc.task2
+    parent_id, annotations = doc.parent_id, doc.annotations
+    return _JSONL_LINE % (
+        _json_str(doc.id),
+        _json_str(doc.text),
+        "null" if coin is None else _json_str(coin._value_),
+        "null" if task1 is None else "%d" % task1,
+        "null" if task2 is None else "%d" % task2,
+        _json_str(doc.source._value_),
+        "null" if parent_id is None else _json_str(parent_id),
+        ", ".join(map(_annotation_json, annotations)),
+    )
 
 
 def _annotation_from_record(rec: object) -> Annotation:
@@ -599,10 +633,8 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) -> 
     fmt = _infer_format(path, fmt)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "jsonl":
-        encode = _JSONL_ENCODER.encode
         with path.open("w", encoding="utf-8") as fh:
-            for doc in dataset:
-                fh.write(encode(_doc_to_record(doc)) + "\n")
+            fh.writelines(map(_jsonl_line, dataset))
         return
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

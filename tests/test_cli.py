@@ -161,6 +161,28 @@ class TestCv:
         assert err == "usage error: model kind 'svm' is listed twice\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("models", [["svm"], ["logreg", "svm"]])
+    def test_svm_with_zero_l2_is_usage_error_before_loading(self, tmp_path, capsys,
+                                                            monkeypatch, models):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"models": models, "train": {"l2": 0}}))
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("dataset was read"))
+        code = run("cv", "--config", str(config), "--dataset", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: train.l2 must be > 0 for the svm model, got 0\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_l2_still_trains_logreg_and_runs_stats(self, planted_path, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"l2": 0, "epochs": 5}}))
+        for argv in (("cv", "--model", "logreg", "--k", "3"), ("stats",)):
+            code, err = run_captured(*argv, "--config", str(config), "--dataset",
+                                     str(planted_path), "--out", str(tmp_path), "--tag", "r")
+            assert (code, err) == (0, "")
+        assert (tmp_path / "cv" / "r" / "cv_logreg.json").exists()
+
     def test_two_models_share_folds_tokens_and_features(self, planted_path, tmp_path, monkeypatch):
         calls = {"cross_validate": 0, "preprocess": 0, "fit_tfidf": 0, "transform_many": 0}
 

@@ -22,7 +22,7 @@ from predstmt import (
     save_dataset,
     stratified_folds,
 )
-from predstmt.corpus import _doc_from_record
+from predstmt.corpus import _doc_from_record, _doc_to_record, _jsonl_line
 
 
 def doc(i="d1", text="ada looks strong today", **kw):
@@ -362,6 +362,24 @@ class TestRoundTrip:
         again = load_dataset(path)
         assert again.documents == ds.documents
 
+    def test_jsonl_save_load_save_is_byte_identical(self, tmp_path):
+        extra = (
+            Document(id="é-1", text='naïve "quote" \\ tab\there \u2028 \x00 \x85 🚀 ₳',
+                     coin=Coin.BNB, task1=0, annotations=(Annotation("ánn", 1, 0),)),
+            Document(id="d", text="moon 🌕 soon", coin=Coin.XRP, task1=1, task2=3,
+                     source=Source.SYNTHETIC, parent_id="é-1",
+                     annotations=(Annotation("a", 1, 1), Annotation("b", 2, 3),
+                                  Annotation("c", 2, 2))),
+        )
+        ds = Dataset(documents=self.build().documents + extra, name="rt")
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_dataset(ds, first)
+        save_dataset(load_dataset(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert first.read_bytes() == b"".join(
+            (json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(d)) + "\n")
+            .encode("utf-8") for d in ds)
+
     def test_csv_round_trip(self, tmp_path):
         ds = self.build()
         path = tmp_path / "rt.csv"
@@ -399,6 +417,49 @@ class TestRoundTrip:
         path.write_text("id,body\na,hello\n")
         with pytest.raises(DataError, match="header"):
             load_dataset(path)
+
+
+# Characters the JSON string encoder treats specially: quotes, backslashes,
+# control characters, DEL, NEL, the Unicode line separators, lone surrogates
+# and astral characters; plus any other character.
+_TRICKY_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x7f", "\x85", "\u2028", "\u2029", "\ud800", "\udfff",
+                     "é", "€", "₳"]),
+    st.characters(min_codepoint=0, max_codepoint=0x1F),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+    st.characters(),
+)
+_TRICKY_TEXT = st.text(_TRICKY_CHARS, min_size=1, max_size=12)
+_LABEL_PAIRS = [(None, None), (0, None), (1, None), (1, 1), (1, 2), (1, 3)]
+_ANNOTATIONS = st.builds(
+    lambda annotator, task_label: Annotation(annotator, *task_label),
+    _TRICKY_TEXT,
+    st.sampled_from([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3)]),
+)
+
+
+@st.composite
+def _documents(draw):
+    task1, task2 = draw(st.sampled_from(_LABEL_PAIRS))
+    source = draw(st.sampled_from(Source))
+    return Document(
+        id=draw(_TRICKY_TEXT),
+        text=draw(_TRICKY_TEXT),
+        coin=draw(st.none() | st.sampled_from(Coin)),
+        task1=task1,
+        task2=task2,
+        source=source,
+        parent_id=draw(_TRICKY_TEXT) if source is Source.SYNTHETIC else None,
+        annotations=tuple(draw(st.lists(_ANNOTATIONS, max_size=3))),
+    )
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_documents())
+def test_jsonl_line_matches_json_encoder(document):
+    """The fixed-schema writer gives exactly the line the stdlib encoder gives."""
+    expected = json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(document)) + "\n"
+    assert _jsonl_line(document) == expected
 
 
 class TestDistribution:
