@@ -227,13 +227,14 @@ def _checked_annotation(annotator: object, task: object, label: object) -> tuple
 
 
 def _prechecked(cls: type[_C], fields: dict) -> _C:
-    """An instance of the frozen dataclass cls holding fields as given.
+    """An instance of the frozen dataclass cls whose __dict__ is fields itself.
 
     For the loader only, which has already made every check of cls's
-    __post_init__ on these fields, with the same messages.
+    __post_init__ on these fields, with the same messages, and which hands
+    over a dict it built for this instance alone.
     """
     instance = object.__new__(cls)
-    instance.__dict__.update(fields)
+    object.__setattr__(instance, "__dict__", fields)
     return instance
 
 
@@ -319,13 +320,25 @@ class Document:
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.id:
+        doc_id, coin, source, parent_id = self.id, self.coin, self.source, self.parent_id
+        if not isinstance(doc_id, str) or not doc_id:
             raise DataError("document id must be a non-empty string")
         if not isinstance(self.text, str) or not self.text:
-            raise DataError(f"document {self.id!r}: text must be a non-empty string")
+            raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+        if coin is not None and type(coin) is not Coin:
+            raise DataError(f"document {doc_id!r}: unknown coin {coin!r}")
+        if type(source) is not Source:
+            raise DataError(f"document {doc_id!r}: unknown source {source!r}")
+        if parent_id is not None and not isinstance(parent_id, str):
+            raise DataError(f"document {doc_id!r}: 'parent_id' must be a string or null")
+        if not isinstance(self.annotations, (tuple, list)):
+            raise DataError(f"document {doc_id!r}: 'annotations' must be a tuple or list")
         annotations = tuple(self.annotations)
-        task1, task2 = _checked_labels(self.id, self.task1, self.task2, self.source,
-                                       self.parent_id)
+        for ann in annotations:
+            if type(ann) is not Annotation:
+                raise DataError(f"document {doc_id!r}: each annotation must be an Annotation, "
+                                f"got {type(ann).__name__}")
+        task1, task2 = _checked_labels(doc_id, self.task1, self.task2, source, parent_id)
         # frozen: bypass __setattr__
         self.__dict__.update(task1=task1, task2=task2, annotations=annotations)
 
@@ -467,8 +480,62 @@ def _annotation_from_record(rec: object) -> Annotation:
     return _prechecked(Annotation, {"annotator": annotator, "task": task, "label": label})
 
 
+def _label_cells() -> dict[tuple, tuple]:
+    """Every valid (coin, source, task1, task2) of a record, keyed as _doc_from_record looks it up.
+
+    A key holds the four JSON values and the types of the two labels, since
+    true == 1 == 1.0 hash alike and only the int is a valid label. Its value
+    is the coin, source and label members the record's Document holds.
+    """
+    labels = [(None, None)] + [(t1, None) for t1 in Task1Label] + [
+        (_PREDICTIVE, t2) for t2 in Task2Label]
+    cells = {}
+    for coin in (None, *Coin):
+        for source_raw, source in ((None, _ORIGINAL), *((s.value, s) for s in Source)):
+            for task1, task2 in labels:
+                t1 = None if task1 is None else int(task1)
+                t2 = None if task2 is None else int(task2)
+                key = (None if coin is None else coin.value, source_raw, t1, t2, type(t1), type(t2))
+                cells[key] = (coin, source, task1, task2)
+    return cells
+
+
+_LABEL_CELLS = _label_cells()
+
+
 def _doc_from_record(rec: object) -> Document:
     """Validate one parsed record; the caller prefixes errors with their location.
+
+    A record without annotations whose coin, source and labels form a cell
+    of _LABEL_CELLS, and whose id, text and parent_id pass their checks,
+    becomes its Document at once. Any other record goes through
+    _checked_record, which raises the error the record earns.
+    """
+    if type(rec) is dict and _COLUMN_SET.issuperset(rec):
+        get = rec.get
+        task1, task2 = get("task1"), get("task2")
+        try:
+            cell = _LABEL_CELLS.get(
+                (get("coin"), get("source"), task1, task2, type(task1), type(task2)))
+        except TypeError:  # an unhashable value, such as "coin": []
+            cell = None
+        if cell is not None:
+            doc_id, text, parent_id = get("id"), get("text"), get("parent_id")
+            coin, source, task1, task2 = cell
+            annotations = get("annotations")
+            if (type(doc_id) is str and doc_id and type(text) is str and text
+                    and (annotations is None or (type(annotations) is list and not annotations))
+                    and (parent_id is None if source is _ORIGINAL
+                         else type(parent_id) is str and parent_id)):
+                return _prechecked(Document, {
+                    "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
+                    "source": source, "parent_id": parent_id, "annotations": (),
+                })
+    return _checked_record(rec)
+
+
+def _checked_record(rec: object) -> Document:
+    """The Document of one parsed record, checked field by field.
 
     Each field is checked once, here: first its JSON type, then Document's
     own checks in the order Document(...) makes them, so a record fails
@@ -580,7 +647,7 @@ def _read_jsonl(path: Path) -> list[Document]:
     docs: list[Document] = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 docs.append(_doc_from_record(_parse_line(line)))

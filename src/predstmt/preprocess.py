@@ -59,6 +59,13 @@ class _PunctSymbolTable(dict):
         return value
 
 
+# The default table's ASCII part as a bytes.translate table: the same rule,
+# applied by one C loop with no per-character mapping lookup.
+_ASCII_PUNCT_SYMBOL = bytes(
+    ord(" ") if unicodedata.category(chr(b))[0] in "PS" else b for b in range(128)
+) + bytes(range(128, 256))
+
+
 @lru_cache(maxsize=32)
 def _special_table(special_chars: str | None) -> dict:
     """The translate table for CleanConfig.special_chars, built once per value."""
@@ -69,7 +76,14 @@ def _special_table(special_chars: str | None) -> dict:
 
 def preprocess(text: str, config: CleanConfig = DEFAULT_CLEAN) -> list[str]:
     """Clean and tokenize one text. Returns the kept tokens in order."""
-    text = strip_urls(text).translate(_special_table(config.special_chars))
+    # Every URL match holds "://" or a case variant of "www.", so a text with
+    # neither has nothing to strip.
+    if "://" in text or "www." in text.lower():
+        text = strip_urls(text)
+    if config.special_chars is None and text.isascii():
+        text = text.encode("ascii").translate(_ASCII_PUNCT_SYMBOL).decode("ascii")
+    else:
+        text = text.translate(_special_table(config.special_chars))
     if config.lowercase:
         text = text.lower()
     text = unicodedata.normalize("NFC", text)

@@ -52,5 +52,8 @@ def test_traced_text_path_observes_every_layer(tmp_path):
         assert [name for name in record["counters"] if name.endswith(".unobserved")] == []
         for name, start, end, _ in record["spans"]:
             spans[name] = spans.get(name, 0.0) + end - start
-    for name in ("corpus.load_dataset", "augment.balance", "emotion.aggregate"):
+    # a fast path that bypasses one of these names would leave its layer unmeasured
+    for name in ("corpus.load_dataset", "augment.balance", "emotion.aggregate",
+                 "preprocess.preprocess", "emotion.tag_document", "augment.paraphrase",
+                 "corpus.save_dataset", "corpus.distribution"):
         assert spans.get(name, 0.0) > 0, name

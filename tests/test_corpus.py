@@ -22,7 +22,19 @@ from predstmt import (
     save_dataset,
     stratified_folds,
 )
-from predstmt.corpus import _doc_from_record, _doc_to_record, _jsonl_line
+from predstmt.corpus import (
+    _COINS,
+    _COLUMN_SET,
+    _LABEL_CELLS,
+    _ORIGINAL,
+    _SOURCES,
+    _annotation_from_record,
+    _checked_labels,
+    _doc_from_record,
+    _doc_to_record,
+    _jsonl_line,
+    _prechecked,
+)
 
 
 def doc(i="d1", text="ada looks strong today", **kw):
@@ -97,6 +109,32 @@ class TestDocumentValidation:
         with pytest.raises(DataError) as info:
             Annotation(**{"annotator": "ann1", "task": 1, "label": 1, **kwargs})
         assert str(info.value) == message
+
+    # Fields save_dataset cannot write: each made a TypeError or AttributeError
+    # traceback there, or a file load_dataset rejects, before Document refused them.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"id": 5}, "document id must be a non-empty string"),
+        ({"id": ["d1"]}, "document id must be a non-empty string"),
+        ({"source": Source.SYNTHETIC, "parent_id": 5},
+         "document 'd1': 'parent_id' must be a string or null"),
+        ({"coin": "ADA"}, "document 'd1': unknown coin 'ADA'"),
+        ({"source": "original"}, "document 'd1': unknown source 'original'"),
+        ({"source": None}, "document 'd1': unknown source None"),
+        ({"annotations": [1]}, "document 'd1': each annotation must be an Annotation, got int"),
+        ({"annotations": ({"annotator": "a", "task": 1, "label": 1},)},
+         "document 'd1': each annotation must be an Annotation, got dict"),
+        ({"annotations": None}, "document 'd1': 'annotations' must be a tuple or list"),
+        ({"annotations": "ann"}, "document 'd1': 'annotations' must be a tuple or list"),
+    ], ids=["int-id", "list-id", "int-parent-id", "coin-string", "source-string", "source-none",
+            "int-annotation", "dict-annotation", "null-annotations", "string-annotations"])
+    def test_fields_save_dataset_cannot_write_are_rejected(self, kwargs, message):
+        with pytest.raises(DataError) as info:
+            Document(**{"id": "d1", "text": "ada looks strong today", **kwargs})
+        assert str(info.value) == message
+
+    def test_annotation_list_becomes_a_tuple(self):
+        annotation = Annotation("ann1", 1, 1)
+        assert doc(task1=1, annotations=[annotation]).annotations == (annotation,)
 
     def test_label_of_unknown_task_raises(self):
         with pytest.raises(ValueError, match="3 is not a valid Task"):
@@ -328,8 +366,56 @@ _FIELD_VALUES = {
     st.sampled_from([[1], "x", None, 3])))
 def test_loader_agrees_with_document_constructor(rec):
     """Same Document, or the same error message, as the checks-then-construct loader."""
+    _assert_same_outcome(rec, _reference_doc_from_record)
+
+
+def _field_checks_doc_from_record(rec: object) -> Document:
+    """The loader before it looked label cells up in a table: every field checked in turn."""
+    if not isinstance(rec, dict):
+        raise DataError(f"expected a JSON object, got {type(rec).__name__}")
+    if not _COLUMN_SET.issuperset(rec):
+        raise DataError(f"unknown fields {sorted(rec.keys() - _COLUMN_SET)}")
+    get = rec.get
+    doc_id = get("id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise DataError("'id' must be a non-empty string")
+    text = get("text")
+    if not isinstance(text, str):
+        raise DataError("'text' must be a string")
+    coin_raw = get("coin")
+    coin = None
+    if coin_raw is not None:
+        coin = _COINS.get(coin_raw) if isinstance(coin_raw, str) else None
+        if coin is None:
+            raise DataError(f"unknown coin {coin_raw!r}")
+    source_raw = get("source")
+    source = _ORIGINAL
+    if source_raw is not None:
+        source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
+        if source is None:
+            raise DataError(f"unknown source {source_raw!r}")
+    parent_id = get("parent_id")
+    if parent_id is not None and not isinstance(parent_id, str):
+        raise DataError("'parent_id' must be a string or null")
+    anns_raw = get("annotations")
+    annotations = ()
+    if anns_raw is not None:
+        if not isinstance(anns_raw, list):
+            raise DataError("'annotations' must be a list")
+        annotations = tuple(map(_annotation_from_record, anns_raw))
+    if not text:
+        raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+    task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
+    return _prechecked(Document, {
+        "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
+        "source": source, "parent_id": parent_id, "annotations": annotations,
+    })
+
+
+def _assert_same_outcome(rec: object, reference) -> None:
+    """_doc_from_record(rec) gives reference's Document, members and all, or its message."""
     try:
-        expected = _reference_doc_from_record(rec)
+        expected = reference(rec)
     except DataError as exc:
         with pytest.raises(DataError) as info:
             _doc_from_record(rec)
@@ -343,6 +429,83 @@ def test_loader_agrees_with_document_constructor(rec):
     for ann, ref in zip(loaded.annotations, expected.annotations, strict=True):
         assert (ann.task, ann.label) == (ref.task, ref.label)
         assert type(ann.task) is type(ref.task) and type(ann.label) is type(ref.label)
+
+
+# Values that break one field of an otherwise valid record, as JSON can hold
+# them: bools and floats equal to label codes, unhashable coins and sources,
+# annotations of the wrong JSON type, parent ids that do not fit the source.
+_BREAKS = {
+    "id": ["", 5, None, ["a"], True],
+    "text": ["", 3, None, ["t"], False],
+    "coin": [[], {}, ["ADA"], {"ADA": 1}, "DOGE", "ada", 1, True],
+    "task1": [True, False, 1.0, 0.0, 2, -1, "1", [1], {}],
+    "task2": [True, False, 1.0, 3.0, 0, 4, "2", [2]],
+    "source": ["scraped", "Original", [], {}, 1, True, 0.0],
+    "parent_id": ["", 5, "p", [], True, None],
+    "annotations": [{}, "", 0, False, [1], [{"annotator": "x", "task": 1, "label": 1}],
+                    [{"annotator": "x", "task": 2, "label": 9}], [{"task": True, "label": 1}]],
+    "zz": [1, None],
+}
+_VALID_SOURCES = [None, "original", "synthetic"]
+_ID_TEXT = st.text(st.sampled_from("aé7 -🚀"), min_size=1, max_size=4)
+
+
+@st.composite
+def _loader_records(draw):
+    task1, task2 = draw(st.sampled_from(_LABEL_PAIRS))
+    source = draw(st.sampled_from(_VALID_SOURCES))
+    rec = {
+        "id": draw(_ID_TEXT),
+        "text": draw(_ID_TEXT),
+        "coin": draw(st.sampled_from([None, *(coin.value for coin in Coin)])),
+        "task1": task1,
+        "task2": task2,
+        "source": source,
+        "parent_id": draw(_ID_TEXT) if source == "synthetic" else None,
+        "annotations": draw(st.sampled_from([None, []])),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        for key in draw(st.sets(st.sampled_from(sorted(rec)), min_size=1, max_size=3)):
+            del rec[key]  # a missing key reads as null
+    for key in draw(st.lists(st.sampled_from(sorted(_BREAKS)), max_size=2)):
+        rec[key] = draw(st.sampled_from(_BREAKS[key]))
+    return rec
+
+
+@settings(max_examples=800, deadline=None, database=None)
+@given(st.one_of(_loader_records(), st.sampled_from([[1], [], "x", None, 3, True])))
+def test_loader_agrees_with_field_by_field_checks(rec):
+    """Same Document, or the same error message, as the loader that checked every field."""
+    _assert_same_outcome(rec, _field_checks_doc_from_record)
+
+
+def test_label_cells_are_exactly_the_valid_combinations():
+    """A (coin, source, task1, task2) is a cell of the table iff a record holding it loads."""
+    values = {
+        "coin": [None, *(coin.value for coin in Coin), "DOGE", True, 1, 0.0],
+        "source": _VALID_SOURCES + ["scraped", 0, False],
+        "task1": [None, 0, 1, 2, True, False, 1.0, 0.0, "1"],
+        "task2": [None, 0, 1, 2, 3, 4, True, 1.0, 2.0, 3.0],
+    }
+    loadable = 0
+    for coin in values["coin"]:
+        for source in values["source"]:
+            for task1 in values["task1"]:
+                for task2 in values["task2"]:
+                    rec = {"id": "a", "text": "t", "coin": coin, "source": source,
+                           "task1": task1, "task2": task2,
+                           "parent_id": "p" if source == "synthetic" else None}
+                    key = (coin, source, task1, task2, type(task1), type(task2))
+                    try:
+                        expected = _field_checks_doc_from_record(rec)
+                    except DataError:
+                        assert key not in _LABEL_CELLS, rec
+                        continue
+                    loadable += 1
+                    assert _LABEL_CELLS[key] == (expected.coin, expected.source,
+                                                 expected.task1, expected.task2)
+                    _assert_same_outcome(rec, _field_checks_doc_from_record)
+    assert loadable == len(_LABEL_CELLS) == 7 * 3 * 6
 
 
 class TestRoundTrip:

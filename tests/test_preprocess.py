@@ -6,6 +6,8 @@ import string
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predstmt import CleanConfig, preprocess, strip_urls
 
@@ -176,3 +178,62 @@ class TestTranslateTable:
         assert (preprocess_module._special_table(config.special_chars)
                 is preprocess_module._special_table("#"))
         assert preprocess("keep-dash #drop", config) == ["keep-dash", "drop"]
+
+
+def _always_scan_preprocess(text: str, config: CleanConfig = CleanConfig()) -> list[str]:
+    """preprocess before it skipped the URL scan and translated ASCII text as bytes."""
+    text = strip_urls(text).translate(preprocess_module._special_table(config.special_chars))
+    if config.lowercase:
+        text = text.lower()
+    text = unicodedata.normalize("NFC", text)
+    kept = [t for t in text.split() if len(t) >= config.min_token_length]
+    if config.strip_digit_only_tokens:
+        kept = [t for t in kept if not t.isdigit()]
+    return kept
+
+
+def _any_case(word: str):
+    """word with each letter in either case; "s" may also be the long s, which IGNORECASE folds."""
+    def variants(ch: str) -> list[str]:
+        return sorted({ch, ch.lower(), ch.upper()} | ({"\u017f"} if ch == "s" else set()))
+    return st.tuples(*(st.sampled_from(variants(ch)) for ch in word)).map("".join)
+
+
+# URL prefixes in any case, and near misses that hold a piece of one
+_URL_PIECES = st.one_of(*(_any_case(p) for p in ("http://", "https://", "www.", "httpss://",
+                                                  "ftp://", "www", "ww.", "://", "http:/")))
+# Text around them: ASCII words, digits and punctuation, and non-ASCII letters
+# (Greek capital sigma, whose lowercase depends on the next character; dotted I),
+# punctuation, symbols, combining marks and whitespace.
+_TEXT_PIECES = st.one_of(
+    st.text(st.sampled_from(string.ascii_letters + string.digits + string.punctuation + " \t\n"),
+            max_size=10),
+    st.sampled_from(["ΟΔΟΣ", "Σ", "ΑΣ.", "ς", "İ", "ß", "ǅ", "«»", "—…", "¡¿", "€£₳", "©™",
+                     "★🚀", "∑≠", "＃！", "\u0301", "e\u0301", "\u0308\u0301", "\u00a0",
+                     "\u2003", "\u3000", "\u2028", "\x85", "\x1c", "\u200b", "\x7f"]),
+)
+_TEXTS = st.lists(st.one_of(_URL_PIECES, _TEXT_PIECES), max_size=8).map("".join)
+_CONFIGS = st.builds(
+    CleanConfig,
+    special_chars=st.one_of(st.none(), st.sampled_from(["#", "#-é€́★", ".:/", "Σ ", ""])),
+    min_token_length=st.integers(1, 4),
+    lowercase=st.booleans(),
+    strip_digit_only_tokens=st.booleans(),
+)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_TEXTS, _CONFIGS)
+def test_matches_preprocess_that_always_scans_for_urls(text, config):
+    assert preprocess(text, config) == _always_scan_preprocess(text, config)
+
+
+@pytest.mark.parametrize("text", [
+    "HtTpS://t.co/x ΑΣhttp://a.io ΑΣ", "WwW.spam.io and ΟΔΟΣwww.x", "httpſ://a.io/Σ",
+    "ΑΣ\u0301 https://x é", "plain ascii text, no links!", "ascii www.a.io and http://b",
+], ids=["mixed-case-scheme", "mixed-case-www", "long-s", "sigma-before-combining",
+        "ascii", "ascii-urls"])
+@pytest.mark.parametrize("name", sorted(TestTranslateTable.CONFIGS))
+def test_url_and_ascii_edges_match_preprocess_that_always_scans(name, text):
+    config = TestTranslateTable.CONFIGS[name]
+    assert preprocess(text, config) == _always_scan_preprocess(text, config)
