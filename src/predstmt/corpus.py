@@ -361,9 +361,16 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.documents, (tuple, list)):
+            raise DataError(f"dataset documents must be a tuple or list, "
+                            f"got {type(self.documents).__name__}")
+        if not isinstance(self.name, str):
+            raise DataError(f"dataset name must be a string, got {type(self.name).__name__}")
         object.__setattr__(self, "documents", tuple(self.documents))
         ids: dict[str, Document] = {}
         for doc in self.documents:
+            if type(doc) is not Document:
+                raise DataError(f"each document must be a Document, got {type(doc).__name__}")
             if doc.id in ids:
                 raise DataError(f"duplicate document id {doc.id!r}")
             ids[doc.id] = doc
@@ -506,10 +513,10 @@ _LABEL_CELLS = _label_cells()
 def _doc_from_record(rec: object) -> Document:
     """Validate one parsed record; the caller prefixes errors with their location.
 
-    A record without annotations whose coin, source and labels form a cell
-    of _LABEL_CELLS, and whose id, text and parent_id pass their checks,
-    becomes its Document at once. Any other record goes through
-    _checked_record, which raises the error the record earns.
+    A record whose coin, source and labels form a cell of _LABEL_CELLS, and
+    whose id, text, parent_id and annotation list pass their checks, becomes
+    its Document at once. Any other record goes through _checked_record,
+    which raises the error the record earns.
     """
     if type(rec) is dict and _COLUMN_SET.issuperset(rec):
         get = rec.get
@@ -524,23 +531,24 @@ def _doc_from_record(rec: object) -> Document:
             coin, source, task1, task2 = cell
             annotations = get("annotations")
             if (type(doc_id) is str and doc_id and type(text) is str and text
-                    and (annotations is None or (type(annotations) is list and not annotations))
+                    and (annotations is None or type(annotations) is list)
                     and (parent_id is None if source is _ORIGINAL
                          else type(parent_id) is str and parent_id)):
                 return _prechecked(Document, {
                     "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
-                    "source": source, "parent_id": parent_id, "annotations": (),
+                    "source": source, "parent_id": parent_id,
+                    "annotations": tuple(map(_annotation_from_record, annotations))
+                    if annotations else (),
                 })
     return _checked_record(rec)
 
 
 def _checked_record(rec: object) -> Document:
-    """The Document of one parsed record, checked field by field.
+    """The Document of a record the label-cell table did not take, or its error.
 
-    Each field is checked once, here: first its JSON type, then Document's
-    own checks in the order Document(...) makes them, so a record fails
-    with the message the constructor would give. The checked fields then
-    become the Document without running those checks again.
+    Checks what JSON can hold and Document cannot: the record's type and
+    keys, the JSON types of its fields, and the coin and source strings.
+    Document(...) makes every other check, with its own message.
     """
     if not isinstance(rec, dict):
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
@@ -553,73 +561,53 @@ def _checked_record(rec: object) -> Document:
     text = get("text")
     if not isinstance(text, str):
         raise DataError("'text' must be a string")
-
-    coin_raw = get("coin")
-    coin: Coin | None = None
-    if coin_raw is not None:
-        coin = _COINS.get(coin_raw) if isinstance(coin_raw, str) else None
-        if coin is None:
-            raise DataError(f"unknown coin {coin_raw!r}")
-
-    source_raw = get("source")
-    source = _ORIGINAL
-    if source_raw is not None:
-        source = _SOURCES.get(source_raw) if isinstance(source_raw, str) else None
-        if source is None:
-            raise DataError(f"unknown source {source_raw!r}")
-
+    coin = get("coin")
+    if coin is not None and (not isinstance(coin, str) or coin not in _COINS):
+        raise DataError(f"unknown coin {coin!r}")
+    source = get("source")
+    if source is not None and (not isinstance(source, str) or source not in _SOURCES):
+        raise DataError(f"unknown source {source!r}")
     parent_id = get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
         raise DataError("'parent_id' must be a string or null")
-
-    anns_raw = get("annotations")
-    annotations: tuple[Annotation, ...] = ()
-    if anns_raw is not None:
-        if not isinstance(anns_raw, list):
-            raise DataError("'annotations' must be a list")
-        annotations = tuple(map(_annotation_from_record, anns_raw))
-
-    if not text:
-        raise DataError(f"document {doc_id!r}: text must be a non-empty string")
-    task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
-    return _prechecked(Document, {
-        "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
-        "source": source, "parent_id": parent_id, "annotations": annotations,
-    })
+    annotations = get("annotations")
+    if annotations is not None and not isinstance(annotations, list):
+        raise DataError("'annotations' must be a list")
+    return Document(id=doc_id, text=text, coin=None if coin is None else _COINS[coin],
+                    task1=get("task1"), task2=get("task2"),
+                    source=_ORIGINAL if source is None else _SOURCES[source],
+                    parent_id=parent_id,
+                    annotations=tuple(map(_annotation_from_record, annotations or ())))
 
 
 def _invalid_json(reason: str) -> DataError:
     return DataError(f"invalid JSON ({reason})")
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise DataError(f"unknown dataset format {fmt!r}")
-        return fmt
+def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
     if suffix == ".csv":
         return "csv"
-    raise DataError(f"cannot infer dataset format from {path.name!r}; pass fmt explicitly")
+    raise DataError(f"cannot infer dataset format from {path.name!r}")
 
 
-def load_dataset(path: str | Path, fmt: str | None = None, name: str | None = None) -> Dataset:
-    """Load a dataset from a JSONL or CSV file.
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a dataset, named after the file's stem, from a JSONL or CSV file.
 
-    The format is inferred from the file suffix unless given. Any schema
-    violation raises DataError naming the file and line.
+    The format follows the file suffix. Any schema violation raises
+    DataError naming the file and line.
     """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
+    fmt = _infer_format(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     try:
         docs = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from None
-    return Dataset(documents=tuple(docs), name=name or path.stem)
+    return Dataset(documents=tuple(docs), name=path.stem)
 
 
 #: The C scanner under json.loads, called without loads' per-call wrappers.
@@ -694,10 +682,13 @@ def _csv_row_to_record(row: dict) -> dict:
     return rec
 
 
-def save_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) -> None:
-    """Write a dataset as JSONL or CSV. load_dataset(save_dataset(ds)) round-trips."""
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset as JSONL or CSV, by file suffix.
+
+    load_dataset(save_dataset(ds)) round-trips.
+    """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
+    fmt = _infer_format(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "jsonl":
         with path.open("w", encoding="utf-8") as fh:
@@ -706,20 +697,9 @@ def save_dataset(dataset: Dataset, path: str | Path, fmt: str | None = None) -> 
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
-        for doc in dataset:
-            rec = _doc_to_record(doc)
-            writer.writerow(
-                [
-                    rec["id"],
-                    rec["text"],
-                    rec["coin"] or "",
-                    "" if rec["task1"] is None else rec["task1"],
-                    "" if rec["task2"] is None else rec["task2"],
-                    rec["source"],
-                    rec["parent_id"] or "",
-                    json.dumps(rec["annotations"]) if rec["annotations"] else "",
-                ]
-            )
+        for rec in map(_doc_to_record, dataset):
+            rec["annotations"] = json.dumps(rec["annotations"]) if rec["annotations"] else None
+            writer.writerow(["" if rec[key] is None else rec[key] for key in _COLUMNS])
 
 
 # ---------------------------------------------------------------------------

@@ -308,11 +308,12 @@ def _fold_predictions(train_tokens: Sequence[Sequence[str]], y_train: Sequence[i
 # ---------------------------------------------------------------------------
 # rendering
 
-def classification_report(report: MetricsReport, task: Task | None = None,
-                          label_names: Mapping[int, str] | None = None) -> str:
-    """Markdown per-label table of precision/recall/F1 at 4 decimal places."""
-    if label_names is None:
-        label_names = LABEL_NAMES.get(Task(task), {}) if task is not None else {}
+def classification_report(report: MetricsReport, task: Task | None = None) -> str:
+    """Markdown per-label table of precision/recall/F1 at 4 decimal places.
+
+    Labels are named after task's LABEL_NAMES, or by code without a task.
+    """
+    label_names = LABEL_NAMES.get(Task(task), {}) if task is not None else {}
     lines = [
         "| Label | Precision | Recall | F1-Score |",
         "| --- | --- | --- | --- |",

@@ -1,7 +1,9 @@
 """Dataset schema, serialization, distribution, and fold tests."""
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,18 @@ from predstmt import (
     DataError,
     Dataset,
     Document,
+    OfflineParaphraser,
     Source,
     Task,
     Task1Label,
     Task2Label,
+    balance,
     distribution,
     load_dataset,
     save_dataset,
     stratified_folds,
 )
+from predstmt import corpus
 from predstmt.corpus import (
     _COINS,
     _COLUMN_SET,
@@ -157,6 +162,18 @@ class TestDatasetInvariants:
         bad = Document(id="b", text="z", source=Source.SYNTHETIC, parent_id="m")
         with pytest.raises(DataError, match="not an original"):
             Dataset(documents=(parent, mid, bad))
+
+    # Each of these died with an AttributeError or a TypeError, or constructed.
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"documents": (1,)}, "each document must be a Document, got int"),
+        ({"documents": ("x",)}, "each document must be a Document, got str"),
+        ({"documents": 5}, "dataset documents must be a tuple or list, got int"),
+        ({"documents": [], "name": 5}, "dataset name must be a string, got int"),
+    ], ids=["int-document", "str-document", "int-documents", "int-name"])
+    def test_malformed_dataset_rejected(self, kwargs, message):
+        with pytest.raises(DataError) as info:
+            Dataset(**kwargs)
+        assert str(info.value) == message
 
     def test_labeled_preserves_order(self):
         ds = Dataset(documents=(doc("a", task1=1), doc("b"), doc("c", task1=0)))
@@ -550,6 +567,30 @@ class TestRoundTrip:
         again = load_dataset(path)
         assert again.documents == ds.documents
 
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        """Quoting, empty cells, annotation JSON and UTF-8 text, byte for byte."""
+        ds = Dataset(documents=(
+            Document(id="a", text='ADA, "up" 10%\nsoon', coin=Coin.ADA, task1=1, task2=1,
+                     annotations=(Annotation("ann1", 1, 1), Annotation("ánn2", 2, 1))),
+            Document(id="b", text="no coin, no label"),
+            Document(id="c", text="naïve ₳ moon 🚀", coin=Coin.OTHER, task1=0),
+            Document(id="s", text="ada will rise", coin=Coin.ADA, task1=1, task2=3,
+                     source=Source.SYNTHETIC, parent_id="a", annotations=(Annotation("x", 2, 3),)),
+        ))
+        path = tmp_path / "mix.csv"
+        save_dataset(ds, path)
+        assert path.read_bytes() == (
+            'id,text,coin,task1,task2,source,parent_id,annotations\r\n'
+            'a,"ADA, ""up"" 10%\nsoon",ADA,1,1,original,,"[{""annotator"": ""ann1"", '
+            '""task"": 1, ""label"": 1}, {""annotator"": ""\\u00e1nn2"", ""task"": 2, '
+            '""label"": 1}]"\r\n'
+            'b,"no coin, no label",,,,original,,\r\n'
+            'c,naïve ₳ moon 🚀,Other,0,,original,,\r\n'
+            's,ada will rise,ADA,1,3,synthetic,a,"[{""annotator"": ""x"", ""task"": 2, '
+            '""label"": 3}]"\r\n'
+        ).encode("utf-8")
+        assert load_dataset(path).documents == ds.documents
+
     @pytest.mark.parametrize("cell", ["[" * 20_000 + "]" * 20_000, "[{", "1" * 5000],
                              ids=["nested", "truncated", "long-integer"])
     def test_csv_annotations_cell_must_parse(self, tmp_path, cell):
@@ -580,6 +621,31 @@ class TestRoundTrip:
         path.write_text("id,body\na,hello\n")
         with pytest.raises(DataError, match="header"):
             load_dataset(path)
+
+
+def test_valid_traffic_never_reaches_the_field_by_field_checks(tmp_path, monkeypatch):
+    """The label-cell table alone loads the benchmark's corpora and annotated records."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "gen_corpus.py")
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    generated = tmp_path / "corpus.jsonl"
+    documents = gen_corpus.write_corpus(generated, seed=3, scale=0.5)["documents"]
+    annotated = TestRoundTrip().build()
+
+    def diagnostic_path(rec):
+        raise AssertionError(f"record took the field-by-field checks: {rec!r}")
+
+    monkeypatch.setattr(corpus, "_checked_record", diagnostic_path)
+    dataset = load_dataset(generated)
+    assert len(dataset) == documents
+    balanced = balance(dataset, Task.DIRECTION, OfflineParaphraser(), seed=3)
+    assert any(doc.source is Source.SYNTHETIC for doc in balanced)
+    save_dataset(balanced, tmp_path / "balanced.jsonl")
+    assert load_dataset(tmp_path / "balanced.jsonl").documents == balanced.documents
+    for suffix in ("jsonl", "csv"):
+        save_dataset(annotated, tmp_path / f"annotated.{suffix}")
+        assert load_dataset(tmp_path / f"annotated.{suffix}").documents == annotated.documents
 
 
 # Characters the JSON string encoder treats specially: quotes, backslashes,
