@@ -4,7 +4,7 @@ Library layout:
 
 * corpus: dataset schema, loading, label statistics, stratified folds, Cohen's kappa
 * preprocess: tweet cleaning and tokenization
-* config: TF-IDF and training settings, and the model kinds
+* config: TF-IDF, training and remote-provider settings, and the model kinds
 * features: TF-IDF vectorization
 * models: logistic regression, linear SVM, random forest (from scratch)
 * evaluation: metrics and the cross-validation harness
@@ -12,9 +12,10 @@ Library layout:
 * emotion: lexicon emotion tagging and per-coin aggregation
 * cli: the predstmt command
 
-Only features, models and evaluation use numpy. Their names are exported
-lazily (PEP 562): the first access to one imports its module, so
-`import predstmt` and the offline commands never load numpy.
+Only features, models and evaluation use numpy, and only the balance and
+emotion commands need augment and emotion. The names of these five modules
+are exported lazily (PEP 562): the first access to one imports its module,
+so `import predstmt` loads none of them and never loads numpy.
 """
 
 from importlib import import_module
@@ -38,32 +39,15 @@ from .corpus import (
     stratified_folds,
 )
 from .preprocess import CleanConfig, preprocess, strip_urls
-from .config import TfidfConfig, TrainConfig
-from .augment import (
-    AugmentPlan,
-    OfflineParaphraser,
-    ProviderConfig,
-    ProviderError,
-    RemoteParaphraser,
-    balance,
-    compute_plan,
-    llm_label,
-)
-from .emotion import (
-    CATEGORY_TITLES,
-    EmotionCategory,
-    EmotionLexicon,
-    EmotionProfile,
-    EmotionReport,
-    aggregate,
-    bundled_lexicon_path,
-    load_lexicon,
-    render_markdown,
-    tag_document,
-)
+from .config import ProviderConfig, ProviderError, TfidfConfig, TrainConfig
 
-#: Exported name -> the numpy module it comes from, imported on first access.
+#: Exported name -> the module it comes from, imported on first access.
 _LAZY = {
+    **dict.fromkeys(("AugmentPlan", "OfflineParaphraser", "RemoteParaphraser", "balance",
+                     "compute_plan", "llm_label"), "augment"),
+    **dict.fromkeys(("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
+                     "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",
+                     "render_markdown", "tag_document"), "emotion"),
     **dict.fromkeys(("SparseBatch", "TfidfModel", "fit_tfidf", "load_tfidf", "save_tfidf",
                      "transform", "transform_many"), "features"),
     **dict.fromkeys(("ForestModel", "LinearModel", "TreeNode", "gini", "load_model", "predict",
@@ -79,11 +63,7 @@ __all__ = [
     "LabelDistribution", "Source", "Task", "Task1Label", "Task2Label", "cohen_kappa",
     "distribution", "load_dataset", "save_dataset", "stratified_folds",
     "CleanConfig", "preprocess", "strip_urls",
-    "TfidfConfig", "TrainConfig",
-    "AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError", "RemoteParaphraser",
-    "balance", "compute_plan", "llm_label",
-    "CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile", "EmotionReport",
-    "aggregate", "bundled_lexicon_path", "load_lexicon", "render_markdown", "tag_document",
+    "ProviderConfig", "ProviderError", "TfidfConfig", "TrainConfig",
     *_LAZY,
 ]
 

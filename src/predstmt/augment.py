@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 if TYPE_CHECKING:
     import requests
 
+from .config import ProviderConfig, ProviderError
 from .corpus import (
     DataError,
     Dataset,
@@ -38,10 +39,6 @@ from .corpus import (
 )
 
 _T = TypeVar("_T")
-
-
-class ProviderError(RuntimeError):
-    """Remote provider unreachable, unauthorized, or persistently unparseable."""
 
 
 def normalize_key(text: str) -> str:
@@ -202,31 +199,6 @@ class OfflineParaphraser:
 
 # ---------------------------------------------------------------------------
 # remote provider
-
-@dataclass(frozen=True)
-class ProviderConfig:
-    """Remote chat-completion endpoint settings.
-
-    The API key is read from the environment variable named by
-    api_key_env; it never appears in config files or outputs.
-    """
-
-    endpoint: str
-    api_key_env: str
-    model: str
-    request_delay_ms: int = 1000
-    max_retries: int = 3
-    timeout_s: float = 30.0
-    temperature: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.request_delay_ms < 0:
-            raise DataError("request_delay_ms must be >= 0")
-        if self.max_retries < 0:
-            raise DataError("max_retries must be >= 0")
-        if not self.timeout_s > 0:
-            raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
-
 
 def _retry_after_s(value: str | None) -> float | None:
     """The delay a numeric Retry-After header asks for, in seconds; None otherwise.

@@ -1,8 +1,9 @@
-"""Feature and training settings, free of numpy.
+"""Feature, training and remote-provider settings, free of numpy.
 
 The CLI parses and hashes these for every command, so they live apart from
 features, models and evaluation, which load numpy and which only `cv`
-needs. features and models import them from here.
+needs, and from augment, which only `balance` needs. features, models and
+augment import them from here.
 """
 
 from __future__ import annotations
@@ -52,3 +53,32 @@ class TrainConfig:
         for name in ("epochs", "n_trees", "max_depth", "min_samples_leaf"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+class ProviderError(RuntimeError):
+    """Remote provider unreachable, unauthorized, or persistently unparseable."""
+
+
+@dataclass(frozen=True)
+class ProviderConfig:
+    """Remote chat-completion endpoint settings.
+
+    The API key is read from the environment variable named by
+    api_key_env; it never appears in config files or outputs.
+    """
+
+    endpoint: str
+    api_key_env: str
+    model: str
+    request_delay_ms: int = 1000
+    max_retries: int = 3
+    timeout_s: float = 30.0
+    temperature: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.request_delay_ms < 0:
+            raise DataError("request_delay_ms must be >= 0")
+        if self.max_retries < 0:
+            raise DataError("max_retries must be >= 0")
+        if not self.timeout_s > 0:
+            raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")

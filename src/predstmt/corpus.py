@@ -647,13 +647,15 @@ def _read_jsonl(path: Path) -> list[Document]:
 def _read_csv(path: Path) -> list[Document]:
     docs: list[Document] = []
     with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != _COLUMNS:
             raise DataError(
                 f"{path.name}: expected header {','.join(_COLUMNS)}, "
-                f"got {','.join(reader.fieldnames or ())}"
+                f"got {','.join(header or ())}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        rows = (row for row in reader if row)  # blank lines hold no record
+        for lineno, row in enumerate(rows, start=2):
             try:
                 docs.append(_doc_from_record(_csv_row_to_record(row)))
             except DataError as exc:
@@ -661,11 +663,12 @@ def _read_csv(path: Path) -> list[Document]:
     return docs
 
 
-def _csv_row_to_record(row: dict) -> dict:
+def _csv_row_to_record(row: list[str]) -> dict:
+    if len(row) != len(_COLUMNS):
+        raise DataError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
     rec: dict = {}
-    for key in _COLUMNS:
-        cell = row.get(key)
-        if cell is None or cell == "":
+    for key, cell in zip(_COLUMNS, row):
+        if cell == "":
             rec[key] = None
             continue
         if key in ("task1", "task2"):

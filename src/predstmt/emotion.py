@@ -162,6 +162,8 @@ def tag_document(doc: Document, lex: EmotionLexicon, threshold: float = 0.0,
     tokens = preprocess(doc.text, clean_cfg)
     entries, phrase_lengths = lex.phrase_entries, lex.phrase_lengths
     found: set[EmotionCategory] = set()
+    if phrase_lengths.keys().isdisjoint(tokens):  # no token starts a term
+        return found
     i = 0
     n = len(tokens)
     while i < n:
@@ -214,22 +216,25 @@ def aggregate(dataset: Dataset, lex: EmotionLexicon, threshold: float = 0.0,
     percentage(category) = 100 * tagged / cell size, rounded half-up to
     two decimals. Cells with no documents are absent from the report.
     """
-    sizes: Counter[tuple[Coin, Task2Label]] = Counter()
-    tagged: defaultdict[tuple[Coin, Task2Label], Counter] = defaultdict(Counter)
+    # counted by member values, which hash in C; Enum.__hash__ runs in Python
+    sizes: Counter[tuple[str, int]] = Counter()
+    tagged: defaultdict[tuple[str, int], Counter[str]] = defaultdict(Counter)
     for doc in dataset:
-        if doc.coin is None or doc.task2 is None:
+        coin, label = doc.coin, doc.task2
+        if coin is None or label is None:
             continue
-        key = (doc.coin, doc.task2)
+        key = (coin._value_, label._value_)
         sizes[key] += 1
         counts = tagged[key]
         for category in tag_document(doc, lex, threshold, clean_cfg):
-            counts[category] += 1
+            counts[category._value_] += 1
     profiles = {
-        key: EmotionProfile(
-            percentages={cat: _round2(tagged[key][cat], n) for cat in EmotionCategory},
+        (Coin(coin), Task2Label(label)): EmotionProfile(
+            percentages={cat: _round2(tagged[coin, label][cat._value_], n)
+                         for cat in EmotionCategory},
             cell_count=n,
         )
-        for key, n in sizes.items()
+        for (coin, label), n in sizes.items()
     }
     return EmotionReport(profiles=profiles)
 

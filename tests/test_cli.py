@@ -1,5 +1,6 @@
 """Command line interface tests; every command runs in-process via main()."""
 
+import gc
 import io
 import json
 import os
@@ -733,6 +734,76 @@ def test_only_cv_imports_numpy(planted_path, tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert "| logreg |" in proc.stdout
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("stats", []),
+    ("cv", []),
+    ("balance", ["predstmt.augment"]),
+    ("emotion", ["predstmt.emotion"]),
+])
+def test_each_command_imports_only_the_modules_it_runs(planted_path, tmp_path, command,
+                                                       loaded):
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import json, sys\n"
+        "import predstmt.cli\n"
+        "modules = ('predstmt.augment', 'predstmt.emotion')\n"
+        "assert not any(m in sys.modules for m in modules), 'imported by predstmt.cli'\n"
+        "command, data, out = sys.argv[1:]\n"
+        "argv = [command, '--dataset', data, '--out', out]\n"
+        "if command == 'cv':\n"
+        "    argv += ['--model', 'logreg', '--k', '3']\n"
+        "assert predstmt.cli.main(argv) == 0\n"
+        "print(json.dumps([m for m in modules if m in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, command, str(planted_path),
+                           str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
+@pytest.fixture
+def caller_gc_threshold():
+    """A threshold of the caller's own, set for the test and put back after it."""
+    saved = gc.get_threshold()
+    gc.set_threshold(555, 7, 9)
+    yield (555, 7, 9)
+    gc.set_threshold(*saved)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--dataset", "PLANTED"], 0),
+    (["stats"], 1),  # no dataset: the command itself raises the usage error
+    (["stats", "--dataset", "missing.jsonl"], 2),
+    (["balance", "--dataset", "PLANTED", "--provider", "remote"], 3),
+], ids=["ok", "usage", "data", "provider"])
+def test_main_restores_the_callers_gc_threshold(planted_path, tmp_path, capsys,
+                                                caller_gc_threshold, argv, code):
+    argv = [str(planted_path) if a == "PLANTED" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    assert gc.get_threshold() == caller_gc_threshold
+
+
+def test_command_runs_with_the_batch_gc_threshold(planted_path, tmp_path, monkeypatch,
+                                                  caller_gc_threshold):
+    seen = []
+
+    def command(cfg, args):
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        if len(seen) == 2:
+            raise RuntimeError("boom")
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", command)
+    assert main(["stats", "--out", str(tmp_path)]) == 0
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["stats", "--out", str(tmp_path)])
+    # only the young generation changes, and the collector stays enabled
+    assert seen == [((100_000, 7, 9), True)] * 2
+    assert gc.get_threshold() == caller_gc_threshold
 
 
 @pytest.mark.parametrize("user, expected", [

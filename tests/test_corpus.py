@@ -616,6 +616,18 @@ class TestRoundTrip:
             load_dataset(path)
         assert str(info.value) == "bad.csv:3: 'task1' must be an integer, got 'x'"
 
+    @pytest.mark.parametrize("row, cells", [
+        ("b,hello,,,,original,,,EXTRA,MORE", 10),
+        ("b,short", 2),
+    ], ids=["surplus", "truncated"])
+    def test_csv_row_with_the_wrong_cell_count_fails(self, tmp_path, row, cells):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
+                        f"a,hello,,,,original,,\n{row}\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"bad.csv:3: expected 8 cells, got {cells}"
+
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,body\na,hello\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -14,6 +15,9 @@ from predstmt import (
     Dataset,
     Document,
     EmotionCategory,
+    EmotionProfile,
+    EmotionReport,
+    Task2Label,
     aggregate,
     bundled_lexicon_path,
     load_lexicon,
@@ -21,6 +25,7 @@ from predstmt import (
     render_markdown,
     tag_document,
 )
+from predstmt.emotion import _round2
 
 
 def write_lexicon(tmp_path, payload, name="lex.json"):
@@ -200,7 +205,53 @@ class TestTagDocument:
             == {EmotionCategory.DELIGHT_JOY}
 
 
+def _reference_aggregate(dataset, lex, threshold=0.0):
+    """The aggregation loop keyed by Coin and Task2Label members, kept as the oracle."""
+    sizes = Counter()
+    tagged = defaultdict(Counter)
+    for d in dataset:
+        if d.coin is None or d.task2 is None:
+            continue
+        key = (d.coin, d.task2)
+        sizes[key] += 1
+        counts = tagged[key]
+        for category in tag_document(d, lex, threshold):
+            counts[category] += 1
+    return EmotionReport(profiles={
+        key: EmotionProfile(
+            percentages={cat: _round2(tagged[key][cat], n) for cat in EmotionCategory},
+            cell_count=n,
+        )
+        for key, n in sizes.items()
+    })
+
+
 class TestAggregate:
+    @pytest.mark.parametrize("seed, threshold", [(1, 0.0), (2, 0.0), (3, 0.3), (4, 0.5)])
+    def test_matches_member_keyed_aggregation(self, seed, threshold):
+        """Every coin, label and category, cells first seen in a shuffled order."""
+        lex = load_lexicon(bundled_lexicon_path())
+        vocabulary = sorted({t for key in lex.phrase_entries for t in key}) + ["filler", "chart"]
+        rng = random.Random(seed)
+        docs = []
+        for i, text in enumerate(_token_streams(vocabulary, 600, seed)):
+            coin = rng.choice([*Coin, None])
+            task2 = rng.choice([*Task2Label, None])
+            docs.append(Document(id=f"d{i}", text=text, coin=coin, task1=1, task2=task2))
+        rng.shuffle(docs)
+        dataset = Dataset(documents=tuple(docs), name="planted")
+        report = aggregate(dataset, lex, threshold)
+        expected = _reference_aggregate(dataset, lex, threshold)
+
+        assert {(coin, label) for coin in Coin for label in Task2Label} == set(expected.profiles)
+        assert {cat for p in expected.profiles.values() for cat, pct in p.percentages.items()
+                if pct} == set(EmotionCategory)
+        assert list(report.profiles) == list(expected.profiles)
+        assert all(type(coin) is Coin and type(label) is Task2Label
+                   for coin, label in report.profiles)
+        assert report.profiles == expected.profiles
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
     def test_two_of_three_rounds_to_66_67(self, small_lexicon):
         docs = (
             doc("happy days ahead", id="a"),
@@ -354,6 +405,25 @@ class TestTaggerMatchesReference:
         for text in _token_streams(self.VOCABULARY, 400, seed=7):
             d = doc(text)
             assert tag_document(d, short) == _reference_tag(d, short), text
+
+    def test_streams_without_a_term_starting_token(self, prefix_lexicon):
+        # "and" and "back" sit inside terms but start none
+        vocabulary = ["and", "back", "filler", "to", "zzz"]
+        for text in _token_streams(vocabulary, 200, seed=13):
+            d = doc(text)
+            assert prefix_lexicon.phrase_lengths.keys().isdisjoint(preprocess(text))
+            assert tag_document(d, prefix_lexicon) == _reference_tag(d, prefix_lexicon) == set()
+
+    def test_start_token_whose_phrase_never_completes(self, prefix_lexicon):
+        # "the" starts only "the moon" and "the moon shot"; no stream holds "moon"
+        vocabulary = ["the", "and", "back", "shot", "filler"]
+        for text in _token_streams(vocabulary, 200, seed=17):
+            text = f"{text} the"  # a start token at the very end as well
+            d = doc(text)
+            assert tag_document(d, prefix_lexicon) == _reference_tag(d, prefix_lexicon), text
+        assert tag_document(doc("the the the"), prefix_lexicon) == set()
+        assert tag_document(doc("the shot"), prefix_lexicon) \
+            == _reference_tag(doc("the shot"), prefix_lexicon) != set()
 
     def test_bundled_lexicon_on_its_own_tokens(self):
         lex = load_lexicon(bundled_lexicon_path())

@@ -32,7 +32,8 @@ EXPORTS = {
                 "render_markdown", "tag_document"),
 }
 #: Names whose definition moved to a numpy-free module; the old module re-exports them.
-MOVED = {"TfidfConfig": "config", "TrainConfig": "config", "cohen_kappa": "corpus"}
+MOVED = {"TfidfConfig": "config", "TrainConfig": "config", "cohen_kappa": "corpus",
+         "ProviderConfig": "config", "ProviderError": "config"}
 ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
@@ -70,12 +71,14 @@ def test_unknown_attribute_is_attribute_error():
 
 
 def test_lazy_exports_load_their_module_on_first_access():
-    """In a fresh process: nothing numpy-backed until asked, then the real objects."""
+    """In a fresh process: no lazily exported module until asked, then the real objects."""
     src = Path(predstmt.__file__).resolve().parents[1]
     script = (
         "import sys, types\n"
         "import predstmt\n"
-        "assert 'predstmt.evaluation' not in sys.modules and 'numpy' not in sys.modules\n"
+        "for module in ('augment', 'emotion', 'evaluation', 'features', 'models'):\n"
+        "    assert f'predstmt.{module}' not in sys.modules, module\n"
+        "assert 'numpy' not in sys.modules\n"
         "from predstmt import cross_validate\n"
         "from predstmt.evaluation import cross_validate as home\n"
         "assert cross_validate is home and 'cross_validate' in vars(predstmt)\n"
