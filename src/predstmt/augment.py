@@ -63,13 +63,6 @@ class AugmentPlan:
     target_per_class: int
     needed: Mapping[int, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "task": int(self.task),
-            "target_per_class": self.target_per_class,
-            "needed": {str(code): n for code, n in sorted(self.needed.items())},
-        }
-
 
 def compute_plan(dist: LabelDistribution) -> AugmentPlan:
     """Plan upsampling every class to the current maximum class count.

@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .corpus import (
     cohen_kappa,
     distribution,
     from_dict,
+    jsonable,
     load_dataset,
     parse_json,
     reject_unknown_keys,
@@ -91,7 +92,8 @@ class RunConfig:
             if kind in self.models[:i]:
                 raise DataError(f"model kind {kind!r} is listed twice")
         # the run directory and the staging names beside it must not collide
-        if self.tag and (self.tag == "latest" or self.tag.startswith(".") or "/" in self.tag):
+        if self.tag is not None and (self.tag in ("", "latest") or self.tag.startswith(".")
+                                     or "/" in self.tag):
             raise DataError(f"tag must be a plain directory name other than 'latest', "
                             f"got {self.tag!r}")
 
@@ -118,7 +120,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    payload = asdict(cfg)
+    payload = jsonable(cfg)
     del payload["out_dir"], payload["tag"]
     canonical = json.dumps(payload, sort_keys=True)
     return {
@@ -320,21 +322,21 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     result = balance(dataset, task, provider, seed=cfg.seed, plan=plan, **budget)
     after = distribution(result, task)
     # the majority class is never upsampled, so what the result still needs is the shortfall
-    shortfall = sorted(compute_plan(after).needed.items())
+    shortfall = compute_plan(after).needed
     if shortfall:
-        missing = ", ".join(f"class {c}: {n}" for c, n in shortfall)
+        missing = ", ".join(f"class {c}: {n}" for c, n in sorted(shortfall.items()))
         print(f"warning: balancing fell short of the plan ({missing})", file=sys.stderr)
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
         write_json(run_dir / "balance.json", {
             **_config_echo(cfg),
             "task": int(task),
-            "plan": plan.to_dict(),
-            "before": {str(c): n for c, n in sorted(before.counts.items())},
-            "after": {str(c): n for c, n in sorted(after.counts.items())},
+            "plan": plan,
+            "before": before.counts,
+            "after": after.counts,
             "documents_before": len(dataset),
             "documents_after": len(result),
-            "shortfall": {str(c): n for c, n in shortfall},
+            "shortfall": shortfall,
         })
     print(
         f"balanced task {int(task)}: {len(dataset)} -> {len(result)} documents "

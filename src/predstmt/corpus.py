@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import random
 import sys
 import types
@@ -69,9 +70,34 @@ def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
         raise DataError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def jsonable(value: object) -> object:
+    """value as plain JSON data, the one encoding of every artifact and saved payload.
+
+    A dataclass becomes an object of its fields, an IntEnum its int and any
+    other Enum its value; a tuple or list becomes a list, and anything with
+    tolist (numpy arrays and scalars) what tolist gives. A mapping's int
+    keys are written with %d, IntEnum ones included (str() of an IntEnum
+    differs across Python versions), so that sort_keys orders them as the
+    strings they become; any other non-string key is a TypeError.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return int(value) if isinstance(value, IntEnum) else jsonable(value.value)
+    if isinstance(value, Mapping):
+        return {key if isinstance(key, str) else "%d" % operator.index(key): jsonable(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return value
+
+
 def write_json(path: Path, payload: object) -> None:
-    """Write payload in the one JSON artifact format: sorted keys, indent 2, final newline."""
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write jsonable(payload) as a JSON artifact: sorted keys, indent 2, final newline."""
+    path.write_text(json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
 
 
 def is_finite_number(value: object) -> bool:
@@ -654,12 +680,15 @@ def _read_csv(path: Path) -> list[Document]:
                 f"{path.name}: expected header {','.join(_COLUMNS)}, "
                 f"got {','.join(header or ())}"
             )
-        rows = (row for row in reader if row)  # blank lines hold no record
-        for lineno, row in enumerate(rows, start=2):
+        end = reader.line_num  # the physical line a record ends on; a cell may span lines
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if not row:  # blank lines hold no record
+                continue
             try:
                 docs.append(_doc_from_record(_csv_row_to_record(row)))
             except DataError as exc:
-                raise DataError(f"{path.name}:{lineno}: {exc}") from None
+                raise DataError(f"{path.name}:{start}: {exc}") from None
     return docs
 
 

@@ -86,8 +86,9 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
     Every entry value is a list of [base emotion, weight] pairs with
-    weights in [0, 1]. Duplicate terms (including terms equal after case
-    folding) and base emotions without a grouping are rejected.
+    weights in [0, 1]. Duplicate terms and grouped base emotions (including
+    those equal after case folding) and base emotions without a grouping
+    are rejected.
     """
     path = Path(path)
     try:
@@ -104,6 +105,8 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
         raise DataError("lexicon 'grouping' must be an object")
     grouping: dict[str, EmotionCategory] = {}
     for emotion, category in grouping_raw.items():
+        if emotion.casefold() in grouping:
+            raise DataError(f"duplicate base emotion {emotion!r} in 'grouping' after case folding")
         try:
             grouping[emotion.casefold()] = EmotionCategory(category)
         except ValueError:

@@ -12,13 +12,13 @@ the per-fold "fit TF-IDF, train, predict" step.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import MODEL_KINDS, TfidfConfig, TrainConfig
-from .corpus import LABEL_NAMES, DataError, Dataset, Task, stratified_folds
+from .corpus import LABEL_NAMES, DataError, Dataset, Task, jsonable, stratified_folds
 from .corpus import cohen_kappa  # noqa: F401  re-exported for evaluation.cohen_kappa callers
 from .features import fit_tfidf, transform_many
 from .models import (
@@ -71,12 +71,6 @@ class ConfusionMatrix:
     def support(self, i: int) -> int:
         return int(self.counts[i, :].sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "class_codes": list(self.class_codes),
-            "counts": self.counts.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class ClassMetrics:
@@ -103,14 +97,6 @@ class MetricsReport:
     weighted_recall: float
     weighted_f1: float
     n_classes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": self.confusion.to_dict(),
-            "per_class": {str(code): asdict(cm) for code, cm in self.per_class.items()},
-            **report_headline(self),
-            "n_classes": self.n_classes,
-        }
 
 
 def confusion(gold: Sequence[int], pred: Sequence[int],
@@ -203,20 +189,11 @@ class CvReport:
                 for name in HEADLINE}
 
     def to_dict(self) -> dict:
-        per_fold = [r.to_dict() for r in self.per_fold]
-        for fold, size in zip(per_fold, self.forest_sizes):
+        """jsonable(self) with fold_means, and each fold's forest size in its fold."""
+        payload = jsonable(self)
+        for fold, size in zip(payload["per_fold"], payload.pop("forest_sizes")):
             fold["forest"] = size
-        return {
-            "task": int(self.task),
-            "model_kind": self.model_kind,
-            "k": self.k,
-            "seed": self.seed,
-            "train_config": asdict(self.train_config),
-            "fold_sizes": list(self.fold_sizes),
-            "per_fold": per_fold,
-            "fold_means": self.fold_means(),
-            "pooled": self.pooled.to_dict(),
-        }
+        return {**payload, "fold_means": self.fold_means()}
 
 
 def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: TrainConfig,

@@ -15,7 +15,7 @@ the trainers and predict_many in models; a single document is a one-row batch.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -27,6 +27,7 @@ from .corpus import (
     DataError,
     from_dict,
     is_finite_number,
+    jsonable,
     parse_json,
     reject_unknown_keys,
     require_field,
@@ -194,15 +195,7 @@ def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBa
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "kind": "tfidf",
-        "config": asdict(model.config),
-        "n_docs": model.n_docs,
-        "terms": list(model.terms),
-        "doc_freq": list(model.doc_freq),
-        "idf": list(model.idf),
-    }
-    write_json(path, payload)
+    write_json(path, {"kind": "tfidf", **jsonable(model)})
 
 
 def _max_idf(n_docs: int) -> float:

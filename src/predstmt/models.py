@@ -34,7 +34,7 @@ break toward the lowest class code.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +44,7 @@ from .corpus import (
     DataError,
     from_dict,
     is_finite_number,
+    jsonable,
     parse_json,
     reject_unknown_keys,
     require_field,
@@ -650,18 +651,12 @@ def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
     """Write a model as JSON sufficient for exact reload."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "kind": model.kind if isinstance(model, LinearModel) else KIND_FOREST,
-        "class_codes": list(model.class_codes),
-        "n_features": model.n_features,
-        "config": asdict(model.config),
-    }
     if isinstance(model, LinearModel):
-        payload.update(weights=model.weights.tolist(), bias=model.bias.tolist(),
-                       loss_history=list(model.loss_history))
-    else:
-        payload["trees"] = [_node_to_dict(t) for t in model.trees]
-    write_json(path, payload)
+        payload = jsonable(model)
+    else:  # a tree's JSON is not its fields
+        payload = {"kind": KIND_FOREST, "class_codes": model.class_codes,
+                   "config": model.config, "trees": [_node_to_dict(t) for t in model.trees]}
+    write_json(path, {**payload, "n_features": model.n_features})
 
 
 def load_model(path: str | Path) -> LinearModel | ForestModel:

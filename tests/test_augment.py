@@ -18,6 +18,7 @@ from predstmt import (
     distribution,
 )
 from predstmt.augment import normalize_key
+from predstmt.corpus import jsonable
 
 from conftest import build_planted_dataset
 
@@ -43,9 +44,9 @@ class TestPlan:
         with pytest.raises(DataError, match="nothing to balance"):
             compute_plan(distribution(ds, Task.DIRECTION))
 
-    def test_to_dict(self, reference_corpus):
+    def test_jsonable(self, reference_corpus):
         plan = compute_plan(distribution(reference_corpus, Task.DIRECTION))
-        assert plan.to_dict() == {
+        assert jsonable(plan) == {
             "task": 2,
             "target_per_class": 570,
             "needed": {"2": 136, "3": 458},

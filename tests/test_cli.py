@@ -444,6 +444,7 @@ class TestConfigPrecedence:
         ("stats", {"threshold": float("inf")}, "threshold must be a number"),
         ("stats", {"train": 5}, "train must be an object"),
         ("stats", {"tag": "latest"}, "tag must be a plain directory name"),
+        ("stats", {"tag": ""}, "tag must be a plain directory name"),
         ("stats", {"tag": "../elsewhere"}, "tag must be a plain directory name"),
         ("stats", {"\n": None}, "unknown config keys: \\n"),
         ("stats", {"train": {"a\rb": 1}}, "unknown config keys: train.a\\rb"),
@@ -465,6 +466,14 @@ class TestConfigPrecedence:
         assert code == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_empty_tag_flag_is_usage_error(self, planted_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run("stats", "--dataset", str(planted_path), "--out", str(out), "--tag", "")
+        assert code == 1
+        assert capsys.readouterr().err == ("usage error: tag must be a plain directory name "
+                                           "other than 'latest', got ''\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["stats", "cv", "balance", "emotion", "kappa"])
     def test_unknown_provider_is_usage_error(self, planted_path, tmp_path, capsys, command):

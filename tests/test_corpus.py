@@ -616,6 +616,17 @@ class TestRoundTrip:
             load_dataset(path)
         assert str(info.value) == "bad.csv:3: 'task1' must be an integer, got 'x'"
 
+    @pytest.mark.parametrize("body, line", [
+        ('a,hello,,,,original,,\n\nb,"two\nlines",,,,original,,\nc,bye,ADA,x,,original,,\n', 6),
+        ('\nc,"bye\nnow",ADA,x,,original,,\n', 3),
+    ], ids=["after-blank-and-two-line-cell", "record-spanning-lines"])
+    def test_csv_errors_name_the_physical_line_a_record_starts_on(self, tmp_path, body, line):
+        path = tmp_path / "found.csv"
+        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n" + body)
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"found.csv:{line}: 'task1' must be an integer, got 'x'"
+
     @pytest.mark.parametrize("row, cells", [
         ("b,hello,,,,original,,,EXTRA,MORE", 10),
         ("b,short", 2),

@@ -84,6 +84,15 @@ class TestLoadLexicon:
         with pytest.raises(DataError, match="duplicate lexicon term"):
             load_lexicon(path)
 
+    def test_casefold_duplicate_grouping_rejected(self, tmp_path):
+        path = write_lexicon(tmp_path, {
+            "entries": {"happy": [["joy", 0.7]]},
+            "grouping": {"Joy": "delight_joy", "joy": "rage_anger"},
+        })
+        with pytest.raises(DataError) as info:
+            load_lexicon(path)
+        assert str(info.value) == "duplicate base emotion 'joy' in 'grouping' after case folding"
+
     def test_malformed_rows_rejected(self, tmp_path):
         for bad in (["joy"], ["joy", 0.5, 1], [0.5, "joy"], ["joy", "high"],
                     ["joy", True]):
