@@ -8,6 +8,7 @@ augment import them from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import DataError
@@ -46,6 +47,11 @@ class TrainConfig:
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below and would never end logreg's step-halving loop
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2 < 0:

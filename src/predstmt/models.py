@@ -7,11 +7,13 @@ the CSR arrays of a features.SparseBatch directly:
   softmax cross-entropy plus (l2/2)||W||^2, with step-halving so the loss
   never increases across epochs. Each trial step scores the batch once, and
   the scores of the step it accepts give the next gradient;
-* one-vs-rest linear SVM trained by Pegasos-style SGD on the L2-regularized
-  hinge loss, step size 1/(l2 * t). The weights are kept as w = a * v, so
-  the shrink w *= 1 - step * l2 of every step scales the scalar a and only
-  a hinge-active step touches v, on the row's nonzero columns
-  (Shalev-Shwartz et al., Math. Prog. 2011);
+* linear SVM trained by Pegasos-style SGD on the L2-regularized hinge
+  loss, step size 1/(l2 * t): one separator for two classes, scored as
+  (-w, w) so class 1 wins exactly where w.x + b > 0, and one-vs-rest for
+  three or more (Fan et al., JMLR 2008). The weights are kept as
+  w = a * v, so the shrink w *= 1 - step * l2 of every step scales the
+  scalar a and only a hinge-active step touches v, on the row's nonzero
+  columns (Shalev-Shwartz et al., Math. Prog. 2011);
 * a random forest of CART trees split on Gini impurity decrease over
   random feature subsets (Breiman, Machine Learning 2001). All trees of a
   fit grow together, one depth level per step, over one column-major view
@@ -203,11 +205,11 @@ def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearMo
 
 
 # ---------------------------------------------------------------------------
-# linear SVM (one-vs-rest, Pegasos)
+# linear SVM (Pegasos; one separator for two classes, else one-vs-rest)
 
 def svm_objective(w: np.ndarray, b: float, X: SparseBatch,
                   y_signed: Sequence[float], l2: float) -> float:
-    """(l2/2)||w||^2 + mean hinge loss for one binary one-vs-rest problem."""
+    """(l2/2)||w||^2 + mean hinge loss for one binary separator."""
     y_signed = np.asarray(y_signed, dtype=np.float64)
     margins = y_signed * (X.scores(w[None, :], np.array([b]))[:, 0])
     hinge = np.maximum(0.0, 1.0 - margins)
@@ -269,24 +271,34 @@ def _pegasos_binary(rows: list[tuple[np.ndarray, np.ndarray]], y_signed: np.ndar
 
 
 def train_svm_linear(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
-    """Fit one Pegasos-trained binary separator per class (one-vs-rest).
+    """Fit Pegasos-trained binary separators: one for two classes, else one per class.
 
-    Requires l2 > 0 since the step size is 1/(l2 * t). The per-class RNG is
-    derived from (seed, class position) so training is order-independent
-    across classes and reproducible.
+    With two classes, one separator (w, b) is trained for class position 1
+    against class 0 and stored as weights (-w, w) and bias (-b, b). Negation
+    is exact, so predict_many picks class 1 exactly where w.x + b > 0; a
+    score of exactly 0 is a tie and goes to the lower class code. With three
+    or more classes, each class gets its own separator against the rest
+    (one-vs-rest).
+
+    Requires l2 > 0 since the step size is 1/(l2 * t). The RNG of a class's
+    separator is derived from (seed, class position) so training is
+    order-independent across classes and reproducible.
     """
     if cfg.l2 <= 0:
         raise DataError("linear SVM training requires l2 > 0")
     codes, y_idx = _check_inputs(X, y)
     bounds = X.indptr.tolist()
     rows = [(X.indices[start:end], X.data[start:end]) for start, end in zip(bounds, bounds[1:])]
-    weights = np.zeros((len(codes), X.dim))
-    bias = np.zeros(len(codes))
-    for ci in range(len(codes)):
+    k = len(codes)
+    weights = np.zeros((k, X.dim))
+    bias = np.zeros(k)
+    for ci in ([1] if k == 2 else range(k)):
         y_signed = np.where(y_idx == ci, 1.0, -1.0)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
                                                            spawn_key=(ci,)))
         weights[ci], bias[ci] = _pegasos_binary(rows, y_signed, cfg, rng, X.dim)
+    if k == 2:
+        weights[0], bias[0] = -weights[1], -bias[1]
     return LinearModel(
         kind=KIND_SVM,
         weights=weights,

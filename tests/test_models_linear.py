@@ -156,6 +156,16 @@ class TestLogreg:
         with pytest.raises(DataError, match="dimension"):
             train_logreg(dense_batch([[1.0], [1.0, 2.0]], 1), [0, 1], TrainConfig())
 
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"l2": float("nan")},
+    ])
+    def test_non_finite_config_refused(self, setting):
+        with pytest.raises(DataError, match="must be finite") as info:
+            TrainConfig(**setting)
+        assert "\n" not in str(info.value)
+
 
 class TestSvm:
     def test_separable_1d_matches_grid_oracle(self):
@@ -291,17 +301,25 @@ def per_step_pegasos(X, y_signed, cfg, rng, dim):
     return w, b
 
 
+def per_step_separator(X, y, cfg, ci):
+    """per_step_pegasos for class position ci against the rest, seeded as train_svm_linear."""
+    code = sorted(set(y))[ci]
+    y_signed = np.array([1.0 if v == code else -1.0 for v in y])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
+                                                       spawn_key=(ci,)))
+    return per_step_pegasos(X, y_signed, cfg, rng, X.dim)
+
+
 def per_step_svm(X, y, cfg):
-    """One-vs-rest weights and bias from per_step_pegasos, seeded as train_svm_linear."""
-    codes = sorted(set(y))
-    dim = X.dim
-    weights = np.zeros((len(codes), dim))
-    bias = np.zeros(len(codes))
-    for ci, code in enumerate(codes):
-        y_signed = np.array([1.0 if v == code else -1.0 for v in y])
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
-                                                           spawn_key=(ci,)))
-        weights[ci], bias[ci] = per_step_pegasos(X, y_signed, cfg, rng, dim)
+    """Weights and bias from per_step_pegasos: for two classes, class position 1's
+    separator and its negation; for more, one separator per class (one-vs-rest)."""
+    k = len(set(y))
+    weights = np.zeros((k, X.dim))
+    bias = np.zeros(k)
+    for ci in ([1] if k == 2 else range(k)):
+        weights[ci], bias[ci] = per_step_separator(X, y, cfg, ci)
+    if k == 2:
+        weights[0], bias[0] = -weights[1], -bias[1]
     return weights, bias
 
 
@@ -331,6 +349,61 @@ class TestScaledPegasos:
         cfg = TrainConfig(l2=1e-3, epochs=10, seed=2)
         monkeypatch.setattr(models, "_SCALE_FLOOR", 0.5)
         model = train_svm_linear(X, y, cfg)
+        ref_w, ref_b = per_step_svm(X, y, cfg)
+        assert np.abs(model.weights - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
+        assert np.abs(model.bias - ref_b).max() <= 1e-9 * max(1.0, np.abs(ref_b).max())
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, so -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBinarySvm:
+    """Two classes train one separator (w, b), stored as (-w, w) and (-b, b)."""
+
+    def test_one_separator_stored_negated(self):
+        rng = random.Random(47)
+        X, y = random_problem(rng, n=50, d=15, k=2)
+        y = [3 if v else 7 for v in y]  # codes (3, 7): class position 1 is code 7
+        cfg = TrainConfig(l2=0.01, epochs=12, seed=5)
+        model = train_svm_linear(X, y, cfg)
+        assert model.class_codes == (3, 7) and model.weights.shape == (2, 15)
+        assert np.array_equal(bits(model.weights[0]), bits(-model.weights[1]))
+        assert np.array_equal(bits(model.bias[0]), bits(-model.bias[1]))
+        # the separator one-vs-rest trained for class position 1, same RNG stream
+        ref_w, ref_b = per_step_separator(X, y, cfg, 1)
+        assert np.abs(model.weights[1] - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
+        assert abs(model.bias[1] - ref_b) <= 1e-9 * max(1.0, abs(ref_b))
+        margins = X.scores(model.weights[1:], model.bias[1:])[:, 0]
+        assert 0 < (margins > 0).sum() < len(X)
+        assert predict_many(model, X) == [7 if m > 0 else 3 for m in margins]
+
+    @pytest.mark.parametrize("b", [0.5, 0.0])
+    def test_zero_score_goes_to_the_lower_code(self, b):
+        w = np.array([1.0, -2.0])
+        model = LinearModel(kind="svm_linear", weights=np.array([-w, w]),
+                            bias=np.array([-b, b]), class_codes=(2, 5), config=TrainConfig())
+        X = dense_batch([[2.0 - b, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 2)
+        scores = X.scores(w[None, :], np.array([b]))[:, 0]
+        assert scores[0] == 0.0 and scores[2] > 0 > scores[3]
+        assert predict_many(model, X) == [2, 5 if b > 0 else 2, 5, 2]
+
+    @pytest.mark.parametrize("k, calls", [(2, 1), (3, 3)])
+    def test_pegasos_runs_per_problem(self, monkeypatch, k, calls):
+        seen = []
+        pegasos = models._pegasos_binary
+
+        def counting(*args):
+            seen.append(args)
+            return pegasos(*args)
+
+        monkeypatch.setattr(models, "_pegasos_binary", counting)
+        rng = random.Random(53)
+        X, y = random_problem(rng, n=45, d=10, k=k)
+        cfg = TrainConfig(l2=0.02, epochs=8, seed=3)
+        model = train_svm_linear(X, y, cfg)
+        assert len(seen) == calls
         ref_w, ref_b = per_step_svm(X, y, cfg)
         assert np.abs(model.weights - ref_w).max() <= 1e-9 * np.abs(ref_w).max()
         assert np.abs(model.bias - ref_b).max() <= 1e-9 * max(1.0, np.abs(ref_b).max())
