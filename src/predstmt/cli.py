@@ -24,7 +24,14 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import MODEL_KINDS, ProviderConfig, ProviderError, TfidfConfig, TrainConfig
+from .config import (
+    MODEL_KINDS,
+    ProviderConfig,
+    ProviderError,
+    TfidfConfig,
+    TrainConfig,
+    check_os_string,
+)
 from .corpus import (
     LABEL_NAMES,
     DataError,
@@ -91,6 +98,9 @@ class RunConfig:
                     f"unknown model kind {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
             if kind in self.models[:i]:
                 raise DataError(f"model kind {kind!r} is listed twice")
+        for name in ("dataset", "out_dir", "lexicon"):
+            check_os_string(name, getattr(self, name), path=True)
+        check_os_string("tag", self.tag, path=False)  # also written to the UTF-8 `latest` file
         # the run directory and the staging names beside it must not collide
         if self.tag is not None and (self.tag in ("", "latest") or self.tag.startswith(".")
                                      or "/" in self.tag):

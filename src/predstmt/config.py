@@ -9,12 +9,32 @@ augment import them from here.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .corpus import DataError
 
 #: Model kinds cross_validate accepts, in the CLI's default order.
 MODEL_KINDS = ("logreg", "svm", "rf")
+
+
+def check_os_string(name: str, value: str | None, *, path: bool) -> None:
+    """DataError naming name unless value is None or a string the OS can take.
+
+    A path must pass os.fsencode; any other string (a directory tag, the name
+    of an environment variable) must encode as UTF-8. Neither may hold a NUL.
+    Otherwise the first open, mkdir or environment lookup would raise instead.
+    """
+    if value is None:
+        return
+    try:
+        (os.fsencode if path else str.encode)(value)
+        if "\0" not in value:
+            return
+    except UnicodeEncodeError:
+        pass
+    kind = "a path the file system can encode" if path else "a UTF-8 encodable string"
+    raise DataError(f"{name} must be {kind} without NUL characters, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +70,11 @@ class TrainConfig:
         # NaN passes every comparison below and would never end logreg's step-halving loop
         for name in ("learning_rate", "l2"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range; str() of one may raise too
+                finite, value = False, "an int past the float range"
+            if not finite:
                 raise DataError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
@@ -82,6 +106,7 @@ class ProviderConfig:
     temperature: float = 0.9
 
     def __post_init__(self) -> None:
+        check_os_string("api_key_env", self.api_key_env, path=False)
         if self.request_delay_ms < 0:
             raise DataError("request_delay_ms must be >= 0")
         if self.max_retries < 0:

@@ -351,6 +351,8 @@ class Document:
             raise DataError("document id must be a non-empty string")
         if not isinstance(self.text, str) or not self.text:
             raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+        if self.text.isspace():
+            raise DataError(f"document {doc_id!r}: text must hold a non-whitespace character")
         if coin is not None and type(coin) is not Coin:
             raise DataError(f"document {doc_id!r}: unknown coin {coin!r}")
         if type(source) is not Source:
@@ -557,6 +559,7 @@ def _doc_from_record(rec: object) -> Document:
             coin, source, task1, task2 = cell
             annotations = get("annotations")
             if (type(doc_id) is str and doc_id and type(text) is str and text
+                    and not text.isspace()
                     and (annotations is None or type(annotations) is list)
                     and (parent_id is None if source is _ORIGINAL
                          else type(parent_id) is str and parent_id)):

@@ -93,7 +93,7 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
         raise DataError(f"cannot read lexicon {path}: {exc}") from None
     raw = parse_json(text, lambda reason: DataError(f"lexicon {path} is not valid JSON: {reason}"),
                      object_pairs_hook=_reject_duplicate_keys)

@@ -15,6 +15,7 @@ the trainers and predict_many in models; a single document is a one-row batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -26,7 +27,6 @@ import numpy as np
 from .corpus import (
     DataError,
     from_dict,
-    is_finite_number,
     jsonable,
     parse_json,
     reject_unknown_keys,
@@ -108,17 +108,22 @@ class SparseBatch:
 
 @dataclass(frozen=True)
 class TfidfModel:
-    """Fitted vocabulary with per-term document frequencies and idf weights."""
+    """Fitted vocabulary with per-term document frequencies; the idf weights follow from them."""
 
     terms: tuple[str, ...]
     doc_freq: tuple[int, ...]
-    idf: tuple[float, ...]
     n_docs: int
     config: TfidfConfig
 
     @property
     def dimension(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def idf(self) -> tuple[float, ...]:
+        """ln((1 + n_docs) / (1 + df)) + 1 per term, computed once per model."""
+        n = self.n_docs
+        return tuple(math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -144,15 +149,7 @@ def fit_tfidf(docs: Sequence[Sequence[str]], config: TfidfConfig = TfidfConfig()
         terms.sort(key=lambda t: (-df[t], t))
         terms = terms[: config.max_features]
     terms.sort()
-    n = len(docs)
-    idf = tuple(math.log((1 + n) / (1 + df[t])) + 1.0 for t in terms)
-    return TfidfModel(
-        terms=tuple(terms),
-        doc_freq=tuple(df[t] for t in terms),
-        idf=idf,
-        n_docs=n,
-        config=config,
-    )
+    return TfidfModel(tuple(terms), tuple(df[t] for t in terms), len(docs), config)
 
 
 def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseBatch:
@@ -195,23 +192,18 @@ def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBa
 def save_tfidf(model: TfidfModel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, {"kind": "tfidf", **jsonable(model)})
-
-
-def _max_idf(n_docs: int) -> float:
-    """The largest idf fit_tfidf gives on n_docs documents: that of a term in one of them."""
-    try:
-        return math.log((1 + n_docs) / 2) + 1.0  # fit_tfidf's expression at df = 1
-    except OverflowError:  # more documents than a float can count
-        return math.log(1 + n_docs) - math.log(2) + 1.0
+    write_json(path, {"kind": "tfidf", "idf": model.idf, **jsonable(model)})
 
 
 def load_tfidf(path: str | Path) -> TfidfModel:
-    """Read a model written by save_tfidf; any schema violation raises DataError."""
+    """Read a model written by save_tfidf; any schema violation raises DataError.
+
+    The file's idf must be the one its doc_freq and n_docs give, entry for entry.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
         raise DataError(f"cannot load TF-IDF model from {path}: {exc}") from None
     payload = parse_json(text, lambda reason: DataError(
         f"cannot load TF-IDF model from {path}: {reason}"))
@@ -227,24 +219,17 @@ def load_tfidf(path: str | Path) -> TfidfModel:
         raise DataError(f"{path}: terms, doc_freq and idf must have equal length")
     if not all(isinstance(t, str) for t in terms) or terms != sorted(set(terms)):
         raise DataError(f"{path}: terms must be distinct strings in sorted order")
-    if n_docs < 1:
-        raise DataError(f"{path}: n_docs must be >= 1, got {n_docs}")
+    # no fit counts more documents than a list holds, and the bound keeps idf's ratio a float
+    if not 1 <= n_docs <= sys.maxsize:
+        raise DataError(f"{path}: n_docs must lie in [1, {sys.maxsize}]")
     if not all(type(c) is int and 1 <= c <= n_docs for c in doc_freq):
         raise DataError(f"{path}: doc_freq entries must be integers in [1, n_docs]")
-    if not all(map(is_finite_number, idf)):
-        raise DataError(f"{path}: idf entries must be finite numbers")
-    top = _max_idf(n_docs)
-    if not all(1 <= value <= top for value in idf):
-        raise DataError(f"{path}: idf entries must lie in [1, {top!r}], "
-                        "the range a fit on n_docs documents gives")
     try:
         tfidf_config = from_dict(TfidfConfig, config, "config")
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return TfidfModel(
-        terms=tuple(terms),
-        doc_freq=tuple(doc_freq),
-        idf=tuple(idf),
-        n_docs=n_docs,
-        config=tfidf_config,
-    )
+    model = TfidfModel(tuple(terms), tuple(doc_freq), n_docs, tfidf_config)
+    if any(type(saved) is bool or saved != derived for saved, derived in zip(idf, model.idf)):
+        raise DataError(f"{path}: idf entries must be ln((1 + n_docs) / (1 + doc_freq)) + 1, "
+                        "as fit_tfidf gives them")
+    return model

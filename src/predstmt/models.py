@@ -676,7 +676,7 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
         raise DataError(f"cannot load model from {path}: {exc}") from None
     payload = parse_json(text, lambda reason: DataError(f"cannot load model from {path}: {reason}"))
     if not isinstance(payload, dict):

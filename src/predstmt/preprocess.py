@@ -13,6 +13,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .corpus import DataError
+
 # http(s) or www prefixed runs of non-space characters
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 
@@ -35,7 +37,7 @@ class CleanConfig:
 
     def __post_init__(self) -> None:
         if self.min_token_length < 1:
-            raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
+            raise DataError(f"min_token_length must be >= 1, got {self.min_token_length}")
 
 
 DEFAULT_CLEAN = CleanConfig()

@@ -341,6 +341,15 @@ class TestKappa:
         assert run("kappa", str(a), str(b), "--out", str(tmp_path), "--tag", "r2") == 0
         assert capsys.readouterr().out.strip() == "0.5000"
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text('\n{"id": "d1", "label": 0}\n\n  \n{"id": "d2", "label": 0}\n'
+                     '\t\n{"id": "d3", "label": 1}\n\n{"id": "d4", "label": 1}\n\n')
+        write_annotations(b, {"d1": 0, "d2": 1, "d3": 1, "d4": 1})
+        assert run("kappa", str(a), str(b), "--out", str(tmp_path), "--tag", "r3") == 0
+        assert capsys.readouterr().out.strip() == "0.5000"
+        assert json.loads((tmp_path / "kappa" / "r3" / "kappa.json").read_text())["n"] == 4
+
     def test_mismatched_ids(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_annotations(a, {"d1": 0, "d2": 1})
@@ -451,6 +460,20 @@ class TestConfigPrecedence:
         ("stats", {"threshold": 10 ** 400}, "threshold must be a number, got int"),
         ("cv", {"train": {"learning_rate": 10 ** 400}},
          "train.learning_rate must be a number, got int"),
+        ("stats", {"tag": "t\udcff"},  # what --tag $'t\xff' gives
+         "tag must be a UTF-8 encodable string without NUL characters, got 't\\udcff'"),
+        ("stats", {"tag": "a\x00b"},
+         "tag must be a UTF-8 encodable string without NUL characters, got 'a\\x00b'"),
+        ("emotion", {"lexicon": "l\ud800.json"},
+         "lexicon must be a path the file system can encode without NUL characters"),
+        ("emotion", {"lexicon": "l\x00.json"},
+         "lexicon must be a path the file system can encode without NUL characters"),
+        ("balance", {"provider": "remote", "provider_config": {
+            "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K\ud800", "model": "m"}},
+         "provider_config: api_key_env must be a UTF-8 encodable string without NUL"),
+        ("balance", {"provider": "remote", "provider_config": {
+            "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K\x00", "model": "m"}},
+         "provider_config: api_key_env must be a UTF-8 encodable string without NUL"),
         *(("balance", {"provider": "remote", "provider_config": {
             "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K", "model": "m",
             "timeout_s": timeout}}, f"provider_config: timeout_s must be > 0, got {timeout}")
@@ -466,6 +489,40 @@ class TestConfigPrecedence:
         assert code == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", "o\x00x"), ("out_dir", "o\ud800"),
+        ("dataset", "d\x00.jsonl"), ("dataset", "d\ud800.jsonl"),
+    ])
+    def test_unusable_path_in_config_is_one_line_usage_error(self, tmp_path, capsys,
+                                                            monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": "d.jsonl", key: value}))
+        code = run("stats", "--config", str(path), "--tag", "r")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {key} must be a path the file system can encode without NUL "
+            f"characters, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_undecodable_tag_flag_is_usage_error(self, planted_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        # on POSIX, argv bytes that are not UTF-8 arrive as lone surrogates
+        code = run("stats", "--dataset", str(planted_path), "--out", str(out),
+                   "--tag", os.fsdecode(b"t\xff"))
+        assert code == 1
+        assert capsys.readouterr().err == ("usage error: tag must be a UTF-8 encodable string "
+                                           "without NUL characters, got 't\\udcff'\n")
+        assert not out.exists()
+
+    def test_undecodable_path_flags_are_fine(self, planted_path, tmp_path, capsys):
+        dataset = Path(os.fsdecode(bytes(tmp_path) + b"/d\xff.jsonl"))
+        dataset.write_bytes(planted_path.read_bytes())
+        out = Path(os.fsdecode(bytes(tmp_path) + b"/o\xff"))
+        assert run("stats", "--dataset", str(dataset), "--out", str(out), "--tag", "r") == 0
+        capsys.readouterr()
+        assert (out / "stats" / "latest").read_text() == "r\n"
 
     def test_empty_tag_flag_is_usage_error(self, planted_path, tmp_path, capsys):
         out = tmp_path / "o"
@@ -618,7 +675,9 @@ class TestUnparseableInputs:
         ('{"id": "x", "text": "t", "coin": ["ADA"]}', "unknown coin ['ADA']"),
         ('{"id": "x", "text": "t", "annotations": [{"annotator": ["x"], "task": 1, '
          '"label": 1.0}]}', "annotation requires a non-empty annotator id"),
-    ], ids=["nested", "unhashable-coin", "ill-typed-annotation"])
+        ('{"id": "x", "text": "   ", "task1": 1}',
+         "document 'x': text must hold a non-whitespace character"),
+    ], ids=["nested", "unhashable-coin", "ill-typed-annotation", "whitespace-text"])
     def test_bad_dataset_line_is_data_error(self, planted_path, tmp_path, line, message):
         path = tmp_path / "d.jsonl"
         path.write_text(planted_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
@@ -650,8 +709,15 @@ class TestUnparseableInputs:
         (b'{"id": "", "label": 1}', "a.jsonl:2: 'id' must be a non-empty string"),
         (b'{"id": "caf\xe9", "label": 1}', "cannot read annotation file"),
         (b'{"id": "d2", "label": 0, "lable": 5}', "a.jsonl:2: unknown keys ['lable']"),
+        (b'\n \t\n{"id": "d2"}', "a.jsonl:4: expected an object with 'id' and 'label'"),
+        (b'{"label": 1}', "a.jsonl:2: expected an object with 'id' and 'label'"),
+        (b'["d2", 1]', "a.jsonl:2: expected an object with 'id' and 'label'"),
+        (b'{"id": "d2", "label": 1.0}', "a.jsonl:2: 'label' must be an integer"),
+        (b'{"id": "d2", "label": "1"}', "a.jsonl:2: 'label' must be an integer"),
+        (b'{"id": "d2", "label": true}', "a.jsonl:2: 'label' must be an integer"),
     ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8",
-            "unknown-key"])
+            "unknown-key", "after-blank-lines", "no-id", "not-an-object", "float-label",
+            "string-label", "bool-label"])
     def test_bad_annotation_file_is_data_error(self, tmp_path, content, message):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_bytes(b'{"id": "d1", "label": 0}\n' + content + b"\n")
@@ -660,6 +726,14 @@ class TestUnparseableInputs:
         assert code == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("content", [b"", b"\n \n\t\n"], ids=["empty", "blank-lines"])
+    def test_annotation_file_without_records_is_data_error(self, tmp_path, content):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(content)
+        write_annotations(b, {"d1": 0})
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, "data error: a.jsonl: no annotations found\n")
 
 
 class TestBalanceInputDistribution:

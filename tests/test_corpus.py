@@ -67,6 +67,13 @@ class TestDocumentValidation:
         with pytest.raises(DataError, match="text"):
             Document(id="a", text="")
 
+    @pytest.mark.parametrize("text", [" ", "   ", "\t\n", "\u3000\x85"])
+    def test_whitespace_only_text_rejected(self, text):
+        with pytest.raises(DataError) as info:
+            Document(id="a", text=text)
+        assert str(info.value) == "document 'a': text must hold a non-whitespace character"
+        assert Document(id="a", text=text + ".").text == text + "."
+
     def test_direction_requires_predictive(self):
         with pytest.raises(DataError, match="task1"):
             doc(task2=1)
@@ -234,6 +241,9 @@ class TestJsonl:
         ('{"id": "", "text": "t"}', "'id' must be a non-empty string"),
         ('{"id": "a", "text": 5}', "'text' must be a string"),
         ('{"id": "a", "text": ""}', "document 'a': text must be a non-empty string"),
+        ('{"id": "a", "text": "   "}', "document 'a': text must hold a non-whitespace character"),
+        ('{"id": "a", "text": "\\t\\n\\u2028", "task1": 1, "task2": 2, "coin": "ADA"}',
+         "document 'a': text must hold a non-whitespace character"),
         ('{"id": "a", "text": "t", "coin": "DOGE"}', "unknown coin 'DOGE'"),
         ('{"id": "a", "text": "t", "coin": ["ADA"]}', "unknown coin ['ADA']"),
         ('{"id": "a", "text": "t", "coin": {"ADA": 1}}', "unknown coin {'ADA': 1}"),
@@ -422,6 +432,8 @@ def _field_checks_doc_from_record(rec: object) -> Document:
         annotations = tuple(map(_annotation_from_record, anns_raw))
     if not text:
         raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+    if text.isspace():  # the one rule added since: text needs a non-whitespace character
+        raise DataError(f"document {doc_id!r}: text must hold a non-whitespace character")
     task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
     return _prechecked(Document, {
         "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
@@ -696,7 +708,7 @@ def _documents(draw):
     source = draw(st.sampled_from(Source))
     return Document(
         id=draw(_TRICKY_TEXT),
-        text=draw(_TRICKY_TEXT),
+        text=draw(_TRICKY_TEXT.filter(lambda text: not text.isspace())),
         coin=draw(st.none() | st.sampled_from(Coin)),
         task1=task1,
         task2=task2,

@@ -1,8 +1,10 @@
 """TF-IDF fitting and transformation tests."""
 
+import dataclasses
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +217,7 @@ class TestPersistence:
         {"doc_freq": [2, 1, "1"]},
         {"doc_freq": [2, 1, 3]},  # above n_docs
         {"idf": [1.0, 1.4]},  # length mismatch
+        {"idf": [1.0, 1.4, 1.4, 1.4]},
         {"idf": [1.0, None, 1.4]},
         {"terms": ["up", "btc", "down"]},  # not sorted
         {"terms": ["btc", "btc", "up"]},
@@ -240,30 +243,70 @@ class TestPersistence:
             load_tfidf(path)
         assert "\n" not in str(info.value)
 
-    def test_idf_past_what_a_fit_gives_is_rejected(self, tmp_path):
-        # 1e308 on a term counted twice used to load, then fail in transform with
-        # "vector values must be finite" once tf * idf overflowed
+    def test_idf_is_derived_from_the_counts(self):
+        model = fit_tfidf([["a", "b"], ["a"], ["a", "c"], ["c"]])
+        assert model.doc_freq == (3, 1, 2) and model.n_docs == 4
+        assert model.idf == tuple(math.log(5 / (1 + df)) + 1.0 for df in model.doc_freq)
+        assert model.idf is model.idf  # computed once per model
+        assert "idf" not in {f.name for f in dataclasses.fields(model)}
+
+    def test_file_saved_before_idf_was_derived_loads_to_an_equal_model(self, tmp_path):
+        # bytes save_tfidf wrote when TfidfModel stored idf as a field
+        path = tmp_path / "tfidf.json"
+        path.write_text(
+            '{\n  "config": {\n    "max_features": null,\n    "min_df": 1,\n'
+            '    "sublinear_tf": false\n  },\n  "doc_freq": [\n    2,\n    1,\n    1\n  ],\n'
+            '  "idf": [\n    1.0,\n    1.4054651081081644,\n    1.4054651081081644\n  ],\n'
+            '  "kind": "tfidf",\n  "n_docs": 2,\n  "terms": [\n    "btc",\n    "down",\n'
+            '    "up"\n  ]\n}\n')
+        model = fit_tfidf(TWO_DOCS)
+        assert load_tfidf(path) == model
+        saved = path.read_bytes()
+        save_tfidf(model, path)
+        assert path.read_bytes() == saved
+
+    @pytest.mark.parametrize("idf, n_docs", [
+        ([1.0, 1e308, math.log(3 / 2) + 1], 2),  # used to overflow tf * idf in transform
+        ([1.0, math.log(3 / 2) + 1, math.nextafter(math.log(3 / 2) + 1, 2.0)], 2),
+        ([1, 3, 2.5], 20),  # within the old bound [1, 1 + ln(21 / 2)], yet not derived
+        ([True, math.log(3 / 2) + 1, math.log(3 / 2) + 1], 2),
+        ([1.0, float("nan"), math.log(3 / 2) + 1], 2),
+        ([1.0, "1.4054651081081644", math.log(3 / 2) + 1], 2),
+    ], ids=["overflowing", "one-ulp-off", "not-derived", "bool", "nan", "string"])
+    def test_idf_that_is_not_the_derived_one_is_rejected(self, tmp_path, idf, n_docs):
         path = tmp_path / "tfidf.json"
         save_tfidf(fit_tfidf(TWO_DOCS), path)
         payload = json.loads(path.read_text())
-        payload["idf"][payload["terms"].index("up")] = 1e308
+        payload["idf"], payload["n_docs"] = idf, n_docs
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError) as info:
             load_tfidf(path)
-        assert str(info.value) == (f"{path}: idf entries must lie in [1, {math.log(3 / 2) + 1!r}], "
-                                   "the range a fit on n_docs documents gives")
+        assert str(info.value) == (f"{path}: idf entries must be "
+                                   "ln((1 + n_docs) / (1 + doc_freq)) + 1, as fit_tfidf gives them")
 
-    def test_idf_bound_holds_for_counts_past_the_float_range(self, tmp_path):
+    @pytest.mark.parametrize("n_docs", [sys.maxsize + 1, 10 ** 400, 0],
+                             ids=["past-maxsize", "past-the-float-range", "zero"])
+    def test_n_docs_outside_what_a_list_holds_is_rejected(self, tmp_path, n_docs):
         path = tmp_path / "tfidf.json"
         save_tfidf(fit_tfidf(TWO_DOCS), path)
         payload = json.loads(path.read_text())
-        payload["n_docs"], payload["idf"] = 10 ** 400, [1.0, 900.0, 1e308]
+        payload["n_docs"] = n_docs
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="idf entries must lie in"):
+        with pytest.raises(DataError) as info:
             load_tfidf(path)
-        payload["idf"] = [1.0, 900.0, 900.0]
+        assert str(info.value) == f"{path}: n_docs must lie in [1, {sys.maxsize}]"
+
+    def test_counts_up_to_sys_maxsize_load_with_their_derived_idf(self, tmp_path):
+        path = tmp_path / "tfidf.json"
+        save_tfidf(fit_tfidf(TWO_DOCS), path)
+        payload = json.loads(path.read_text())
+        n = sys.maxsize
+        payload["n_docs"], payload["doc_freq"] = n, [n, 1, 2]
+        payload["idf"] = [math.log((1 + n) / (1 + df)) + 1.0 for df in (n, 1, 2)]
         path.write_text(json.dumps(payload))
-        assert load_tfidf(path).idf == (1.0, 900.0, 900.0)
+        model = load_tfidf(path)
+        assert model.idf == tuple(payload["idf"]) and all(map(math.isfinite, model.idf))
+        assert transform(model, ["up", "up", "btc"]).data.size == 2
 
     @pytest.mark.parametrize("text", ['{"kind": "tfidf"}', '["tfidf"]', '"tfidf"'])
     def test_payload_without_fields_is_data_error(self, tmp_path, text):
@@ -349,11 +392,12 @@ class TestTransformMany:
         model = fit_tfidf(docs[:200], TfidfConfig(sublinear_tf=sublinear))
         self.assert_equals_per_document(model, docs)
 
-    def test_equals_per_document_transform_with_loaded_integer_idf(self, tmp_path):
+    def test_equals_per_document_transform_with_a_loaded_model(self, tmp_path):
         path = tmp_path / "tfidf.json"
         save_tfidf(fit_tfidf(TWO_DOCS), path)
         payload = json.loads(path.read_text())
-        payload["n_docs"], payload["idf"] = 20, [1, 3, 2.5]  # idf may reach 1 + ln(21 / 2)
+        payload["n_docs"], payload["doc_freq"] = 20, [20, 1, 7]
+        payload["idf"] = [math.log(21 / (1 + df)) + 1.0 for df in (20, 1, 7)]
         path.write_text(json.dumps(payload))
         model = load_tfidf(path)
         self.assert_equals_per_document(model, [["up", "btc", "down", "up"], ["down"], []])

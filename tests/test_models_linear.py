@@ -160,11 +160,16 @@ class TestLogreg:
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
         {"l2": float("nan")},
+        {"learning_rate": 10 ** 400},  # past the float range: math.isfinite overflows
+        {"l2": 10 ** 400},
+        {"learning_rate": 10 ** 5000},  # too long for str() on Python 3.11+ as well
+        {"l2": -10 ** 5000},
     ])
     def test_non_finite_config_refused(self, setting):
         with pytest.raises(DataError, match="must be finite") as info:
             TrainConfig(**setting)
         assert "\n" not in str(info.value)
+        assert str(info.value).startswith(next(iter(setting)))
 
 
 class TestSvm:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predstmt import CleanConfig, preprocess, strip_urls
+from predstmt import CleanConfig, DataError, preprocess, strip_urls
 
 preprocess_module = importlib.import_module("predstmt.preprocess")
 
@@ -90,6 +90,11 @@ class TestPreprocess:
     def test_min_token_length_validated(self):
         with pytest.raises(ValueError):
             CleanConfig(min_token_length=0)
+
+    def test_min_token_length_is_data_error(self):
+        with pytest.raises(DataError) as info:
+            CleanConfig(min_token_length=0)
+        assert str(info.value) == "min_token_length must be >= 1, got 0"
 
 
 class TestProperties:
