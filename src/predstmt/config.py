@@ -85,6 +85,12 @@ class TrainConfig:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+#: Longest timeout_s, in seconds, and request_delay_ms, in milliseconds, a
+#: ProviderConfig accepts: one day. Socket timeouts and time.sleep overflow
+#: the platform's time_t well before the float range ends.
+MAX_WAIT_S = 86_400
+
+
 class ProviderError(RuntimeError):
     """Remote provider unreachable, unauthorized, or persistently unparseable."""
 
@@ -113,3 +119,7 @@ class ProviderConfig:
             raise DataError("max_retries must be >= 0")
         if not self.timeout_s > 0:
             raise DataError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.timeout_s > MAX_WAIT_S:
+            raise DataError(f"timeout_s must be at most {MAX_WAIT_S} (one day)")
+        if self.request_delay_ms > MAX_WAIT_S * 1000:
+            raise DataError(f"request_delay_ms must be at most {MAX_WAIT_S * 1000} (one day)")

@@ -166,7 +166,10 @@ def _field_value(hint: object, value: object, key: str) -> object:
             return value
     expected = " or ".join(
         "an object" if dataclasses.is_dataclass(o) else _FIELD_TYPES[o][0] for o in options)
-    raise DataError(f"{key} must be {expected}, got {type(value).__name__}")
+    # a float is named by its value: where a number is expected only inf and nan
+    # fail, and "got float" would not say why
+    got = repr(value) if type(value) is float else type(value).__name__
+    raise DataError(f"{key} must be {expected}, got {got}")
 
 
 class Task(IntEnum):
@@ -431,7 +434,10 @@ class LabelDistribution:
 
     task: Task
     counts: Mapping[int, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def count(self, code: int) -> int:
         return self.counts.get(int(code), 0)
@@ -445,7 +451,7 @@ def distribution(dataset: Dataset, task: Task) -> LabelDistribution:
         code = doc.label(task)
         if code is not None:
             counts[code] += 1
-    return LabelDistribution(task=task, counts=counts, total=sum(counts.values()))
+    return LabelDistribution(task=task, counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -58,18 +58,13 @@ class EmotionLexicon:
 
     phrase_entries: Mapping[tuple[str, ...], tuple[tuple[str, float], ...]]
     grouping: Mapping[str, EmotionCategory]
-    max_phrase_len: int
 
     @cached_property
     def phrase_lengths(self) -> dict[str, tuple[int, ...]]:
-        """First token of each term -> lengths of the terms it starts, longest first.
-
-        Terms longer than max_phrase_len are left out, as the scan never tries them.
-        """
+        """First token of each term -> lengths of the terms it starts, longest first."""
         lengths: dict[str, set[int]] = {}
         for key in self.phrase_entries:
-            if len(key) <= self.max_phrase_len:
-                lengths.setdefault(key[0], set()).add(len(key))
+            lengths.setdefault(key[0], set()).add(len(key))
         return {first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()}
 
 
@@ -118,7 +113,6 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
     if not isinstance(entries_raw, dict):
         raise DataError("lexicon 'entries' must be an object")
     phrase_entries: dict[tuple[str, ...], tuple[tuple[str, float], ...]] = {}
-    max_len = 0
     for term, rows in entries_raw.items():
         key = tuple(term.casefold().split())
         if not key:
@@ -143,10 +137,7 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
                 )
             pairs.append((emotion, float(weight)))
         phrase_entries[key] = tuple(pairs)
-        max_len = max(max_len, len(key))
-    return EmotionLexicon(
-        phrase_entries=phrase_entries, grouping=grouping, max_phrase_len=max_len
-    )
+    return EmotionLexicon(phrase_entries=phrase_entries, grouping=grouping)
 
 
 def bundled_lexicon_path() -> Path:

@@ -13,6 +13,7 @@ the per-fold "fit TF-IDF, train, predict" step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -179,9 +180,17 @@ class CvReport:
     seed: int
     train_config: TrainConfig
     per_fold: tuple[MetricsReport, ...]
-    pooled: MetricsReport
-    fold_sizes: tuple[int, ...]
     forest_sizes: tuple[dict, ...] = ()  # forest_size of each fold's model; rf only
+
+    @cached_property
+    def pooled(self) -> MetricsReport:
+        """Metrics of the fold confusion matrices summed into one."""
+        return metrics(ConfusionMatrix(class_codes=self.per_fold[0].confusion.class_codes,
+                                       counts=sum(r.confusion.counts for r in self.per_fold)))
+
+    @property
+    def fold_sizes(self) -> tuple[int, ...]:
+        return tuple(r.confusion.total for r in self.per_fold)
 
     def fold_means(self) -> dict[str, float]:
         """Unweighted means of the headline metrics across folds."""
@@ -189,11 +198,12 @@ class CvReport:
                 for name in HEADLINE}
 
     def to_dict(self) -> dict:
-        """jsonable(self) with fold_means, and each fold's forest size in its fold."""
+        """jsonable(self) with pooled, fold_sizes, fold_means and each fold's forest size."""
         payload = jsonable(self)
         for fold, size in zip(payload["per_fold"], payload.pop("forest_sizes")):
             fold["forest"] = size
-        return {**payload, "fold_means": self.fold_means()}
+        return {**payload, "pooled": jsonable(self.pooled), "fold_sizes": self.fold_sizes,
+                "fold_means": self.fold_means()}
 
 
 def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: TrainConfig,
@@ -231,24 +241,18 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
     doc_folds = [assignment.folds[doc.id] for doc in docs]
     class_codes = sorted(set(labels))
 
-    fold_sizes = []
     per_fold = {kind: [] for kind in model_kinds}
     forest_sizes = {kind: [] for kind in model_kinds}
-    pooled_counts = {kind: np.zeros((len(class_codes), len(class_codes)), dtype=np.int64)
-                     for kind in model_kinds}
     for fold in range(k):
         train = [i for i, f in enumerate(doc_folds) if f != fold]
         test = [i for i, f in enumerate(doc_folds) if f == fold]
-        fold_sizes.append(len(test))
         y_test = [labels[i] for i in test]
         for kind, model, predictions in _fold_predictions(
                 [tokens[i] for i in train], [labels[i] for i in train],
                 [tokens[i] for i in test], model_kinds, train_cfg, tfidf_cfg):
             if isinstance(model, ForestModel):
                 forest_sizes[kind].append(forest_size(model))
-            cm = confusion(y_test, predictions, class_codes)
-            per_fold[kind].append(metrics(cm))
-            pooled_counts[kind] += cm.counts
+            per_fold[kind].append(metrics(confusion(y_test, predictions, class_codes)))
     return {
         kind: CvReport(
             task=task,
@@ -257,9 +261,6 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
             seed=seed,
             train_config=train_cfg,
             per_fold=tuple(per_fold[kind]),
-            pooled=metrics(ConfusionMatrix(class_codes=tuple(class_codes),
-                                           counts=pooled_counts[kind])),
-            fold_sizes=tuple(fold_sizes),
             forest_sizes=tuple(forest_sizes[kind]),
         )
         for kind in model_kinds

@@ -29,7 +29,7 @@ from predstmt import (
 )
 from predstmt import augment, cli, evaluation
 from predstmt.cli import RunConfig, _config_echo, main
-from predstmt.corpus import from_dict
+from predstmt.corpus import from_dict, jsonable
 
 from conftest import build_planted_dataset
 
@@ -478,6 +478,19 @@ class TestConfigPrecedence:
             "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K", "model": "m",
             "timeout_s": timeout}}, f"provider_config: timeout_s must be > 0, got {timeout}")
           for timeout in (0, -1.5)),
+        # past a day, socket timeouts and time.sleep overflow the platform's time_t
+        ("balance", {"provider": "remote", "provider_config": {
+            "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K", "model": "m",
+            "timeout_s": 1e20}}, "provider_config: timeout_s must be at most 86400 (one day)"),
+        *(("balance", {"provider": "remote", "provider_config": {
+            "endpoint": "http://127.0.0.1:9/v1", "api_key_env": "K", "model": "m",
+            "request_delay_ms": delay}},
+           "provider_config: request_delay_ms must be at most 86400000 (one day)")
+          for delay in (10 ** 30, 10 ** 400)),
+        *(("stats", {"threshold": value}, f"usage error: threshold must be a number, got {value}\n")
+          for value in (float("inf"), float("nan"))),
+        ("cv", {"train": {"l2": float("-inf")}},
+         "usage error: train.l2 must be a number, got -inf\n"),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -569,6 +582,16 @@ class TestConfigPrecedence:
     ])
     def test_config_hash_is_pinned(self, config, digest):
         assert _config_echo(config)["config_hash"] == digest
+
+    def test_readme_config_example_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        from_dict(RunConfig, example)
+        defaults = jsonable(RunConfig())
+        assert example.keys() == defaults.keys()
+        for key in example.keys() - {"dataset", "provider_config"}:
+            assert example[key] == defaults[key], key
 
 
 class TestRunDirectory:
