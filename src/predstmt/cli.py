@@ -266,7 +266,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     _one_blas_thread()
     from .evaluation import classification_report, report_headline, summary_table
 
-    # Pegasos steps by 1/(l2 * t); catch l2 = 0 here, not after a fold's features
+    # the squared hinge needs l2 > 0; catch l2 = 0 here, not after a fold's features
     if "svm" in cfg.models and cfg.train.l2 <= 0:
         raise UsageError(f"train.l2 must be > 0 for the svm model, got {cfg.train.l2}")
     dataset = _load_required_dataset(cfg)

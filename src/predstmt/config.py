@@ -52,9 +52,9 @@ class TfidfConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Shared training settings.
+    """Shared training settings; n_trees, max_depth, min_samples_leaf and bootstrap are the forest's.
 
-    n_trees, max_depth, min_samples_leaf and bootstrap apply to the forest only.
+    epochs caps the linear models' L-BFGS iterations; learning_rate scales their first step.
     """
 
     learning_rate: float = 0.1
@@ -67,7 +67,7 @@ class TrainConfig:
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below and would never end logreg's step-halving loop
+        # NaN passes every comparison below and makes every linear model's trial objective NaN
         for name in ("learning_rate", "l2"):
             value = getattr(self, name)
             try:

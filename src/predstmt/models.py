@@ -3,17 +3,12 @@
 Three trainers share one sparse-input, dense-parameter design; each reads
 the CSR arrays of a features.SparseBatch directly:
 
-* multinomial logistic regression, full-batch gradient descent on the
-  softmax cross-entropy plus (l2/2)||W||^2, with step-halving so the loss
-  never increases across epochs. Each trial step scores the batch once, and
-  the scores of the step it accepts give the next gradient;
-* linear SVM trained by Pegasos-style SGD on the L2-regularized hinge
-  loss, step size 1/(l2 * t): one separator for two classes, scored as
-  (-w, w) so class 1 wins exactly where w.x + b > 0, and one-vs-rest for
-  three or more (Fan et al., JMLR 2008). The weights are kept as
-  w = a * v, so the shrink w *= 1 - step * l2 of every step scales the
-  scalar a and only a hinge-active step touches v, on the row's nonzero
-  columns (Shalev-Shwartz et al., Math. Prog. 2011);
+* multinomial logistic regression on the softmax cross-entropy plus
+  (l2/2)||W||^2, and a linear SVM on the L2-regularized squared hinge
+  (Fan et al., JMLR 2008): one separator for two classes, scored as (-w, w)
+  so class 1 wins exactly where w.x + b > 0, and one-vs-rest for three or
+  more. Both minimize by one full-batch L-BFGS with Armijo backtracking,
+  where a trial point costs one scoring of the batch and one add_outer;
 * a random forest of CART trees split on Gini impurity decrease over
   random feature subsets (Breiman, Machine Learning 2001). All trees of a
   fit grow together, one depth level per step, over one column-major view
@@ -36,9 +31,11 @@ break toward the lowest class code.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,6 +125,62 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# L-BFGS, for both linear models
+
+_LBFGS_MEMORY = 10  # curvature pairs (s, y) kept
+_LBFGS_TOL = 1e-5  # a run stops once an iteration lowers f by at most this share of max(|f|, 1)
+
+
+def _lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
+           max_iter: int, first_step: float) -> tuple[np.ndarray, list[float]]:
+    """Minimize a smooth f, given as fun_grad(x) = (f(x), grad f(x)), by limited-memory BFGS.
+
+    Liu & Nocedal, Math. Prog. 1989. The first trial step is -first_step *
+    grad f while no curvature pair is stored, else -H grad f by the two-loop
+    recursion. The step halves until f falls by Armijo's sufficient decrease
+    with c1 = 1e-4, which a non-finite f fails; no floating-point warning is
+    raised. The run ends at the current point when no step down to 1e-12 of
+    the first passes, after max_iter iterations, or after an iteration past
+    the first, whose length first_step sets, that lowers f by at most
+    _LBFGS_TOL * max(|f|, 1). Returns the last point and f at x0 and after
+    every iteration, which never increases.
+    """
+    x = x0
+    pairs: deque = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
+    with np.errstate(all="ignore"):
+        f, g = fun_grad(x)
+        history = [f]
+        for it in range(max_iter):
+            d, alphas = g, []  # d becomes H g by the two-loop recursion
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * float(s @ d))
+                d = d - alphas[-1] * y
+            if pairs:  # H0 = (s'y / y'y) I from the newest pair
+                d = d / (pairs[-1][2] * float(pairs[-1][1] @ pairs[-1][1]))
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                d = d + (alpha - rho * float(y @ d)) * s
+            if not pairs or not float(g @ d) > 0:  # no pair yet, or rounding left no descent
+                d = first_step * g
+            slope, t = -float(g @ d), 1.0
+            while True:
+                x_next = x - t * d
+                f_next, g_next = fun_grad(x_next)
+                if f_next <= f + 1e-4 * t * slope:  # False for a NaN or infinite f_next
+                    break
+                t *= 0.5
+                if t < 1e-12:
+                    return x, history
+            s, y = x_next - x, g_next - g
+            if float(s @ y) > 0:  # else the pair would leave H not positive definite
+                pairs.append((s, y, 1.0 / float(s @ y)))
+            x, f_prev, f, g = x_next, f, f_next, g_next
+            history.append(f)
+            if it and f_prev - f <= _LBFGS_TOL * max(abs(f), 1.0):
+                break
+    return x, history
+
+
+# ---------------------------------------------------------------------------
 # logistic regression
 
 def _logreg_loss(scores: np.ndarray, weights: np.ndarray, y_idx: np.ndarray,
@@ -166,38 +219,27 @@ def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
 
 
 def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
-    """Fit a multinomial softmax classifier by full-batch gradient descent.
+    """Fit a multinomial softmax classifier by L-BFGS on logreg_objective, from zero.
 
-    The step size halves whenever a step would raise the objective, so the
-    recorded loss history is non-increasing (up to 1e-8) by construction.
-    The scores of an accepted step give the next epoch's gradient, so each
-    trial step scores the batch once.
+    cfg.epochs caps the iterations; the first trial step is -cfg.learning_rate
+    times the gradient. One scoring of the batch per trial point gives both
+    the objective and the gradient. The loss history holds the objective at
+    the start and after every iteration.
     """
     codes, y_idx = _check_inputs(X, y)
     k = len(codes)
-    weights = np.zeros((k, X.dim))
-    bias = np.zeros(k)
-    lr = cfg.learning_rate
-    scores = X.scores(weights, bias)
-    loss = _logreg_loss(scores, weights, y_idx, cfg.l2)
-    history = [loss]
-    for _ in range(cfg.epochs):
+
+    def fun_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        weights, bias = params[k:].reshape(k, X.dim), params[:k]
+        scores = X.scores(weights, bias)
         grad_w, grad_b = _logreg_grad(scores, weights, X, y_idx, cfg.l2)
-        while True:
-            next_w = weights - lr * grad_w
-            next_b = bias - lr * grad_b
-            next_scores = X.scores(next_w, next_b)
-            next_loss = _logreg_loss(next_scores, next_w, y_idx, cfg.l2)
-            if next_loss <= loss + 1e-8 or lr < 1e-12:
-                break
-            lr *= 0.5
-        if next_loss <= loss + 1e-8:
-            weights, bias, loss, scores = next_w, next_b, next_loss, next_scores
-        history.append(loss)
+        return _logreg_loss(scores, weights, y_idx, cfg.l2), np.append(grad_b, grad_w)
+
+    params, history = _lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs, cfg.learning_rate)
     return LinearModel(
         kind=KIND_LOGREG,
-        weights=weights,
-        bias=bias,
+        weights=params[k:].reshape(k, X.dim),
+        bias=params[:k],
         class_codes=tuple(codes),
         config=cfg,
         loss_history=tuple(history),
@@ -205,98 +247,55 @@ def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearMo
 
 
 # ---------------------------------------------------------------------------
-# linear SVM (Pegasos; one separator for two classes, else one-vs-rest)
+# linear SVM (squared hinge; one separator for two classes, else one-vs-rest)
+
+def _svm_loss_grad(params: np.ndarray, X: SparseBatch, y_signed: np.ndarray,
+                   l2: float) -> tuple[float, np.ndarray]:
+    """svm_objective and its gradient at (w, b) = (params[:-1], params[-1]), from one scoring."""
+    w = params[:-1]
+    slack = np.maximum(0.0, 1.0 - y_signed * X.scores(w[None, :], params[-1:])[:, 0])
+    coeff = (-2.0 / len(X)) * y_signed * slack
+    grad = np.append(l2 * w, coeff.sum())
+    X.add_outer(grad[None, :-1], coeff[:, None])
+    return float(0.5 * l2 * float(w @ w) + (slack * slack).mean()), grad
+
 
 def svm_objective(w: np.ndarray, b: float, X: SparseBatch,
                   y_signed: Sequence[float], l2: float) -> float:
-    """(l2/2)||w||^2 + mean hinge loss for one binary separator."""
-    y_signed = np.asarray(y_signed, dtype=np.float64)
-    margins = y_signed * (X.scores(w[None, :], np.array([b]))[:, 0])
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * l2 * float(w @ w) + hinge.mean())
+    """(l2/2)||w||^2 + mean squared hinge max(0, 1 - y(w.x + b))^2 for one binary separator."""
+    return _svm_loss_grad(np.append(w, b), X, np.asarray(y_signed, dtype=np.float64), l2)[0]
 
 
 def svm_subgradient(w: np.ndarray, b: float, X: SparseBatch,
                     y_signed: Sequence[float], l2: float) -> tuple[np.ndarray, float]:
-    """Full-batch subgradient of svm_objective, as (dw, db)."""
-    y_signed = np.asarray(y_signed, dtype=np.float64)
-    margins = y_signed * (X.scores(w[None, :], np.array([b]))[:, 0])
-    active = (margins < 1.0).astype(np.float64)
-    coeff = -(active * y_signed / len(X))[:, None]
-    grad_w = l2 * w.copy()
-    X.add_outer(grad_w[None, :], coeff)
-    return grad_w, float(coeff.sum())
-
-
-_SCALE_FLOOR = 1e-9  # below this, a is folded into v to keep v's entries in range
-
-
-def _pegasos_binary(rows: list[tuple[np.ndarray, np.ndarray]], y_signed: np.ndarray,
-                    cfg: TrainConfig, rng: np.random.Generator,
-                    dim: int) -> tuple[np.ndarray, float]:
-    """Pegasos SGD for one binary problem; rows are (indices, values) pairs.
-
-    w = a * v throughout. At t = 1 the shrink factor 1 - step * l2 is
-    exactly 0 for most l2, which zeroes w: v is reset and a restarts at 1.
-    """
-    v = np.zeros(dim)
-    a = 1.0
-    b = 0.0
-    t = 0
-    l2 = cfg.l2
-    ys = y_signed.tolist()
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(len(rows)).tolist():
-            t += 1
-            step = 1.0 / (l2 * t)
-            idx, val = rows[i]
-            y = ys[i]
-            vi = v[idx]  # a copy, kept equal to v[idx] until the update below
-            margin = y * (a * float(vi.dot(val)) + b)
-            shrink = 1.0 - step * l2
-            if shrink == 0.0:
-                v[:] = 0.0
-                vi[:] = 0.0
-                a = 1.0
-            else:
-                a *= shrink
-                if a < _SCALE_FLOOR:
-                    v *= a
-                    vi *= a
-                    a = 1.0
-            if margin < 1.0:
-                v[idx] = vi + (step * y / a) * val
-                b += step * y
-    return a * v, b
+    """Full-batch gradient of svm_objective, as (dw, db); the squared hinge is differentiable."""
+    grad = _svm_loss_grad(np.append(w, b), X, np.asarray(y_signed, dtype=np.float64), l2)[1]
+    return grad[:-1], float(grad[-1])
 
 
 def train_svm_linear(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
-    """Fit Pegasos-trained binary separators: one for two classes, else one per class.
+    """Fit squared-hinge binary separators: one for two classes, else one per class.
 
-    With two classes, one separator (w, b) is trained for class position 1
-    against class 0 and stored as weights (-w, w) and bias (-b, b). Negation
-    is exact, so predict_many picks class 1 exactly where w.x + b > 0; a
-    score of exactly 0 is a tie and goes to the lower class code. With three
-    or more classes, each class gets its own separator against the rest
-    (one-vs-rest).
-
-    Requires l2 > 0 since the step size is 1/(l2 * t). The RNG of a class's
-    separator is derived from (seed, class position) so training is
-    order-independent across classes and reproducible.
+    Each separator minimizes svm_objective, LIBLINEAR's L2-loss SVM primal,
+    by L-BFGS from zero as train_logreg does. With two classes, one separator
+    (w, b) is trained for class position 1 against class 0 and stored as
+    weights (-w, w) and bias (-b, b). Negation is exact, so predict_many
+    picks class 1 exactly where w.x + b > 0; a score of exactly 0 is a tie
+    and goes to the lower class code. With three or more classes, each class
+    gets its own separator against the rest (one-vs-rest). Requires l2 > 0:
+    without it, separable data has no minimum.
     """
     if cfg.l2 <= 0:
         raise DataError("linear SVM training requires l2 > 0")
     codes, y_idx = _check_inputs(X, y)
-    bounds = X.indptr.tolist()
-    rows = [(X.indices[start:end], X.data[start:end]) for start, end in zip(bounds, bounds[1:])]
     k = len(codes)
     weights = np.zeros((k, X.dim))
     bias = np.zeros(k)
     for ci in ([1] if k == 2 else range(k)):
-        y_signed = np.where(y_idx == ci, 1.0, -1.0)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed & 0xFFFFFFFF,
-                                                           spawn_key=(ci,)))
-        weights[ci], bias[ci] = _pegasos_binary(rows, y_signed, cfg, rng, X.dim)
+        fun_grad = partial(_svm_loss_grad, X=X, y_signed=np.where(y_idx == ci, 1.0, -1.0),
+                           l2=cfg.l2)
+        params, _ = _lbfgs(fun_grad, np.zeros(X.dim + 1), cfg.epochs, cfg.learning_rate)
+        weights[ci], bias[ci] = params[:-1], params[-1]
     if k == 2:
         weights[0], bias[0] = -weights[1], -bias[1]
     return LinearModel(
