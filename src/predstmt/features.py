@@ -179,11 +179,8 @@ def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBa
         counts = np.array([1.0 + math.log(c) for c in distinct.tolist()])[inverse]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the check
         values = counts * np.array(model.idf, dtype=np.float64)[indices]
-        norm_sq = np.zeros(n)
-        for position in range(int(lengths.max(initial=0))):
-            live = np.flatnonzero(lengths > position)
-            norm_sq[live] += values[indptr[live] + position] ** 2
-        norm = np.sqrt(norm_sq)
+        # bincount adds each row's squares in entry order, starting from 0.0
+        norm = np.sqrt(np.bincount(rows, weights=values * values, minlength=n))
         norm[norm == 0.0] = 1.0
         values /= np.repeat(norm, lengths)
     return SparseBatch(indptr, indices, values, model.dimension)

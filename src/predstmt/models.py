@@ -19,9 +19,11 @@ the CSR arrays of a features.SparseBatch directly:
   and no dense matrix is built (sparsity-aware, column-block split finding,
   Chen & Guestrin, KDD 2016). A node's features are drawn from a stream
   keyed by the node itself, so a tree does not depend on growth order.
+  Each level appends its nodes to flat feature/threshold/child/dist arrays
+  (ForestModel); ForestModel.trees is a TreeNode view built on demand.
 
-predict_many classifies a whole batch at once; a forest sends all the rows
-that reach a tree node left or right together. predict and predict_proba
+predict_many classifies a whole batch at once; in a forest every (tree,
+row) pair descends one level per numpy step. predict and predict_proba
 take a one-row batch.
 
 All training is deterministic given the config seed. Ties in any argmax
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -101,10 +103,57 @@ class TreeNode:
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    """Every tree's nodes in flat arrays, as scikit-learn's _tree stores one, level by level.
+
+    Node t < n_trees is tree t's root; each level's nodes follow the level
+    above, and split j of the forest, counted in node order, has its children
+    at n_trees + 2j and n_trees + 2j + 1. A split node i sends a row whose
+    feature[i] value is at most threshold[i] to child[i], else to child[i] + 1.
+    A leaf has feature and child -1, threshold 0 and its class distribution
+    in dist[i]; a split's dist row is zero.
+    """
+
+    feature: np.ndarray  # (nodes,) int64
+    threshold: np.ndarray  # (nodes,)
+    child: np.ndarray  # (nodes,) int64
+    dist: np.ndarray  # (nodes, n_classes)
+    n_trees: int
     n_features: int
     class_codes: tuple[int, ...]
     config: TrainConfig
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[TreeNode], n_features: int,
+                   class_codes: tuple[int, ...], config: TrainConfig) -> ForestModel:
+        """The forest of the given TreeNode roots, flattened."""
+        nodes, level = [], list(trees)
+        while level:
+            nodes += level
+            level = [kid for node in level if node.feature >= 0 for kid in (node.left, node.right)]
+        feature = np.array([node.feature for node in nodes], dtype=np.int64)
+        zero = (0.0,) * len(class_codes)
+        return cls(feature=feature, threshold=np.array([node.threshold for node in nodes]),
+                   child=_children(feature, len(trees)),
+                   dist=np.array([node.dist or zero for node in nodes]).reshape(-1, len(zero)),
+                   n_trees=len(trees), n_features=n_features, class_codes=class_codes,
+                   config=config)
+
+    @cached_property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """The trees as TreeNode objects, built on first use; saving a model reads them."""
+        built: list = [None] * self.feature.size
+        nodes = zip(self.feature.tolist(), self.threshold.tolist(), self.child.tolist(),
+                    self.dist.tolist())
+        for i, (f, t, c, dist) in reversed(list(enumerate(nodes))):  # children come later
+            built[i] = (TreeNode(feature=-1, dist=tuple(dist)) if c < 0 else
+                        TreeNode(feature=f, threshold=t, left=built[c], right=built[c + 1]))
+        return tuple(built[:self.n_trees])
+
+
+def _children(feature: np.ndarray, n_trees: int) -> np.ndarray:
+    """ForestModel.child of the level-major nodes with these split features."""
+    split = feature >= 0
+    return np.where(split, n_trees + 2 * (np.cumsum(split) - 1), -1)
 
 
 def _check_inputs(X: SparseBatch, y: Sequence[int]) -> tuple[list[int], np.ndarray]:
@@ -139,11 +188,14 @@ def _lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.nd
     grad f while no curvature pair is stored, else -H grad f by the two-loop
     recursion. The step halves until f falls by Armijo's sufficient decrease
     with c1 = 1e-4, which a non-finite f fails; no floating-point warning is
-    raised. The run ends at the current point when no step down to 1e-12 of
-    the first passes, after max_iter iterations, or after an iteration past
-    the first, whose length first_step sets, that lowers f by at most
-    _LBFGS_TOL * max(|f|, 1). Returns the last point and f at x0 and after
-    every iteration, which never increases.
+    raised. When no step down to 1e-12 of the first passes and no pair is
+    stored, the search starts once more from the unit-length step along
+    -grad f, so a first_step too large for any halving to rescue still
+    trains. The run ends at the current point when no step passes, after
+    max_iter iterations, or after an iteration past the first, whose length
+    first_step sets, that lowers f by at most _LBFGS_TOL * max(|f|, 1).
+    Returns the last point and f at x0 and after every iteration, which
+    never increases.
     """
     x = x0
     pairs: deque = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s'y), oldest first
@@ -161,14 +213,17 @@ def _lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.nd
                 d = d + (alpha - rho * float(y @ d)) * s
             if not pairs or not float(g @ d) > 0:  # no pair yet, or rounding left no descent
                 d = first_step * g
-            slope, t = -float(g @ d), 1.0
+            slope, t, restart = -float(g @ d), 1.0, not pairs
             while True:
                 x_next = x - t * d
                 f_next, g_next = fun_grad(x_next)
                 if f_next <= f + 1e-4 * t * slope:  # False for a NaN or infinite f_next
                     break
                 t *= 0.5
-                if t < 1e-12:
+                if t < 1e-12 and restart:  # once more, from the unit-length step
+                    d, restart = g / math.sqrt(float(g @ g)), False
+                    slope, t = -float(g @ d), 1.0
+                elif t < 1e-12:
                     return x, history
             s, y = x_next - x, g_next - g
             if float(s @ y) > 0:  # else the pair would leave H not positive definite
@@ -183,39 +238,34 @@ def _lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.nd
 # ---------------------------------------------------------------------------
 # logistic regression
 
-def _logreg_loss(scores: np.ndarray, weights: np.ndarray, y_idx: np.ndarray,
-                 l2: float) -> float:
-    """logreg_objective from the batch's class scores at (weights, bias)."""
-    logp = scores - scores.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    nll = -logp[np.arange(len(scores)), y_idx].mean()
-    return float(nll + 0.5 * l2 * float((weights * weights).sum()))
-
-
-def _logreg_grad(scores: np.ndarray, weights: np.ndarray, X: SparseBatch,
-                 y_idx: np.ndarray, l2: float) -> tuple[np.ndarray, np.ndarray]:
-    """logreg_gradient from the batch's class scores at (weights, bias)."""
-    probs = _softmax(scores)
-    probs[np.arange(len(X)), y_idx] -= 1.0
+def _logreg_loss_grad(weights: np.ndarray, bias: np.ndarray, X: SparseBatch,
+                      y_idx: np.ndarray, l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """logreg_objective and its gradient (dW, db), from one scoring and one softmax."""
+    shifted = X.scores(weights, bias)
+    shifted -= shifted.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(len(X))
+    nll = -(shifted - np.log(sums))[rows, y_idx].mean()
+    probs = exp / sums
+    probs[rows, y_idx] -= 1.0
     probs /= len(X)
     grad_w = l2 * weights
     X.add_outer(grad_w, probs)
-    return grad_w, probs.sum(axis=0)
+    return float(nll + 0.5 * l2 * float((weights * weights).sum())), grad_w, probs.sum(axis=0)
 
 
 def logreg_objective(weights: np.ndarray, bias: np.ndarray,
                      X: SparseBatch, y_idx: Sequence[int], l2: float) -> float:
     """Mean cross-entropy plus (l2/2)||W||^2; bias is not regularized."""
-    return _logreg_loss(X.scores(weights, bias), weights,
-                        np.asarray(y_idx, dtype=np.int64), l2)
+    return _logreg_loss_grad(weights, bias, X, np.asarray(y_idx, dtype=np.int64), l2)[0]
 
 
 def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
                     X: SparseBatch, y_idx: Sequence[int],
                     l2: float) -> tuple[np.ndarray, np.ndarray]:
     """Analytic full-batch gradient of logreg_objective, as (dW, db)."""
-    return _logreg_grad(X.scores(weights, bias), weights, X,
-                        np.asarray(y_idx, dtype=np.int64), l2)
+    return _logreg_loss_grad(weights, bias, X, np.asarray(y_idx, dtype=np.int64), l2)[1:]
 
 
 def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
@@ -230,10 +280,9 @@ def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearMo
     k = len(codes)
 
     def fun_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        weights, bias = params[k:].reshape(k, X.dim), params[:k]
-        scores = X.scores(weights, bias)
-        grad_w, grad_b = _logreg_grad(scores, weights, X, y_idx, cfg.l2)
-        return _logreg_loss(scores, weights, y_idx, cfg.l2), np.append(grad_b, grad_w)
+        loss, grad_w, grad_b = _logreg_loss_grad(params[k:].reshape(k, X.dim), params[:k], X,
+                                                 y_idx, cfg.l2)
+        return loss, np.append(grad_b, grad_w)
 
     params, history = _lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs, cfg.learning_rate)
     return LinearModel(
@@ -389,7 +438,7 @@ def _node_features(keys: np.ndarray, dim: int, n_sub: int) -> np.ndarray:
 
 
 def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
-                 cfg: TrainConfig) -> list[TreeNode]:
+                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grow tree t over the rows of X, row i counted weights[t, i] times, for every t at once.
 
     The trees grow together, one depth level per step. A step scores every
@@ -398,7 +447,9 @@ def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
     weighted entry per (node, feature) for the node's rows where the feature
     is zero. A node takes its first best feature in sampled order, then that
     feature's first best cut, as a feature-by-feature scan of dense columns
-    would.
+    would. Returns ForestModel's feature, threshold and dist arrays: each
+    level appends its nodes in order, so split j of a level has its children
+    at 2j and 2j + 1 of the next.
     """
     n_trees, n = weights.shape
     dim = X.dim
@@ -412,7 +463,7 @@ def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
     node_of = np.where(w_flat > 0, np.repeat(np.arange(n_trees), n), -1)
     goes_right = np.zeros(w_flat.size, dtype=bool)
     node_tree, node_key = np.arange(n_trees), _root_keys(cfg.seed, n_trees)
-    levels = []  # per depth: each node's class distribution; {split node: (feature, threshold)}
+    features, thresholds, dists = [], [], []  # one array per level
     depth = 0
     while node_tree.size:
         m = node_tree.size
@@ -435,7 +486,7 @@ def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
         ent = _segments(col_ptr[pair_feat], lengths)
         pair = np.repeat(np.arange(n_pairs), lengths)
         flat = np.repeat(node_tree[pair_node] * n, lengths) + col_rows[ent]
-        inside = node_of[flat] == pair_node[pair]
+        inside = np.flatnonzero(node_of[flat] == pair_node[pair])
         ent, pair, flat = ent[inside], pair[inside], flat[inside]
         val, label, weight = col_vals[ent], y_flat[flat], w_flat[flat]
         # one entry per pair for the node's implicit zeros, placed after the pair's negative
@@ -461,11 +512,12 @@ def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
         # a cut sits where the value rises within a pair
         cut = np.flatnonzero((entry_pair[1:] == entry_pair[:-1])
                              & (entry_val[1:] > entry_val[:-1]))
-        left = cum[cut + 1] - cum[np.searchsorted(entry_pair, entry_pair[cut])]
+        pair_start = np.searchsorted(entry_pair, np.arange(n_pairs))
+        left = cum.take(cut + 1, axis=0) - cum.take(pair_start[entry_pair[cut]], axis=0)
         nl = left.sum(axis=1)
         node = pair_node[entry_pair[cut]]
         nn = total[node]
-        keep = (nl >= min_leaf) & (nn - nl >= min_leaf)
+        keep = np.flatnonzero((nl >= min_leaf) & (nn - nl >= min_leaf))
         cut, left, nl, node, nn = cut[keep], left[keep], nl[keep], node[keep], nn[keep]
         # the dense scan's gain expression, elementwise, so ties and argmax fall the same way
         parent = 1.0 - (dist * dist).sum(axis=1)
@@ -498,24 +550,15 @@ def _grow_forest(X: SparseBatch, y_idx: np.ndarray, weights: np.ndarray, k: int,
         child_act = child[node_act]
         node_of[act] = np.where(child_act >= 0, child_act + goes_right[act], -1)
 
-        levels.append((dist.tolist(), dict(zip(split.tolist(), zip(
-            pair_feat[best_pair].tolist(), threshold.tolist())))))
+        features.append(np.full(m, -1))
+        features[-1][split] = pair_feat[best_pair]
+        thresholds.append(np.zeros(m))
+        thresholds[-1][split] = threshold
+        dist[split] = 0.0
+        dists.append(dist)
         node_tree, node_key = np.repeat(node_tree[split], 2), _child_keys(node_key[split])
         depth += 1
-
-    # bottom-up: split node j of a level (in node order) has children 2j and 2j + 1 below it
-    below: list[TreeNode] = []
-    for dists, splits in reversed(levels):
-        nodes, children = [], iter(below)
-        for i, node_dist in enumerate(dists):
-            if i in splits:
-                feature, threshold = splits[i]
-                nodes.append(TreeNode(feature=feature, threshold=threshold,
-                                      left=next(children), right=next(children)))
-            else:
-                nodes.append(TreeNode(feature=-1, dist=tuple(node_dist)))
-        below = nodes
-    return below
+    return np.concatenate(features), np.concatenate(thresholds), np.concatenate(dists)
 
 
 def train_random_forest(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> ForestModel:
@@ -535,27 +578,25 @@ def train_random_forest(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> F
                            dtype=np.float64)
     else:
         weights = np.ones((cfg.n_trees, n))
-    trees = _grow_forest(X, y_idx, weights, len(codes), cfg)
-    return ForestModel(trees=tuple(trees), n_features=X.dim, class_codes=tuple(codes), config=cfg)
+    feature, threshold, dist = _grow_forest(X, y_idx, weights, len(codes), cfg)
+    return ForestModel(feature=feature, threshold=threshold, child=_children(feature, cfg.n_trees),
+                       dist=dist, n_trees=cfg.n_trees, n_features=X.dim,
+                       class_codes=tuple(codes), config=cfg)
 
 
 def forest_size(model: ForestModel) -> dict:
     """Node and leaf counts over all trees, and the mean and max of the tree depths."""
-    nodes = leaves = 0
-    depths = []
-    for tree in model.trees:
-        deepest, stack = 0, [(tree, 0)]
-        while stack:
-            node, depth = stack.pop()
-            nodes += 1
-            if node.feature < 0:
-                leaves += 1
-                deepest = max(deepest, depth)
-            else:
-                stack += [(node.left, depth + 1), (node.right, depth + 1)]
-        depths.append(deepest)
-    return {"nodes": nodes, "leaves": leaves, "mean_depth": sum(depths) / len(depths),
-            "max_depth": max(depths)}
+    n = model.feature.size
+    depth, tree = np.zeros(n, dtype=np.int64), np.arange(n)
+    lo, hi = 0, model.n_trees  # one level's nodes; its splits' children follow them
+    while lo < hi:
+        up = lo + np.flatnonzero(model.child[lo:hi] >= 0).repeat(2)
+        depth[hi:hi + up.size], tree[hi:hi + up.size] = depth[up] + 1, tree[up]
+        lo, hi = hi, hi + up.size
+    depths = np.zeros(model.n_trees, dtype=np.int64)
+    np.maximum.at(depths, tree, depth)
+    return {"nodes": n, "leaves": int(np.count_nonzero(model.child < 0)),
+            "mean_depth": int(depths.sum()) / model.n_trees, "max_depth": int(depths.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +614,28 @@ def _one_row(x: SparseBatch) -> SparseBatch:
 
 
 def _forest_votes(model: ForestModel, X: SparseBatch) -> np.ndarray:
-    """(n, k) tree votes per row; each node splits the rows that reach it at once,
-    reading its feature's nonzeros from the column view."""
-    n = len(X)
-    col_ptr, col_rows, col_vals = _column_view(X)
-    values = np.zeros(n)  # the split feature's value per row, zeroed after each split
-    votes = np.zeros((n, len(model.class_codes)), dtype=np.int64)
-    for tree in model.trees:
-        stack = [(tree, np.arange(n))]
-        while stack:
-            node, rows = stack.pop()
-            if node.feature < 0:
-                votes[rows, int(np.argmax(node.dist))] += 1
-            elif rows.size:
-                entries = slice(col_ptr[node.feature], col_ptr[node.feature + 1])
-                values[col_rows[entries]] = col_vals[entries]
-                left = values[rows] <= node.threshold
-                values[col_rows[entries]] = 0.0
-                stack += [(node.left, rows[left]), (node.right, rows[~left])]
-    return votes
+    """(n, k) tree votes per row; every (tree, row) pair descends one level per step.
+
+    A split reads its row's value by one search over the batch's row * dim +
+    column keys, which CSR order keeps rising; a key past them all ends the
+    search for an absent feature, whose value is 0.
+    """
+    n, k = len(X), len(model.class_codes)
+    keys = np.append(np.repeat(np.arange(n), np.diff(X.indptr)) * X.dim + X.indices, n * X.dim)
+    values = np.append(X.data, 0.0)
+    winner = np.argmax(model.dist, axis=1)
+    row, node = np.tile(np.arange(n), model.n_trees), np.repeat(np.arange(model.n_trees), n)
+    ballots = []  # row * k + the class a leaf votes for
+    while True:
+        leaf = model.child[node] < 0
+        ballots.append(row[leaf] * k + winner[node[leaf]])
+        if leaf.all():
+            return np.bincount(np.concatenate(ballots), minlength=n * k).reshape(n, k)
+        row, node = row[~leaf], node[~leaf]
+        key = row * X.dim + model.feature[node]
+        at = np.searchsorted(keys, key)
+        value = np.where(keys[at] == key, values[at], 0.0)
+        node = model.child[node] + ~(value <= model.threshold[node])
 
 
 def predict_many(model: LinearModel | ForestModel, X: SparseBatch) -> list[int]:
@@ -700,12 +744,9 @@ def load_model(path: str | Path) -> LinearModel | ForestModel:
         trees = require_field(payload, "trees", list, path)
         if not trees:
             raise DataError(f"{path}: a forest needs at least one tree")
-        return ForestModel(
-            trees=tuple(_node_from_dict(t, n_features, len(codes), str(path)) for t in trees),
-            n_features=n_features,
-            class_codes=tuple(codes),
-            config=cfg,
-        )
+        return ForestModel.from_trees(
+            tuple(_node_from_dict(t, n_features, len(codes), str(path)) for t in trees),
+            n_features, tuple(codes), cfg)
     history = _finite_numbers(payload.get("loss_history", []), "loss_history", path)
     rows = require_field(payload, "weights", list, path)
     if len(rows) != len(codes) or not all(isinstance(row, list) and len(row) == n_features

@@ -1,5 +1,6 @@
 """Random forest and decision tree tests."""
 
+import hashlib
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from predstmt import (
     predict,
     predict_many,
     preprocess,
+    save_dataset,
     save_model,
     stratified_folds,
     train_logreg,
@@ -26,9 +28,12 @@ from predstmt import (
     train_svm_linear,
     transform_many,
 )
+from predstmt.cli import main
 from predstmt.models import (
     TreeNode,
     _child_keys,
+    _column_view,
+    _forest_votes,
     _node_features,
     _root_keys,
     forest_size,
@@ -421,6 +426,103 @@ class TestBatchPredict:
             predict(model, X)
 
 
+def trained_forests():
+    """Forests of signed sparse problems, with and without bootstrap, and of a cv fold."""
+    rng = random.Random(606)
+    for trial in range(6):
+        X, y = signed_sparse_problem(rng, n=rng.randint(20, 80), d=rng.choice((1, 3, 9, 30)),
+                                     k=rng.randint(2, 4))
+        yield X, train_random_forest(X, y, TrainConfig(
+            n_trees=rng.randint(1, 6), bootstrap=trial % 2 == 0, seed=trial,
+            min_samples_leaf=1, max_depth=rng.choice((1, 4, 10_000))))
+    ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=9)
+    tokens = [preprocess(doc.text) for doc in ds.labeled(Task.DIRECTION)]
+    X = transform_many(fit_tfidf(tokens), tokens)
+    y = [doc.label(Task.DIRECTION) for doc in ds.labeled(Task.DIRECTION)]
+    yield X, train_random_forest(X, y, TrainConfig(n_trees=10, seed=2))
+
+
+def tree_node_votes(model, X):
+    """_forest_votes as first written: each TreeNode splits the rows that reach it at once,
+    reading its feature's nonzeros from the column view."""
+    n = len(X)
+    col_ptr, col_rows, col_vals = _column_view(X)
+    values = np.zeros(n)  # the split feature's value per row, zeroed after each split
+    votes = np.zeros((n, len(model.class_codes)), dtype=np.int64)
+    for tree in model.trees:
+        stack = [(tree, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            if node.feature < 0:
+                votes[rows, int(np.argmax(node.dist))] += 1
+            elif rows.size:
+                entries = slice(col_ptr[node.feature], col_ptr[node.feature + 1])
+                values[col_rows[entries]] = col_vals[entries]
+                left = values[rows] <= node.threshold
+                values[col_rows[entries]] = 0.0
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+    return votes
+
+
+class TestFlatLayout:
+    """ForestModel's level-major node arrays, and the TreeNode view built from them."""
+
+    def test_arrays_form_a_forest(self):
+        for _, model in trained_forests():
+            n, roots = model.feature.size, model.n_trees
+            split = np.flatnonzero(model.child >= 0)
+            assert np.array_equal(split, np.flatnonzero(model.feature >= 0))
+            assert (model.feature[model.child < 0] == -1).all()
+            assert (model.child[split] > split).all()
+            # every node but the roots 0..T-1 is the child of exactly one split
+            kids = np.concatenate((model.child[split], model.child[split] + 1))
+            assert np.array_equal(np.sort(kids), np.arange(roots, n))
+            reached = np.zeros(n, dtype=np.int64)
+            stack = list(range(roots))
+            while stack:
+                node = stack.pop()
+                reached[node] += 1
+                if model.child[node] >= 0:
+                    stack += [model.child[node], model.child[node] + 1]
+            assert (reached == 1).all()
+            leaves = model.dist[model.child < 0]
+            assert np.allclose(leaves.sum(axis=1), 1.0) and (model.dist[split] == 0.0).all()
+            assert (model.threshold[model.child < 0] == 0.0).all()
+
+    def test_flattening_the_view_gives_the_arrays(self):
+        for _, model in trained_forests():
+            again = ForestModel.from_trees(model.trees, model.n_features, model.class_codes,
+                                           model.config)
+            assert again.n_trees == model.n_trees == len(model.trees)
+            for name in ("feature", "threshold", "child", "dist"):
+                ours, theirs = getattr(again, name), getattr(model, name)
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert again.trees == model.trees
+
+    def test_votes_match_the_tree_node_walk(self):
+        for X, model in trained_forests():
+            split = np.flatnonzero(model.feature >= 0)[:40]
+            # a row per split whose value sits exactly on the split's threshold, an empty row
+            # last, and a batch of no rows
+            on_threshold = np.zeros((split.size + 1, X.dim))
+            on_threshold[np.arange(split.size), model.feature[split]] = model.threshold[split]
+            for batch in (X, dense_batch(on_threshold.tolist(), X.dim),
+                          SparseBatch([0], [], [], X.dim)):
+                assert np.array_equal(_forest_votes(model, batch), tree_node_votes(model, batch))
+
+    def test_cv_rf_artifact_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # the bytes before the flat layout; a tree, vote or size change moves them
+        monkeypatch.chdir(tmp_path)
+        save_dataset(build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=5),
+                     "planted.jsonl")
+        (tmp_path / "train.json").write_text('{"train": {"n_trees": 5, "max_depth": 2}}')
+        assert main(["cv", "--config", "train.json", "--dataset", "planted.jsonl", "--task", "2",
+                     "--model", "rf", "--k", "3", "--seed", "11", "--out", "out",
+                     "--tag", "pin"]) == 0
+        digest = hashlib.sha256((tmp_path / "out/cv/pin/cv_rf.json").read_bytes()).hexdigest()
+        assert digest == "35e1772f82bf363951fae2ba1d32f96a8814930bf13b78617d9fc94b3f92313b"
+
+
 class TestForest:
     def test_fits_training_data(self):
         rng = random.Random(37)
@@ -457,14 +559,14 @@ class TestForest:
     def test_vote_tie_breaks_to_lowest_code(self):
         tree_a = TreeNode(feature=-1, dist=(1.0, 0.0))
         tree_b = TreeNode(feature=-1, dist=(0.0, 1.0))
-        model = ForestModel(trees=(tree_a, tree_b), n_features=1,
-                            class_codes=(2, 5), config=TrainConfig())
+        model = ForestModel.from_trees((tree_a, tree_b), n_features=1,
+                                       class_codes=(2, 5), config=TrainConfig())
         assert predict(model, sv([0.3])) == 2
 
     def test_single_pure_leaf_predicts_that_class(self):
         leaf = TreeNode(feature=-1, dist=(0.0, 1.0))
-        model = ForestModel(trees=(leaf,), n_features=2,
-                            class_codes=(3, 7), config=TrainConfig())
+        model = ForestModel.from_trees((leaf,), n_features=2,
+                                       class_codes=(3, 7), config=TrainConfig())
         assert predict(model, sv([0.0, 9.0])) == 7
 
     def test_leaf_distributions_sum_to_one(self):
@@ -502,8 +604,8 @@ class TestForest:
         leaf = TreeNode(feature=-1, dist=(1.0, 0.0))
         deep = TreeNode(feature=0, threshold=0.5, left=leaf,
                         right=TreeNode(feature=1, threshold=0.0, left=leaf, right=leaf))
-        model = ForestModel(trees=(deep, leaf), n_features=2, class_codes=(0, 1),
-                            config=TrainConfig())
+        model = ForestModel.from_trees((deep, leaf), n_features=2, class_codes=(0, 1),
+                                       config=TrainConfig())
         assert forest_size(model) == {"nodes": 6, "leaves": 4, "mean_depth": 1.0,
                                       "max_depth": 2}
 

@@ -462,6 +462,68 @@ class TestExtremeSettings:
         history = model.loss_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("trainer", [train_logreg, train_svm_linear])
+    def test_step_scale_past_any_halving_still_trains(self, monkeypatch, trainer):
+        # 40 halvings of a 1e300 step still overflow; the unit-length restart must move
+        histories = []
+        lbfgs = models._lbfgs
+
+        def recording(*args):
+            x, history = lbfgs(*args)
+            histories.append(history)
+            return x, history
+
+        monkeypatch.setattr(models, "_lbfgs", recording)
+        X, y = scaled_problem(6, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trainer(X, y, TrainConfig(epochs=40, learning_rate=1e300))
+        assert histories
+        for history in histories:
+            assert len(history) > 1 and history[-1] < history[0]
+
+
+def two_softmax_logreg(X, y, cfg):
+    """train_logreg's L-BFGS run as first written: the objective and the gradient each take
+    their own softmax of the batch's scores. Returns (weights, bias, history)."""
+    codes = sorted(set(y))
+    y_idx = np.searchsorted(codes, y)
+    k, rows = len(codes), np.arange(len(X))
+
+    def fun_grad(params):
+        weights, bias = params[k:].reshape(k, X.dim), params[:k]
+        scores = X.scores(weights, bias)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = probs / probs.sum(axis=-1, keepdims=True)
+        probs[rows, y_idx] -= 1.0
+        probs /= len(X)
+        grad_w = cfg.l2 * weights
+        X.add_outer(grad_w, probs)
+        logp = scores - scores.max(axis=1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        loss = float(-logp[rows, y_idx].mean() + 0.5 * cfg.l2 * float((weights * weights).sum()))
+        return loss, np.append(probs.sum(axis=0), grad_w)
+
+    params, history = models._lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs,
+                                    cfg.learning_rate)
+    return params[k:].reshape(k, X.dim), params[:k], history
+
+
+class TestOneSoftmax:
+    """The objective and the gradient share one softmax; the fit must not change by a bit."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_training_matches_two_softmax_reference(self, k):
+        rng = random.Random(60 + k)
+        for _ in range(4):
+            X, y = random_problem(rng, n=rng.randint(10, 40), d=rng.randint(3, 12), k=k)
+            cfg = TrainConfig(epochs=30, l2=rng.choice((0.0, 0.01)))
+            model = train_logreg(X, y, cfg)
+            weights, bias, history = two_softmax_logreg(X, y, cfg)
+            assert np.array_equal(bits(model.weights), bits(weights))
+            assert np.array_equal(bits(model.bias), bits(bias))
+            assert model.loss_history == tuple(history)
+
 
 def two_pass_scores(X, weights, bias):
     """SparseBatch.scores as first written: a fancy index into weights.T."""
