@@ -48,11 +48,9 @@ _LAZY = {
     **dict.fromkeys(("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
                      "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",
                      "render_markdown", "tag_document"), "emotion"),
-    **dict.fromkeys(("SparseBatch", "TfidfModel", "fit_tfidf", "load_tfidf", "save_tfidf",
-                     "transform", "transform_many"), "features"),
-    **dict.fromkeys(("ForestModel", "LinearModel", "TreeNode", "gini", "load_model", "predict",
-                     "predict_many", "predict_proba", "save_model", "train_logreg",
-                     "train_random_forest", "train_svm_linear"), "models"),
+    **dict.fromkeys(("SparseBatch", "TfidfModel", "fit_tfidf", "transform_many"), "features"),
+    **dict.fromkeys(("ForestModel", "LinearModel", "TreeNode", "gini", "predict_many",
+                     "train_logreg", "train_random_forest", "train_svm_linear"), "models"),
     **dict.fromkeys(("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                      "classification_report", "confusion", "cross_validate",
                      "cross_validate_models", "metrics", "summary_table"), "evaluation"),

@@ -48,21 +48,6 @@ def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> obje
         raise invalid("integer too long") from None
 
 
-def require_field(payload: dict, key: str, kind: type | tuple[type, ...], where: object):
-    """payload[key] when present and of the given type(s); DataError otherwise.
-
-    bool is rejected where int or float is asked for, as JSON keeps them apart.
-    """
-    if key not in payload:
-        raise DataError(f"{where}: missing key {key!r}")
-    value = payload[key]
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise DataError(f"{where}: {key!r} must be {names}, got {type(value).__name__}")
-    return value
-
-
 def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
     """DataError naming the keys of payload that are not in known, if any."""
     unknown = payload.keys() - known
@@ -71,7 +56,7 @@ def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
 
 
 def jsonable(value: object) -> object:
-    """value as plain JSON data, the one encoding of every artifact and saved payload.
+    """value as plain JSON data, the one encoding of every artifact.
 
     A dataclass becomes an object of its fields, an IntEnum its int and any
     other Enum its value; a tuple or list becomes a list, and anything with

@@ -9,30 +9,21 @@ document vectors. Vocabulary indices follow lexicographic term order, so a
 fitted model is independent of document order.
 
 Features travel as one SparseBatch (CSR arrays) from transform_many to
-the trainers and predict_many in models; a single document is a one-row batch.
+the trainers and predict_many in models. Indexing a batch gives a one-row
+batch, which the benchmark's traced round and the tests iterate over.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    DataError,
-    from_dict,
-    jsonable,
-    parse_json,
-    reject_unknown_keys,
-    require_field,
-    write_json,
-)
+from .corpus import DataError
 from .config import TfidfConfig
 
 
@@ -152,11 +143,6 @@ def fit_tfidf(docs: Sequence[Sequence[str]], config: TfidfConfig = TfidfConfig()
     return TfidfModel(tuple(terms), tuple(df[t] for t in terms), len(docs), config)
 
 
-def transform(model: TfidfModel, tokens: Sequence[str]) -> SparseBatch:
-    """The one-row batch of one tokenized document."""
-    return transform_many(model, [tokens])
-
-
 def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBatch:
     """The batch of L2-normalized TF-IDF rows of tokenized documents.
 
@@ -184,49 +170,3 @@ def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBa
         norm[norm == 0.0] = 1.0
         values /= np.repeat(norm, lengths)
     return SparseBatch(indptr, indices, values, model.dimension)
-
-
-def save_tfidf(model: TfidfModel, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, {"kind": "tfidf", "idf": model.idf, **jsonable(model)})
-
-
-def load_tfidf(path: str | Path) -> TfidfModel:
-    """Read a model written by save_tfidf; any schema violation raises DataError.
-
-    The file's idf must be the one its doc_freq and n_docs give, entry for entry.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
-        raise DataError(f"cannot load TF-IDF model from {path}: {exc}") from None
-    payload = parse_json(text, lambda reason: DataError(
-        f"cannot load TF-IDF model from {path}: {reason}"))
-    if not isinstance(payload, dict) or payload.get("kind") != "tfidf":
-        raise DataError(f"{path} does not contain a TF-IDF model")
-    reject_unknown_keys(payload, {"kind", "config", "n_docs", "terms", "doc_freq", "idf"}, path)
-    terms = require_field(payload, "terms", list, path)
-    doc_freq = require_field(payload, "doc_freq", list, path)
-    idf = require_field(payload, "idf", list, path)
-    n_docs = require_field(payload, "n_docs", int, path)
-    config = require_field(payload, "config", dict, path)
-    if not len(terms) == len(doc_freq) == len(idf):
-        raise DataError(f"{path}: terms, doc_freq and idf must have equal length")
-    if not all(isinstance(t, str) for t in terms) or terms != sorted(set(terms)):
-        raise DataError(f"{path}: terms must be distinct strings in sorted order")
-    # no fit counts more documents than a list holds, and the bound keeps idf's ratio a float
-    if not 1 <= n_docs <= sys.maxsize:
-        raise DataError(f"{path}: n_docs must lie in [1, {sys.maxsize}]")
-    if not all(type(c) is int and 1 <= c <= n_docs for c in doc_freq):
-        raise DataError(f"{path}: doc_freq entries must be integers in [1, n_docs]")
-    try:
-        tfidf_config = from_dict(TfidfConfig, config, "config")
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    model = TfidfModel(tuple(terms), tuple(doc_freq), n_docs, tfidf_config)
-    if any(type(saved) is bool or saved != derived for saved, derived in zip(idf, model.idf)):
-        raise DataError(f"{path}: idf entries must be ln((1 + n_docs) / (1 + doc_freq)) + 1, "
-                        "as fit_tfidf gives them")
-    return model

@@ -23,8 +23,7 @@ the CSR arrays of a features.SparseBatch directly:
   (ForestModel); ForestModel.trees is a TreeNode view built on demand.
 
 predict_many classifies a whole batch at once; in a forest every (tree,
-row) pair descends one level per numpy step. predict and predict_proba
-take a one-row batch.
+row) pair descends one level per numpy step.
 
 All training is deterministic given the config seed. Ties in any argmax
 break toward the lowest class code.
@@ -36,27 +35,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import (
-    DataError,
-    from_dict,
-    is_finite_number,
-    jsonable,
-    parse_json,
-    reject_unknown_keys,
-    require_field,
-    write_json,
-)
+from .corpus import DataError
 from .config import TrainConfig
 from .features import SparseBatch
 
 KIND_LOGREG = "logreg"
 KIND_SVM = "svm_linear"
-KIND_FOREST = "random_forest"
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,25 +110,12 @@ class ForestModel:
     class_codes: tuple[int, ...]
     config: TrainConfig
 
-    @classmethod
-    def from_trees(cls, trees: Sequence[TreeNode], n_features: int,
-                   class_codes: tuple[int, ...], config: TrainConfig) -> ForestModel:
-        """The forest of the given TreeNode roots, flattened."""
-        nodes, level = [], list(trees)
-        while level:
-            nodes += level
-            level = [kid for node in level if node.feature >= 0 for kid in (node.left, node.right)]
-        feature = np.array([node.feature for node in nodes], dtype=np.int64)
-        zero = (0.0,) * len(class_codes)
-        return cls(feature=feature, threshold=np.array([node.threshold for node in nodes]),
-                   child=_children(feature, len(trees)),
-                   dist=np.array([node.dist or zero for node in nodes]).reshape(-1, len(zero)),
-                   n_trees=len(trees), n_features=n_features, class_codes=class_codes,
-                   config=config)
-
     @cached_property
     def trees(self) -> tuple[TreeNode, ...]:
-        """The trees as TreeNode objects, built on first use; saving a model reads them."""
+        """The trees as TreeNode objects, built on first use.
+
+        Nothing in the package reads them; the traced benchmark and the tests do.
+        """
         built: list = [None] * self.feature.size
         nodes = zip(self.feature.tolist(), self.threshold.tolist(), self.child.tolist(),
                     self.dist.tolist())
@@ -165,12 +140,6 @@ def _check_inputs(X: SparseBatch, y: Sequence[int]) -> tuple[list[int], np.ndarr
     if len(codes) < 2:
         raise DataError("training requires at least 2 distinct label classes")
     return codes, np.searchsorted(codes, [int(v) for v in y])
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +576,6 @@ def _check_dim(model: LinearModel | ForestModel, X: SparseBatch) -> None:
         raise DataError(f"feature dimension {X.dim} does not match model ({model.n_features})")
 
 
-def _one_row(x: SparseBatch) -> SparseBatch:
-    if len(x) != 1:
-        raise DataError(f"expected a one-row batch, got {len(x)} rows")
-    return x
-
-
 def _forest_votes(model: ForestModel, X: SparseBatch) -> np.ndarray:
     """(n, k) tree votes per row; every (tree, row) pair descends one level per step.
 
@@ -646,119 +609,3 @@ def predict_many(model: LinearModel | ForestModel, X: SparseBatch) -> list[int]:
     else:
         winners = np.argmax(_forest_votes(model, X), axis=1)
     return [model.class_codes[i] for i in winners.tolist()]
-
-
-def predict(model: LinearModel | ForestModel, x: SparseBatch) -> int:
-    """Predicted class code of a one-row batch."""
-    return predict_many(model, _one_row(x))[0]
-
-
-def predict_proba(model: LinearModel, x: SparseBatch) -> np.ndarray:
-    """Softmax class probabilities of a one-row batch; defined for logistic regression."""
-    if model.kind != KIND_LOGREG:
-        raise DataError(f"predict_proba requires a {KIND_LOGREG} model, got {model.kind}")
-    _check_dim(model, x)
-    return _softmax(_one_row(x).scores(model.weights, model.bias))[0]
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.feature < 0:
-        return {"dist": list(node.dist)}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(data: object, n_features: int, k: int, where: str) -> TreeNode:
-    if not isinstance(data, dict):
-        raise DataError(f"{where}: tree node must be an object")
-    if "dist" in data:
-        reject_unknown_keys(data, {"dist"}, f"{where}: leaf")
-        dist = require_field(data, "dist", list, where)
-        if len(dist) != k or not all(is_finite_number(p) and 0 <= p <= 1 for p in dist):
-            raise DataError(f"{where}: leaf 'dist' must be {k} numbers in [0, 1]")
-        return TreeNode(feature=-1, dist=tuple(dist))
-    reject_unknown_keys(data, {"feature", "threshold", "left", "right"}, f"{where}: tree node")
-    feature = require_field(data, "feature", int, where)
-    if not 0 <= feature < n_features:
-        raise DataError(f"{where}: split feature {feature} out of range [0, {n_features})")
-    threshold = require_field(data, "threshold", (int, float), where)
-    if not is_finite_number(threshold):
-        raise DataError(f"{where}: split threshold must be a finite number")
-    return TreeNode(
-        feature=feature,
-        threshold=float(threshold),
-        left=_node_from_dict(require_field(data, "left", dict, where), n_features, k, where),
-        right=_node_from_dict(require_field(data, "right", dict, where), n_features, k, where),
-    )
-
-
-def _finite_numbers(values: object, what: str, where: object) -> list:
-    """values when it is a list of finite numbers; DataError otherwise."""
-    if not isinstance(values, list) or not all(map(is_finite_number, values)):
-        raise DataError(f"{where}: {what} must be a list of finite numbers")
-    return values
-
-
-def save_model(model: LinearModel | ForestModel, path: str | Path) -> None:
-    """Write a model as JSON sufficient for exact reload."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(model, LinearModel):
-        payload = jsonable(model)
-    else:  # a tree's JSON is not its fields
-        payload = {"kind": KIND_FOREST, "class_codes": model.class_codes,
-                   "config": model.config, "trees": [_node_to_dict(t) for t in model.trees]}
-    write_json(path, {**payload, "n_features": model.n_features})
-
-
-def load_model(path: str | Path) -> LinearModel | ForestModel:
-    """Read a model written by save_model; any schema violation raises DataError."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
-        raise DataError(f"cannot load model from {path}: {exc}") from None
-    payload = parse_json(text, lambda reason: DataError(f"cannot load model from {path}: {reason}"))
-    if not isinstance(payload, dict):
-        raise DataError(f"{path} does not contain a model")
-    kind = payload.get("kind")
-    if kind not in (KIND_LOGREG, KIND_SVM, KIND_FOREST):
-        raise DataError(f"unknown model kind {kind!r} in {path}")
-    reject_unknown_keys(payload, {"kind", "class_codes", "n_features", "config"} | (
-        {"trees"} if kind == KIND_FOREST else {"weights", "bias", "loss_history"}), path)
-    codes = require_field(payload, "class_codes", list, path)
-    if len(codes) < 2 or not all(type(c) is int for c in codes) or len(set(codes)) != len(codes):
-        raise DataError(f"{path}: class_codes must be at least 2 distinct integers")
-    n_features = require_field(payload, "n_features", int, path)
-    if n_features < 0:
-        raise DataError(f"{path}: n_features must be >= 0, got {n_features}")
-    config = require_field(payload, "config", dict, path)
-    try:
-        cfg = from_dict(TrainConfig, config, "config")
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if kind == KIND_FOREST:
-        trees = require_field(payload, "trees", list, path)
-        if not trees:
-            raise DataError(f"{path}: a forest needs at least one tree")
-        return ForestModel.from_trees(
-            tuple(_node_from_dict(t, n_features, len(codes), str(path)) for t in trees),
-            n_features, tuple(codes), cfg)
-    history = _finite_numbers(payload.get("loss_history", []), "loss_history", path)
-    rows = require_field(payload, "weights", list, path)
-    if len(rows) != len(codes) or not all(isinstance(row, list) and len(row) == n_features
-                                          for row in rows):
-        raise DataError(f"{path}: weights are not a ({len(codes)}, {n_features}) table")
-    _finite_numbers([v for row in rows for v in row], "weights", path)
-    bias = _finite_numbers(require_field(payload, "bias", list, path), "bias", path)
-    return LinearModel(
-        kind=kind,
-        weights=np.array(rows, dtype=np.float64),
-        bias=np.array(bias, dtype=np.float64),
-        class_codes=tuple(codes),
-        config=cfg,
-        loss_history=tuple(history),
-    )

@@ -799,6 +799,41 @@ class TestStratifiedFolds:
         assert a.folds == b.folds
         assert a.folds != c.folds
 
+    @pytest.mark.parametrize("task, counts, k, seed", [
+        (Task.PREDICTIVENESS, {0: 2, 1: 2}, 2, 0),
+        (Task.PREDICTIVENESS, {0: 23, 1: 17}, 5, 1),
+        (Task.PREDICTIVENESS, {0: 50, 1: 9}, 9, 7),
+        (Task.PREDICTIVENESS, {1: 12}, 3, 5),  # one class only
+        (Task.DIRECTION, {1: 6, 2: 5, 3: 4}, 4, 2),
+        (Task.DIRECTION, {1: 30, 2: 24, 3: 18}, 5, 42),
+        (Task.DIRECTION, {1: 10, 3: 10}, 10, 3),  # a class absent from the data
+        (Task.DIRECTION, {1: 7, 2: 7, 3: 7}, 7, 99),
+    ])
+    def test_assignment_follows_the_documented_deal(self, task, counts, k, seed):
+        # documents of every class interleaved, with unlabeled ones among them
+        rng = random.Random(seed)
+        labels = [code for code, n in counts.items() for _ in range(n)]
+        rng.shuffle(labels)
+        docs = []
+        for i, code in enumerate(labels):
+            kw = {"task1": code} if task is Task.PREDICTIVENESS else {"task1": 1, "task2": code}
+            docs.append(doc(f"d{i}", **kw))
+            if i % 5 == 0:
+                docs.append(doc(f"u{i}"))
+        ds = Dataset(documents=tuple(docs))
+        # each class's ids in dataset order, shuffled by one seeded stream in class order,
+        # then dealt round-robin from fold 0
+        deal = random.Random(seed)
+        expected = {}
+        for code in sorted(counts):
+            ids = [d.id for d in ds.labeled(task) if d.label(task) == code]
+            deal.shuffle(ids)
+            expected.update({doc_id: position % k for position, doc_id in enumerate(ids)})
+        folds = stratified_folds(ds, task, k=k, seed=seed)
+        assert folds.k == k and dict(folds.folds) == expected
+        assert sorted(folds.sizes()) == sorted(
+            sum(n // k + (f < n % k) for n in counts.values()) for f in range(k))
+
     def test_reference_fold_sizes(self, reference_corpus):
         folds = stratified_folds(reference_corpus, Task.PREDICTIVENESS, k=5, seed=42)
         assert sorted(folds.sizes()) == [623, 623, 623, 623, 624]

@@ -154,6 +154,71 @@ class TestLoadLexicon:
         with pytest.raises(DataError, match="not valid JSON: integer too long"):
             load_lexicon(path)
 
+    @pytest.mark.parametrize("payload, message", [
+        ([], "lexicon {path} must contain exactly 'entries' and 'grouping'"),
+        (["entries", "grouping"],
+         "lexicon {path} must contain exactly 'entries' and 'grouping'"),
+        ({"entries": {}, "grouping": {}, "extra": 1},
+         "lexicon {path} must contain exactly 'entries' and 'grouping'"),
+        ({"grouping": GROUPING}, "lexicon {path} must contain exactly 'entries' and 'grouping'"),
+        ({"entries": {}, "grouping": []}, "lexicon 'grouping' must be an object"),
+        ({"entries": {}, "grouping": None}, "lexicon 'grouping' must be an object"),
+        ({"entries": {}, "grouping": {"joy": 1}},
+         "base emotion 'joy' grouped into unknown category 1"),
+        ({"entries": {}, "grouping": {"joy": ["delight_joy"]}},
+         "base emotion 'joy' grouped into unknown category ['delight_joy']"),
+        ({"entries": {}, "grouping": {"joy": "DELIGHT_JOY"}},
+         "base emotion 'joy' grouped into unknown category 'DELIGHT_JOY'"),
+        ({"entries": [], "grouping": GROUPING}, "lexicon 'entries' must be an object"),
+        ({"entries": {"   ": [["joy", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry term must be non-empty"),
+        ({"entries": {"": [["joy", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry term must be non-empty"),
+        ({"entries": {"happy": []}, "grouping": GROUPING},
+         "lexicon entry 'happy' must list [emotion, weight] pairs"),
+        ({"entries": {"happy": {"joy": 0.5}}, "grouping": GROUPING},
+         "lexicon entry 'happy' must list [emotion, weight] pairs"),
+        ({"entries": {"happy": "joy"}, "grouping": GROUPING},
+         "lexicon entry 'happy' must list [emotion, weight] pairs"),
+        ({"entries": {"happy": [["joy", None]]}, "grouping": GROUPING},
+         "lexicon entry 'happy' has a malformed [emotion, weight] row"),
+        ({"entries": {"happy": [[None, 0.5]]}, "grouping": GROUPING},
+         "lexicon entry 'happy' has a malformed [emotion, weight] row"),
+        ({"entries": {"happy": [["joy", 0.5], "fear"]}, "grouping": GROUPING},
+         "lexicon entry 'happy' has a malformed [emotion, weight] row"),
+        ({"entries": {"happy": [["joy", float("nan")]]}, "grouping": GROUPING},
+         "lexicon entry 'happy': weight nan outside [0, 1]"),
+        ({"entries": {"happy": [["joy", float("inf")]]}, "grouping": GROUPING},
+         "lexicon entry 'happy': weight inf outside [0, 1]"),
+        ({"entries": {"happy": [["joy", -1e-300]]}, "grouping": GROUPING},
+         "lexicon entry 'happy': weight -1e-300 outside [0, 1]"),
+        ({"entries": {"over the moon": [["joy", 0.9]], "Over  the\tMoon": [["joy", 0.8]]},
+          "grouping": GROUPING},
+         "duplicate lexicon term 'Over  the\\tMoon' after case folding"),
+        ({"entries": {"happy": [["Zeal", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry 'happy' references ungrouped base emotion 'Zeal'"),
+    ], ids=["list", "key-list", "extra-key", "no-entries", "grouping-list", "grouping-null",
+            "number-category", "list-category", "upper-case-category", "entries-list",
+            "blank-term", "empty-term", "no-rows", "rows-object", "rows-string",
+            "null-weight", "null-emotion", "row-not-a-pair", "nan-weight", "infinite-weight",
+            "negative-weight", "whitespace-duplicate", "ungrouped-emotion"])
+    def test_malformed_lexicon_is_one_line_data_error(self, tmp_path, payload, message):
+        path = write_lexicon(tmp_path, payload)
+        with pytest.raises(DataError) as info:
+            load_lexicon(path)
+        assert str(info.value) == message.format(path=path)
+
+    def test_boundary_weights_and_case_folded_names_load(self, tmp_path):
+        path = write_lexicon(tmp_path, {
+            "entries": {"Calm": [["JOY", 0], ["Fear", 1]], "so  Happy": [["joy", 1.0]]},
+            "grouping": {"Joy": "delight_joy", "fear": "fear_anxiety"},
+        })
+        lex = load_lexicon(path)
+        assert lex.phrase_entries == {("calm",): (("joy", 0.0), ("fear", 1.0)),
+                                      ("so", "happy"): (("joy", 1.0),)}
+        assert lex.grouping == {"joy": EmotionCategory.DELIGHT_JOY,
+                                "fear": EmotionCategory.FEAR_ANXIETY}
+
     def test_bundled_lexicon_loads(self):
         lex = load_lexicon(bundled_lexicon_path())
         assert max(map(len, lex.phrase_entries)) >= 2

@@ -1,4 +1,4 @@
-"""jsonable and write_json: one encoder gives every artifact and saved payload.
+"""jsonable and write_json: one encoder gives every artifact.
 
 The reference encoders below are the hand-written to_dict bodies and payload
 builders that jsonable replaced; each test checks that write_json's bytes
@@ -23,16 +23,8 @@ from predstmt import (
     TrainConfig,
     compute_plan,
     distribution,
-    fit_tfidf,
     load_dataset,
-    preprocess,
     save_dataset,
-    save_model,
-    save_tfidf,
-    train_logreg,
-    train_random_forest,
-    train_svm_linear,
-    transform_many,
 )
 from predstmt.cli import RunConfig, _config_echo, main
 from predstmt.config import ProviderConfig
@@ -43,7 +35,6 @@ from predstmt.evaluation import (
     metrics,
     report_headline,
 )
-from predstmt.models import KIND_FOREST, LinearModel, _node_to_dict
 
 from conftest import FILLER_WORDS, PLANT_WORDS
 
@@ -95,32 +86,6 @@ def _old_config_echo(cfg):
     canonical = json.dumps(payload, sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             "seed": cfg.seed}
-
-
-def _old_tfidf(model):
-    return {
-        "kind": "tfidf",
-        "config": asdict(model.config),
-        "n_docs": model.n_docs,
-        "terms": list(model.terms),
-        "doc_freq": list(model.doc_freq),
-        "idf": list(model.idf),
-    }
-
-
-def _old_model(model):
-    payload = {
-        "kind": model.kind if isinstance(model, LinearModel) else KIND_FOREST,
-        "class_codes": list(model.class_codes),
-        "n_features": model.n_features,
-        "config": asdict(model.config),
-    }
-    if isinstance(model, LinearModel):
-        payload.update(weights=model.weights.tolist(), bias=model.bias.tolist(),
-                       loss_history=list(model.loss_history))
-    else:
-        payload["trees"] = [_node_to_dict(t) for t in model.trees]
-    return payload
 
 
 def _old_bytes(payload):
@@ -201,21 +166,6 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
         "shortfall": {str(c): n for c, n in shortfall},
     }
     assert (out / "balance" / "b" / "balance.json").read_bytes() == _old_bytes(expected)
-
-
-def test_saved_models_and_tfidf_match_the_reference(noisy, tmp_path):
-    docs = noisy.labeled(Task.DIRECTION)
-    tokens = [preprocess(doc.text) for doc in docs]
-    y = [doc.label(Task.DIRECTION) for doc in docs]
-    for config in (TfidfConfig(), TfidfConfig(min_df=2, max_features=5, sublinear_tf=True)):
-        tfidf = fit_tfidf(tokens, config)
-        save_tfidf(tfidf, tmp_path / "tfidf.json")
-        assert (tmp_path / "tfidf.json").read_bytes() == _old_bytes(_old_tfidf(tfidf))
-    x = transform_many(fit_tfidf(tokens), tokens)
-    for train in (train_logreg, train_svm_linear, train_random_forest):
-        model = train(x, y, TRAIN)
-        save_model(model, tmp_path / "model.json")
-        assert (tmp_path / "model.json").read_bytes() == _old_bytes(_old_model(model))
 
 
 @pytest.mark.parametrize("cfg", [

@@ -1,6 +1,7 @@
 """Metrics, kappa, cross-validation, and report rendering tests."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ class TestCohenKappa:
                 continue
             assert k_ab == pytest.approx(cohen_kappa(b, a), abs=1e-12)
             assert -1.0 - 1e-12 <= k_ab <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n, labels, agreement", [
+        (2, 2, 0.5), (10, 2, 0.7), (25, 3, 0.4), (40, 3, 0.9), (60, 5, 0.5), (200, 4, 0.0),
+    ])
+    def test_matches_the_contingency_table_definition(self, n, labels, agreement):
+        # kappa = (sum_i t_ii / n - sum_i r_i c_i / n^2) / (1 - sum_i r_i c_i / n^2) over the
+        # table t of the two raters, in exact fractions
+        rng = random.Random(n * labels)
+        a = [rng.randrange(labels) for _ in range(n)]
+        b = [x if rng.random() < agreement else rng.randrange(labels) for x in a]
+        a[0], b[0] = 0, 1  # the raters differ somewhere, so chance agreement is below one
+        table = np.zeros((labels, labels), dtype=np.int64)
+        np.add.at(table, (a, b), 1)
+        p0 = Fraction(int(np.trace(table)), n)
+        pe = sum(Fraction(int(r) * int(c), n * n)
+                 for r, c in zip(table.sum(axis=1), table.sum(axis=0)))
+        assert cohen_kappa(a, b) == pytest.approx(float((p0 - pe) / (1 - pe)), abs=1e-12)
 
     def test_hand_computed_three_way(self):
         a = [1, 2, 3, 1, 2, 3]

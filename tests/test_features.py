@@ -1,10 +1,8 @@
 """TF-IDF fitting and transformation tests."""
 
 import dataclasses
-import json
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -14,9 +12,6 @@ from predstmt import (
     SparseBatch,
     TfidfConfig,
     fit_tfidf,
-    load_tfidf,
-    save_tfidf,
-    transform,
     transform_many,
 )
 
@@ -124,6 +119,27 @@ class TestFit:
         model = fit_tfidf(docs, TfidfConfig(max_features=1))
         assert model.terms == ("common",)
 
+    @pytest.mark.parametrize("min_df, max_features", [
+        (1, None), (2, None), (4, None), (1, 1), (1, 7), (2, 12), (3, 5), (1, 10_000),
+    ])
+    def test_vocabulary_follows_the_selection_rule(self, min_df, max_features):
+        # a Zipf-like corpus, so document frequencies tie often
+        rng = random.Random(17 * min_df + (max_features or 0))
+        vocab = [f"w{i:02d}" for i in range(50)]
+        weights = [1.0 / (r + 1) for r in range(len(vocab))]
+        docs = [rng.choices(vocab, weights, k=rng.randint(0, 9)) for _ in range(60)]
+        df = {}
+        for tokens in docs:
+            for term in set(tokens):
+                df[term] = df.get(term, 0) + 1
+        kept = sorted((term for term in df if df[term] >= min_df), key=lambda t: (-df[t], t))
+        kept = sorted(kept[:max_features])
+        model = fit_tfidf(docs, TfidfConfig(min_df=min_df, max_features=max_features))
+        assert model.terms == tuple(kept)
+        assert model.doc_freq == tuple(df[t] for t in kept)
+        assert model.n_docs == len(docs)
+        assert fit_tfidf(docs[::-1], model.config) == model
+
     def test_empty_collection_rejected(self):
         with pytest.raises(DataError, match="empty"):
             fit_tfidf([])
@@ -138,7 +154,7 @@ class TestFit:
 class TestTransform:
     def test_hand_computed_vector(self):
         model = fit_tfidf(TWO_DOCS)
-        vec = transform(model, ["btc", "up", "up"])
+        vec = transform_many(model, [["btc", "up", "up"]])
         by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.data)}
         idf_up = math.log(3 / 2) + 1
         norm = math.hypot(1.0, 2 * idf_up)
@@ -150,18 +166,18 @@ class TestTransform:
 
     def test_oov_ignored(self):
         model = fit_tfidf(TWO_DOCS)
-        vec = transform(model, ["btc", "unknownword"])
+        vec = transform_many(model, [["btc", "unknownword"]])
         assert [model.terms[i] for i in vec.indices] == ["btc"]
 
     def test_all_oov_gives_zero_vector(self):
         model = fit_tfidf(TWO_DOCS)
-        vec = transform(model, ["nothing", "matches"])
+        vec = transform_many(model, [["nothing", "matches"]])
         assert vec.indices.size == 0 and np.linalg.norm(vec.data) == 0.0
         assert vec.dim == model.dimension
 
     def test_empty_tokens_give_zero_vector(self):
         model = fit_tfidf(TWO_DOCS)
-        assert transform(model, []).indices.size == 0
+        assert transform_many(model, [[]]).indices.size == 0
 
     def test_unit_norm_property(self):
         rng = random.Random(99)
@@ -169,11 +185,12 @@ class TestTransform:
         docs = [[rng.choice(vocab) for _ in range(rng.randint(1, 15))] for _ in range(40)]
         model = fit_tfidf(docs)
         for tokens in docs:
-            assert np.linalg.norm(transform(model, tokens).data) == pytest.approx(1.0, abs=1e-9)
+            norm = np.linalg.norm(transform_many(model, [tokens]).data)
+            assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_sublinear_tf(self):
         model = fit_tfidf(TWO_DOCS, TfidfConfig(sublinear_tf=True))
-        vec = transform(model, ["up", "up", "btc"])
+        vec = transform_many(model, [["up", "up", "btc"]])
         by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.data)}
         idf_up = math.log(3 / 2) + 1
         raw = {"btc": 1.0, "up": (1 + math.log(2)) * idf_up}
@@ -182,66 +199,9 @@ class TestTransform:
 
     def test_indices_strictly_increasing(self):
         model = fit_tfidf(TWO_DOCS)
-        vec = transform(model, ["up", "btc", "down", "btc"])
+        vec = transform_many(model, [["up", "btc", "down", "btc"]])
         assert list(vec.indices) == sorted(vec.indices)
         assert len(vec) == 1
-
-
-class TestPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        model = fit_tfidf(TWO_DOCS, TfidfConfig(min_df=1, max_features=10, sublinear_tf=True))
-        path = tmp_path / "tfidf.json"
-        save_tfidf(model, path)
-        again = load_tfidf(path)
-        assert again.terms == model.terms
-        assert again.idf == model.idf
-        assert again.doc_freq == model.doc_freq
-        assert again.n_docs == model.n_docs
-        assert again.config == model.config
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"kind": "something"}')
-        with pytest.raises(DataError, match="TF-IDF"):
-            load_tfidf(path)
-
-    @pytest.mark.parametrize("change", [
-        {"terms": None},  # missing key
-        {"idf": None},
-        {"config": None},
-        {"terms": "btc"},  # ill-typed
-        {"n_docs": "2"},
-        {"n_docs": True},
-        {"config": []},
-        {"config": {"min_df": "3"}},
-        {"doc_freq": [2, 1, "1"]},
-        {"doc_freq": [2, 1, 3]},  # above n_docs
-        {"idf": [1.0, 1.4]},  # length mismatch
-        {"idf": [1.0, 1.4, 1.4, 1.4]},
-        {"idf": [1.0, None, 1.4]},
-        {"terms": ["up", "btc", "down"]},  # not sorted
-        {"terms": ["btc", "btc", "up"]},
-        {"config": {"min_dff": 3}},  # unknown config key
-        {"config": {"sublinear_tf": "no"}},
-        {"config": {"max_features": 2.5}},
-        {"idf": [1.0, 10 ** 400, 1.4]},  # past the float range
-        {"idf": [0.5, 1.4, 1.4]},  # below the idf of a term in every document
-        {"idf": [1.0, 1.41, 1.4]},  # above the idf of a term in one document
-        {"vocabulary": {}},  # unknown key
-    ])
-    def test_malformed_payload_is_data_error(self, tmp_path, change):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(TWO_DOCS), path)
-        payload = json.loads(path.read_text())
-        for key, value in change.items():
-            if value is None:
-                del payload[key]
-            else:
-                payload[key] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError) as info:
-            load_tfidf(path)
-        assert "\n" not in str(info.value)
 
     def test_idf_is_derived_from_the_counts(self):
         model = fit_tfidf([["a", "b"], ["a"], ["a", "c"], ["c"]])
@@ -250,86 +210,6 @@ class TestPersistence:
         assert model.idf is model.idf  # computed once per model
         assert "idf" not in {f.name for f in dataclasses.fields(model)}
 
-    def test_file_saved_before_idf_was_derived_loads_to_an_equal_model(self, tmp_path):
-        # bytes save_tfidf wrote when TfidfModel stored idf as a field
-        path = tmp_path / "tfidf.json"
-        path.write_text(
-            '{\n  "config": {\n    "max_features": null,\n    "min_df": 1,\n'
-            '    "sublinear_tf": false\n  },\n  "doc_freq": [\n    2,\n    1,\n    1\n  ],\n'
-            '  "idf": [\n    1.0,\n    1.4054651081081644,\n    1.4054651081081644\n  ],\n'
-            '  "kind": "tfidf",\n  "n_docs": 2,\n  "terms": [\n    "btc",\n    "down",\n'
-            '    "up"\n  ]\n}\n')
-        model = fit_tfidf(TWO_DOCS)
-        assert load_tfidf(path) == model
-        saved = path.read_bytes()
-        save_tfidf(model, path)
-        assert path.read_bytes() == saved
-
-    @pytest.mark.parametrize("idf, n_docs", [
-        ([1.0, 1e308, math.log(3 / 2) + 1], 2),  # used to overflow tf * idf in transform
-        ([1.0, math.log(3 / 2) + 1, math.nextafter(math.log(3 / 2) + 1, 2.0)], 2),
-        ([1, 3, 2.5], 20),  # within the old bound [1, 1 + ln(21 / 2)], yet not derived
-        ([True, math.log(3 / 2) + 1, math.log(3 / 2) + 1], 2),
-        ([1.0, float("nan"), math.log(3 / 2) + 1], 2),
-        ([1.0, "1.4054651081081644", math.log(3 / 2) + 1], 2),
-    ], ids=["overflowing", "one-ulp-off", "not-derived", "bool", "nan", "string"])
-    def test_idf_that_is_not_the_derived_one_is_rejected(self, tmp_path, idf, n_docs):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(TWO_DOCS), path)
-        payload = json.loads(path.read_text())
-        payload["idf"], payload["n_docs"] = idf, n_docs
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError) as info:
-            load_tfidf(path)
-        assert str(info.value) == (f"{path}: idf entries must be "
-                                   "ln((1 + n_docs) / (1 + doc_freq)) + 1, as fit_tfidf gives them")
-
-    @pytest.mark.parametrize("n_docs", [sys.maxsize + 1, 10 ** 400, 0],
-                             ids=["past-maxsize", "past-the-float-range", "zero"])
-    def test_n_docs_outside_what_a_list_holds_is_rejected(self, tmp_path, n_docs):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(TWO_DOCS), path)
-        payload = json.loads(path.read_text())
-        payload["n_docs"] = n_docs
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError) as info:
-            load_tfidf(path)
-        assert str(info.value) == f"{path}: n_docs must lie in [1, {sys.maxsize}]"
-
-    def test_counts_up_to_sys_maxsize_load_with_their_derived_idf(self, tmp_path):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(TWO_DOCS), path)
-        payload = json.loads(path.read_text())
-        n = sys.maxsize
-        payload["n_docs"], payload["doc_freq"] = n, [n, 1, 2]
-        payload["idf"] = [math.log((1 + n) / (1 + df)) + 1.0 for df in (n, 1, 2)]
-        path.write_text(json.dumps(payload))
-        model = load_tfidf(path)
-        assert model.idf == tuple(payload["idf"]) and all(map(math.isfinite, model.idf))
-        assert transform(model, ["up", "up", "btc"]).data.size == 2
-
-    @pytest.mark.parametrize("text", ['{"kind": "tfidf"}', '["tfidf"]', '"tfidf"'])
-    def test_payload_without_fields_is_data_error(self, tmp_path, text):
-        path = tmp_path / "tfidf.json"
-        path.write_text(text)
-        with pytest.raises(DataError):
-            load_tfidf(path)
-
-
-    @pytest.mark.parametrize("content, reason", [
-        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-        (b'{"kind": "tfidf", "n_features": 1' + b"0" * 5000 + b"}", "integer too long"),
-        (b'{"kind": "tfidf"', "Expecting ',' delimiter"),
-        (b'{"kind": "caf\xe9"}', "'utf-8' codec can't decode"),
-    ], ids=["nested", "long-integer", "truncated", "not-utf-8"])
-    def test_unparseable_file_is_one_line_data_error(self, tmp_path, content, reason):
-        path = tmp_path / "m.json"
-        path.write_bytes(content)
-        with pytest.raises(DataError) as info:
-            load_tfidf(path)
-        message = str(info.value)
-        assert message.startswith(f"cannot load TF-IDF model from {path}: ") and "\n" not in message
-        assert reason in message
 
 def per_document_transform(model, tokens):
     """transform as first written, one document at a time: (indices, values) tuples."""
@@ -392,15 +272,19 @@ class TestTransformMany:
         model = fit_tfidf(docs[:200], TfidfConfig(sublinear_tf=sublinear))
         self.assert_equals_per_document(model, docs)
 
-    def test_equals_per_document_transform_with_a_loaded_model(self, tmp_path):
-        path = tmp_path / "tfidf.json"
-        save_tfidf(fit_tfidf(TWO_DOCS), path)
-        payload = json.loads(path.read_text())
-        payload["n_docs"], payload["doc_freq"] = 20, [20, 1, 7]
-        payload["idf"] = [math.log(21 / (1 + df)) + 1.0 for df in (20, 1, 7)]
-        path.write_text(json.dumps(payload))
-        model = load_tfidf(path)
-        self.assert_equals_per_document(model, [["up", "btc", "down", "up"], ["down"], []])
+    @pytest.mark.parametrize("sublinear, min_df", [(False, 1), (True, 1), (False, 3),
+                                                     (True, 3)])
+    def test_each_document_alone_gives_its_batch_row(self, sublinear, min_df):
+        rng = random.Random(53 + min_df)
+        vocab = [f"v{i}" for i in range(80)]
+        docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 25))] for _ in range(70)]
+        model = fit_tfidf(docs[:50], TfidfConfig(min_df=min_df, sublinear_tf=sublinear))
+        batch = transform_many(model, docs)
+        for row, tokens in zip(batch, docs):
+            alone = transform_many(model, [tokens])
+            assert len(alone) == 1 and alone.dim == batch.dim
+            assert alone.indices.tolist() == row.indices.tolist()
+            assert [v.hex() for v in alone.data.tolist()] == [v.hex() for v in row.data.tolist()]
 
     def test_no_documents_give_an_empty_batch(self):
         batch = transform_many(fit_tfidf(TWO_DOCS), [])

@@ -1,7 +1,6 @@
 """Random forest and decision tree tests."""
 
 import hashlib
-import json
 import math
 import random
 
@@ -16,12 +15,9 @@ from predstmt import (
     Task,
     TrainConfig,
     fit_tfidf,
-    load_model,
-    predict,
     predict_many,
     preprocess,
     save_dataset,
-    save_model,
     stratified_folds,
     train_logreg,
     train_random_forest,
@@ -32,6 +28,7 @@ from predstmt.cli import main
 from predstmt.models import (
     TreeNode,
     _child_keys,
+    _children,
     _column_view,
     _forest_votes,
     _node_features,
@@ -44,6 +41,15 @@ from predstmt.models import (
 def sv(values, dimension=None):
     """The one-row batch of a dense row."""
     return dense_batch([list(values)], dimension)
+
+
+def hand_forest(feature, threshold, dist, n_trees, n_features, class_codes):
+    """The ForestModel of level-major node arrays written out by hand."""
+    feature = np.array(feature, dtype=np.int64)
+    return ForestModel(feature=feature, threshold=np.array(threshold, dtype=np.float64),
+                       child=_children(feature, n_trees), dist=np.array(dist, dtype=np.float64),
+                       n_trees=n_trees, n_features=n_features, class_codes=class_codes,
+                       config=TrainConfig())
 
 
 class TestGini:
@@ -130,7 +136,7 @@ class TestSingleTree:
         cfg = TrainConfig(n_trees=1, bootstrap=False, max_depth=1,
                           min_samples_leaf=1, seed=7)
         model = train_random_forest(dense_batch(points), labels, cfg)
-        hits = sum(predict(model, sv(p)) == t for p, t in zip(points, labels))
+        hits = sum(predict_many(model, sv(p))[0] == t for p, t in zip(points, labels))
         assert hits == len(points)
 
     def test_pure_node_becomes_leaf(self):
@@ -404,7 +410,7 @@ class TestBatchPredict:
             for batch in (X, unseen):
                 expected = per_document_predict(model, batch)
                 assert predict_many(model, batch) == expected
-                assert [predict(model, row) for row in batch] == expected
+                assert [predict_many(model, row)[0] for row in batch] == expected
 
     def test_matches_per_document_walk_on_a_cv_fold(self):
         ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=8)
@@ -418,12 +424,6 @@ class TestBatchPredict:
                                     TrainConfig(n_trees=7, seed=4))
         X = transform_many(tfidf, test)
         assert predict_many(model, X) == per_document_predict(model, X)
-
-    def test_multi_row_batch_refused_by_predict(self):
-        X = dense_batch([[1.0], [-1.0]])
-        model = train_random_forest(X, [0, 1], TrainConfig(n_trees=2, seed=1))
-        with pytest.raises(DataError, match="one-row"):
-            predict(model, X)
 
 
 def trained_forests():
@@ -489,16 +489,6 @@ class TestFlatLayout:
             assert np.allclose(leaves.sum(axis=1), 1.0) and (model.dist[split] == 0.0).all()
             assert (model.threshold[model.child < 0] == 0.0).all()
 
-    def test_flattening_the_view_gives_the_arrays(self):
-        for _, model in trained_forests():
-            again = ForestModel.from_trees(model.trees, model.n_features, model.class_codes,
-                                           model.config)
-            assert again.n_trees == model.n_trees == len(model.trees)
-            for name in ("feature", "threshold", "child", "dist"):
-                ours, theirs = getattr(again, name), getattr(model, name)
-                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-            assert again.trees == model.trees
-
     def test_votes_match_the_tree_node_walk(self):
         for X, model in trained_forests():
             split = np.flatnonzero(model.feature >= 0)[:40]
@@ -535,10 +525,10 @@ class TestForest:
             y.append(c + 1)
         X = dense_batch(rows)
         model = train_random_forest(X, y, TrainConfig(n_trees=20, seed=3))
-        hits = sum(predict(model, x) == t for x, t in zip(X, y))
+        hits = sum(predict_many(model, x)[0] == t for x, t in zip(X, y))
         assert hits == 60
 
-    def test_deterministic_and_persistence(self, tmp_path):
+    def test_deterministic(self):
         rng = random.Random(41)
         X = dense_batch([[rng.uniform(0, 1) for _ in range(4)] for _ in range(30)])
         y = [rng.randrange(3) for _ in range(30)]
@@ -546,28 +536,18 @@ class TestForest:
         cfg = TrainConfig(n_trees=7, seed=12)
         m1 = train_random_forest(X, y, cfg)
         m2 = train_random_forest(X, y, cfg)
-        assert [predict(m1, x) for x in X] == [predict(m2, x) for x in X]
-
-        path = tmp_path / "forest.json"
-        save_model(m1, path)
-        again = load_model(path)
-        assert isinstance(again, ForestModel)
-        assert again.n_features == m1.n_features
-        assert again.class_codes == m1.class_codes
-        assert [predict(again, x) for x in X] == [predict(m1, x) for x in X]
+        assert predict_many(m1, X) == predict_many(m2, X)
 
     def test_vote_tie_breaks_to_lowest_code(self):
-        tree_a = TreeNode(feature=-1, dist=(1.0, 0.0))
-        tree_b = TreeNode(feature=-1, dist=(0.0, 1.0))
-        model = ForestModel.from_trees((tree_a, tree_b), n_features=1,
-                                       class_codes=(2, 5), config=TrainConfig())
-        assert predict(model, sv([0.3])) == 2
+        # two one-leaf trees, one vote each
+        model = hand_forest([-1, -1], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], n_trees=2,
+                            n_features=1, class_codes=(2, 5))
+        assert predict_many(model, sv([0.3])) == [2]
 
     def test_single_pure_leaf_predicts_that_class(self):
-        leaf = TreeNode(feature=-1, dist=(0.0, 1.0))
-        model = ForestModel.from_trees((leaf,), n_features=2,
-                                       class_codes=(3, 7), config=TrainConfig())
-        assert predict(model, sv([0.0, 9.0])) == 7
+        model = hand_forest([-1], [0.0], [[0.0, 1.0]], n_trees=1, n_features=2,
+                            class_codes=(3, 7))
+        assert predict_many(model, sv([0.0, 9.0])) == [7]
 
     def test_leaf_distributions_sum_to_one(self):
         rng = random.Random(43)
@@ -598,14 +578,15 @@ class TestForest:
         X = dense_batch([[1.0], [-1.0]])
         model = train_random_forest(X, [0, 1], TrainConfig(n_trees=2, seed=1))
         with pytest.raises(DataError, match="dimension"):
-            predict(model, sv([1.0, 2.0]))
+            predict_many(model, sv([1.0, 2.0]))
 
     def test_forest_size_by_hand(self):
-        leaf = TreeNode(feature=-1, dist=(1.0, 0.0))
-        deep = TreeNode(feature=0, threshold=0.5, left=leaf,
-                        right=TreeNode(feature=1, threshold=0.0, left=leaf, right=leaf))
-        model = ForestModel.from_trees((deep, leaf), n_features=2, class_codes=(0, 1),
-                                       config=TrainConfig())
+        # tree 0 splits at its root (node 0) and at its right child (node 3); tree 1 is the
+        # leaf node 1; nodes 2, 4 and 5 are tree 0's leaves
+        leaf, split = [1.0, 0.0], [0.0, 0.0]
+        model = hand_forest([0, -1, -1, 1, -1, -1], [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                            [split, leaf, leaf, split, leaf, leaf], n_trees=2, n_features=2,
+                            class_codes=(0, 1))
         assert forest_size(model) == {"nodes": 6, "leaves": 4, "mean_depth": 1.0,
                                       "max_depth": 2}
 
@@ -629,37 +610,79 @@ class TestForest:
         for tree in model.trees:
             features_used(tree)
 
-    @pytest.mark.parametrize("tree", [
-        {"dist": [1.0]},  # one class short
-        {"dist": [0.5, "0.5"]},
-        {"dist": [0.3, 0.3]},  # does not sum to 1
-        {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]}},  # no right child
-        {"feature": 2, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
-         "right": {"dist": [0.0, 1.0]}},  # feature out of range
-        {"feature": 0, "threshold": "0.5", "left": {"dist": [1.0, 0.0]},
-         "right": {"dist": [0.0, 1.0]}},
-        {"feature": 0, "threshold": 0.5, "left": [1.0, 0.0], "right": {"dist": [0.0, 1.0]}},
-        [0.0, 1.0],
-        {"feature": 0, "threshold": float("nan"), "left": {"dist": [1.0, 0.0]},
-         "right": {"dist": [0.0, 1.0]}},
-        {"dist": [10 ** 400, 0]},  # past the float range
-        {"dist": [1.5, -0.5]},  # sums to 1, but not probabilities
-        {"dist": [1.0, 0.0], "feature": 0},  # unknown keys
-        {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
-         "right": {"dist": [0.0, 1.0]}, "thresh": 0.5},
-    ])
-    def test_malformed_tree_is_data_error(self, tmp_path, tree):
-        path = tmp_path / "forest.json"
-        path.write_text(json.dumps({"kind": "random_forest", "class_codes": [0, 1],
-                                    "n_features": 2, "config": {}, "trees": [tree]}))
-        with pytest.raises(DataError) as info:
-            load_model(path)
-        assert "\n" not in str(info.value)
 
-    def test_unknown_forest_key_is_data_error(self, tmp_path):
-        path = tmp_path / "forest.json"
-        path.write_text(json.dumps({"kind": "random_forest", "class_codes": [0, 1],
-                                    "n_features": 2, "config": {}, "weights": [[0.0, 0.0]],
-                                    "trees": [{"dist": [1.0, 0.0]}]}))
-        with pytest.raises(DataError, match=r"unknown keys \['weights'\]"):
-            load_model(path)
+def tree_node_size(model):
+    """forest_size as a walk over the TreeNode view: every node visited with its depth."""
+    nodes = leaves = 0
+    depths = []
+    for root in model.trees:
+        deepest, stack = 0, [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            nodes += 1
+            deepest = max(deepest, depth)
+            if node.feature < 0:
+                leaves += 1
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        depths.append(deepest)
+    return {"nodes": nodes, "leaves": leaves, "mean_depth": sum(depths) / len(depths),
+            "max_depth": max(depths)}
+
+
+class TestForestSize:
+    """forest_size reads counts and depths from the arrays; the TreeNode walk is the oracle."""
+
+    @pytest.mark.parametrize("n_trees, max_depth, min_samples_leaf, bootstrap, d", [
+        (1, 1, 1, False, 3),
+        (1, 10_000, 1, False, 9),
+        (3, 2, 1, True, 9),
+        (4, 4, 2, True, 30),
+        (5, 16, 1, True, 30),
+        (6, 16, 5, False, 9),
+        (7, 3, 1, False, 1),
+        (8, 10_000, 1, True, 0),  # no features: every tree is one leaf
+    ])
+    def test_matches_the_tree_node_walk(self, n_trees, max_depth, min_samples_leaf,
+                                        bootstrap, d):
+        rng = random.Random(1000 * n_trees + max_depth % 97 + d)
+        X, y = signed_sparse_problem(rng, n=rng.randint(30, 90), d=d, k=rng.randint(2, 4))
+        model = train_random_forest(X, y, TrainConfig(
+            n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            bootstrap=bootstrap, seed=n_trees))
+        size = forest_size(model)
+        assert size == tree_node_size(model)
+        assert size["leaves"] == (size["nodes"] + model.n_trees) / 2  # every split has two
+        assert size["max_depth"] <= max_depth
+
+
+class TestTreeNode:
+    """A TreeNode is a split with two children or a leaf whose distribution sums to one."""
+
+    LEAF = TreeNode(feature=-1, dist=(1.0, 0.0))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"feature": 0, "left": LEAF}, "internal tree node must have two children"),
+        ({"feature": 2, "right": LEAF}, "internal tree node must have two children"),
+        ({"feature": -1}, "leaf node must carry a class distribution"),
+        ({"feature": -1, "dist": (0.5, 0.4)}, "leaf class distribution must sum to 1"),
+        ({"feature": -1, "dist": (0.75, 0.5)}, "leaf class distribution must sum to 1"),
+    ], ids=["no-left", "no-right", "no-dist", "dist-below-one", "dist-above-one"])
+    def test_malformed_node_is_data_error(self, fields, message):
+        with pytest.raises(DataError) as info:
+            TreeNode(**fields)
+        assert str(info.value) == message
+
+    def test_view_of_hand_built_arrays(self):
+        leaf, split = [1.0, 0.0], [0.0, 0.0]
+        model = hand_forest([0, -1, -1, 1, -1, -1], [0.5, 0.0, 0.0, 0.25, 0.0, 0.0],
+                            [split, [0.0, 1.0], leaf, split, leaf, [0.25, 0.75]], n_trees=2,
+                            n_features=2, class_codes=(0, 1))
+        right = TreeNode(feature=1, threshold=0.25, left=TreeNode(feature=-1, dist=(1.0, 0.0)),
+                         right=TreeNode(feature=-1, dist=(0.25, 0.75)))
+        assert model.trees == (
+            TreeNode(feature=0, threshold=0.5, left=TreeNode(feature=-1, dist=(1.0, 0.0)),
+                     right=right),
+            TreeNode(feature=-1, dist=(0.0, 1.0)),
+        )
+        assert model.trees is model.trees  # built once per model

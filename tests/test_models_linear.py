@@ -1,6 +1,5 @@
 """Logistic regression and linear SVM tests."""
 
-import json
 import math
 import random
 import warnings
@@ -14,11 +13,7 @@ from predstmt import (
     LinearModel,
     SparseBatch,
     TrainConfig,
-    load_model,
-    predict,
     predict_many,
-    predict_proba,
-    save_model,
     train_logreg,
     train_svm_linear,
 )
@@ -63,19 +58,12 @@ def brute_force_1d_best_accuracy(X, y):
 
 
 class TestLogreg:
-    def test_zero_weights_uniform_proba(self):
-        model = LinearModel(kind="logreg", weights=np.zeros((2, 3)), bias=np.zeros(2),
-                            class_codes=(0, 1), config=TrainConfig())
-        probs = predict_proba(model, sv([1.0, 0.5, 0.0]))
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
-        assert predict(model, sv([1.0, 0.5, 0.0])) == 0  # tie -> lowest code
-
     def test_separable_1d_matches_grid_oracle(self):
         X, y = SEPARABLE_1D
         oracle_best = brute_force_1d_best_accuracy(X, y)
         assert oracle_best == 1.0
         model = train_logreg(X, y, TrainConfig())
-        accuracy = sum(predict(model, x) == t for x, t in zip(X, y)) / len(y)
+        accuracy = sum(predict_many(model, x)[0] == t for x, t in zip(X, y)) / len(y)
         assert accuracy == oracle_best
 
     def test_loss_history_non_increasing(self):
@@ -132,33 +120,12 @@ class TestLogreg:
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
 
-    def test_proba_sums_to_one(self):
-        rng = random.Random(11)
-        X, y = random_problem(rng, n=25, d=8, k=3)
-        model = train_logreg(X, y, TrainConfig(epochs=30))
-        for _ in range(1000):
-            row = [rng.gauss(0, 2) for _ in range(8)]
-            probs = predict_proba(model, sv(row, 8))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert (probs > 0).all()
-
-    def test_shift_invariance(self):
-        model = LinearModel(kind="logreg", weights=np.array([[1.0, -2.0], [0.5, 0.3]]),
-                            bias=np.array([0.1, -0.4]), class_codes=(0, 1),
-                            config=TrainConfig())
-        shifted = LinearModel(kind="logreg", weights=model.weights,
-                              bias=model.bias + 7.3, class_codes=(0, 1),
-                              config=TrainConfig())
-        x = sv([0.7, -0.2])
-        np.testing.assert_allclose(predict_proba(model, x), predict_proba(shifted, x),
-                                   atol=1e-12)
-
     def test_class_codes_preserved(self):
         X = dense_batch([[1.0], [-1.0], [0.9], [-0.8]])
         y = [3, 1, 3, 1]
         model = train_logreg(X, y, TrainConfig())
         assert model.class_codes == (1, 3)
-        assert predict(model, sv([1.0])) == 3
+        assert predict_many(model, sv([1.0]))[0] == 3
 
     def test_input_validation(self):
         with pytest.raises(DataError, match="lengths differ"):
@@ -191,7 +158,7 @@ class TestSvm:
         X, y = SEPARABLE_1D
         assert brute_force_1d_best_accuracy(X, y) == 1.0
         model = train_svm_linear(X, y, TrainConfig(seed=2))
-        accuracy = sum(predict(model, x) == t for x, t in zip(X, y)) / len(y)
+        accuracy = sum(predict_many(model, x)[0] == t for x, t in zip(X, y)) / len(y)
         assert accuracy == 1.0
 
     def test_satisfied_margin_contributes_no_data_gradient(self):
@@ -245,24 +212,18 @@ class TestSvm:
                              bias=3.5 * model.bias, class_codes=model.class_codes,
                              config=model.config)
         for x in X:
-            assert predict(model, x) == predict(scaled, x)
+            assert predict_many(model, x) == predict_many(scaled, x)
 
     def test_tie_breaks_to_lowest_code(self):
         model = LinearModel(kind="svm_linear", weights=np.zeros((3, 2)),
                             bias=np.zeros(3), class_codes=(1, 2, 3),
                             config=TrainConfig())
-        assert predict(model, sv([1.0, 1.0])) == 1
+        assert predict_many(model, sv([1.0, 1.0]))[0] == 1
 
     def test_l2_must_be_positive(self):
         X, y = SEPARABLE_1D
         with pytest.raises(DataError, match="l2 > 0"):
             train_svm_linear(X, y, TrainConfig(l2=0.0))
-
-    def test_proba_refused_for_svm(self):
-        X, y = SEPARABLE_1D
-        model = train_svm_linear(X, y, TrainConfig())
-        with pytest.raises(DataError, match="predict_proba"):
-            predict_proba(model, X[0])
 
 
 class TestBatchPredict:
@@ -277,26 +238,43 @@ class TestBatchPredict:
                 expected = [model.class_codes[int(np.argmax(
                     model.weights[:, x.indices] @ x.data + model.bias))] for x in X]
                 assert predict_many(model, X) == expected
-                assert [predict(model, x) for x in X] == expected
+                assert [predict_many(model, x)[0] for x in X] == expected
 
     def test_ties_and_empty_rows_go_to_the_lowest_code(self):
         model = LinearModel(kind="logreg", weights=np.zeros((3, 2)), bias=np.zeros(3),
                             class_codes=(4, 6, 9), config=TrainConfig())
         assert predict_many(model, dense_batch([[0.0, 0.0], [1.0, -2.0]])) == [4, 4]
 
-    def test_multi_row_batch_refused_by_single_row_calls(self):
-        X, y = SEPARABLE_1D
-        model = train_logreg(X, y, TrainConfig())
-        with pytest.raises(DataError, match="one-row"):
-            predict(model, X)
-        with pytest.raises(DataError, match="one-row"):
-            predict_proba(model, X)
-
     def test_batch_dimension_mismatch(self):
         X, y = SEPARABLE_1D
         model = train_logreg(X, y, TrainConfig())
         with pytest.raises(DataError, match="dimension"):
             predict_many(model, dense_batch([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestLinearModelChecks:
+    """A LinearModel's shapes agree and its parameters are finite, however it was built."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"bias": np.zeros(2)}, "inconsistent linear model shapes"),
+        ({"bias": np.zeros((3, 1))}, "inconsistent linear model shapes"),
+        ({"class_codes": (0, 1)}, "inconsistent linear model shapes"),
+        ({"class_codes": (0, 1, 2, 3)}, "inconsistent linear model shapes"),
+        ({"weights": np.array([[0.0, 1.0], [np.nan, 0.0], [0.0, 0.0]])},
+         "linear model parameters must be finite"),
+        ({"weights": np.array([[0.0, 1.0], [0.0, 0.0], [0.0, -np.inf]])},
+         "linear model parameters must be finite"),
+        ({"bias": np.array([0.0, np.inf, 0.0])}, "linear model parameters must be finite"),
+        ({"bias": np.array([np.nan, 0.0, 0.0])}, "linear model parameters must be finite"),
+    ], ids=["short-bias", "2-d-bias", "too-few-codes", "too-many-codes", "nan-weight",
+            "infinite-weight", "infinite-bias", "nan-bias"])
+    def test_inconsistent_or_non_finite_parameters_are_data_errors(self, fields, message):
+        valid = {"kind": "logreg", "weights": np.zeros((3, 2)), "bias": np.zeros(3),
+                 "class_codes": (0, 1, 2), "config": TrainConfig()}
+        LinearModel(**valid)
+        with pytest.raises(DataError) as info:
+            LinearModel(**{**valid, **fields})
+        assert str(info.value) == message
 
 
 def bits(a):
@@ -578,103 +556,3 @@ class TestOneScoringPerStep:
             two_pass_add_outer(X, expected, row_weights)
             X.add_outer(acc, row_weights)
             assert np.array_equal(acc, expected)
-
-
-class TestPersistence:
-    def test_linear_round_trip_exact(self, tmp_path):
-        rng = random.Random(17)
-        X, y = random_problem(rng, n=15, d=6, k=3)
-        for trainer in (train_logreg, train_svm_linear):
-            model = trainer(X, y, TrainConfig(seed=6))
-            path = tmp_path / f"{model.kind}.json"
-            save_model(model, path)
-            again = load_model(path)
-            assert again.kind == model.kind
-            assert np.array_equal(again.weights, model.weights)
-            assert np.array_equal(again.bias, model.bias)
-            assert again.class_codes == model.class_codes
-            assert again.config == model.config
-            for x in X:
-                assert predict(again, x) == predict(model, x)
-
-    def test_predict_dimension_mismatch(self):
-        X, y = SEPARABLE_1D
-        model = train_logreg(X, y, TrainConfig())
-        with pytest.raises(DataError, match="dimension"):
-            predict(model, sv([1.0, 2.0]))
-
-    @pytest.mark.parametrize("change", [
-        {"weights": None},  # missing key
-        {"class_codes": None},
-        {"n_features": None},
-        {"config": None},
-        {"weights": "0"},  # ill-typed
-        {"weights": [[0.0, "x"], [0.0, 0.0]]},
-        {"weights": [[0.0], [0.0, 0.0]]},
-        {"weights": [[0.0, 0.0]]},  # wrong shape
-        {"bias": [0.0]},
-        {"bias": [0.0, float("inf")]},
-        {"class_codes": [0, "1"]},
-        {"class_codes": [1, 1]},
-        {"n_features": "2"},
-        {"config": [1]},
-        {"config": {"epochs": "10"}},
-        {"loss_history": ["x"]},
-        {"config": {"epoch": 10}},  # unknown config key
-        {"config": {"epochs": True}},
-        {"config": {"bootstrap": "false"}},
-        {"config": {"l2": float("nan")}},
-        {"weights": [[0.0, "1.0"], [0.0, 0.0]]},  # numpy would read these as numbers
-        {"weights": [[True, False], [0.0, 0.0]]},
-        {"weights": [[10 ** 400, 0.0], [0.0, 0.0]]},  # past the float range
-        {"loss_history": [0.7, float("nan")]},
-        {"trees": []},  # unknown keys
-        {"extra": 1},
-    ])
-    def test_malformed_linear_payload_is_data_error(self, tmp_path, change):
-        path = tmp_path / "m.json"
-        save_model(train_logreg(*random_problem(random.Random(5), n=8, d=2, k=2),
-                                TrainConfig(epochs=3)), path)
-        payload = json.loads(path.read_text())
-        for key, value in change.items():
-            if value is None:
-                del payload[key]
-            else:
-                payload[key] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError) as info:
-            load_model(path)
-        assert "\n" not in str(info.value)
-
-    @pytest.mark.parametrize("text", [
-        '{"kind": "logreg"}',
-        '{"kind": "svm_linear", "config": {}}',
-        '{"kind": "random_forest", "class_codes": [0, 1], "n_features": 1, "config": {}}',
-        '["logreg"]',
-    ])
-    def test_payload_without_fields_is_data_error(self, tmp_path, text):
-        path = tmp_path / "m.json"
-        path.write_text(text)
-        with pytest.raises(DataError):
-            load_model(path)
-
-    @pytest.mark.parametrize("content, reason", [
-        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-        (b'{"kind": "logreg", "n_features": 1' + b"0" * 5000 + b"}", "integer too long"),
-        (b'{"kind": "logreg"', "Expecting ',' delimiter"),
-        (b'{"kind": "caf\xe9"}', "'utf-8' codec can't decode"),
-    ], ids=["nested", "long-integer", "truncated", "not-utf-8"])
-    def test_unparseable_file_is_one_line_data_error(self, tmp_path, content, reason):
-        path = tmp_path / "m.json"
-        path.write_bytes(content)
-        with pytest.raises(DataError) as info:
-            load_model(path)
-        message = str(info.value)
-        assert message.startswith(f"cannot load model from {path}: ") and "\n" not in message
-        assert reason in message
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"kind": "mystery", "config": {}}')
-        with pytest.raises(DataError, match="unknown model kind"):
-            load_model(path)

@@ -1,6 +1,8 @@
 """The package namespace: eager numpy-free exports, lazy numpy-backed ones."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -17,11 +19,9 @@ EXPORTS = {
                "LabelDistribution", "Source", "Task", "Task1Label", "Task2Label",
                "distribution", "load_dataset", "save_dataset", "stratified_folds"),
     "preprocess": ("CleanConfig", "preprocess", "strip_urls"),
-    "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "load_tfidf",
-                 "save_tfidf", "transform", "transform_many"),
-    "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "gini", "load_model",
-               "predict", "predict_many", "predict_proba", "save_model", "train_logreg",
-               "train_random_forest", "train_svm_linear"),
+    "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "transform_many"),
+    "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "gini", "predict_many",
+               "train_logreg", "train_random_forest", "train_svm_linear"),
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                    "classification_report", "cohen_kappa", "confusion", "cross_validate",
                    "cross_validate_models", "metrics", "summary_table"),
@@ -88,3 +88,59 @@ def test_lazy_exports_load_their_module_on_first_access():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_public_surface():
+    """The backticked identifiers of README's "full public surface" paragraph."""
+    readme = Path(predstmt.__file__).resolve().parents[2] / "README.md"
+    paragraph = re.search(r"The full public surface is exported from the package root:.*?\n\n",
+                          readme.read_text(encoding="utf-8"), re.S).group(0)
+    return re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+
+
+def test_readme_public_surface_names_only_exports():
+    names = readme_public_surface()
+    assert len(names) > 30
+    assert sorted(set(names) - set(predstmt.__all__)) == []
+
+
+@pytest.mark.parametrize("name", [name for _, name in ALL_NAMES])
+def test_export_is_named_in_the_readme_public_surface(name):
+    assert readme_public_surface().count(name) == 1
+
+
+def _private_definitions(tree: ast.Module):
+    """(line, name) of every _-prefixed, non-dunder function, class or assignment defined at
+    module level or in the body of a module-level class."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield node.lineno, name
+
+
+def test_no_private_helper_is_left_unused():
+    """Every _-prefixed helper of the package is read somewhere in it; docstrings and comments
+    do not count."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(predstmt.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [f"{file}:{line} {name}" for file, tree in trees.items()
+              for line, name in _private_definitions(tree) if name not in used]
+    assert unused == []
