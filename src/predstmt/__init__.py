@@ -8,7 +8,7 @@ Library layout:
 * features: TF-IDF vectorization
 * models: logistic regression, linear SVM, random forest (from scratch)
 * evaluation: metrics and the cross-validation harness
-* augment: paraphrase-based class balancing and remote labeling
+* augment: paraphrase-based class balancing, offline or through a remote endpoint
 * emotion: lexicon emotion tagging and per-coin aggregation
 * cli: the predstmt command
 
@@ -44,7 +44,7 @@ from .config import ProviderConfig, ProviderError, TfidfConfig, TrainConfig
 #: Exported name -> the module it comes from, imported on first access.
 _LAZY = {
     **dict.fromkeys(("AugmentPlan", "OfflineParaphraser", "RemoteParaphraser", "balance",
-                     "compute_plan", "llm_label"), "augment"),
+                     "compute_plan"), "augment"),
     **dict.fromkeys(("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
                      "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",
                      "render_markdown", "tag_document"), "emotion"),

@@ -6,8 +6,7 @@ offline rewriter (synonym swaps, hedge phrases, clause reordering) or a
 remote chat-completion endpoint called one request at a time with a
 rate-limit delay. balance() alone rejects blank and duplicate candidates
 and regenerates them; the shortfall is read from the result's counts. The
-chat client alone retries requests, and llm_label() counts a reply with no
-valid label code against that same budget.
+remote provider alone retries failed requests.
 """
 
 from __future__ import annotations
@@ -15,14 +14,9 @@ from __future__ import annotations
 import math
 import os
 import random
-import re
 import time
 from dataclasses import dataclass
-from importlib import resources
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
-
-if TYPE_CHECKING:
-    import requests
+from typing import Mapping, Protocol, Sequence
 
 from .config import ProviderConfig, ProviderError
 from .corpus import (
@@ -32,13 +26,8 @@ from .corpus import (
     LabelDistribution,
     Source,
     Task,
-    Task1Label,
-    Task2Label,
     distribution,
-    label_enum,
 )
-
-_T = TypeVar("_T")
 
 
 def normalize_key(text: str) -> str:
@@ -206,44 +195,49 @@ def _retry_after_s(value: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
-class _ChatClient:
-    """One-request-at-a-time JSON client with delay and retries.
+_PARAPHRASE_PROMPT = (
+    "Rewrite the following tweet so the meaning stays the same but the wording "
+    "differs. Reply with the rewritten tweet only.\n\nTweet: {text}"
+)
 
-    Transport errors, HTTP 429, 5xx statuses, malformed bodies (a reply
-    content that is not a string among them) and replies the caller's check
-    rejects share one budget of max_retries + 1 requests; any other non-200
-    status (401, 404, ...) fails at once. A 429 or 503 with a numeric
-    Retry-After waits that long before the retry, capped at timeout_s and
-    never shorter than request_delay_ms.
-    requests is imported here, so runs that never go remote do not load it.
+
+class RemoteParaphraser:
+    """Paraphrase provider backed by a chat-completion endpoint.
+
+    Each call returns the stripped content of the first chat-completion
+    reply; sampling temperature, not the seed argument, drives variation.
+    Requests go one at a time, request_delay_ms apart. Transport errors,
+    HTTP 429, 5xx statuses and malformed bodies (a reply content that is
+    not a string among them) share one budget of max_retries + 1 requests;
+    any other non-200 status (401, 404, ...) fails at once. A 429 or 503
+    with a numeric Retry-After waits that long before the retry, capped at
+    timeout_s and never shorter than request_delay_ms. requests is imported
+    here, so runs that never go remote do not load it.
     """
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+    def __init__(self, config: ProviderConfig):
         import requests
 
         self.config = config
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self._sent_any = False
 
-    def _api_key(self) -> str:
+    def paraphrase(self, text: str, seed: int = 0) -> str:
+        import requests
+
+        if not text.strip():
+            raise DataError("cannot paraphrase empty text")
         key = os.environ.get(self.config.api_key_env)
         if not key:
             raise ProviderError(
                 f"API key environment variable {self.config.api_key_env!r} is not set"
             )
-        return key
-
-    def complete(self, prompt: str, check: Callable[[str], _T | None],
-                 rejected: str = "reply rejected") -> _T:
-        """POST one chat message and return check(reply text); a None is retried."""
-        import requests
-
         body = {
             "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
+            "messages": [{"role": "user", "content": _PARAPHRASE_PROMPT.format(text=text)}],
             "temperature": self.config.temperature,
         }
-        headers = {"Authorization": f"Bearer {self._api_key()}"}
+        headers = {"Authorization": f"Bearer {key}"}
         last_error = "no request sent"
         base_delay = self.config.request_delay_ms / 1000.0
         delay = base_delay
@@ -276,71 +270,13 @@ class _ChatClient:
                 content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError):
                 content = None
-            if not isinstance(content, str):
-                last_error = "response body is not chat-completion shaped"
-                continue
-            value = check(content)
-            if value is not None:
-                return value
-            last_error = rejected
+            if isinstance(content, str):
+                return content.strip()
+            last_error = "response body is not chat-completion shaped"
         raise ProviderError(
             f"provider at {self.config.endpoint} failed after "
             f"{self.config.max_retries + 1} attempts ({last_error})"
         )
-
-
-_PARAPHRASE_PROMPT = (
-    "Rewrite the following tweet so the meaning stays the same but the wording "
-    "differs. Reply with the rewritten tweet only.\n\nTweet: {text}"
-)
-
-
-class RemoteParaphraser:
-    """Paraphrase provider backed by a chat-completion endpoint.
-
-    Each call sends one chat request and returns the stripped reply;
-    sampling temperature, not the seed argument, drives variation.
-    """
-
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
-        self.client = _ChatClient(config, session)
-
-    def paraphrase(self, text: str, seed: int = 0) -> str:
-        if not text.strip():
-            raise DataError("cannot paraphrase empty text")
-        return self.client.complete(_PARAPHRASE_PROMPT.format(text=text), str.strip)
-
-
-def default_label_template() -> str:
-    return resources.files("predstmt.data").joinpath("label_prompt.txt").read_text("utf-8")
-
-
-_INT_RE = re.compile(r"-?\d+")
-
-
-def llm_label(config: ProviderConfig, text: str, task: Task,
-              template: str | None = None,
-              session: requests.Session | None = None) -> Task1Label | Task2Label:
-    """Ask the remote endpoint to label one document.
-
-    The reply is parsed by taking the first integer that is a valid label
-    code for the task; a reply without one is retried like a malformed body.
-    """
-    task = Task(task)
-    if template is None:
-        template = default_label_template()
-    enum = label_enum(task)
-    valid = {int(member) for member in enum}
-
-    def parse(reply: str) -> Task1Label | Task2Label | None:
-        for match in _INT_RE.findall(reply):
-            if int(match) in valid:
-                return enum(int(match))
-        return None
-
-    return _ChatClient(config, session).complete(
-        template.format(text=text, task=int(task)), parse,
-        rejected=f"no valid task-{int(task)} label code in the reply")
 
 
 # ---------------------------------------------------------------------------

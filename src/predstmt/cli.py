@@ -42,6 +42,7 @@ from .corpus import (
     jsonable,
     load_dataset,
     parse_json,
+    reject_duplicate_keys,
     reject_unknown_keys,
     save_dataset,
     write_json,
@@ -117,8 +118,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from None
-        raw = parse_json(text, lambda reason: UsageError(
-            f"config file {path} is not valid JSON: {reason}"))
+        try:
+            raw = parse_json(text, lambda reason: UsageError(
+                f"config file {path} is not valid JSON: {reason}"),
+                object_pairs_hook=reject_duplicate_keys)
+        except DataError as exc:
+            raise UsageError(f"config file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError(f"config file {path} must contain a JSON object")
     flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
@@ -312,7 +317,7 @@ def _make_provider(cfg: RunConfig):
 
     if cfg.provider == "offline":
         return OfflineParaphraser()
-    if cfg.provider_config is None or not cfg.provider_config.endpoint:
+    if cfg.provider_config is None:
         raise ProviderError(
             "remote provider selected but no endpoint configured; "
             "set provider_config in the config file"
@@ -397,7 +402,11 @@ def _read_annotation_file(path: Path) -> dict[str, int]:
         if not line.strip():
             continue
         where = f"{path.name}:{lineno}"
-        rec = parse_json(line, lambda reason: DataError(f"{where}: invalid JSON ({reason})"))
+        try:
+            rec = parse_json(line, lambda reason: DataError(f"invalid JSON ({reason})"),
+                             object_pairs_hook=reject_duplicate_keys)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
         if not isinstance(rec, dict) or "id" not in rec or "label" not in rec:
             raise DataError(f"{where}: expected an object with 'id' and 'label'")
         reject_unknown_keys(rec, {"id", "label"}, where)

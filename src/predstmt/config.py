@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .corpus import DataError
 
@@ -99,8 +100,9 @@ class ProviderError(RuntimeError):
 class ProviderConfig:
     """Remote chat-completion endpoint settings.
 
-    The API key is read from the environment variable named by
-    api_key_env; it never appears in config files or outputs.
+    endpoint must be an http or https URL with a host. The API key is read
+    from the environment variable named by api_key_env; it never appears in
+    config files or outputs.
     """
 
     endpoint: str
@@ -112,6 +114,13 @@ class ProviderConfig:
     temperature: float = 0.9
 
     def __post_init__(self) -> None:
+        try:
+            url = urlsplit(self.endpoint)
+        except ValueError:  # an unbalanced IPv6 bracket, for one
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.netloc:
+            raise DataError(f"endpoint must be an http:// or https:// URL with a host, "
+                            f"got {self.endpoint!r}")
         check_os_string("api_key_env", self.api_key_env, path=False)
         if self.request_delay_ms < 0:
             raise DataError("request_delay_ms must be >= 0")

@@ -48,6 +48,17 @@ def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> obje
         raise invalid("integer too long") from None
 
 
+def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    """parse_json's object_pairs_hook for files where a repeated key must not
+    silently win: DataError naming the first key given twice."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise DataError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
     """DataError naming the keys of payload that are not in known, if any."""
     unknown = payload.keys() - known

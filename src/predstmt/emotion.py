@@ -17,7 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Coin, DataError, Dataset, Document, Task2Label, parse_json
+from .corpus import (Coin, DataError, Dataset, Document, Task2Label, parse_json,
+                     reject_duplicate_keys)
 from .preprocess import DEFAULT_CLEAN, CleanConfig, preprocess
 
 
@@ -68,15 +69,6 @@ class EmotionLexicon:
         return {first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()}
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DataError(f"duplicate key {key!r} in lexicon file")
-        seen.add(key)
-    return dict(pairs)
-
-
 def load_lexicon(path: str | Path) -> EmotionLexicon:
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
@@ -91,7 +83,7 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
         raise DataError(f"cannot read lexicon {path}: {exc}") from None
     raw = parse_json(text, lambda reason: DataError(f"lexicon {path} is not valid JSON: {reason}"),
-                     object_pairs_hook=_reject_duplicate_keys)
+                     object_pairs_hook=reject_duplicate_keys)
     if not isinstance(raw, dict) or set(raw) != {"entries", "grouping"}:
         raise DataError(f"lexicon {path} must contain exactly 'entries' and 'grouping'")
 

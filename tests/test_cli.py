@@ -416,6 +416,9 @@ class TestConfigPrecedence:
                      id="nested"),
         pytest.param(b'{"seed": 1' + b"0" * 5000 + b"}", "is not valid JSON: integer too long",
                      id="long-integer"),
+        pytest.param(b'{"k": 2, "seed": 1, "k": 3}', ": duplicate key 'k'\n", id="duplicate-key"),
+        pytest.param(b'{"train": {"epochs": 2, "epochs": 3}}', ": duplicate key 'epochs'\n",
+                     id="nested-duplicate-key"),
     ])
     def test_unreadable_config_file_is_usage_error(self, planted_path, tmp_path, capsys,
                                                    content, message):
@@ -491,6 +494,13 @@ class TestConfigPrecedence:
           for value in (float("inf"), float("nan"))),
         ("cv", {"train": {"l2": float("-inf")}},
          "usage error: train.l2 must be a number, got -inf\n"),
+        # a malformed endpoint is not a transient fault to retry at request time
+        *(("balance", {"provider": "remote", "provider_config": {
+            "endpoint": endpoint, "api_key_env": "K", "model": "m"}},
+           f"usage error: provider_config: endpoint must be an http:// or https:// URL with "
+           f"a host, got {endpoint!r}\n")
+          for endpoint in ("localhost:8080/v1", "ftp://host/v1", "http:///v1", "http://[::1/v1",
+                           "")),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -738,9 +748,10 @@ class TestUnparseableInputs:
         (b'{"id": "d2", "label": 1.0}', "a.jsonl:2: 'label' must be an integer"),
         (b'{"id": "d2", "label": "1"}', "a.jsonl:2: 'label' must be an integer"),
         (b'{"id": "d2", "label": true}', "a.jsonl:2: 'label' must be an integer"),
+        (b'{"id": "d2", "label": 1, "label": 0}', "a.jsonl:2: duplicate key 'label'"),
     ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8",
             "unknown-key", "after-blank-lines", "no-id", "not-an-object", "float-label",
-            "string-label", "bool-label"])
+            "string-label", "bool-label", "duplicate-key"])
     def test_bad_annotation_file_is_data_error(self, tmp_path, content, message):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_bytes(b'{"id": "d1", "label": 0}\n' + content + b"\n")

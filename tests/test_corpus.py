@@ -187,6 +187,25 @@ class TestDatasetInvariants:
         assert [d.id for d in ds.labeled(Task.PREDICTIVENESS)] == ["a", "c"]
 
 
+class TestRejectDuplicateKeys:
+    def test_distinct_keys_keep_their_order_and_values(self):
+        parsed = corpus.parse_json('{"b": 1, "a": [2, {"x": 0}], "c": {"d": 3}}', ValueError,
+                                   object_pairs_hook=corpus.reject_duplicate_keys)
+        assert parsed == {"b": 1, "a": [2, {"x": 0}], "c": {"d": 3}}
+        assert list(parsed) == ["b", "a", "c"]
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"k": 1, "k": 1}', "k"),
+        ('{"a": {"x": 1, "x": 2}}', "x"),
+        ('{"a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+        ('[{"z": 0}, {"z": 0, "z": 0}]', "z"),
+    ], ids=["equal-values", "nested", "first-repeat", "in-a-list"])
+    def test_repeated_key_is_named_past_parse_json(self, text, key):
+        with pytest.raises(DataError) as info:
+            corpus.parse_json(text, ValueError, object_pairs_hook=corpus.reject_duplicate_keys)
+        assert str(info.value) == f"duplicate key {key!r}"
+
+
 class TestJsonl:
     def test_load_valid_records(self, tmp_path):
         lines = [

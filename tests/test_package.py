@@ -26,7 +26,7 @@ EXPORTS = {
                    "classification_report", "cohen_kappa", "confusion", "cross_validate",
                    "cross_validate_models", "metrics", "summary_table"),
     "augment": ("AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError",
-                "RemoteParaphraser", "balance", "compute_plan", "llm_label"),
+                "RemoteParaphraser", "balance", "compute_plan"),
     "emotion": ("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
                 "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",
                 "render_markdown", "tag_document"),

@@ -18,15 +18,12 @@ from predstmt import (
     RemoteParaphraser,
     Source,
     Task,
-    Task2Label,
     balance,
     compute_plan,
     distribution,
-    llm_label,
     save_dataset,
 )
 from predstmt import augment
-from predstmt.augment import default_label_template
 from predstmt.cli import main
 
 KEY_ENV = "PREDSTMT_TEST_KEY"
@@ -51,6 +48,9 @@ class _Handler(BaseHTTPRequestHandler):
             status = 200
         elif action[0] == "malformed":
             data = json.dumps({"unexpected": True}).encode()
+            status = 200
+        elif action[0] == "raw":
+            data = action[1]
             status = 200
         else:
             status = action[1]
@@ -121,6 +121,20 @@ class TestRemoteParaphraser:
         assert messages[0]["role"] == "user"
         assert "btc to the moon" in messages[0]["content"]
 
+    def test_request_sends_exactly_the_prompt_model_temperature_and_key(self, server, api_key):
+        server.script = [("ok", "a rewrite")]
+        config = make_config(server, model="m-7", temperature=0.25)
+        RemoteParaphraser(config).paraphrase("eth breaks out {soon}")
+        assert [(req["path"], req["auth"], req["body"]) for req in server.requests] == [(
+            "/v1/chat/completions",
+            "Bearer test-key-123",
+            {"model": "m-7",
+             "messages": [{"role": "user",
+                           "content": augment._PARAPHRASE_PROMPT.format(
+                               text="eth breaks out {soon}")}],
+             "temperature": 0.25},
+        )]
+
     def test_echo_is_returned_for_balance_to_judge(self, server, api_key):
         server.script = [("ok", "Original  Text"), ("ok", "never sent")]
         provider = RemoteParaphraser(make_config(server))
@@ -171,6 +185,27 @@ class TestRemoteParaphraser:
         provider = RemoteParaphraser(make_config(server))
         assert provider.paraphrase("text here") == "good one"
 
+    @pytest.mark.parametrize("data", [
+        b"not json", b"{}", b'{"choices": []}', b'{"choices": "x"}',
+        b'{"choices": [{"message": null}]}',
+    ], ids=["not-json", "no-choices", "empty-choices", "string-choices", "null-message"])
+    def test_unshaped_body_then_success(self, server, api_key, data):
+        server.script = [("raw", data), ("ok", "good one")]
+        provider = RemoteParaphraser(make_config(server))
+        assert provider.paraphrase("text here") == "good one"
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_server_errors_and_unshaped_bodies_share_one_budget(self, server, api_key, r):
+        # r server errors, then a body with no chat content, repeated
+        server.script = ([("status", 500, "boom")] * r + [("malformed",)]) * (r + 1)
+        provider = RemoteParaphraser(make_config(server, max_retries=r))
+        with pytest.raises(ProviderError) as info:
+            provider.paraphrase("text here")
+        assert len(server.requests) == r + 1
+        assert str(info.value).endswith(
+            f"failed after {r + 1} attempts (response body is not chat-completion shaped)")
+
     @NON_STRING_CONTENT
     def test_non_string_content_then_success(self, server, api_key, content):
         server.script = [("ok", content), ("ok", "good one")]
@@ -194,6 +229,14 @@ class TestRemoteParaphraser:
         )
         with pytest.raises(ProviderError, match="request failed"):
             RemoteParaphraser(config).paraphrase("text")
+
+    @pytest.mark.parametrize("endpoint", [
+        "https://api.example.com/v1/chat/completions", "HTTP://127.0.0.1:8080/v1",
+        "http://[::1]:8080/v1",
+    ], ids=["https", "upper-case-scheme", "ipv6-host"])
+    def test_http_and_https_endpoints_are_accepted(self, endpoint):
+        config = ProviderConfig(endpoint=endpoint, api_key_env=KEY_ENV, model="stub")
+        assert config.endpoint == endpoint
 
     @pytest.mark.parametrize("status, header, delay_ms, slept", [
         (429, "2", 0, 2.0),  # honoured
@@ -305,78 +348,3 @@ class TestBalanceOverRemote:
         assert "not chat-completion shaped" in err
         assert len(server.requests) == 3
 
-
-class TestLlmLabel:
-    TEMPLATE = "label task {task}: {text}"
-
-    def test_plain_integer_reply(self, server, api_key):
-        server.script = [("ok", "1")]
-        label = llm_label(make_config(server), "btc pumping", Task.DIRECTION,
-                          template=self.TEMPLATE)
-        assert label is Task2Label.INCREMENTAL
-
-    def test_integer_embedded_in_prose(self, server, api_key):
-        server.script = [("ok", "maybe 2?")]
-        label = llm_label(make_config(server), "btc dumping", Task.DIRECTION,
-                          template=self.TEMPLATE)
-        assert label is Task2Label.DECREMENTAL
-
-    def test_out_of_range_then_valid(self, server, api_key):
-        server.script = [("ok", "7"), ("ok", "3")]
-        label = llm_label(make_config(server), "btc flat", Task.DIRECTION,
-                          template=self.TEMPLATE)
-        assert label is Task2Label.NEUTRAL
-        assert len(server.requests) == 2
-
-    def test_unparseable_replies_exhaust_retries(self, server, api_key):
-        server.script = [("ok", "hello")] * 10
-        with pytest.raises(ProviderError, match="no valid task-2 label"):
-            llm_label(make_config(server, max_retries=2), "text", Task.DIRECTION,
-                      template=self.TEMPLATE)
-        assert len(server.requests) == 3
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_missing_label_code_shares_the_request_budget(self, server, api_key, r):
-        # r server errors, then a reply with no label code, repeated
-        server.script = ([("status", 500, "boom")] * r + [("ok", "no idea")]) * (r + 1)
-        with pytest.raises(ProviderError) as info:
-            llm_label(make_config(server, max_retries=r), "text", Task.DIRECTION,
-                      template=self.TEMPLATE)
-        assert len(server.requests) == r + 1
-        assert str(info.value).endswith(
-            f"failed after {r + 1} attempts (no valid task-2 label code in the reply)")
-
-    def test_binary_task_range(self, server, api_key):
-        # 2 is not a valid predictiveness code, the retry answers 0
-        server.script = [("ok", "2"), ("ok", "0")]
-        label = llm_label(make_config(server), "text", Task.PREDICTIVENESS,
-                          template=self.TEMPLATE)
-        assert int(label) == 0
-
-    def test_template_receives_text_and_task(self, server, api_key):
-        server.script = [("ok", "1")]
-        llm_label(make_config(server), "the document body", Task.PREDICTIVENESS,
-                  template=self.TEMPLATE)
-        content = server.requests[0]["body"]["messages"][0]["content"]
-        assert content == "label task 1: the document body"
-
-    @NON_STRING_CONTENT
-    def test_non_string_content_then_valid(self, server, api_key, content):
-        server.script = [("ok", content), ("ok", "1")]
-        label = llm_label(make_config(server), "btc pumping", Task.DIRECTION,
-                          template=self.TEMPLATE)
-        assert label is Task2Label.INCREMENTAL
-        assert len(server.requests) == 2
-
-    @NON_STRING_CONTENT
-    def test_persistent_non_string_content_raises(self, server, api_key, content):
-        server.script = [("ok", content)] * 5
-        with pytest.raises(ProviderError, match="not chat-completion shaped"):
-            llm_label(make_config(server, max_retries=2), "text", Task.DIRECTION,
-                      template=self.TEMPLATE)
-        assert len(server.requests) == 3
-
-    def test_default_template_has_placeholders(self):
-        template = default_label_template()
-        assert "{text}" in template
-        assert "{task}" in template
