@@ -152,16 +152,21 @@ def _run_dir(cfg: RunConfig, command: str):
     place once the body returns; `latest` is rewritten after that, through
     os.replace. A body that raises leaves no new directory and `latest`
     unchanged. A rerun with an existing tag replaces that run directory.
-    An OSError while creating, staging or renaming it is a UsageError.
+    An OSError while creating, writing, staging or renaming it, or while
+    rewriting `latest`, is a UsageError that leaves the previous run and
+    `latest` as they were.
     """
     tag = cfg.tag or datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     command_dir = Path(cfg.out_dir) / command
     final = command_dir / tag
     created = []  # directories this run creates, deepest first
     staging = command_dir / f".partial-{os.getpid()}"
+    pointer = command_dir / f".latest-{os.getpid()}"
 
     def discard() -> None:
         shutil.rmtree(staging, ignore_errors=True)
+        with suppress(OSError):
+            pointer.unlink(missing_ok=True)
         for directory in created:
             with suppress(OSError):
                 directory.rmdir()
@@ -182,27 +187,29 @@ def _run_dir(cfg: RunConfig, command: str):
         raise unusable(exc) from None
     try:
         yield staging
+    except OSError as exc:
+        raise unusable(exc) from None
     except BaseException:
         discard()
         raise
     old = command_dir / f".replaced-{os.getpid()}"
     replaced = final.exists()
+    renamed = []  # (src, dst) of each rename done, undone in reverse on failure
     try:
+        pointer.write_text(tag + "\n", encoding="utf-8")
         if replaced:
             os.rename(final, old)
-        try:
-            os.rename(staging, final)
-        except OSError:
-            if replaced:
-                os.rename(old, final)
-            raise
+            renamed.append((final, old))
+        os.rename(staging, final)
+        renamed.append((staging, final))
+        os.replace(pointer, command_dir / "latest")
     except OSError as exc:
+        for src, dst in reversed(renamed):
+            with suppress(OSError):
+                os.rename(dst, src)
         raise unusable(exc) from None
     if replaced:
         shutil.rmtree(old)
-    pointer = command_dir / f".latest-{os.getpid()}"
-    pointer.write_text(tag + "\n", encoding="utf-8")
-    os.replace(pointer, command_dir / "latest")
 
 
 def _load_required_dataset(cfg: RunConfig):

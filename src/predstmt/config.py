@@ -100,9 +100,10 @@ class ProviderError(RuntimeError):
 class ProviderConfig:
     """Remote chat-completion endpoint settings.
 
-    endpoint must be an http or https URL with a host. The API key is read
-    from the environment variable named by api_key_env; it never appears in
-    config files or outputs.
+    endpoint must be an http or https URL with a host, and a port in
+    0-65535 if it names one. The API key is read from the environment
+    variable named by api_key_env; it never appears in config files or
+    outputs.
     """
 
     endpoint: str
@@ -116,7 +117,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         try:
             url = urlsplit(self.endpoint)
-        except ValueError:  # an unbalanced IPv6 bracket, for one
+            url.port  # raises on a port that is not an integer in 0-65535
+        except ValueError:  # that, or an unbalanced IPv6 bracket
             url = None
         if url is None or url.scheme not in ("http", "https") or not url.netloc:
             raise DataError(f"endpoint must be an http:// or https:// URL with a host, "

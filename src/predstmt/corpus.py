@@ -6,6 +6,12 @@ direction label (task 2). Documents are either scraped originals or synthetic
 paraphrases pointing back at an original parent. Annotations record each
 annotator's judgement, and cohen_kappa measures how far two raters agree.
 Like every module the offline commands use, this one needs no numpy.
+
+load_dataset checks every record, JSONL or CSV, in one order and raises the
+first fault it finds: a JSON object; known keys; 'id'; the type of 'text';
+coin; source; 'parent_id'; the annotations list; each annotation; empty or
+whitespace-only text; labels; provenance (a synthetic document names a
+parent, an original none).
 """
 
 from __future__ import annotations
@@ -517,98 +523,65 @@ def _annotation_from_record(rec: object) -> Annotation:
     return _prechecked(Annotation, {"annotator": annotator, "task": task, "label": label})
 
 
-def _label_cells() -> dict[tuple, tuple]:
-    """Every valid (coin, source, task1, task2) of a record, keyed as _doc_from_record looks it up.
-
-    A key holds the four JSON values and the types of the two labels, since
-    true == 1 == 1.0 hash alike and only the int is a valid label. Its value
-    is the coin, source and label members the record's Document holds.
-    """
-    labels = [(None, None)] + [(t1, None) for t1 in Task1Label] + [
-        (_PREDICTIVE, t2) for t2 in Task2Label]
-    cells = {}
-    for coin in (None, *Coin):
-        for source_raw, source in ((None, _ORIGINAL), *((s.value, s) for s in Source)):
-            for task1, task2 in labels:
-                t1 = None if task1 is None else int(task1)
-                t2 = None if task2 is None else int(task2)
-                key = (None if coin is None else coin.value, source_raw, t1, t2, type(t1), type(t2))
-                cells[key] = (coin, source, task1, task2)
-    return cells
-
-
-_LABEL_CELLS = _label_cells()
+#: The label members of every valid (task1, task2), keyed with the two types,
+#: since true == 1 == 1.0 hash alike and only an int is a label code.
+_LABEL_PAIRS = {(t1, t2, type(t1), type(t2)): (_LABELS[1].get(t1), _LABELS[2].get(t2))
+                for t1, t2 in ((None, None), (0, None), (1, None), (1, 1), (1, 2), (1, 3))}
 
 
 def _doc_from_record(rec: object) -> Document:
-    """Validate one parsed record; the caller prefixes errors with their location.
+    """The Document of one parsed record; the caller prefixes errors with their location.
 
-    A record whose coin, source and labels form a cell of _LABEL_CELLS, and
-    whose id, text, parent_id and annotation list pass their checks, becomes
-    its Document at once. Any other record goes through _checked_record,
-    which raises the error the record earns.
+    Runs the checks in the order the module docstring gives. A (task1,
+    task2) in _LABEL_PAIRS skips the label checks; any other pair, and any
+    provenance fault, goes to _checked_labels, which raises its message.
     """
-    if type(rec) is dict and _COLUMN_SET.issuperset(rec):
-        get = rec.get
-        task1, task2 = get("task1"), get("task2")
-        try:
-            cell = _LABEL_CELLS.get(
-                (get("coin"), get("source"), task1, task2, type(task1), type(task2)))
-        except TypeError:  # an unhashable value, such as "coin": []
-            cell = None
-        if cell is not None:
-            doc_id, text, parent_id = get("id"), get("text"), get("parent_id")
-            coin, source, task1, task2 = cell
-            annotations = get("annotations")
-            if (type(doc_id) is str and doc_id and type(text) is str and text
-                    and not text.isspace()
-                    and (annotations is None or type(annotations) is list)
-                    and (parent_id is None if source is _ORIGINAL
-                         else type(parent_id) is str and parent_id)):
-                return _prechecked(Document, {
-                    "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
-                    "source": source, "parent_id": parent_id,
-                    "annotations": tuple(map(_annotation_from_record, annotations))
-                    if annotations else (),
-                })
-    return _checked_record(rec)
-
-
-def _checked_record(rec: object) -> Document:
-    """The Document of a record the label-cell table did not take, or its error.
-
-    Checks what JSON can hold and Document cannot: the record's type and
-    keys, the JSON types of its fields, and the coin and source strings.
-    Document(...) makes every other check, with its own message.
-    """
-    if not isinstance(rec, dict):
+    if type(rec) is not dict:
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
     if not _COLUMN_SET.issuperset(rec):
         raise DataError(f"unknown fields {sorted(rec.keys() - _COLUMN_SET)}")
     get = rec.get
-    doc_id = get("id")
-    if not isinstance(doc_id, str) or not doc_id:
+    doc_id, text, coin, source = get("id"), get("text"), get("coin"), get("source")
+    if type(doc_id) is not str or not doc_id:
         raise DataError("'id' must be a non-empty string")
-    text = get("text")
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise DataError("'text' must be a string")
-    coin = get("coin")
-    if coin is not None and (not isinstance(coin, str) or coin not in _COINS):
-        raise DataError(f"unknown coin {coin!r}")
-    source = get("source")
-    if source is not None and (not isinstance(source, str) or source not in _SOURCES):
-        raise DataError(f"unknown source {source!r}")
-    parent_id = get("parent_id")
-    if parent_id is not None and not isinstance(parent_id, str):
+    if coin is not None:
+        member = _COINS.get(coin) if type(coin) is str else None
+        if member is None:
+            raise DataError(f"unknown coin {coin!r}")
+        coin = member
+    if source is None:
+        source = _ORIGINAL
+    else:
+        member = _SOURCES.get(source) if type(source) is str else None
+        if member is None:
+            raise DataError(f"unknown source {source!r}")
+        source = member
+    parent_id, annotations = get("parent_id"), get("annotations")
+    if parent_id is not None and type(parent_id) is not str:
         raise DataError("'parent_id' must be a string or null")
-    annotations = get("annotations")
-    if annotations is not None and not isinstance(annotations, list):
+    if type(annotations) is list:
+        annotations = tuple(map(_annotation_from_record, annotations)) if annotations else ()
+    elif annotations is None:
+        annotations = ()
+    else:
         raise DataError("'annotations' must be a list")
-    return Document(id=doc_id, text=text, coin=None if coin is None else _COINS[coin],
-                    task1=get("task1"), task2=get("task2"),
-                    source=_ORIGINAL if source is None else _SOURCES[source],
-                    parent_id=parent_id,
-                    annotations=tuple(map(_annotation_from_record, annotations or ())))
+    if not text:
+        raise DataError(f"document {doc_id!r}: text must be a non-empty string")
+    if text.isspace():
+        raise DataError(f"document {doc_id!r}: text must hold a non-whitespace character")
+    task1, task2 = get("task1"), get("task2")
+    try:
+        labels = _LABEL_PAIRS.get((task1, task2, type(task1), type(task2)))
+    except TypeError:  # an unhashable label, such as [1]
+        labels = None
+    if labels is None or (parent_id is not None if source is _ORIGINAL else not parent_id):
+        labels = _checked_labels(doc_id, task1, task2, source, parent_id)
+    return _prechecked(Document, {
+        "id": doc_id, "text": text, "coin": coin, "task1": labels[0], "task2": labels[1],
+        "source": source, "parent_id": parent_id, "annotations": annotations,
+    })
 
 
 def _invalid_json(reason: str) -> DataError:

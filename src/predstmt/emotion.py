@@ -82,8 +82,12 @@ def load_lexicon(path: str | Path) -> EmotionLexicon:
         text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
         raise DataError(f"cannot read lexicon {path}: {exc}") from None
-    raw = parse_json(text, lambda reason: DataError(f"lexicon {path} is not valid JSON: {reason}"),
-                     object_pairs_hook=reject_duplicate_keys)
+    try:
+        raw = parse_json(text, ValueError, object_pairs_hook=reject_duplicate_keys)
+    except DataError as exc:  # a repeated key
+        raise DataError(f"lexicon {path}: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"lexicon {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or set(raw) != {"entries", "grouping"}:
         raise DataError(f"lexicon {path} must contain exactly 'entries' and 'grouping'")
 

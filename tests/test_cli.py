@@ -500,7 +500,8 @@ class TestConfigPrecedence:
            f"usage error: provider_config: endpoint must be an http:// or https:// URL with "
            f"a host, got {endpoint!r}\n")
           for endpoint in ("localhost:8080/v1", "ftp://host/v1", "http:///v1", "http://[::1/v1",
-                           "")),
+                           "", "http://127.0.0.1:notaport/v1", "http://host:70000/v1",
+                           "http://host:-1/v1")),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):
@@ -673,6 +674,29 @@ class TestRunDirectory:
         assert sorted(p.name for p in (out / "stats").iterdir()) == ["latest", "r"]
         assert (out / "stats" / "latest").read_text() == "r\n"
         assert {p.name: p.read_bytes() for p in (out / "stats" / "r").iterdir()} == before
+
+    @pytest.mark.parametrize("tag", ["bad", "good"], ids=["new-tag", "rerun"])
+    @pytest.mark.parametrize("target", ["predstmt.cli.save_dataset", "os.replace"],
+                             ids=["writer", "latest"])
+    def test_os_error_is_one_line_usage_error_that_keeps_the_previous_run(
+            self, planted_path, tmp_path, capsys, monkeypatch, target, tag):
+        out = tmp_path / "o"
+        assert run("balance", "--dataset", str(planted_path), "--out", str(out),
+                   "--tag", "good") == 0
+        before = {p.name: p.read_bytes() for p in (out / "balance" / "good").iterdir()}
+
+        def failing(*args):
+            raise OSError(27, "File too large")
+
+        monkeypatch.setattr(target, failing)
+        code = run("balance", "--dataset", str(planted_path), "--out", str(out), "--tag", tag)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"usage error: cannot write run directory "
+                       f"{str(out / 'balance' / tag)!r}: File too large\n")
+        assert sorted(p.name for p in (out / "balance").iterdir()) == ["good", "latest"]
+        assert (out / "balance" / "latest").read_text() == "good\n"
+        assert {p.name: p.read_bytes() for p in (out / "balance" / "good").iterdir()} == before
 
     def test_rerun_replaces_the_run_directory(self, planted_path, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Dataset schema, serialization, distribution, and fold tests."""
 
+import csv
 import importlib.util
 import json
 import random
@@ -30,7 +31,7 @@ from predstmt import corpus
 from predstmt.corpus import (
     _COINS,
     _COLUMN_SET,
-    _LABEL_CELLS,
+    _COLUMNS,
     _ORIGINAL,
     _SOURCES,
     _annotation_from_record,
@@ -527,33 +528,81 @@ def test_loader_agrees_with_field_by_field_checks(rec):
     _assert_same_outcome(rec, _field_checks_doc_from_record)
 
 
-def test_label_cells_are_exactly_the_valid_combinations():
-    """A (coin, source, task1, task2) is a cell of the table iff a record holding it loads."""
-    values = {
-        "coin": [None, *(coin.value for coin in Coin), "DOGE", True, 1, 0.0],
-        "source": _VALID_SOURCES + ["scraped", 0, False],
-        "task1": [None, 0, 1, 2, True, False, 1.0, 0.0, "1"],
-        "task2": [None, 0, 1, 2, 3, 4, True, 1.0, 2.0, 3.0],
-    }
+def test_label_pairs_are_exactly_the_valid_combinations():
+    """A (task1, task2) is a key of the label shortcut iff a record holding it loads."""
     loadable = 0
-    for coin in values["coin"]:
-        for source in values["source"]:
-            for task1 in values["task1"]:
-                for task2 in values["task2"]:
-                    rec = {"id": "a", "text": "t", "coin": coin, "source": source,
-                           "task1": task1, "task2": task2,
-                           "parent_id": "p" if source == "synthetic" else None}
-                    key = (coin, source, task1, task2, type(task1), type(task2))
-                    try:
-                        expected = _field_checks_doc_from_record(rec)
-                    except DataError:
-                        assert key not in _LABEL_CELLS, rec
-                        continue
-                    loadable += 1
-                    assert _LABEL_CELLS[key] == (expected.coin, expected.source,
-                                                 expected.task1, expected.task2)
-                    _assert_same_outcome(rec, _field_checks_doc_from_record)
-    assert loadable == len(_LABEL_CELLS) == 7 * 3 * 6
+    for task1 in [None, 0, 1, 2, True, False, 1.0, 0.0, "1"]:
+        for task2 in [None, 0, 1, 2, 3, 4, True, 1.0, 2.0, 3.0]:
+            for source in _VALID_SOURCES:
+                for parent_id in [None, "", "p"]:
+                    _assert_same_outcome({"id": "a", "text": "t", "task1": task1, "task2": task2,
+                                          "source": source, "parent_id": parent_id},
+                                         _field_checks_doc_from_record)
+            key = (task1, task2, type(task1), type(task2))
+            try:
+                expected = _field_checks_doc_from_record(
+                    {"id": "a", "text": "t", "task1": task1, "task2": task2})
+            except DataError:
+                assert key not in corpus._LABEL_PAIRS, key
+                continue
+            loadable += 1
+            assert corpus._LABEL_PAIRS[key] == (expected.task1, expected.task2)
+    assert loadable == len(corpus._LABEL_PAIRS) == 6
+
+
+# Values a CSV cell carries: none (an empty cell), non-empty strings, integer
+# labels and JSON annotations; text may also be empty. The breaks spoil one
+# field of an otherwise valid record.
+_CSV_STRINGS = st.text(st.sampled_from('aé7 ,"\n\r🚀'), min_size=1, max_size=4)
+_CSV_BREAKS = {
+    "id": [None], "text": ["", " \r\n"], "coin": ["DOGE", "ada"], "task1": [2, -1],
+    "task2": [0, 4], "source": ["scraped"], "parent_id": [None, "p"],
+    "annotations": _BREAKS["annotations"],
+}
+
+
+@st.composite
+def _csv_records(draw):
+    task1, task2 = draw(st.sampled_from(_LABEL_PAIRS))
+    source = draw(st.sampled_from(_VALID_SOURCES))
+    rec = {
+        "id": draw(_CSV_STRINGS),
+        "text": draw(_CSV_STRINGS.filter(lambda text: not text.isspace())),
+        "coin": draw(st.sampled_from([None, *(coin.value for coin in Coin)])),
+        "task1": task1,
+        "task2": task2,
+        "source": source,
+        "parent_id": draw(_CSV_STRINGS) if source == "synthetic" else None,
+        "annotations": draw(st.sampled_from([None, [], [{"annotator": "x", "task": 2,
+                                                           "label": 3}]])),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(_CSV_BREAKS)), max_size=2)):
+        rec[key] = draw(st.sampled_from(_CSV_BREAKS[key]))
+    return rec
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_csv_records())
+def test_csv_row_loads_as_its_jsonl_line(tmp_path_factory, rec):
+    """A one-row CSV file gives its JSONL line's Document, members and all, or its message."""
+    directory = tmp_path_factory.mktemp("csv")
+    with (directory / "rec.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_COLUMNS)
+        writer.writerow(["" if rec[key] is None else json.dumps(rec[key])
+                         if key == "annotations" else rec[key] for key in _COLUMNS])
+    (directory / "rec.jsonl").write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    try:
+        expected = corpus._read_jsonl(directory / "rec.jsonl")
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            corpus._read_csv(directory / "rec.csv")
+        assert str(info.value) == str(exc).replace("rec.jsonl:1: ", "rec.csv:2: ", 1)
+        return
+    [loaded] = corpus._read_csv(directory / "rec.csv")
+    assert loaded == expected[0]
+    for field in ("task1", "task2", "coin", "source"):
+        assert getattr(loaded, field) is getattr(expected[0], field)
 
 
 class TestRoundTrip:
@@ -677,8 +726,9 @@ class TestRoundTrip:
             load_dataset(path)
 
 
-def test_valid_traffic_never_reaches_the_field_by_field_checks(tmp_path, monkeypatch):
-    """The label-cell table alone loads the benchmark's corpora and annotated records."""
+def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
+    """The label shortcut alone labels the benchmark's corpora and annotated records,
+    and the loader never runs Document's own checks."""
     spec = importlib.util.spec_from_file_location(
         "gen_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "gen_corpus.py")
     gen_corpus = importlib.util.module_from_spec(spec)
@@ -687,19 +737,24 @@ def test_valid_traffic_never_reaches_the_field_by_field_checks(tmp_path, monkeyp
     documents = gen_corpus.write_corpus(generated, seed=3, scale=0.5)["documents"]
     annotated = TestRoundTrip().build()
 
-    def diagnostic_path(rec):
-        raise AssertionError(f"record took the field-by-field checks: {rec!r}")
+    def diagnostic_path(*args):
+        raise AssertionError(f"the loader ran a check the label shortcut skips: {args!r}")
 
-    monkeypatch.setattr(corpus, "_checked_record", diagnostic_path)
-    dataset = load_dataset(generated)
+    def load(path):
+        with monkeypatch.context() as patched:
+            patched.setattr(corpus, "_checked_labels", diagnostic_path)
+            patched.setattr(Document, "__post_init__", diagnostic_path)
+            return load_dataset(path)
+
+    dataset = load(generated)
     assert len(dataset) == documents
     balanced = balance(dataset, Task.DIRECTION, OfflineParaphraser(), seed=3)
     assert any(doc.source is Source.SYNTHETIC for doc in balanced)
     save_dataset(balanced, tmp_path / "balanced.jsonl")
-    assert load_dataset(tmp_path / "balanced.jsonl").documents == balanced.documents
+    assert load(tmp_path / "balanced.jsonl").documents == balanced.documents
     for suffix in ("jsonl", "csv"):
         save_dataset(annotated, tmp_path / f"annotated.{suffix}")
-        assert load_dataset(tmp_path / f"annotated.{suffix}").documents == annotated.documents
+        assert load(tmp_path / f"annotated.{suffix}").documents == annotated.documents
 
 
 # Characters the JSON string encoder treats specially: quotes, backslashes,

@@ -72,8 +72,9 @@ class TestLoadLexicon:
         payload = '{"entries": {"happy": [["joy", 0.7]], "happy": [["joy", 0.9]]}, ' \
             '"grouping": {"joy": "delight_joy"}}'
         path = write_lexicon(tmp_path, payload)
-        with pytest.raises(DataError, match="duplicate key 'happy'"):
+        with pytest.raises(DataError) as info:
             load_lexicon(path)
+        assert str(info.value) == f"lexicon {path}: duplicate key 'happy'"
 
     def test_casefold_duplicate_terms_rejected(self, tmp_path):
         path = write_lexicon(tmp_path, {

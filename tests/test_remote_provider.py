@@ -232,8 +232,8 @@ class TestRemoteParaphraser:
 
     @pytest.mark.parametrize("endpoint", [
         "https://api.example.com/v1/chat/completions", "HTTP://127.0.0.1:8080/v1",
-        "http://[::1]:8080/v1",
-    ], ids=["https", "upper-case-scheme", "ipv6-host"])
+        "http://[::1]:8080/v1", "https://[::1]:8080/v1",
+    ], ids=["https", "upper-case-scheme", "ipv6-host", "https-ipv6-host"])
     def test_http_and_https_endpoints_are_accepted(self, endpoint):
         config = ProviderConfig(endpoint=endpoint, api_key_env=KEY_ENV, model="stub")
         assert config.endpoint == endpoint
