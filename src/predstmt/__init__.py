@@ -21,7 +21,6 @@ so `import predstmt` loads none of them and never loads numpy.
 from importlib import import_module
 
 from .corpus import (
-    Annotation,
     Coin,
     DataError,
     Dataset,
@@ -57,9 +56,9 @@ _LAZY = {
 }
 
 __all__ = [
-    "Annotation", "Coin", "DataError", "Dataset", "Document", "FoldAssignment",
-    "LabelDistribution", "Source", "Task", "Task1Label", "Task2Label", "cohen_kappa",
-    "distribution", "load_dataset", "save_dataset", "stratified_folds",
+    "Coin", "DataError", "Dataset", "Document", "FoldAssignment", "LabelDistribution",
+    "Source", "Task", "Task1Label", "Task2Label", "cohen_kappa", "distribution",
+    "load_dataset", "save_dataset", "stratified_folds",
     "CleanConfig", "preprocess", "strip_urls",
     "ProviderConfig", "ProviderError", "TfidfConfig", "TrainConfig",
     *_LAZY,

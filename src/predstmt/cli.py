@@ -396,7 +396,8 @@ def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_annotation_file(path: Path) -> dict[str, int]:
+def _read_annotation_file(path: Path, task: Task) -> dict[str, int]:
+    """The label of each id in a JSONL file of {id, label} records; labels are task's codes."""
     if not path.exists():
         raise DataError(f"annotation file not found: {path}")
     labels: dict[str, int] = {}
@@ -422,9 +423,12 @@ def _read_annotation_file(path: Path) -> dict[str, int]:
             raise DataError(f"{where}: 'id' must be a non-empty string")
         if doc_id in labels:
             raise DataError(f"{where}: duplicate id {doc_id!r}")
-        if not isinstance(rec["label"], int) or isinstance(rec["label"], bool):
+        label = rec["label"]
+        if not isinstance(label, int) or isinstance(label, bool):
             raise DataError(f"{where}: 'label' must be an integer")
-        labels[doc_id] = rec["label"]
+        if label not in LABEL_NAMES[task]:
+            raise DataError(f"{where}: unknown label code {label} for task {int(task)}")
+        labels[doc_id] = label
     if not labels:
         raise DataError(f"{path.name}: no annotations found")
     return labels
@@ -432,8 +436,9 @@ def _read_annotation_file(path: Path) -> dict[str, int]:
 
 def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
     path_a, path_b = Path(args.annotations[0]), Path(args.annotations[1])
-    a = _read_annotation_file(path_a)
-    b = _read_annotation_file(path_b)
+    task = Task(cfg.task)
+    a = _read_annotation_file(path_a, task)
+    b = _read_annotation_file(path_b, task)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))[:5]
         only_b = sorted(set(b) - set(a))[:5]
@@ -493,7 +498,8 @@ def build_parser() -> _ArgumentParser:
         sub.add_argument("--threshold", type=float, help="emotion weight threshold")
         if name == "kappa":
             sub.add_argument("annotations", nargs=2, metavar="FILE",
-                             help="two JSONL files of {id, label} records")
+                             help="two JSONL files of {id, label} records, "
+                                  "labels being codes of --task")
     return parser
 
 

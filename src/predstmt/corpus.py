@@ -1,17 +1,17 @@
 """Tweet corpus schema, loading, label statistics, stratified folds and agreement.
 
-A corpus is a flat collection of annotated tweet documents. Each document may
+A corpus is a flat collection of labelled tweet documents. Each document may
 carry a binary predictiveness label (task 1) and, when predictive, a movement
 direction label (task 2). Documents are either scraped originals or synthetic
-paraphrases pointing back at an original parent. Annotations record each
-annotator's judgement, and cohen_kappa measures how far two raters agree.
-Like every module the offline commands use, this one needs no numpy.
+paraphrases pointing back at an original parent. cohen_kappa measures how far
+two raters agree; their labels live in the kappa command's own files, not in
+the corpus. Like every module the offline commands use, this one needs no numpy.
 
 load_dataset checks every record, JSONL or CSV, in one order and raises the
-first fault it finds: a JSON object; known keys; 'id'; the type of 'text';
-coin; source; 'parent_id'; the annotations list; each annotation; empty or
-whitespace-only text; labels; provenance (a synthetic document names a
-parent, an original none).
+first fault it finds: a JSON object without a repeated key; known keys;
+'id'; the type of 'text'; coin; source; 'parent_id'; the reserved
+'annotations' key (absent, null or empty); empty or whitespace-only text;
+labels; provenance (a synthetic document names a parent, an original none).
 """
 
 from __future__ import annotations
@@ -57,12 +57,14 @@ def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> obje
 def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     """parse_json's object_pairs_hook for files where a repeated key must not
     silently win: DataError naming the first key given twice."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DataError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    result = dict(pairs)
+    if len(result) < len(pairs):  # only then look for the key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DataError(f"duplicate key {key!r}")
+            seen.add(key)
+    return result
 
 
 def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
@@ -225,7 +227,6 @@ def label_enum(task: Task) -> type[IntEnum]:
 # Members by value for the loaders: a dict lookup costs a fraction of an Enum
 # call. Only values of the members' own type are looked up, so an unhashable
 # value never reaches a dict.
-_TASKS = {int(task): task for task in Task}
 _LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
 _COINS = {coin.value: coin for coin in Coin}
 _SOURCES = {source.value: source for source in Source}
@@ -240,23 +241,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _checked_annotation(annotator: object, task: object, label: object) -> tuple[Task, IntEnum]:
-    """The Task and label members of an annotation's fields; DataError if one is invalid."""
-    if not isinstance(annotator, str) or not annotator:
-        raise DataError("annotation requires a non-empty annotator id")
-    if not _is_int(task):
-        raise DataError(f"annotation task must be an integer, got {task!r}")
-    member = _TASKS.get(task)
-    if member is None:
-        raise DataError(f"unknown task {task!r} in annotation")
-    if not _is_int(label):
-        raise DataError(f"annotation label must be an integer, got {label!r}")
-    label_member = _LABELS[member].get(label)
-    if label_member is None:
-        raise DataError(f"unknown label code {label!r} for task {int(member)}")
-    return member, label_member
-
-
 def _prechecked(cls: type[_C], fields: dict) -> _C:
     """An instance of the frozen dataclass cls whose __dict__ is fields itself.
 
@@ -267,19 +251,6 @@ def _prechecked(cls: type[_C], fields: dict) -> _C:
     instance = object.__new__(cls)
     object.__setattr__(instance, "__dict__", fields)
     return instance
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """One annotator's judgement on one task for one document."""
-
-    annotator: str
-    task: Task
-    label: int
-
-    def __post_init__(self) -> None:
-        task, label = _checked_annotation(self.annotator, self.task, self.label)
-        self.__dict__.update(task=task, label=label)  # frozen: bypass __setattr__
 
 
 def cohen_kappa(a: Sequence[int], b: Sequence[int]) -> float:
@@ -348,7 +319,6 @@ class Document:
     task2: Task2Label | None = None
     source: Source = Source.ORIGINAL
     parent_id: str | None = None
-    annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self) -> None:
         doc_id, coin, source, parent_id = self.id, self.coin, self.source, self.parent_id
@@ -364,16 +334,8 @@ class Document:
             raise DataError(f"document {doc_id!r}: unknown source {source!r}")
         if parent_id is not None and not isinstance(parent_id, str):
             raise DataError(f"document {doc_id!r}: 'parent_id' must be a string or null")
-        if not isinstance(self.annotations, (tuple, list)):
-            raise DataError(f"document {doc_id!r}: 'annotations' must be a tuple or list")
-        annotations = tuple(self.annotations)
-        for ann in annotations:
-            if type(ann) is not Annotation:
-                raise DataError(f"document {doc_id!r}: each annotation must be an Annotation, "
-                                f"got {type(ann).__name__}")
         task1, task2 = _checked_labels(doc_id, self.task1, self.task2, source, parent_id)
-        # frozen: bypass __setattr__
-        self.__dict__.update(task1=task1, task2=task2, annotations=annotations)
+        self.__dict__.update(task1=task1, task2=task2)  # frozen: bypass __setattr__
 
     def label(self, task: Task) -> int | None:
         """Gold label code for the given task, or None when unlabeled."""
@@ -472,25 +434,17 @@ def _doc_to_record(doc: Document) -> dict:
         "task2": None if doc.task2 is None else int(doc.task2),
         "source": doc.source.value,
         "parent_id": doc.parent_id,
-        "annotations": [
-            {"annotator": a.annotator, "task": int(a.task), "label": int(a.label)}
-            for a in doc.annotations
-        ],
+        "annotations": [],
     }
 
 
 # The JSONL line of a document: the fields of _COLUMNS in order, with the
 # separators of json.JSONEncoder(ensure_ascii=False).
 _JSONL_LINE = ('{"id": %s, "text": %s, "coin": %s, "task1": %s, "task2": %s, '
-               '"source": %s, "parent_id": %s, "annotations": [%s]}\n')
+               '"source": %s, "parent_id": %s, "annotations": []}\n')
 # The string encoder JSONEncoder(ensure_ascii=False) itself calls, so every
 # string is escaped exactly as it would escape it.
 _json_str = json.encoder.encode_basestring
-
-
-def _annotation_json(ann: Annotation) -> str:
-    return '{"annotator": %s, "task": %d, "label": %d}' % (_json_str(ann.annotator),
-                                                            ann.task, ann.label)
 
 
 def _jsonl_line(doc: Document) -> str:
@@ -501,8 +455,7 @@ def _jsonl_line(doc: Document) -> str:
     in the same order. Labels print as their int codes ("%d"), and members
     are read through _value_, which skips the per-call cost of Enum.value.
     """
-    coin, task1, task2 = doc.coin, doc.task1, doc.task2
-    parent_id, annotations = doc.parent_id, doc.annotations
+    coin, task1, task2, parent_id = doc.coin, doc.task1, doc.task2, doc.parent_id
     return _JSONL_LINE % (
         _json_str(doc.id),
         _json_str(doc.text),
@@ -511,16 +464,7 @@ def _jsonl_line(doc: Document) -> str:
         "null" if task2 is None else "%d" % task2,
         _json_str(doc.source._value_),
         "null" if parent_id is None else _json_str(parent_id),
-        ", ".join(map(_annotation_json, annotations)),
     )
-
-
-def _annotation_from_record(rec: object) -> Annotation:
-    if not isinstance(rec, dict):
-        raise DataError("each annotation must be an object")
-    annotator = rec.get("annotator", "")
-    task, label = _checked_annotation(annotator, rec.get("task"), rec.get("label"))
-    return _prechecked(Annotation, {"annotator": annotator, "task": task, "label": label})
 
 
 #: The label members of every valid (task1, task2), keyed with the two types,
@@ -561,12 +505,9 @@ def _doc_from_record(rec: object) -> Document:
     parent_id, annotations = get("parent_id"), get("annotations")
     if parent_id is not None and type(parent_id) is not str:
         raise DataError("'parent_id' must be a string or null")
-    if type(annotations) is list:
-        annotations = tuple(map(_annotation_from_record, annotations)) if annotations else ()
-    elif annotations is None:
-        annotations = ()
-    else:
-        raise DataError("'annotations' must be a list")
+    if annotations is not None and (type(annotations) is not list or annotations):
+        raise DataError("'annotations' must be absent, null or []: "
+                        "agreement labels go in kappa files")
     if not text:
         raise DataError(f"document {doc_id!r}: text must be a non-empty string")
     if text.isspace():
@@ -580,7 +521,7 @@ def _doc_from_record(rec: object) -> Document:
         labels = _checked_labels(doc_id, task1, task2, source, parent_id)
     return _prechecked(Document, {
         "id": doc_id, "text": text, "coin": coin, "task1": labels[0], "task2": labels[1],
-        "source": source, "parent_id": parent_id, "annotations": annotations,
+        "source": source, "parent_id": parent_id,
     })
 
 
@@ -615,11 +556,12 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 #: The C scanner under json.loads, called without loads' per-call wrappers.
-_SCAN_JSON = json.JSONDecoder().scan_once
+_SCAN_JSON = json.JSONDecoder(object_pairs_hook=reject_duplicate_keys).scan_once
 
 
 def _parse_line(line: str) -> object:
-    """The value parse_json(line, _invalid_json) gives, or the error it raises.
+    """The value parse_json(line, _invalid_json, object_pairs_hook=reject_duplicate_keys)
+    gives, or the error it raises.
 
     The scanner alone takes a line that is one JSON value from its first
     character to its end or its newline. Any other line (leading whitespace,
@@ -628,11 +570,11 @@ def _parse_line(line: str) -> object:
     """
     try:
         value, end = _SCAN_JSON(line, 0)
-    except (StopIteration, ValueError, RecursionError):  # no value at 0, or a malformed one
-        return parse_json(line, _invalid_json)
-    if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
-        return value
-    return parse_json(line, _invalid_json)
+        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass  # no value at 0, or a malformed one, a repeated key (a DataError) included
+    return parse_json(line, _invalid_json, object_pairs_hook=reject_duplicate_keys)
 
 
 def _read_jsonl(path: Path) -> list[Document]:
@@ -679,16 +621,18 @@ def _csv_row_to_record(row: list[str]) -> dict:
             rec[key] = None
             continue
         if key in ("task1", "task2"):
-            try:
+            try:  # int() alone would also take a sign, underscores, spaces, non-ASCII digits
+                if not (cell.isascii() and cell.isdigit()):
+                    raise ValueError
                 rec[key] = int(cell)
-            except ValueError:
+            except ValueError:  # or more digits than int() converts
                 raise DataError(f"'{key}' must be an integer, got {cell!r}") from None
-        elif key == "annotations":
-            rec[key] = parse_json(cell, lambda _: DataError("'annotations' cell is not valid JSON"))
         else:
             rec[key] = cell
     if rec["text"] is None:
         rec["text"] = ""
+    if rec["annotations"] == "[]":
+        rec["annotations"] = None
     return rec
 
 
@@ -708,7 +652,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_COLUMNS)
         for rec in map(_doc_to_record, dataset):
-            rec["annotations"] = json.dumps(rec["annotations"]) if rec["annotations"] else None
+            rec["annotations"] = None  # the reserved column is written empty
             writer.writerow(["" if rec[key] is None else rec[key] for key in _COLUMNS])
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import MODEL_KINDS, TfidfConfig, TrainConfig
 from .corpus import LABEL_NAMES, DataError, Dataset, Task, jsonable, stratified_folds
-from .corpus import cohen_kappa  # noqa: F401  re-exported for evaluation.cohen_kappa callers
 from .features import fit_tfidf, transform_many
 from .models import (
     ForestModel,

@@ -366,6 +366,33 @@ class TestKappa:
         assert code == 2
         assert "duplicate id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", [None, "1", "2"])
+    def test_labels_outside_the_task_are_rejected(self, tmp_path, capsys, task):
+        """Labels 99/-5 and 99/7 once scored 0.3333; no task has the code 99."""
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_annotations(a, {"d1": 99, "d2": -5})
+        write_annotations(b, {"d1": 99, "d2": 7})
+        flags = [] if task is None else ["--task", task]
+        code = run("kappa", str(a), str(b), *flags, "--out", str(tmp_path), "--tag", "r")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: a.jsonl:1: unknown label code 99 for task {task or 1}\n")
+        assert not (tmp_path / "kappa").exists()
+
+    @pytest.mark.parametrize("task, labels, bad", [
+        ("1", (0, 1), 2), ("2", (1, 2, 3), 0), ("2", (1, 2, 3), 4),
+    ], ids=["task1-2", "task2-0", "task2-4"])
+    def test_labels_are_the_codes_of_the_task(self, tmp_path, capsys, task, labels, bad):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_annotations(a, {f"d{i}": label for i, label in enumerate(labels)})
+        write_annotations(b, {f"d{i}": label for i, label in enumerate(labels)})
+        assert run("kappa", str(a), str(b), "--task", task, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out == "1.0000\n"
+        write_annotations(b, {f"d{i}": bad for i, _ in enumerate(labels)})
+        assert run("kappa", str(a), str(b), "--task", task, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: b.jsonl:1: unknown label code {bad} for task {task}\n")
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, planted_path, tmp_path, capsys):
@@ -730,11 +757,13 @@ class TestUnparseableInputs:
     @pytest.mark.parametrize("line, message", [
         (DEEP, "invalid JSON (nested too deeply)"),
         ('{"id": "x", "text": "t", "coin": ["ADA"]}', "unknown coin ['ADA']"),
-        ('{"id": "x", "text": "t", "annotations": [{"annotator": ["x"], "task": 1, '
-         '"label": 1.0}]}', "annotation requires a non-empty annotator id"),
         ('{"id": "x", "text": "   ", "task1": 1}',
          "document 'x': text must hold a non-whitespace character"),
-    ], ids=["nested", "unhashable-coin", "ill-typed-annotation", "whitespace-text"])
+        ('{"id": "d0", "text": "a", "text": "b"}', "duplicate key 'text'"),
+        ('{"id": "x", "text": "t", "annotations": [{"annotator": "a", "task": 1, "label": 1}]}',
+         "'annotations' must be absent, null or []: agreement labels go in kappa files"),
+    ], ids=["nested", "unhashable-coin", "whitespace-text", "duplicate-key",
+            "reserved-annotations"])
     def test_bad_dataset_line_is_data_error(self, planted_path, tmp_path, line, message):
         path = tmp_path / "d.jsonl"
         path.write_text(planted_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
@@ -1036,12 +1065,6 @@ def _maybe(valid: list) -> st.SearchStrategy:
     return st.one_of(st.sampled_from(valid), _JSON)
 
 
-_ANNOTATION = st.fixed_dictionaries({}, optional={
-    "annotator": _maybe(["ann1", "", ["x"]]),
-    "task": _maybe([1, 2, 3, True, 1.0, "1"]),
-    "label": _maybe([0, 1, 2, 3, 4, False, 1.0]),
-    "extra": _PLAUSIBLE,
-})
 _RECORD = st.fixed_dictionaries({
     "id": _maybe(["a", "b", "c", "d", "", ["a"]]),
     "text": _maybe(["ada will rise", "x", ""]),
@@ -1051,7 +1074,7 @@ _RECORD = st.fixed_dictionaries({
     "task2": _maybe([1, 2, 3, 4, None]),
     "source": _maybe(["original", "synthetic", "scraped", None]),
     "parent_id": _maybe(["a", "zz", None, 3]),
-    "annotations": st.one_of(st.lists(_ANNOTATION, max_size=2), _JSON),
+    "annotations": _maybe([[], None]),
     "extra": _PLAUSIBLE,
 })
 _LINE = st.one_of(_RECORD.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=12))

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predstmt import (
-    Annotation,
     Coin,
     DataError,
     Dataset,
@@ -34,13 +33,16 @@ from predstmt.corpus import (
     _COLUMNS,
     _ORIGINAL,
     _SOURCES,
-    _annotation_from_record,
     _checked_labels,
     _doc_from_record,
     _doc_to_record,
     _jsonl_line,
     _prechecked,
 )
+
+
+#: The error of a record whose reserved 'annotations' key holds anything but null or [].
+RESERVED = "'annotations' must be absent, null or []: agreement labels go in kappa files"
 
 
 def doc(i="d1", text="ada looks strong today", **kw):
@@ -95,34 +97,6 @@ class TestDocumentValidation:
         with pytest.raises(DataError, match="parent_id"):
             doc(parent_id="other")
 
-    def test_annotation_validation(self):
-        a = Annotation(annotator="ann1", task=2, label=3)
-        assert a.task is Task.DIRECTION and a.label is Task2Label.NEUTRAL
-        with pytest.raises(DataError, match="unknown task"):
-            Annotation(annotator="ann1", task=3, label=1)
-        with pytest.raises(DataError, match="unknown label code"):
-            Annotation(annotator="ann1", task=1, label=5)
-        with pytest.raises(DataError, match="annotator"):
-            Annotation(annotator="", task=1, label=1)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"annotator": ["x"]}, "annotation requires a non-empty annotator id"),
-        ({"annotator": 7}, "annotation requires a non-empty annotator id"),
-        ({"annotator": None}, "annotation requires a non-empty annotator id"),
-        ({"task": "1"}, "annotation task must be an integer, got '1'"),
-        ({"task": True}, "annotation task must be an integer, got True"),
-        ({"task": 1.0}, "annotation task must be an integer, got 1.0"),
-        ({"task": [1]}, "annotation task must be an integer, got [1]"),
-        ({"label": 1.0}, "annotation label must be an integer, got 1.0"),
-        ({"label": False}, "annotation label must be an integer, got False"),
-        ({"label": None}, "annotation label must be an integer, got None"),
-        ({"task": 3, "label": 1.0}, "unknown task 3 in annotation"),
-    ])
-    def test_annotation_types_are_strict(self, kwargs, message):
-        with pytest.raises(DataError) as info:
-            Annotation(**{"annotator": "ann1", "task": 1, "label": 1, **kwargs})
-        assert str(info.value) == message
-
     # Fields save_dataset cannot write: each made a TypeError or AttributeError
     # traceback there, or a file load_dataset rejects, before Document refused them.
     @pytest.mark.parametrize("kwargs, message", [
@@ -133,21 +107,11 @@ class TestDocumentValidation:
         ({"coin": "ADA"}, "document 'd1': unknown coin 'ADA'"),
         ({"source": "original"}, "document 'd1': unknown source 'original'"),
         ({"source": None}, "document 'd1': unknown source None"),
-        ({"annotations": [1]}, "document 'd1': each annotation must be an Annotation, got int"),
-        ({"annotations": ({"annotator": "a", "task": 1, "label": 1},)},
-         "document 'd1': each annotation must be an Annotation, got dict"),
-        ({"annotations": None}, "document 'd1': 'annotations' must be a tuple or list"),
-        ({"annotations": "ann"}, "document 'd1': 'annotations' must be a tuple or list"),
-    ], ids=["int-id", "list-id", "int-parent-id", "coin-string", "source-string", "source-none",
-            "int-annotation", "dict-annotation", "null-annotations", "string-annotations"])
+    ], ids=["int-id", "list-id", "int-parent-id", "coin-string", "source-string", "source-none"])
     def test_fields_save_dataset_cannot_write_are_rejected(self, kwargs, message):
         with pytest.raises(DataError) as info:
             Document(**{"id": "d1", "text": "ada looks strong today", **kwargs})
         assert str(info.value) == message
-
-    def test_annotation_list_becomes_a_tuple(self):
-        annotation = Annotation("ann1", 1, 1)
-        assert doc(task1=1, annotations=[annotation]).annotations == (annotation,)
 
     def test_label_of_unknown_task_raises(self):
         with pytest.raises(ValueError, match="3 is not a valid Task"):
@@ -211,8 +175,7 @@ class TestJsonl:
     def test_load_valid_records(self, tmp_path):
         lines = [
             {"id": "a", "text": "ada to the moon", "coin": "ADA", "task1": 1,
-             "task2": 1, "source": "original", "parent_id": None,
-             "annotations": [{"annotator": "ann1", "task": 1, "label": 1}]},
+             "task2": 1, "source": "original", "parent_id": None},
             {"id": "b", "text": "just had lunch", "coin": None, "task1": 0,
              "task2": None, "source": "original", "parent_id": None, "annotations": []},
             {"id": "c", "text": "ada will moon shortly", "coin": "ADA", "task1": 1,
@@ -223,7 +186,6 @@ class TestJsonl:
         ds = load_dataset(path)
         assert len(ds) == 3
         assert ds.documents[0].coin is Coin.ADA
-        assert ds.documents[0].annotations[0].annotator == "ann1"
         assert ds.documents[2].parent_id == "a"
         assert ds.name == "ds"
 
@@ -270,15 +232,6 @@ class TestJsonl:
         ('{"id": "a", "text": "t", "source": "scraped"}', "unknown source 'scraped'"),
         ('{"id": "a", "text": "t", "source": ["original"]}', "unknown source ['original']"),
         ('{"id": "a", "text": "t", "parent_id": 3}', "'parent_id' must be a string or null"),
-        ('{"id": "a", "text": "t", "annotations": {"x": 1}}', "'annotations' must be a list"),
-        ('{"id": "a", "text": "t", "annotations": {}}', "'annotations' must be a list"),
-        ('{"id": "a", "text": "t", "annotations": false}', "'annotations' must be a list"),
-        ('{"id": "a", "text": "t", "annotations": ""}', "'annotations' must be a list"),
-        ('{"id": "a", "text": "t", "annotations": [1]}', "each annotation must be an object"),
-        ('{"id": "a", "text": "t", "annotations": [{"task": 1, "label": 1}]}',
-         "annotation requires a non-empty annotator id"),
-        ('{"id": "a", "text": "t", "annotations": [{"annotator": "x", "task": 5, "label": 1}]}',
-         "unknown task 5 in annotation"),
         ('{"id": "a", "text": "t", "task1": true}', "document 'a': task1 label must be an integer"),
         ('{"id": "a", "text": "t", "task1": [1]}', "document 'a': task1 label must be an integer"),
         ('{"id": "a", "text": "t", "task1": 1, "task2": 4}',
@@ -288,9 +241,13 @@ class TestJsonl:
         ('{"id": "a", "text": "t", "source": "synthetic"}',
          "document 'a': synthetic documents require a parent_id"),
         ('{"id": "a", "text": "t"', "invalid JSON (Expecting ',' delimiter)"),
-        ('{"id": "a", "text": "t", "annotations": '
-         '[{"annotator": ["x"], "task": 1, "label": 1.0}]}',
-         "annotation requires a non-empty annotator id"),
+        pytest.param('{"id": "d0", "text": "a", "text": "b"}', "duplicate key 'text'",
+                     id="duplicate-key"),
+        # the two lines the scanner hands to parse_json: both keep the hook
+        pytest.param(' {"id": "d0", "text": "a", "text": "b"}', "duplicate key 'text'",
+                     id="duplicate-key-leading-space"),
+        pytest.param('{"id": "d0", "text": "a", "text": "b"} x', "duplicate key 'text'",
+                     id="duplicate-key-trailing-text"),
         pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)",
                      id="nested-line"),
         pytest.param('{"id": "a", "text": "t", "annotations": '
@@ -374,20 +331,10 @@ def _reference_doc_from_record(rec: object) -> Document:
     parent_id = rec.get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
         raise DataError("'parent_id' must be a string or null")
-    anns_raw = rec.get("annotations")
-    if anns_raw is None:
-        anns_raw = []
-    elif not isinstance(anns_raw, list):
-        raise DataError("'annotations' must be a list")
-    annotations = []
-    for a in anns_raw:
-        if not isinstance(a, dict):
-            raise DataError("each annotation must be an object")
-        annotations.append(
-            Annotation(annotator=a.get("annotator", ""), task=a.get("task"), label=a.get("label")))
+    if rec.get("annotations") not in (None, []):
+        raise DataError(RESERVED)
     return Document(id=doc_id, text=text, coin=coin, task1=rec.get("task1"),
-                    task2=rec.get("task2"), source=source, parent_id=parent_id,
-                    annotations=tuple(annotations))
+                    task2=rec.get("task2"), source=source, parent_id=parent_id)
 
 
 _FIELD_VALUES = {
@@ -398,10 +345,8 @@ _FIELD_VALUES = {
     "task2": [None, 1, 2, 3, 4, 0, False, 2.0],
     "source": [None, "original", "synthetic", "scraped", 1],
     "parent_id": [None, "p", "", 3],
-    "annotations": [None, [], {}, "", [1], [{"annotator": "x", "task": 1, "label": 1}],
-                    [{"task": 2, "label": 3}], [{"annotator": "y", "task": 2, "label": 9}],
-                    [{"annotator": "z", "task": True, "label": 1}],
-                    [{"annotator": "x", "task": 2, "label": 1}, {"annotator": 7}]],
+    "annotations": [None, [], {}, "", 0, False, [1],
+                    [{"annotator": "x", "task": 1, "label": 1}]],
     "zz": [1],
 }
 
@@ -444,12 +389,9 @@ def _field_checks_doc_from_record(rec: object) -> Document:
     parent_id = get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
         raise DataError("'parent_id' must be a string or null")
-    anns_raw = get("annotations")
-    annotations = ()
-    if anns_raw is not None:
-        if not isinstance(anns_raw, list):
-            raise DataError("'annotations' must be a list")
-        annotations = tuple(map(_annotation_from_record, anns_raw))
+    annotations = get("annotations")
+    if not (annotations is None or isinstance(annotations, list) and not annotations):
+        raise DataError(RESERVED)
     if not text:
         raise DataError(f"document {doc_id!r}: text must be a non-empty string")
     if text.isspace():  # the one rule added since: text needs a non-whitespace character
@@ -457,7 +399,7 @@ def _field_checks_doc_from_record(rec: object) -> Document:
     task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
     return _prechecked(Document, {
         "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
-        "source": source, "parent_id": parent_id, "annotations": annotations,
+        "source": source, "parent_id": parent_id,
     })
 
 
@@ -475,9 +417,6 @@ def _assert_same_outcome(rec: object, reference) -> None:
     assert vars(loaded) == vars(expected)
     for field in ("task1", "task2", "coin", "source"):
         assert getattr(loaded, field) is getattr(expected, field)
-    for ann, ref in zip(loaded.annotations, expected.annotations, strict=True):
-        assert (ann.task, ann.label) == (ref.task, ref.label)
-        assert type(ann.task) is type(ref.task) and type(ann.label) is type(ref.label)
 
 
 # Values that break one field of an otherwise valid record, as JSON can hold
@@ -491,8 +430,7 @@ _BREAKS = {
     "task2": [True, False, 1.0, 3.0, 0, 4, "2", [2]],
     "source": ["scraped", "Original", [], {}, 1, True, 0.0],
     "parent_id": ["", 5, "p", [], True, None],
-    "annotations": [{}, "", 0, False, [1], [{"annotator": "x", "task": 1, "label": 1}],
-                    [{"annotator": "x", "task": 2, "label": 9}], [{"task": True, "label": 1}]],
+    "annotations": [{}, "", 0, False, [1], [{"annotator": "x", "task": 1, "label": 1}]],
     "zz": [1, None],
 }
 _VALID_SOURCES = [None, "original", "synthetic"]
@@ -550,12 +488,13 @@ def test_label_pairs_are_exactly_the_valid_combinations():
     assert loadable == len(corpus._LABEL_PAIRS) == 6
 
 
-# Values a CSV cell carries: none (an empty cell), non-empty strings, integer
-# labels and JSON annotations; text may also be empty. The breaks spoil one
-# field of an otherwise valid record.
+# Values a CSV cell carries: none (an empty cell), non-empty strings, unsigned
+# integer labels and JSON annotations; text may also be empty. The breaks spoil
+# one field of an otherwise valid record. (A signed label cell is a CSV error
+# with no JSONL counterpart; TestRoundTrip tests it.)
 _CSV_STRINGS = st.text(st.sampled_from('aé7 ,"\n\r🚀'), min_size=1, max_size=4)
 _CSV_BREAKS = {
-    "id": [None], "text": ["", " \r\n"], "coin": ["DOGE", "ada"], "task1": [2, -1],
+    "id": [None], "text": ["", " \r\n"], "coin": ["DOGE", "ada"], "task1": [2, 7],
     "task2": [0, 4], "source": ["scraped"], "parent_id": [None, "p"],
     "annotations": _BREAKS["annotations"],
 }
@@ -608,8 +547,7 @@ def test_csv_row_loads_as_its_jsonl_line(tmp_path_factory, rec):
 class TestRoundTrip:
     def build(self):
         return Dataset(documents=(
-            Document(id="a", text="ada will rise, trust me", coin=Coin.ADA, task1=1,
-                     task2=1, annotations=(Annotation("ann1", 1, 1), Annotation("ann2", 2, 1))),
+            Document(id="a", text="ada will rise, trust me", coin=Coin.ADA, task1=1, task2=1),
             Document(id="b", text="null fields everywhere"),
             Document(id="c", text="synthetic copy", coin=Coin.OTHER, task1=1, task2=2,
                      source=Source.SYNTHETIC, parent_id="a"),
@@ -625,11 +563,9 @@ class TestRoundTrip:
     def test_jsonl_save_load_save_is_byte_identical(self, tmp_path):
         extra = (
             Document(id="é-1", text='naïve "quote" \\ tab\there \u2028 \x00 \x85 🚀 ₳',
-                     coin=Coin.BNB, task1=0, annotations=(Annotation("ánn", 1, 0),)),
+                     coin=Coin.BNB, task1=0),
             Document(id="d", text="moon 🌕 soon", coin=Coin.XRP, task1=1, task2=3,
-                     source=Source.SYNTHETIC, parent_id="é-1",
-                     annotations=(Annotation("a", 1, 1), Annotation("b", 2, 3),
-                                  Annotation("c", 2, 2))),
+                     source=Source.SYNTHETIC, parent_id="é-1"),
         )
         ds = Dataset(documents=self.build().documents + extra, name="rt")
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
@@ -648,38 +584,48 @@ class TestRoundTrip:
         assert again.documents == ds.documents
 
     def test_csv_bytes_are_pinned(self, tmp_path):
-        """Quoting, empty cells, annotation JSON and UTF-8 text, byte for byte."""
+        """Quoting, empty cells and UTF-8 text, byte for byte."""
         ds = Dataset(documents=(
-            Document(id="a", text='ADA, "up" 10%\nsoon', coin=Coin.ADA, task1=1, task2=1,
-                     annotations=(Annotation("ann1", 1, 1), Annotation("ánn2", 2, 1))),
+            Document(id="a", text='ADA, "up" 10%\nsoon', coin=Coin.ADA, task1=1, task2=1),
             Document(id="b", text="no coin, no label"),
             Document(id="c", text="naïve ₳ moon 🚀", coin=Coin.OTHER, task1=0),
             Document(id="s", text="ada will rise", coin=Coin.ADA, task1=1, task2=3,
-                     source=Source.SYNTHETIC, parent_id="a", annotations=(Annotation("x", 2, 3),)),
+                     source=Source.SYNTHETIC, parent_id="a"),
         ))
         path = tmp_path / "mix.csv"
         save_dataset(ds, path)
         assert path.read_bytes() == (
             'id,text,coin,task1,task2,source,parent_id,annotations\r\n'
-            'a,"ADA, ""up"" 10%\nsoon",ADA,1,1,original,,"[{""annotator"": ""ann1"", '
-            '""task"": 1, ""label"": 1}, {""annotator"": ""\\u00e1nn2"", ""task"": 2, '
-            '""label"": 1}]"\r\n'
+            'a,"ADA, ""up"" 10%\nsoon",ADA,1,1,original,,\r\n'
             'b,"no coin, no label",,,,original,,\r\n'
             'c,naïve ₳ moon 🚀,Other,0,,original,,\r\n'
-            's,ada will rise,ADA,1,3,synthetic,a,"[{""annotator"": ""x"", ""task"": 2, '
-            '""label"": 3}]"\r\n'
+            's,ada will rise,ADA,1,3,synthetic,a,\r\n'
         ).encode("utf-8")
         assert load_dataset(path).documents == ds.documents
 
-    @pytest.mark.parametrize("cell", ["[" * 20_000 + "]" * 20_000, "[{", "1" * 5000],
-                             ids=["nested", "truncated", "long-integer"])
-    def test_csv_annotations_cell_must_parse(self, tmp_path, cell):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
-                        f"a,hello,,,,original,,{cell}\n")
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    @pytest.mark.parametrize("value", [
+        None, [], [{"annotator": "x", "task": 1, "label": 1}], False, "", {}, 0,
+    ], ids=["null", "empty-list", "annotation", "false", "empty-string", "object", "zero"])
+    def test_annotations_is_a_reserved_key(self, tmp_path, suffix, value):
+        """Only null (an empty CSV cell) or [] loads: agreement labels live in kappa files."""
+        rec = {"id": "a", "text": "ada up", "task1": 1, "annotations": value}
+        path = tmp_path / f"reserved.{suffix}"
+        if suffix == "jsonl":
+            path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        else:
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(_COLUMNS)
+                writer.writerow(["" if rec.get(key) is None else json.dumps(value)
+                                 if key == "annotations" else rec[key] for key in _COLUMNS])
+        if value in (None, []):
+            assert load_dataset(path).documents == (doc("a", "ada up", task1=1),)
+            return
         with pytest.raises(DataError) as info:
             load_dataset(path)
-        assert str(info.value) == "bad.csv:2: 'annotations' cell is not valid JSON"
+        line = 1 if suffix == "jsonl" else 2
+        assert str(info.value) == f"reserved.{suffix}:{line}: {RESERVED}"
 
     def test_csv_field_over_the_size_limit_is_data_error(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -688,13 +634,18 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="cannot read dataset .*field larger than"):
             load_dataset(path)
 
-    def test_csv_errors_name_file_and_line(self, tmp_path):
+    # int() takes all but the first and last of these: as 1, 1, 0, -1 and 1
+    @pytest.mark.parametrize("cell", ["x", "+1", "١", " 0_0 ", "-1", "1\u00a0", "1" * 5000],
+                             ids=["letter", "plus", "arabic-indic", "spaces-underscore",
+                                  "minus", "nbsp", "long-integer"])
+    def test_csv_errors_name_file_and_line(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
-                        "a,hello,,,,original,,\nb,bye,ADA,x,,original,,\n")
+                        f"a,hello,,,,original,,\nb,bye,ADA,{cell},,original,,\n",
+                        encoding="utf-8")
         with pytest.raises(DataError) as info:
             load_dataset(path)
-        assert str(info.value) == "bad.csv:3: 'task1' must be an integer, got 'x'"
+        assert str(info.value) == f"bad.csv:3: 'task1' must be an integer, got {cell!r}"
 
     @pytest.mark.parametrize("body, line", [
         ('a,hello,,,,original,,\n\nb,"two\nlines",,,,original,,\nc,bye,ADA,x,,original,,\n', 6),
@@ -727,7 +678,7 @@ class TestRoundTrip:
 
 
 def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
-    """The label shortcut alone labels the benchmark's corpora and annotated records,
+    """The label shortcut alone labels the benchmark's corpora and a hand-built one,
     and the loader never runs Document's own checks."""
     spec = importlib.util.spec_from_file_location(
         "gen_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "gen_corpus.py")
@@ -735,7 +686,7 @@ def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
     spec.loader.exec_module(gen_corpus)
     generated = tmp_path / "corpus.jsonl"
     documents = gen_corpus.write_corpus(generated, seed=3, scale=0.5)["documents"]
-    annotated = TestRoundTrip().build()
+    built = TestRoundTrip().build()
 
     def diagnostic_path(*args):
         raise AssertionError(f"the loader ran a check the label shortcut skips: {args!r}")
@@ -753,8 +704,8 @@ def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
     save_dataset(balanced, tmp_path / "balanced.jsonl")
     assert load(tmp_path / "balanced.jsonl").documents == balanced.documents
     for suffix in ("jsonl", "csv"):
-        save_dataset(annotated, tmp_path / f"annotated.{suffix}")
-        assert load(tmp_path / f"annotated.{suffix}").documents == annotated.documents
+        save_dataset(built, tmp_path / f"built.{suffix}")
+        assert load(tmp_path / f"built.{suffix}").documents == built.documents
 
 
 # Characters the JSON string encoder treats specially: quotes, backslashes,
@@ -769,11 +720,6 @@ _TRICKY_CHARS = st.one_of(
 )
 _TRICKY_TEXT = st.text(_TRICKY_CHARS, min_size=1, max_size=12)
 _LABEL_PAIRS = [(None, None), (0, None), (1, None), (1, 1), (1, 2), (1, 3)]
-_ANNOTATIONS = st.builds(
-    lambda annotator, task_label: Annotation(annotator, *task_label),
-    _TRICKY_TEXT,
-    st.sampled_from([(1, 0), (1, 1), (2, 1), (2, 2), (2, 3)]),
-)
 
 
 @st.composite
@@ -788,7 +734,6 @@ def _documents(draw):
         task2=task2,
         source=source,
         parent_id=draw(_TRICKY_TEXT) if source is Source.SYNTHETIC else None,
-        annotations=tuple(draw(st.lists(_ANNOTATIONS, max_size=3))),
     )
 
 

@@ -15,15 +15,16 @@ import predstmt
 
 #: Every name predstmt exports, by the module it was first exported from.
 EXPORTS = {
-    "corpus": ("Annotation", "Coin", "DataError", "Dataset", "Document", "FoldAssignment",
+    "corpus": ("Coin", "DataError", "Dataset", "Document", "FoldAssignment",
                "LabelDistribution", "Source", "Task", "Task1Label", "Task2Label",
-               "distribution", "load_dataset", "save_dataset", "stratified_folds"),
+               "cohen_kappa", "distribution", "load_dataset", "save_dataset",
+               "stratified_folds"),
     "preprocess": ("CleanConfig", "preprocess", "strip_urls"),
     "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "transform_many"),
     "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "gini", "predict_many",
                "train_logreg", "train_random_forest", "train_svm_linear"),
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
-                   "classification_report", "cohen_kappa", "confusion", "cross_validate",
+                   "classification_report", "confusion", "cross_validate",
                    "cross_validate_models", "metrics", "summary_table"),
     "augment": ("AugmentPlan", "OfflineParaphraser", "ProviderConfig", "ProviderError",
                 "RemoteParaphraser", "balance", "compute_plan"),
@@ -32,7 +33,7 @@ EXPORTS = {
                 "render_markdown", "tag_document"),
 }
 #: Names whose definition moved to a numpy-free module; the old module re-exports them.
-MOVED = {"TfidfConfig": "config", "TrainConfig": "config", "cohen_kappa": "corpus",
+MOVED = {"TfidfConfig": "config", "TrainConfig": "config",
          "ProviderConfig": "config", "ProviderError": "config"}
 ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
