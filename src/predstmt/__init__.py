@@ -47,8 +47,9 @@ _LAZY = {
     **dict.fromkeys(("CATEGORY_TITLES", "EmotionCategory", "EmotionLexicon", "EmotionProfile",
                      "EmotionReport", "aggregate", "bundled_lexicon_path", "load_lexicon",
                      "render_markdown", "tag_document"), "emotion"),
-    **dict.fromkeys(("SparseBatch", "TfidfModel", "fit_tfidf", "transform_many"), "features"),
-    **dict.fromkeys(("ForestModel", "LinearModel", "TreeNode", "gini", "predict_many",
+    **dict.fromkeys(("SparseBatch", "TfidfModel", "count_terms", "fit_tfidf", "transform_many"),
+                    "features"),
+    **dict.fromkeys(("ForestModel", "LinearModel", "TreeNode", "predict_many",
                      "train_logreg", "train_random_forest", "train_svm_linear"), "models"),
     **dict.fromkeys(("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                      "classification_report", "confusion", "cross_validate",

@@ -6,8 +6,9 @@ unweighted means over all classes and weighted metrics are support-weighted
 sums. Cross-validation refits the TF-IDF vocabulary inside every training
 split so no test-fold statistics leak into the features. cross_validate_models
 evaluates several model kinds on the same folds: each document is cleaned
-once and each fold is featurized once for all of them, by _fold_predictions,
-the per-fold "fit TF-IDF, train, predict" step.
+and its terms counted once, and each fold is featurized from its rows of
+those counts once for all of them, by _fold_predictions, the per-fold
+"fit TF-IDF, train, predict" step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import MODEL_KINDS, TfidfConfig, TrainConfig
 from .corpus import LABEL_NAMES, DataError, Dataset, Task, jsonable, stratified_folds
-from .features import fit_tfidf, transform_many
+from .features import SparseBatch, count_terms, fit_tfidf, transform_many
 from .models import (
     ForestModel,
     forest_size,
@@ -220,9 +221,10 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
                           tfidf_cfg: TfidfConfig = TfidfConfig()) -> dict[str, CvReport]:
     """Run stratified k-fold evaluation of several model kinds on the same folds.
 
-    Each document is preprocessed once. Every fold refits TF-IDF on its
-    training split only, featurizes both splits once, then trains a fresh
-    model of each kind, in the order given, and scores the held-out fold.
+    Each document is preprocessed and its terms counted once. Every fold
+    refits TF-IDF on its training rows only, featurizes both splits once,
+    then trains a fresh model of each kind, in the order given, and scores
+    the held-out fold.
     A kind's pooled report merges its fold confusion matrices; per-fold
     reports and their means are kept alongside. The reports are keyed by
     kind and equal those of one cross_validate call per kind.
@@ -235,7 +237,7 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
     task = Task(task)
     assignment = stratified_folds(dataset, task, k, seed)
     docs = dataset.labeled(task)
-    tokens = [preprocess(doc.text, clean_cfg) for doc in docs]
+    counts = count_terms(preprocess(doc.text, clean_cfg) for doc in docs)
     labels = [doc.label(task) for doc in docs]
     doc_folds = [assignment.folds[doc.id] for doc in docs]
     class_codes = sorted(set(labels))
@@ -247,8 +249,8 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
         test = [i for i, f in enumerate(doc_folds) if f == fold]
         y_test = [labels[i] for i in test]
         for kind, model, predictions in _fold_predictions(
-                [tokens[i] for i in train], [labels[i] for i in train],
-                [tokens[i] for i in test], model_kinds, train_cfg, tfidf_cfg):
+                counts[train], [labels[i] for i in train], counts[test], model_kinds,
+                train_cfg, tfidf_cfg):
             if isinstance(model, ForestModel):
                 forest_sizes[kind].append(forest_size(model))
             per_fold[kind].append(metrics(confusion(y_test, predictions, class_codes)))
@@ -266,17 +268,17 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
     }
 
 
-def _fold_predictions(train_tokens: Sequence[Sequence[str]], y_train: Sequence[int],
-                      test_tokens: Sequence[Sequence[str]], model_kinds: Sequence[str],
-                      train_cfg: TrainConfig, tfidf_cfg: TfidfConfig):
+def _fold_predictions(train_rows: SparseBatch, y_train: Sequence[int], test_rows: SparseBatch,
+                      model_kinds: Sequence[str], train_cfg: TrainConfig,
+                      tfidf_cfg: TfidfConfig):
     """Yield (kind, model, test predictions) for each kind on one train/test split.
 
-    TF-IDF is fitted on the training split alone, and both splits are
-    featurized once for all kinds.
+    The splits are count rows from count_terms. TF-IDF is fitted on the
+    training rows alone, and both splits are featurized once for all kinds.
     """
-    tfidf = fit_tfidf(train_tokens, tfidf_cfg)
-    x_train = transform_many(tfidf, train_tokens)
-    x_test = transform_many(tfidf, test_tokens)
+    tfidf = fit_tfidf(train_rows, tfidf_cfg)
+    x_train = transform_many(tfidf, train_rows)
+    x_test = transform_many(tfidf, test_rows)
     for kind in model_kinds:
         model = _TRAINERS[kind](x_train, y_train, train_cfg)
         yield kind, model, predict_many(model, x_test)

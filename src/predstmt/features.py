@@ -8,18 +8,23 @@ with raw term counts by default (optionally 1 + ln(tf)) and L2-normalized
 document vectors. Vocabulary indices follow lexicographic term order, so a
 fitted model is independent of document order.
 
-Features travel as one SparseBatch (CSR arrays) from transform_many to
-the trainers and predict_many in models. Indexing a batch gives a one-row
-batch, which the benchmark's traced round and the tests iterate over.
+count_terms walks the token lists once, into a SparseBatch of raw term
+counts; fit_tfidf and transform_many take rows of it (an index array selects
+them) and use array operations only. Features travel as one SparseBatch
+(CSR arrays) from transform_many to the trainers and predict_many in models.
+Indexing a batch by an int gives a one-row batch, which the benchmark's
+traced round and the tests iterate over.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,13 +36,15 @@ class SparseBatch:
     """n sparse rows over dim columns in CSR form, checked once when built.
 
     Row r has the strictly increasing columns indices[indptr[r]:indptr[r + 1]]
-    and the finite values at the same positions of data. Indexing (and so
-    iteration) gives one-row batches that share the arrays.
+    and the finite values at the same positions of data. terms names the
+    columns of a count batch from count_terms and is None otherwise.
+    Indexing by an int (and so iteration) gives one-row batches that share
+    the arrays; indexing by an index array selects those rows in its order.
     """
 
-    __slots__ = ("indptr", "indices", "data", "dim")
+    __slots__ = ("indptr", "indices", "data", "dim", "terms")
 
-    def __init__(self, indptr, indices, data, dim: int) -> None:
+    def __init__(self, indptr, indices, data, dim: int, terms: tuple | None = None) -> None:
         try:
             arrays = [np.asarray(a) for a in (indptr, indices, data)]
         except ValueError:  # ragged
@@ -65,17 +72,28 @@ class SparseBatch:
             raise DataError(f"index {outside[0]} out of range for dimension {self.dim}")
         if not np.isfinite(self.data).all():
             raise DataError("vector values must be finite")
+        if terms is not None and len(terms) != self.dim:
+            raise DataError(f"{len(terms)} terms name {self.dim} columns")
+        self.terms = terms
 
     def __len__(self) -> int:
         return self.indptr.size - 1
 
-    def __getitem__(self, row: int) -> SparseBatch:
-        r = range(len(self))[row]
-        start, end = self.indptr[r], self.indptr[r + 1]
-        one = object.__new__(SparseBatch)  # the rows of a checked batch need no check
-        one.indptr, one.indices, one.data, one.dim = (
-            np.array([0, end - start]), self.indices[start:end], self.data[start:end], self.dim)
-        return one
+    def __getitem__(self, rows) -> SparseBatch:
+        part = object.__new__(SparseBatch)  # the rows of a checked batch need no check
+        part.dim, part.terms = self.dim, self.terms
+        if isinstance(rows, (int, np.integer)):
+            r = range(len(self))[rows]
+            start, end = self.indptr[r], self.indptr[r + 1]
+            part.indptr = np.array([0, end - start])
+            part.indices, part.data = self.indices[start:end], self.data[start:end]
+            return part
+        starts = self.indptr[:-1][rows]
+        lengths = self.indptr[1:][rows] - starts
+        part.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        at = np.repeat(starts - part.indptr[:-1], lengths) + np.arange(part.indptr[-1])
+        part.indices, part.data = self.indices[at], self.data[at]
+        return part
 
     def scores(self, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
         """Per-row class scores: X @ weights.T + bias, shape (n, k)."""
@@ -112,9 +130,10 @@ class TfidfModel:
 
     @cached_property
     def idf(self) -> tuple[float, ...]:
-        """ln((1 + n_docs) / (1 + df)) + 1 per term, computed once per model."""
+        """ln((1 + n_docs) / (1 + df)) + 1 per term, computed once per distinct df."""
         n = self.n_docs
-        return tuple(math.log((1 + n) / (1 + df)) + 1.0 for df in self.doc_freq)
+        by_df = {df: math.log((1 + n) / (1 + df)) + 1.0 for df in set(self.doc_freq)}
+        return tuple(map(by_df.__getitem__, self.doc_freq))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -122,51 +141,71 @@ class TfidfModel:
         return {t: i for i, t in enumerate(self.terms)}
 
 
-def fit_tfidf(docs: Sequence[Sequence[str]], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
-    """Build a TF-IDF model from tokenized documents.
+def count_terms(docs: Iterable[Sequence[str]]) -> SparseBatch:
+    """The raw term counts of tokenized documents, one row each, iterating each once.
+
+    The columns are the documents' distinct terms in sorted order, named by
+    the batch's terms; a row holds the counts of its document's terms.
+    """
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # term -> id in order of first sight
+    sizes, flat = [], array("q")
+    for tokens in docs:
+        flat.extend(map(ids.__getitem__, tokens))
+        sizes.append(len(tokens))
+    n, stride = len(sizes), max(len(ids), 1)
+    first_seen = list(ids)
+    order = sorted(range(len(ids)), key=first_seen.__getitem__)
+    column = np.argsort(np.array(order, dtype=np.int64))  # id -> sorted position
+    doc_of = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    keys, counts = np.unique(doc_of * stride + column[np.frombuffer(flat, dtype=np.int64)],
+                             return_counts=True)
+    rows, indices = np.divmod(keys, stride)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return SparseBatch(indptr, indices, counts, len(ids), tuple(first_seen[i] for i in order))
+
+
+def fit_tfidf(rows: SparseBatch, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+    """Build a TF-IDF model from the count rows of the training documents.
 
     min_df drops rare terms first; max_features then keeps the terms with
     the highest document frequency, ties broken lexicographically. The
     surviving terms are indexed in sorted order.
     """
-    if not docs:
+    if not len(rows):
         raise DataError("cannot fit TF-IDF on an empty document collection")
-    df: dict[str, int] = {}
-    for tokens in docs:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-    terms = [t for t, c in df.items() if c >= config.min_df]
-    if config.max_features is not None and len(terms) > config.max_features:
-        terms.sort(key=lambda t: (-df[t], t))
-        terms = terms[: config.max_features]
-    terms.sort()
-    return TfidfModel(tuple(terms), tuple(df[t] for t in terms), len(docs), config)
+    df = np.bincount(rows.indices, minlength=rows.dim)  # a row holds each column once
+    kept = np.flatnonzero(df >= config.min_df)  # min_df >= 1, so unseen terms go too
+    if config.max_features is not None and kept.size > config.max_features:
+        # columns are in lexicographic order, so a stable sort breaks ties by term
+        kept = np.sort(kept[np.argsort(-df[kept], kind="stable")[:config.max_features]])
+    return TfidfModel(tuple(rows.terms[c] for c in kept.tolist()), tuple(df[kept].tolist()),
+                      len(rows), config)
 
 
-def transform_many(model: TfidfModel, docs: Sequence[Sequence[str]]) -> SparseBatch:
-    """The batch of L2-normalized TF-IDF rows of tokenized documents.
+def transform_many(model: TfidfModel, rows: SparseBatch) -> SparseBatch:
+    """The batch of L2-normalized TF-IDF rows of documents' count rows.
 
-    Out-of-vocabulary tokens are ignored, so a document without known ones
+    Terms outside the model are ignored, so a document without known ones
     is an empty row. The float operations and their order are those of one
     document at a time: the squares of a row are summed left to right.
     """
-    n, stride = len(docs), max(model.dimension, 1)
-    sizes = np.fromiter(map(len, docs), dtype=np.int64, count=n)
-    ids = np.fromiter(map(model.index.get, chain.from_iterable(docs), repeat(-1)),
-                      dtype=np.int64, count=int(sizes.sum()))
-    known = ids >= 0  # -1: out of vocabulary
-    doc_of = np.repeat(np.arange(n, dtype=np.int64), sizes)[known]
-    keys, counts = np.unique(doc_of * stride + ids[known], return_counts=True)
-    rows, indices = np.divmod(keys, stride)
-    lengths = np.bincount(rows, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    n = len(rows)
+    # both vocabularies are sorted, so a row's known columns stay increasing
+    column = np.fromiter(map(model.index.get, rows.terms, repeat(-1)), dtype=np.int64,
+                         count=rows.dim)[rows.indices]
+    known = column >= 0  # -1: not in the model
+    indices, counts = column[known], rows.data[known]
+    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))[known]
+    lengths = np.bincount(row_of, minlength=n)
     if model.config.sublinear_tf:  # math.log, as numpy's log may round differently
         distinct, inverse = np.unique(counts, return_inverse=True)
         counts = np.array([1.0 + math.log(c) for c in distinct.tolist()])[inverse]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the check
         values = counts * np.array(model.idf, dtype=np.float64)[indices]
         # bincount adds each row's squares in entry order, starting from 0.0
-        norm = np.sqrt(np.bincount(rows, weights=values * values, minlength=n))
+        norm = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
         norm[norm == 0.0] = 1.0
         values /= np.repeat(norm, lengths)
-    return SparseBatch(indptr, indices, values, model.dimension)
+    return SparseBatch(np.concatenate(([0], np.cumsum(lengths))), indices, values,
+                       model.dimension)

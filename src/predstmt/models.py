@@ -328,16 +328,6 @@ def train_svm_linear(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> Line
 # ---------------------------------------------------------------------------
 # random forest
 
-def gini(counts: Sequence[float]) -> float:
-    """Gini impurity 1 - sum(p_i^2) of a class-count vector."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
-
-
 def _column_view(X: SparseBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """X column-major: column j's rows and values sit at col_ptr[j]:col_ptr[j + 1], by value."""
     by_column = np.lexsort((X.data, X.indices))

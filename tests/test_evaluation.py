@@ -10,8 +10,12 @@ from predstmt import (
     ClassMetrics,
     ConfusionMatrix,
     DataError,
+    Dataset,
+    Document,
     MetricsReport,
     Task,
+    TfidfConfig,
+    TfidfModel,
     TrainConfig,
     classification_report,
     cohen_kappa,
@@ -19,12 +23,15 @@ from predstmt import (
     cross_validate,
     cross_validate_models,
     metrics,
+    preprocess,
+    stratified_folds,
     summary_table,
 )
 
 from predstmt import evaluation
 
 from conftest import build_planted_dataset
+from test_features import per_document_transform
 
 
 class TestConfusion:
@@ -309,6 +316,86 @@ class TestCrossValidateModels:
         with pytest.raises(DataError, match="model kinds must be distinct"):
             cross_validate_models(planted, Task.PREDICTIVENESS, ("svm", "logreg", "svm"),
                                   TrainConfig(epochs=2), k=3)
+
+    def test_each_document_s_tokens_are_iterated_once(self, planted, monkeypatch):
+        class Tokens(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        made = []
+
+        def counted(text, config):
+            made.append(Tokens(preprocess(text, config)))
+            return made[-1]
+
+        monkeypatch.setattr(evaluation, "preprocess", counted)
+        cross_validate_models(planted, Task.PREDICTIVENESS, ("logreg", "svm"),
+                              TrainConfig(epochs=3), k=3, seed=11)
+        assert len(made) == len(planted.labeled(Task.PREDICTIVENESS))
+        assert [tokens.iterations for tokens in made] == [1] * len(made)
+
+
+def options_corpus() -> Dataset:
+    """Zipf-like documents with repeated terms, one of terms no other document has, one empty."""
+    rng = random.Random(41)
+    vocab = [f"term{i:02d}" for i in range(70)]
+    weights = [1.0 / (r + 1) for r in range(len(vocab))]
+    texts = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 14))) for _ in range(46)]
+    texts += ["onlyhere nowhereelse onlyhere", "?! ... ok"]  # the last cleans to no tokens
+    return Dataset(documents=tuple(Document(id=f"o{i:02d}", text=text, task1=i % 2)
+                                   for i, text in enumerate(texts)), name="options")
+
+
+def reference_tfidf(tokens, config) -> TfidfModel:
+    """The TfidfModel of tokenized documents by the selection rule, one term at a time."""
+    df = {}
+    for doc in tokens:
+        for term in set(doc):
+            df[term] = df.get(term, 0) + 1
+    kept = sorted((term for term in df if df[term] >= config.min_df), key=lambda t: (-df[t], t))
+    kept = sorted(kept[:config.max_features])
+    return TfidfModel(tuple(kept), tuple(df[t] for t in kept), len(tokens), config)
+
+
+@pytest.mark.parametrize("tfidf_cfg", [TfidfConfig(min_df=2), TfidfConfig(max_features=40),
+                                       TfidfConfig(sublinear_tf=True),
+                                       TfidfConfig(min_df=1000)],  # no term survives
+                         ids=["min_df", "max_features", "sublinear_tf", "empty_vocabulary"])
+def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cfg):
+    ds, task, k = options_corpus(), Task.PREDICTIVENESS, 4
+    captured = []
+    train = evaluation._TRAINERS["logreg"]
+    monkeypatch.setitem(evaluation._TRAINERS, "logreg",
+                        lambda X, y, cfg: captured.append([X, y]) or train(X, y, cfg))
+    predict = evaluation.predict_many
+    monkeypatch.setattr(evaluation, "predict_many",
+                        lambda model, X: captured[-1].append(X) or predict(model, X))
+    reports = cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k,
+                                    seed=5, tfidf_cfg=tfidf_cfg)
+    assert sum(reports["logreg"].fold_sizes) == len(ds.documents)
+
+    folds = stratified_folds(ds, task, k, 5).folds
+    docs = ds.labeled(task)
+    assert len(captured) == k
+    for fold, (x_train, y_train, x_test) in enumerate(captured):
+        train_docs = [doc for doc in docs if folds[doc.id] != fold]
+        test_docs = [doc for doc in docs if folds[doc.id] == fold]
+        model = reference_tfidf([preprocess(doc.text) for doc in train_docs], tfidf_cfg)
+        if tfidf_cfg.min_df == 1000:
+            assert model.dimension == 0
+        assert y_train == [doc.label(task) for doc in train_docs]
+        for batch, split in ((x_train, train_docs), (x_test, test_docs)):
+            assert len(batch) == len(split) and batch.dim == model.dimension
+            for row, doc in zip(batch, split):
+                indices, values = per_document_transform(model, preprocess(doc.text))
+                assert tuple(row.indices.tolist()) == indices
+                assert [v.hex() for v in row.data.tolist()] == [v.hex() for v in values]
+        if folds["o46"] == fold:  # held out, its terms are unseen
+            assert not set(preprocess(docs[46].text)) & set(model.terms)
+    assert docs[46].id == "o46" and preprocess(docs[47].text) == []
 
 
 class TestRendering:

@@ -7,15 +7,19 @@ import random
 import numpy as np
 import pytest
 
-from predstmt import (
-    DataError,
-    SparseBatch,
-    TfidfConfig,
-    fit_tfidf,
-    transform_many,
-)
+from predstmt import DataError, SparseBatch, TfidfConfig, count_terms, features
 
 TWO_DOCS = [["btc", "up", "up"], ["btc", "down"]]
+
+
+def fit_tfidf(docs, config=TfidfConfig()):
+    """features.fit_tfidf of tokenized documents, counted by count_terms."""
+    return features.fit_tfidf(count_terms(docs), config)
+
+
+def transform_many(model, docs):
+    """features.transform_many of tokenized documents, counted by count_terms."""
+    return features.transform_many(model, count_terms(docs))
 
 
 class TestSparseBatch:
@@ -63,6 +67,34 @@ class TestSparseBatch:
     def test_empty_batch(self):
         batch = SparseBatch([0], [], [], 4)
         assert len(batch) == 0 and list(batch) == []
+
+    def test_index_array_selects_rows_in_its_order(self):
+        batch = SparseBatch([0, 0, 2, 2, 4, 4], [1, 2, 0, 1], [1.0, 2.0, 3.0, 4.0], 3)
+        part = batch[np.array([3, 1, 3, 0, -5])]
+        assert part.indptr.tolist() == [0, 2, 4, 6, 6, 6] and part.dim == 3
+        assert part.indices.tolist() == [0, 1, 1, 2, 0, 1]
+        assert part.data.tolist() == [3.0, 4.0, 1.0, 2.0, 3.0, 4.0]
+        assert len(batch[[]]) == 0
+        with pytest.raises(IndexError):
+            batch[np.array([5])]
+
+
+class TestCountTerms:
+    def test_counts_over_the_sorted_vocabulary(self):
+        batch = count_terms(iter([["up", "btc", "up"], [], ["down", "btc"]]))
+        assert batch.terms == ("btc", "down", "up") and batch.dim == 3
+        assert batch.indptr.tolist() == [0, 2, 2, 4]
+        assert batch.indices.tolist() == [0, 2, 0, 1]
+        assert batch.data.tolist() == [1.0, 2.0, 1.0, 1.0]
+        assert batch[np.array([2, 0])].terms == batch[1].terms == batch.terms
+
+    def test_no_documents_give_no_columns(self):
+        batch = count_terms([])
+        assert len(batch) == 0 and batch.dim == 0 and batch.terms == ()
+
+    def test_terms_must_name_every_column(self):
+        with pytest.raises(DataError, match="terms"):
+            SparseBatch([0], [], [], 2, ("a",))
 
     def test_scores_equal_dense_product(self):
         rng = np.random.default_rng(3)

@@ -14,6 +14,7 @@ from predstmt import (
     SparseBatch,
     Task,
     TrainConfig,
+    count_terms,
     fit_tfidf,
     predict_many,
     preprocess,
@@ -34,7 +35,6 @@ from predstmt.models import (
     _node_features,
     _root_keys,
     forest_size,
-    gini,
 )
 
 
@@ -50,6 +50,16 @@ def hand_forest(feature, threshold, dist, n_trees, n_features, class_codes):
                        child=_children(feature, n_trees), dist=np.array(dist, dtype=np.float64),
                        n_trees=n_trees, n_features=n_features, class_codes=class_codes,
                        config=TrainConfig())
+
+
+def gini(counts):
+    """Gini impurity 1 - sum(p_i^2) of a class-count vector: the split oracles' impurity."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p * p).sum())
 
 
 class TestGini:
@@ -305,8 +315,8 @@ class TestSparseSplitSearch:
         ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=5)
         assignment = stratified_folds(ds, Task.DIRECTION, 5, 42)
         train = [doc for doc in ds.labeled(Task.DIRECTION) if assignment.folds[doc.id] != 0]
-        tokens = [preprocess(doc.text) for doc in train]
-        X = transform_many(fit_tfidf(tokens), tokens)
+        rows = count_terms(preprocess(doc.text) for doc in train)
+        X = transform_many(fit_tfidf(rows), rows)
         y = [doc.label(Task.DIRECTION) for doc in train]
         cfg = TrainConfig(n_trees=5, seed=3, min_samples_leaf=1)
         model = train_random_forest(X, y, cfg)
@@ -416,8 +426,9 @@ class TestBatchPredict:
         ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=8)
         assignment = stratified_folds(ds, Task.DIRECTION, 5, 42)
         docs = ds.labeled(Task.DIRECTION)
-        train = [preprocess(doc.text) for doc in docs if assignment.folds[doc.id] != 0]
-        test = [preprocess(doc.text) + ["unseen"] for doc in docs if assignment.folds[doc.id] == 0]
+        train = count_terms(preprocess(doc.text) for doc in docs if assignment.folds[doc.id] != 0)
+        test = count_terms(preprocess(doc.text) + ["unseen"] for doc in docs
+                           if assignment.folds[doc.id] == 0)
         tfidf = fit_tfidf(train)
         y = [doc.label(Task.DIRECTION) for doc in docs if assignment.folds[doc.id] != 0]
         model = train_random_forest(transform_many(tfidf, train), y,
@@ -436,8 +447,8 @@ def trained_forests():
             n_trees=rng.randint(1, 6), bootstrap=trial % 2 == 0, seed=trial,
             min_samples_leaf=1, max_depth=rng.choice((1, 4, 10_000))))
     ds = build_planted_dataset(Task.DIRECTION, {1: 30, 2: 24, 3: 18}, seed=9)
-    tokens = [preprocess(doc.text) for doc in ds.labeled(Task.DIRECTION)]
-    X = transform_many(fit_tfidf(tokens), tokens)
+    rows = count_terms(preprocess(doc.text) for doc in ds.labeled(Task.DIRECTION))
+    X = transform_many(fit_tfidf(rows), rows)
     y = [doc.label(Task.DIRECTION) for doc in ds.labeled(Task.DIRECTION)]
     yield X, train_random_forest(X, y, TrainConfig(n_trees=10, seed=2))
 

@@ -20,8 +20,9 @@ EXPORTS = {
                "cohen_kappa", "distribution", "load_dataset", "save_dataset",
                "stratified_folds"),
     "preprocess": ("CleanConfig", "preprocess", "strip_urls"),
-    "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "fit_tfidf", "transform_many"),
-    "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "gini", "predict_many",
+    "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "count_terms", "fit_tfidf",
+                 "transform_many"),
+    "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "predict_many",
                "train_logreg", "train_random_forest", "train_svm_linear"),
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
                    "classification_report", "confusion", "cross_validate",
