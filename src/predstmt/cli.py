@@ -1,13 +1,13 @@
 """Command-line entry point.
 
 Subcommands: stats, cv, balance, emotion, kappa. One JSON config file can
-set everything; flags override it. Every output file embeds the resolved
-config hash and seed, and contains no timestamps, so reruns with the same
-tag are byte-identical. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 provider error. Each command imports only the modules it runs:
-cv loads numpy, through evaluation, with one BLAS thread unless the user
-set a count; balance loads augment and emotion loads emotion. A command
-runs with the cyclic garbage collector set for batch work (see main).
+set everything; flags override it. Output files embed the seed and a hash
+of what the command read, and no timestamps, so reruns with the same tag
+are byte-identical. Exit codes: 0 success, 1 usage error, 2 data error, 3
+provider error. Each command imports only the modules it runs: cv loads
+numpy, through evaluation, with one BLAS thread unless the user set a
+count; balance loads augment and emotion loads emotion. A command runs
+with the cyclic garbage collector set for batch work (see main).
 """
 
 from __future__ import annotations
@@ -134,14 +134,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from None
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    payload = jsonable(cfg)
-    del payload["out_dir"], payload["tag"]
-    canonical = json.dumps(payload, sort_keys=True)
-    return {
-        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seed": cfg.seed,
-    }
+def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None) -> dict:
+    """Hash the seed and command's row of _READS, the dataset by the sha256 of its bytes."""
+    reads = _READS[command][1]
+    digest = {"dataset_sha256": dataset_sha256} if "dataset" in reads else {}
+    read = {name: getattr(cfg, name) for name in ("seed", *reads) if name != "dataset"}
+    canonical = json.dumps(jsonable({**read, **digest}), sort_keys=True)
+    return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            **digest, "seed": cfg.seed}
 
 
 @contextmanager
@@ -212,10 +212,19 @@ def _run_dir(cfg: RunConfig, command: str):
         shutil.rmtree(old)
 
 
-def _load_required_dataset(cfg: RunConfig):
+def _load_required_dataset(cfg: RunConfig, command: str):
+    """The dataset and command's config echo, which hashes the file's bytes once it has loaded."""
     if not cfg.dataset:
         raise UsageError("a dataset is required; pass --dataset or set it in the config")
-    return load_dataset(cfg.dataset)
+    dataset = load_dataset(cfg.dataset)
+    digest = hashlib.sha256()
+    try:
+        with open(cfg.dataset, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {cfg.dataset}: {exc}") from None
+    return dataset, _config_echo(cfg, command, digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +247,8 @@ def _distribution_section(dataset, task: Task) -> tuple[dict, list[str]]:
 
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dataset = _load_required_dataset(cfg)
-    payload = {**_config_echo(cfg), "dataset": dataset.name, "documents": len(dataset)}
+    dataset, echo = _load_required_dataset(cfg, "stats")
+    payload = {**echo, "dataset": dataset.name, "documents": len(dataset)}
     md_lines: list[str] = []
     for task in (Task.PREDICTIVENESS, Task.DIRECTION):
         section, lines = _distribution_section(dataset, task)
@@ -281,7 +290,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the squared hinge needs l2 > 0; catch l2 = 0 here, not after a fold's features
     if "svm" in cfg.models and cfg.train.l2 <= 0:
         raise UsageError(f"train.l2 must be > 0 for the svm model, got {cfg.train.l2}")
-    dataset = _load_required_dataset(cfg)
+    dataset, echo = _load_required_dataset(cfg, "cv")
     task = Task(cfg.task)
     payloads = {}
     pooled_rows = {}
@@ -292,7 +301,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
         k=cfg.k, seed=cfg.seed, clean_cfg=cfg.clean, tfidf_cfg=cfg.tfidf,
     )
     for kind, report in reports.items():
-        payloads[f"cv_{kind}.json"] = {**_config_echo(cfg), **report.to_dict()}
+        payloads[f"cv_{kind}.json"] = {**echo, **report.to_dict()}
         pooled_rows[kind] = report_headline(report.pooled)
         mean_rows[kind] = report.fold_means()
         md_parts.extend([
@@ -335,7 +344,7 @@ def _make_provider(cfg: RunConfig):
 def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .augment import compute_plan
 
-    dataset = _load_required_dataset(cfg)
+    dataset, echo = _load_required_dataset(cfg, "balance")
     task = Task(cfg.task)
     provider = _make_provider(cfg)
     before = distribution(dataset, task)
@@ -351,7 +360,7 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
         write_json(run_dir / "balance.json", {
-            **_config_echo(cfg),
+            **echo,
             "task": int(task),
             "plan": plan,
             "before": before.counts,
@@ -384,13 +393,13 @@ def load_lexicon(*args, **kwargs):
 def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .emotion import bundled_lexicon_path, render_markdown
 
-    dataset = _load_required_dataset(cfg)
+    dataset, echo = _load_required_dataset(cfg, "emotion")
     lexicon_path = Path(cfg.lexicon) if cfg.lexicon else bundled_lexicon_path()
     lexicon = load_lexicon(lexicon_path)
     report = aggregate(dataset, lexicon, threshold=cfg.threshold, clean_cfg=cfg.clean)
     markdown = render_markdown(report) + "\n"
     with _run_dir(cfg, "emotion") as run_dir:
-        write_json(run_dir / "emotion.json", {**_config_echo(cfg), "cells": report.to_dict()})
+        write_json(run_dir / "emotion.json", {**echo, "cells": report.to_dict()})
         (run_dir / "emotion.md").write_text(markdown, encoding="utf-8")
     print(markdown, end="")
     return EXIT_OK
@@ -450,7 +459,7 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
     kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
     with _run_dir(cfg, "kappa") as run_dir:
         write_json(run_dir / "kappa.json", {
-            **_config_echo(cfg),
+            **_config_echo(cfg, "kappa"),
             "kappa": kappa,
             "n": len(ids),
             "file_a": path_a.name,
@@ -468,6 +477,30 @@ _COMMANDS = {
     "kappa": cmd_kappa,
 }
 
+#: Each command's description and the RunConfig fields it reads besides seed, out_dir and
+#: tag: its flags are theirs and the common four, its config hash covers them and the seed.
+_READS = {
+    "stats": ("print and save label distribution tables", ("dataset",)),
+    "cv": ("stratified cross-validation of the configured models",
+           ("dataset", "task", "models", "k", "train", "clean", "tfidf")),
+    "balance": ("upsample minority classes with paraphrases",
+                ("dataset", "task", "provider", "provider_config")),
+    "emotion": ("aggregate lexicon emotion percentages per coin and label",
+                ("dataset", "lexicon", "threshold", "clean")),
+    "kappa": ("inter-annotator agreement between two annotation files", ("task",)),
+}
+
+#: The flag of each RunConfig field that has one; the others are set in the config file.
+_FLAGS = {
+    "dataset": ("--dataset", dict(metavar="PATH", help="dataset JSONL or CSV")),
+    "task": ("--task", dict(type=int, choices=(1, 2))),
+    "models": ("--model", dict(action="append", choices=MODEL_KINDS, help="repeatable")),
+    "k": ("--k", dict(type=int, help="number of folds")),
+    "provider": ("--provider", dict(choices=PROVIDERS)),
+    "lexicon": ("--lexicon", dict(metavar="PATH", help="emotion lexicon JSON")),
+    "threshold": ("--threshold", dict(type=float, help="emotion weight threshold")),
+}
+
 
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
@@ -475,27 +508,14 @@ def build_parser() -> _ArgumentParser:
         description="Predictive-statement classification pipeline for crypto tweets.",
     )
     subparsers = parser.add_subparsers(dest="command")
-    descriptions = {
-        "stats": "print and save label distribution tables",
-        "cv": "stratified cross-validation of the configured models",
-        "balance": "upsample minority classes with paraphrases",
-        "emotion": "aggregate lexicon emotion percentages per coin and label",
-        "kappa": "inter-annotator agreement between two annotation files",
-    }
-    for name, description in descriptions.items():
+    for name, (description, reads) in _READS.items():
         sub = subparsers.add_parser(name, help=description, description=description)
         sub.add_argument("--config", metavar="PATH", help="JSON config file")
-        sub.add_argument("--dataset", metavar="PATH", help="dataset JSONL or CSV")
-        sub.add_argument("--task", type=int, choices=(1, 2))
-        sub.add_argument("--model", action="append", choices=MODEL_KINDS, dest="models",
-                         help="model kind; repeatable")
-        sub.add_argument("--k", type=int, help="number of folds")
         sub.add_argument("--seed", type=int)
         sub.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory root")
-        sub.add_argument("--provider", choices=PROVIDERS)
         sub.add_argument("--tag", help="run directory name (default: UTC timestamp)")
-        sub.add_argument("--lexicon", metavar="PATH", help="emotion lexicon JSON")
-        sub.add_argument("--threshold", type=float, help="emotion weight threshold")
+        for key in filter(_FLAGS.__contains__, reads):
+            sub.add_argument(_FLAGS[key][0], dest=key, **_FLAGS[key][1])
         if name == "kappa":
             sub.add_argument("annotations", nargs=2, metavar="FILE",
                              help="two JSONL files of {id, label} records, "

@@ -1,6 +1,8 @@
 """Command line interface tests; every command runs in-process via main()."""
 
+import argparse
 import gc
+import hashlib
 import io
 import json
 import os
@@ -607,19 +609,21 @@ class TestConfigPrecedence:
         assert h["a"] == h["b"]
         assert h["a"] != h["c"]
 
-    @pytest.mark.parametrize("config, digest", [
-        (RunConfig(dataset="d.jsonl"),
-         "f356b9ab64b693ffc47720d0a57fc13b42aba688e58866e9f949a1ba83538cbf"),
+    @pytest.mark.parametrize("config, command, digest", [
+        (RunConfig(dataset="d.jsonl"), "cv",
+         "d410547bb9c7798ef89f1b0e71160ae8e80c5d58d26d01000da806bc42273ab8"),
         # ints given for float fields are kept as ints, as they always were
         (from_dict(RunConfig, {
             "dataset": "d.jsonl", "models": ["svm"], "threshold": 1, "provider": "remote",
             "train": {"epochs": 3, "l2": 0}, "clean": {"special_chars": "#$"},
             "provider_config": {"endpoint": "http://e", "api_key_env": "K", "model": "m",
                                 "timeout_s": 5},
-         }), "6eaa9bcf8a1173ae586a95b105c63ff0d3e9bb9da59bf27b32ce718c869aa9c3"),
+         }), "balance", "d53d8af1a889d2ac4e5663d0ef4a1e43e8b72b6ed498a53f888a48df8cf54927"),
     ])
-    def test_config_hash_is_pinned(self, config, digest):
-        assert _config_echo(config)["config_hash"] == digest
+    def test_config_hash_is_pinned(self, config, command, digest):
+        # the dataset's bytes stand for its path; these are the SHA-256 of b""
+        sha = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert _config_echo(config, command, sha)["config_hash"] == digest
 
     def test_readme_config_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -630,6 +634,90 @@ class TestConfigPrecedence:
         assert example.keys() == defaults.keys()
         for key in example.keys() - {"dataset", "provider_config"}:
             assert example[key] == defaults[key], key
+
+
+#: The flags every command takes, and the flags of the fields each command reads.
+COMMON_FLAGS = {"--config", "--seed", "--out", "--tag"}
+ROW_FLAGS = {
+    "stats": {"--dataset"},
+    "cv": {"--dataset", "--task", "--model", "--k"},
+    "balance": {"--dataset", "--task", "--provider"},
+    "emotion": {"--dataset", "--lexicon", "--threshold"},
+    "kappa": {"--task"},
+}
+FLAG_VALUES = {"--dataset": "planted.jsonl", "--task": "1", "--model": "rf", "--k": "3",
+               "--provider": "offline", "--lexicon": "lex.json", "--threshold": "0.5"}
+
+
+class TestWhatEachCommandReads:
+    def test_each_command_takes_the_common_flags_and_those_of_its_row(self):
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert subparsers.choices.keys() == ROW_FLAGS.keys()
+        for command, sub in subparsers.choices.items():
+            options = {flag for action in sub._actions for flag in action.option_strings}
+            assert options - {"-h", "--help"} == COMMON_FLAGS | ROW_FLAGS[command], command
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in ROW_FLAGS.items()
+        for flag in FLAG_VALUES if flag not in flags
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, planted_path, tmp_path,
+                                                               capsys, command, flag):
+        if command == "kappa":
+            a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+            write_annotations(a, {"d1": 0, "d2": 1})
+            write_annotations(b, {"d1": 0, "d2": 1})
+            argv = [str(a), str(b)]
+        else:
+            argv = ["--dataset", str(planted_path)]
+        out = tmp_path / "o"
+        code = run(command, *argv, flag, FLAG_VALUES[flag], "--out", str(out), "--tag", "t")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+        assert flag in captured.err
+        assert not out.exists()
+
+    def _hashes(self, tmp_path, command, *argv, config=None):
+        """config_hash and dataset_sha256 of one run of command."""
+        out = tmp_path / "o"
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ("--config", str(tmp_path / "cfg.json"))
+        assert run(command, *argv, "--out", str(out), "--tag", "t") == 0
+        artifact = "cv_logreg.json" if command == "cv" else f"{command}.json"
+        payload = json.loads((out / command / "t" / artifact).read_text())
+        return payload["config_hash"], payload["dataset_sha256"]
+
+    @pytest.mark.parametrize("config", [
+        {"k": 9}, {"lexicon": "nonexistent.json"}, {"threshold": 5}, {"train": {"epochs": 3}},
+    ], ids=["k", "lexicon", "threshold", "train"])
+    def test_stats_hash_ignores_keys_stats_does_not_read(self, planted_path, tmp_path, capsys,
+                                                          config):
+        plain = self._hashes(tmp_path / "plain", "stats", "--dataset", str(planted_path))
+        assert self._hashes(tmp_path, "stats", "--dataset", str(planted_path),
+                            config=config) == plain
+
+    def test_cv_hash_follows_the_dataset_bytes_not_its_path(self, planted_path, tmp_path,
+                                                            capsys):
+        data = planted_path.read_bytes()
+        cv = ("--model", "logreg", "--k", "2")
+        moved = tmp_path / "elsewhere" / "renamed.jsonl"
+        moved.parent.mkdir()
+        moved.write_bytes(data)
+        original = self._hashes(tmp_path / "a", "cv", "--dataset", str(planted_path), *cv)
+        assert original[1] == hashlib.sha256(data).hexdigest()
+        assert self._hashes(tmp_path / "b", "cv", "--dataset", str(moved), *cv) == original
+
+        # one byte of one document's text changes; the path stays
+        at = data.index(b'"text": "') + len(b'"text": "')
+        moved.write_bytes(data[:at] + (b"z" if data[at:at + 1] != b"z" else b"y")
+                          + data[at + 1:])
+        edited = self._hashes(tmp_path / "c", "cv", "--dataset", str(moved), *cv)
+        assert edited[1] == hashlib.sha256(moved.read_bytes()).hexdigest()
+        assert edited[0] != original[0] and edited[1] != original[1]
 
 
 class TestRunDirectory:

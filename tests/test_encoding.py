@@ -80,12 +80,29 @@ def _old_plan(plan):
     }
 
 
-def _old_config_echo(cfg):
-    payload = asdict(cfg)
-    del payload["out_dir"], payload["tag"]
+#: The RunConfig fields each command reads besides seed, out_dir and tag.
+_READS = {
+    "stats": {"dataset"},
+    "cv": {"dataset", "task", "models", "k", "train", "clean", "tfidf"},
+    "balance": {"dataset", "task", "provider", "provider_config"},
+    "emotion": {"dataset", "lexicon", "threshold", "clean"},
+    "kappa": {"task"},
+}
+
+#: The SHA-256 of b"", standing for a dataset's bytes where no file is read.
+_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+def _old_config_echo(cfg, command, dataset_sha256=None):
+    payload = {name: value for name, value in asdict(cfg).items()
+               if name == "seed" or name in _READS[command]}
+    echo = {}
+    if "dataset" in payload:
+        del payload["dataset"]
+        payload["dataset_sha256"] = echo["dataset_sha256"] = dataset_sha256
     canonical = json.dumps(payload, sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-            "seed": cfg.seed}
+            **echo, "seed": cfg.seed}
 
 
 def _old_bytes(payload):
@@ -128,8 +145,8 @@ def test_cv_artifacts_match_the_reference(noisy, tmp_path, task):
     reports = cross_validate_models(noisy, task, ("logreg", "svm", "rf"), TRAIN, k=3, seed=5)
     assert reports["rf"].forest_sizes
     for report in reports.values():
-        written = _written(tmp_path, {**_config_echo(cfg), **report.to_dict()})
-        assert written == _old_bytes({**_old_config_echo(cfg), **_old_cv(report)})
+        written = _written(tmp_path, {**_config_echo(cfg, "cv", _SHA), **report.to_dict()})
+        assert written == _old_bytes({**_old_config_echo(cfg, "cv", _SHA), **_old_cv(report)})
 
 
 def test_confusion_with_two_digit_codes_sorts_keys_as_strings(tmp_path):
@@ -156,7 +173,7 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
     shortfall = sorted(compute_plan(after).needed.items())
     cfg = RunConfig(dataset=str(dataset_path), task=2)
     expected = {
-        **_old_config_echo(cfg),
+        **_old_config_echo(cfg, "balance", hashlib.sha256(dataset_path.read_bytes()).hexdigest()),
         "task": 2,
         "plan": _old_plan(plan),
         "before": {str(c): n for c, n in sorted(before.counts.items())},
@@ -176,7 +193,8 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
         endpoint="http://127.0.0.1:9/v1", api_key_env="K", model="m", timeout_s=2.5)),
 ], ids=["defaults", "cv", "remote"])
 def test_config_echo_matches_the_reference(cfg):
-    assert _config_echo(cfg) == _old_config_echo(cfg)
+    for command in _READS:
+        assert _config_echo(cfg, command, _SHA) == _old_config_echo(cfg, command, _SHA), command
 
 
 # ---------------------------------------------------------------------------

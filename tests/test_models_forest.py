@@ -521,7 +521,7 @@ class TestFlatLayout:
                      "--model", "rf", "--k", "3", "--seed", "11", "--out", "out",
                      "--tag", "pin"]) == 0
         digest = hashlib.sha256((tmp_path / "out/cv/pin/cv_rf.json").read_bytes()).hexdigest()
-        assert digest == "35e1772f82bf363951fae2ba1d32f96a8814930bf13b78617d9fc94b3f92313b"
+        assert digest == "8d8b17cfa150bbfdcc006f6ee5211f025c3273a2bbd4356843989d4996572341"
 
 
 class TestForest:
