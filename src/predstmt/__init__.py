@@ -37,7 +37,7 @@ from .corpus import (
     save_dataset,
     stratified_folds,
 )
-from .preprocess import CleanConfig, preprocess, strip_urls
+from .preprocess import preprocess, strip_urls
 from .config import ProviderConfig, ProviderError, TfidfConfig, TrainConfig
 
 #: Exported name -> the module it comes from, imported on first access.
@@ -60,7 +60,7 @@ __all__ = [
     "Coin", "DataError", "Dataset", "Document", "FoldAssignment", "LabelDistribution",
     "Source", "Task", "Task1Label", "Task2Label", "cohen_kappa", "distribution",
     "load_dataset", "save_dataset", "stratified_folds",
-    "CleanConfig", "preprocess", "strip_urls",
+    "preprocess", "strip_urls",
     "ProviderConfig", "ProviderError", "TfidfConfig", "TrainConfig",
     *_LAZY,
 ]

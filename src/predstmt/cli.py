@@ -47,7 +47,6 @@ from .corpus import (
     save_dataset,
     write_json,
 )
-from .preprocess import CleanConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,7 +78,6 @@ class RunConfig:
     lexicon: str | None = None
     threshold: float = 0.0
     train: TrainConfig = field(default_factory=TrainConfig)
-    clean: CleanConfig = field(default_factory=CleanConfig)
     tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     provider_config: ProviderConfig | None = None
 
@@ -134,14 +132,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(exc)) from None
 
 
-def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None) -> dict:
-    """Hash the seed and command's row of _READS, the dataset by the sha256 of its bytes."""
+def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None,
+                 **digests: str) -> dict:
+    """Hash the seed, command's row of _READS and the SHA-256 of each file's bytes.
+
+    digests maps <name>_sha256 to the digest of each file besides the dataset;
+    the row's field <name>, that file's path, is left out. Digests are echoed.
+    """
     reads = _READS[command][1]
-    digest = {"dataset_sha256": dataset_sha256} if "dataset" in reads else {}
-    read = {name: getattr(cfg, name) for name in ("seed", *reads) if name != "dataset"}
-    canonical = json.dumps(jsonable({**read, **digest}), sort_keys=True)
+    if "dataset" in reads:
+        digests = {"dataset_sha256": dataset_sha256, **digests}
+    read = {name: getattr(cfg, name) for name in ("seed", *reads)
+            if f"{name}_sha256" not in digests}
+    canonical = json.dumps(jsonable({**read, **digests}), sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-            **digest, "seed": cfg.seed}
+            **digests, "seed": cfg.seed}
+
+
+def _sha256(path: str | Path, what: str) -> str:
+    """The SHA-256 of the file's bytes; what names the file in the DataError if unreadable."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -212,19 +229,12 @@ def _run_dir(cfg: RunConfig, command: str):
         shutil.rmtree(old)
 
 
-def _load_required_dataset(cfg: RunConfig, command: str):
-    """The dataset and command's config echo, which hashes the file's bytes once it has loaded."""
+def _load_required_dataset(cfg: RunConfig):
+    """The dataset and the SHA-256 of its file's bytes, hashed once it has loaded."""
     if not cfg.dataset:
         raise UsageError("a dataset is required; pass --dataset or set it in the config")
     dataset = load_dataset(cfg.dataset)
-    digest = hashlib.sha256()
-    try:
-        with open(cfg.dataset, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {cfg.dataset}: {exc}") from None
-    return dataset, _config_echo(cfg, command, digest.hexdigest())
+    return dataset, _sha256(cfg.dataset, "dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +257,9 @@ def _distribution_section(dataset, task: Task) -> tuple[dict, list[str]]:
 
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dataset, echo = _load_required_dataset(cfg, "stats")
-    payload = {**echo, "dataset": dataset.name, "documents": len(dataset)}
+    dataset, sha256 = _load_required_dataset(cfg)
+    payload = {**_config_echo(cfg, "stats", sha256), "dataset": dataset.name,
+               "documents": len(dataset)}
     md_lines: list[str] = []
     for task in (Task.PREDICTIVENESS, Task.DIRECTION):
         section, lines = _distribution_section(dataset, task)
@@ -290,7 +301,8 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the squared hinge needs l2 > 0; catch l2 = 0 here, not after a fold's features
     if "svm" in cfg.models and cfg.train.l2 <= 0:
         raise UsageError(f"train.l2 must be > 0 for the svm model, got {cfg.train.l2}")
-    dataset, echo = _load_required_dataset(cfg, "cv")
+    dataset, sha256 = _load_required_dataset(cfg)
+    echo = _config_echo(cfg, "cv", sha256)
     task = Task(cfg.task)
     payloads = {}
     pooled_rows = {}
@@ -298,7 +310,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     md_parts = [f"## Cross-validation, task {int(task)}, k={cfg.k}, seed={cfg.seed}", ""]
     reports = cross_validate(
         dataset, task, cfg.models, cfg.train,
-        k=cfg.k, seed=cfg.seed, clean_cfg=cfg.clean, tfidf_cfg=cfg.tfidf,
+        k=cfg.k, seed=cfg.seed, tfidf_cfg=cfg.tfidf,
     )
     for kind, report in reports.items():
         payloads[f"cv_{kind}.json"] = {**echo, **report.to_dict()}
@@ -344,7 +356,7 @@ def _make_provider(cfg: RunConfig):
 def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .augment import compute_plan
 
-    dataset, echo = _load_required_dataset(cfg, "balance")
+    dataset, sha256 = _load_required_dataset(cfg)
     task = Task(cfg.task)
     provider = _make_provider(cfg)
     before = distribution(dataset, task)
@@ -360,7 +372,7 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
         write_json(run_dir / "balance.json", {
-            **echo,
+            **_config_echo(cfg, "balance", sha256),
             "task": int(task),
             "plan": plan,
             "before": before.counts,
@@ -393,10 +405,12 @@ def load_lexicon(*args, **kwargs):
 def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .emotion import bundled_lexicon_path, render_markdown
 
-    dataset, echo = _load_required_dataset(cfg, "emotion")
+    dataset, sha256 = _load_required_dataset(cfg)
     lexicon_path = Path(cfg.lexicon) if cfg.lexicon else bundled_lexicon_path()
     lexicon = load_lexicon(lexicon_path)
-    report = aggregate(dataset, lexicon, threshold=cfg.threshold, clean_cfg=cfg.clean)
+    echo = _config_echo(cfg, "emotion", sha256,
+                        lexicon_sha256=_sha256(lexicon_path, "lexicon"))
+    report = aggregate(dataset, lexicon, threshold=cfg.threshold)
     markdown = render_markdown(report) + "\n"
     with _run_dir(cfg, "emotion") as run_dir:
         write_json(run_dir / "emotion.json", {**echo, "cells": report.to_dict()})
@@ -457,9 +471,11 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     ids = sorted(a)
     kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
+    echo = _config_echo(cfg, "kappa", file_a_sha256=_sha256(path_a, "annotation file"),
+                        file_b_sha256=_sha256(path_b, "annotation file"))
     with _run_dir(cfg, "kappa") as run_dir:
         write_json(run_dir / "kappa.json", {
-            **_config_echo(cfg, "kappa"),
+            **echo,
             "kappa": kappa,
             "n": len(ids),
             "file_a": path_a.name,
@@ -482,11 +498,11 @@ _COMMANDS = {
 _READS = {
     "stats": ("print and save label distribution tables", ("dataset",)),
     "cv": ("stratified cross-validation of the configured models",
-           ("dataset", "task", "models", "k", "train", "clean", "tfidf")),
+           ("dataset", "task", "models", "k", "train", "tfidf")),
     "balance": ("upsample minority classes with paraphrases",
                 ("dataset", "task", "provider", "provider_config")),
     "emotion": ("aggregate lexicon emotion percentages per coin and label",
-                ("dataset", "lexicon", "threshold", "clean")),
+                ("dataset", "lexicon", "threshold")),
     "kappa": ("inter-annotator agreement between two annotation files", ("task",)),
 }
 

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .corpus import (Coin, DataError, Dataset, Document, Task2Label, parse_json,
                      reject_duplicate_keys)
-from .preprocess import DEFAULT_CLEAN, CleanConfig, preprocess
+from .preprocess import preprocess
 
 
 class EmotionCategory(Enum):
@@ -142,14 +142,14 @@ def bundled_lexicon_path() -> Path:
     return Path(str(resources.files("predstmt.data").joinpath("emotion_lexicon.json")))
 
 
-def tag_document(doc: Document, lex: EmotionLexicon, threshold: float = 0.0,
-                 clean_cfg: CleanConfig = DEFAULT_CLEAN) -> set[EmotionCategory]:
+def tag_document(doc: Document, lex: EmotionLexicon,
+                 threshold: float = 0.0) -> set[EmotionCategory]:
     """Emotion categories whose matched weight exceeds the threshold.
 
-    Tokens come from the standard preprocessing pipeline; phrases match
+    Tokens come from preprocess; phrases match
     longest-first without overlap. No matches yield the empty set.
     """
-    tokens = preprocess(doc.text, clean_cfg)
+    tokens = preprocess(doc.text)
     entries, phrase_lengths = lex.phrase_entries, lex.phrase_lengths
     found: set[EmotionCategory] = set()
     if phrase_lengths.keys().isdisjoint(tokens):  # no token starts a term
@@ -199,8 +199,7 @@ def _round2(count: int, total: int) -> float:
     return float(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def aggregate(dataset: Dataset, lex: EmotionLexicon, threshold: float = 0.0,
-              clean_cfg: CleanConfig = DEFAULT_CLEAN) -> EmotionReport:
+def aggregate(dataset: Dataset, lex: EmotionLexicon, threshold: float = 0.0) -> EmotionReport:
     """Tag every coin-bearing, direction-labeled document and aggregate.
 
     percentage(category) = 100 * tagged / cell size, rounded half-up to
@@ -216,7 +215,7 @@ def aggregate(dataset: Dataset, lex: EmotionLexicon, threshold: float = 0.0,
         key = (coin._value_, label._value_)
         sizes[key] += 1
         counts = tagged[key]
-        for category in tag_document(doc, lex, threshold, clean_cfg):
+        for category in tag_document(doc, lex, threshold):
             counts[category._value_] += 1
     profiles = {
         (Coin(coin), Task2Label(label)): EmotionProfile(

@@ -30,7 +30,7 @@ from .models import (
     train_random_forest,
     train_svm_linear,
 )
-from .preprocess import DEFAULT_CLEAN, CleanConfig, preprocess
+from .preprocess import preprocess
 
 _TRAINERS = {
     "logreg": train_logreg,
@@ -208,16 +208,14 @@ class CvReport:
 
 def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: TrainConfig,
                    k: int = 5, seed: int = 42,
-                   clean_cfg: CleanConfig = DEFAULT_CLEAN,
                    tfidf_cfg: TfidfConfig = TfidfConfig()) -> CvReport:
     """Run stratified k-fold evaluation of one model kind on one task."""
     return cross_validate_models(dataset, task, (model_kind,), train_cfg, k=k, seed=seed,
-                                 clean_cfg=clean_cfg, tfidf_cfg=tfidf_cfg)[model_kind]
+                                 tfidf_cfg=tfidf_cfg)[model_kind]
 
 
 def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[str],
                           train_cfg: TrainConfig, k: int = 5, seed: int = 42,
-                          clean_cfg: CleanConfig = DEFAULT_CLEAN,
                           tfidf_cfg: TfidfConfig = TfidfConfig()) -> dict[str, CvReport]:
     """Run stratified k-fold evaluation of several model kinds on the same folds.
 
@@ -237,7 +235,7 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
     task = Task(task)
     assignment = stratified_folds(dataset, task, k, seed)
     docs = dataset.labeled(task)
-    counts = count_terms(preprocess(doc.text, clean_cfg) for doc in docs)
+    counts = count_terms(preprocess(doc.text) for doc in docs)
     labels = [doc.label(task) for doc in docs]
     doc_folds = [assignment.folds[doc.id] for doc in docs]
     class_codes = sorted(set(labels))

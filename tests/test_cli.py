@@ -17,7 +17,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from predstmt import (
-    CleanConfig,
     Coin,
     DataError,
     Dataset,
@@ -26,6 +25,7 @@ from predstmt import (
     Task,
     TfidfConfig,
     TrainConfig,
+    bundled_lexicon_path,
     distribution,
     save_dataset,
 )
@@ -477,7 +477,7 @@ class TestConfigPrecedence:
         ("cv", {"train": {"epochs": True}}, "train.epochs must be an integer"),
         ("cv", {"train": {"epochs": "5"}}, "train.epochs must be an integer"),
         ("cv", {"train": {"epochs": 0}}, "train: epochs must be >= 1"),
-        ("cv", {"clean": {"lowercase": "no"}}, "clean.lowercase must be true or false"),
+        ("cv", {"clean": {}}, "unknown config keys: clean"),
         ("balance", {"provider_config": {"endpoint": "x"}},
          "missing config keys: provider_config.api_key_env, provider_config.model"),
         ("balance", {"provider_config": {}}, "missing config keys: provider_config.endpoint"),
@@ -611,11 +611,11 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("config, command, digest", [
         (RunConfig(dataset="d.jsonl"), "cv",
-         "d410547bb9c7798ef89f1b0e71160ae8e80c5d58d26d01000da806bc42273ab8"),
+         "22393a1c2c747aac5a9a1379904f4815029bc4b39a30ff7dee9feef4437be515"),
         # ints given for float fields are kept as ints, as they always were
         (from_dict(RunConfig, {
             "dataset": "d.jsonl", "models": ["svm"], "threshold": 1, "provider": "remote",
-            "train": {"epochs": 3, "l2": 0}, "clean": {"special_chars": "#$"},
+            "train": {"epochs": 3, "l2": 0},
             "provider_config": {"endpoint": "http://e", "api_key_env": "K", "model": "m",
                                 "timeout_s": 5},
          }), "balance", "d53d8af1a889d2ac4e5663d0ef4a1e43e8b72b6ed498a53f888a48df8cf54927"),
@@ -680,8 +680,8 @@ class TestWhatEachCommandReads:
         assert flag in captured.err
         assert not out.exists()
 
-    def _hashes(self, tmp_path, command, *argv, config=None):
-        """config_hash and dataset_sha256 of one run of command."""
+    def _hashes(self, tmp_path, command, *argv, config=None, digests=("dataset_sha256",)):
+        """config_hash and the named file digests of one run of command."""
         out = tmp_path / "o"
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -689,7 +689,7 @@ class TestWhatEachCommandReads:
         assert run(command, *argv, "--out", str(out), "--tag", "t") == 0
         artifact = "cv_logreg.json" if command == "cv" else f"{command}.json"
         payload = json.loads((out / command / "t" / artifact).read_text())
-        return payload["config_hash"], payload["dataset_sha256"]
+        return (payload["config_hash"], *(payload[name] for name in digests))
 
     @pytest.mark.parametrize("config", [
         {"k": 9}, {"lexicon": "nonexistent.json"}, {"threshold": 5}, {"train": {"epochs": 3}},
@@ -718,6 +718,56 @@ class TestWhatEachCommandReads:
         edited = self._hashes(tmp_path / "c", "cv", "--dataset", str(moved), *cv)
         assert edited[1] == hashlib.sha256(moved.read_bytes()).hexdigest()
         assert edited[0] != original[0] and edited[1] != original[1]
+
+    def test_emotion_hash_follows_the_lexicon_bytes_not_its_path(self, planted_path, tmp_path,
+                                                                 capsys):
+        bundled = bundled_lexicon_path().read_bytes()
+        lexicon, moved = tmp_path / "lex.json", tmp_path / "elsewhere.json"
+        lexicon.write_bytes(bundled)
+        moved.write_bytes(bundled)
+
+        def hashes(name, *flags):
+            return self._hashes(tmp_path / name, "emotion", "--dataset", str(planted_path),
+                                *flags, digests=("lexicon_sha256",))
+
+        # the bundled lexicon counts by its bytes too, so a copy of it hashes alike
+        original = hashes("a")
+        assert original[1] == hashlib.sha256(bundled).hexdigest()
+        assert hashes("b", "--lexicon", str(lexicon)) == original
+        assert hashes("c", "--lexicon", str(moved)) == original
+
+        # thrilled and scared leave the lexicon; the path stays
+        edited = json.loads(bundled)
+        del edited["entries"]["thrilled"], edited["entries"]["scared"]
+        lexicon.write_text(json.dumps(edited))
+        changed = hashes("d", "--lexicon", str(lexicon))
+        assert changed[1] == hashlib.sha256(lexicon.read_bytes()).hexdigest()
+        assert changed[0] != original[0] and changed[1] != original[1]
+
+    def test_kappa_hash_follows_the_files_bytes_in_argument_order(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_annotations(a, {"d1": 0, "d2": 1, "d3": 1})
+        write_annotations(b, {"d1": 0, "d2": 1, "d3": 0})
+        moved = tmp_path / "elsewhere"
+        moved.mkdir()
+        for path in (a, b):
+            (moved / f"renamed-{path.name}").write_bytes(path.read_bytes())
+
+        def hashes(name, first, second):
+            return self._hashes(tmp_path / name, "kappa", str(first), str(second),
+                                digests=("file_a_sha256", "file_b_sha256"))
+
+        original = hashes("o1", a, b)
+        assert original[1:] == tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, b))
+        assert hashes("o2", moved / "renamed-a.jsonl", moved / "renamed-b.jsonl") == original
+        swapped = hashes("o3", b, a)
+        assert swapped[1:] == original[:0:-1] and swapped[0] != original[0]
+
+        # one label of the second file changes; the paths stay
+        write_annotations(b, {"d1": 0, "d2": 1, "d3": 1})
+        edited = hashes("o4", a, b)
+        assert edited[1] == original[1] and edited[2] != original[2]
+        assert edited[0] != original[0]
 
 
 class TestRunDirectory:
@@ -1109,7 +1159,7 @@ _PLAUSIBLE = st.sampled_from([0, 1, 2, 3, 5, -1, 0.5, 1e-4, True, False, None, "
 
 def _config_object(cls) -> st.SearchStrategy:
     """JSON objects over cls's keys, typo'd keys and random values, nested sections too."""
-    nested = {"train": TrainConfig, "clean": CleanConfig, "tfidf": TfidfConfig,
+    nested = {"train": TrainConfig, "tfidf": TfidfConfig,
               "provider_config": ProviderConfig}
     names = [f.name for f in fields(cls)]
     defaults = {f.name: st.just(f.default) for f in fields(cls)

@@ -8,7 +8,6 @@ import pytest
 
 from predstmt import (
     CATEGORY_TITLES,
-    CleanConfig,
     Coin,
     DataError,
     Dataset,
@@ -422,9 +421,9 @@ class TestRenderMarkdown:
         assert [r.split(" | ")[1] for r in rows] == ["Incremental", "Decremental", "Neutral"]
 
 
-def _reference_tag(doc, lex, threshold=0.0, clean_cfg=CleanConfig()):
+def _reference_tag(doc, lex, threshold=0.0):
     """The tagger loop that slices every phrase length at every token, kept as the oracle."""
-    tokens = preprocess(doc.text, clean_cfg)
+    tokens = preprocess(doc.text)
     found = set()
     i = 0
     n = len(tokens)
@@ -497,8 +496,6 @@ class TestTaggerMatchesReference:
     def test_bundled_lexicon_on_its_own_tokens(self):
         lex = load_lexicon(bundled_lexicon_path())
         vocabulary = sorted({t for key in lex.phrase_entries for t in key}) + ["filler", "zzz"]
-        clean = CleanConfig(min_token_length=1)
         for text in _token_streams(vocabulary, 400, seed=11):
             d = doc(text)
-            assert tag_document(d, lex, 0.0, clean) == _reference_tag(d, lex, 0.0, clean)
             assert tag_document(d, lex) == _reference_tag(d, lex)

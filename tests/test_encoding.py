@@ -83,23 +83,28 @@ def _old_plan(plan):
 #: The RunConfig fields each command reads besides seed, out_dir and tag.
 _READS = {
     "stats": {"dataset"},
-    "cv": {"dataset", "task", "models", "k", "train", "clean", "tfidf"},
+    "cv": {"dataset", "task", "models", "k", "train", "tfidf"},
     "balance": {"dataset", "task", "provider", "provider_config"},
-    "emotion": {"dataset", "lexicon", "threshold", "clean"},
+    "emotion": {"dataset", "lexicon", "threshold"},
     "kappa": {"task"},
 }
 
 #: The SHA-256 of b"", standing for a dataset's bytes where no file is read.
 _SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
+#: Stand-ins for the digests of the files a command reads besides its dataset.
+_DIGESTS = {"emotion": {"lexicon_sha256": "1" * 64},
+            "kappa": {"file_a_sha256": "a" * 64, "file_b_sha256": "b" * 64}}
+
 
 def _old_config_echo(cfg, command, dataset_sha256=None):
     payload = {name: value for name, value in asdict(cfg).items()
-               if name == "seed" or name in _READS[command]}
-    echo = {}
+               if name == "seed" or (name in _READS[command] and name != "lexicon")}
+    echo = dict(_DIGESTS.get(command, {}))
     if "dataset" in payload:
         del payload["dataset"]
-        payload["dataset_sha256"] = echo["dataset_sha256"] = dataset_sha256
+        echo["dataset_sha256"] = dataset_sha256
+    payload.update(echo)
     canonical = json.dumps(payload, sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             **echo, "seed": cfg.seed}
@@ -194,7 +199,8 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
 ], ids=["defaults", "cv", "remote"])
 def test_config_echo_matches_the_reference(cfg):
     for command in _READS:
-        assert _config_echo(cfg, command, _SHA) == _old_config_echo(cfg, command, _SHA), command
+        assert (_config_echo(cfg, command, _SHA, **_DIGESTS.get(command, {}))
+                == _old_config_echo(cfg, command, _SHA)), command
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,8 @@ class TestCrossValidateModels:
 
         made = []
 
-        def counted(text, config):
-            made.append(Tokens(preprocess(text, config)))
+        def counted(text):
+            made.append(Tokens(preprocess(text)))
             return made[-1]
 
         monkeypatch.setattr(evaluation, "preprocess", counted)

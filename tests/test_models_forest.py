@@ -521,7 +521,7 @@ class TestFlatLayout:
                      "--model", "rf", "--k", "3", "--seed", "11", "--out", "out",
                      "--tag", "pin"]) == 0
         digest = hashlib.sha256((tmp_path / "out/cv/pin/cv_rf.json").read_bytes()).hexdigest()
-        assert digest == "8d8b17cfa150bbfdcc006f6ee5211f025c3273a2bbd4356843989d4996572341"
+        assert digest == "296792fe60329ad8a2dc8c6937b8f1dedd6c7bf99ee79fb9fa3b5fea50ef20d1"
 
 
 class TestForest:

@@ -19,7 +19,7 @@ EXPORTS = {
                "LabelDistribution", "Source", "Task", "Task1Label", "Task2Label",
                "cohen_kappa", "distribution", "load_dataset", "save_dataset",
                "stratified_folds"),
-    "preprocess": ("CleanConfig", "preprocess", "strip_urls"),
+    "preprocess": ("preprocess", "strip_urls"),
     "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "count_terms", "fit_tfidf",
                  "transform_many"),
     "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "predict_many",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predstmt import CleanConfig, DataError, preprocess, strip_urls
+from predstmt import preprocess, strip_urls
 
 preprocess_module = importlib.import_module("predstmt.preprocess")
 
@@ -63,38 +63,9 @@ class TestPreprocess:
         composed = preprocess("café time")
         assert composed == ["café", "time"]
 
-    def test_min_token_length_config(self):
-        cfg = CleanConfig(min_token_length=1)
-        assert preprocess("it is a pump", cfg) == ["it", "is", "a", "pump"]
-        cfg5 = CleanConfig(min_token_length=5)
-        assert preprocess("tiny words survive rarely", cfg5) == ["words", "survive", "rarely"]
-
-    def test_lowercase_off(self):
-        cfg = CleanConfig(lowercase=False)
-        assert preprocess("ADA Will RISE", cfg) == ["ADA", "Will", "RISE"]
-
-    def test_digit_only_tokens(self):
-        cfg = CleanConfig(strip_digit_only_tokens=True)
-        assert preprocess("price hits 12345 then 10x gains", cfg) == [
-            "price", "hits", "then", "10x", "gains"
-        ]
-
-    def test_custom_special_chars(self):
-        cfg = CleanConfig(special_chars="#")
-        assert preprocess("keep-dash #drop", cfg) == ["keep-dash", "drop"]
-
     def test_symbols_are_special_by_default(self):
         # currency and math symbols fall in the symbol categories
         assert preprocess("price $100 = profit") == ["price", "100", "profit"]
-
-    def test_min_token_length_validated(self):
-        with pytest.raises(ValueError):
-            CleanConfig(min_token_length=0)
-
-    def test_min_token_length_is_data_error(self):
-        with pytest.raises(DataError) as info:
-            CleanConfig(min_token_length=0)
-        assert str(info.value) == "min_token_length must be >= 1, got 0"
 
 
 class TestProperties:
@@ -116,53 +87,34 @@ class TestProperties:
             assert again == once
 
     def test_token_shape_invariants(self):
-        cfg = CleanConfig()
         for text in self.seeded_texts():
-            for token in preprocess(text, cfg):
-                assert len(token) >= cfg.min_token_length
+            for token in preprocess(text):
+                assert len(token) >= preprocess_module.MIN_TOKEN_LENGTH
                 assert token == token.lower()
                 assert " " not in token
 
 
-def _reference_preprocess(text: str, config: CleanConfig = CleanConfig()) -> list[str]:
+def _reference_preprocess(text: str) -> list[str]:
     """The per-character pipeline that the translate table replaced, kept as the oracle."""
-    def is_special(ch: str) -> bool:
-        if config.special_chars is not None:
-            return ch in config.special_chars
-        return unicodedata.category(ch)[0] in ("P", "S")
-
     text = strip_urls(text)
-    text = "".join(" " if is_special(ch) else ch for ch in text)
-    if config.lowercase:
-        text = text.lower()
-    text = unicodedata.normalize("NFC", text)
-    kept = [t for t in text.split() if len(t) >= config.min_token_length]
-    if config.strip_digit_only_tokens:
-        kept = [t for t in kept if not t.isdigit()]
-    return kept
+    text = "".join(" " if unicodedata.category(ch)[0] in ("P", "S") else ch for ch in text)
+    text = unicodedata.normalize("NFC", text.lower())
+    return [t for t in text.split() if len(t) >= 3]
 
 
 class TestTranslateTable:
-    CONFIGS = {
-        "default": CleanConfig(),
-        "explicit": CleanConfig(special_chars="#-é€́★"),
-        "lowercase_off": CleanConfig(lowercase=False),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_every_code_point_matches_reference(self, name):
-        config = self.CONFIGS[name]
+    def test_every_code_point_matches_reference(self):
         code_points = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
         try:
             for start in range(0, len(code_points), 8192):
                 chunk = code_points[start:start + 8192]
                 # a special character splits its token in two short ones, which are dropped
                 text = " ".join(f"x{chr(c)}y" for c in chunk)
-                assert preprocess(text, config) == _reference_preprocess(text, config), start
+                assert preprocess(text) == _reference_preprocess(text), start
                 # the cache is a plain dict; emptying it keeps the test's memory small
-                preprocess_module._special_table(None).clear()
+                preprocess_module._PUNCT_SYMBOL.clear()
         finally:
-            preprocess_module._special_table(None).clear()
+            preprocess_module._PUNCT_SYMBOL.clear()
 
     @pytest.mark.parametrize("text", [
         "İstanbul ΣΊΣΥΦΟΣ straße ǅemal",
@@ -173,28 +125,15 @@ class TestTranslateTable:
         "",
     ], ids=["lowercase-changes-length", "combining-marks", "unicode-spaces", "astral-fullwidth",
             "control-characters", "empty"])
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_edge_cases_match_reference(self, name, text):
-        config = self.CONFIGS[name]
-        assert preprocess(text, config) == _reference_preprocess(text, config)
-
-    def test_explicit_table_is_built_once_per_string(self):
-        config = CleanConfig(special_chars="#")
-        assert (preprocess_module._special_table(config.special_chars)
-                is preprocess_module._special_table("#"))
-        assert preprocess("keep-dash #drop", config) == ["keep-dash", "drop"]
+    def test_edge_cases_match_reference(self, text):
+        assert preprocess(text) == _reference_preprocess(text)
 
 
-def _always_scan_preprocess(text: str, config: CleanConfig = CleanConfig()) -> list[str]:
+def _always_scan_preprocess(text: str) -> list[str]:
     """preprocess before it skipped the URL scan and translated ASCII text as bytes."""
-    text = strip_urls(text).translate(preprocess_module._special_table(config.special_chars))
-    if config.lowercase:
-        text = text.lower()
-    text = unicodedata.normalize("NFC", text)
-    kept = [t for t in text.split() if len(t) >= config.min_token_length]
-    if config.strip_digit_only_tokens:
-        kept = [t for t in kept if not t.isdigit()]
-    return kept
+    text = strip_urls(text).translate(preprocess_module._PunctSymbolTable())
+    text = unicodedata.normalize("NFC", text.lower())
+    return [t for t in text.split() if len(t) >= 3]
 
 
 def _any_case(word: str):
@@ -218,19 +157,12 @@ _TEXT_PIECES = st.one_of(
                      "\u2003", "\u3000", "\u2028", "\x85", "\x1c", "\u200b", "\x7f"]),
 )
 _TEXTS = st.lists(st.one_of(_URL_PIECES, _TEXT_PIECES), max_size=8).map("".join)
-_CONFIGS = st.builds(
-    CleanConfig,
-    special_chars=st.one_of(st.none(), st.sampled_from(["#", "#-é€́★", ".:/", "Σ ", ""])),
-    min_token_length=st.integers(1, 4),
-    lowercase=st.booleans(),
-    strip_digit_only_tokens=st.booleans(),
-)
 
 
 @settings(max_examples=600, deadline=None, database=None)
-@given(_TEXTS, _CONFIGS)
-def test_matches_preprocess_that_always_scans_for_urls(text, config):
-    assert preprocess(text, config) == _always_scan_preprocess(text, config)
+@given(_TEXTS)
+def test_matches_preprocess_that_always_scans_for_urls(text):
+    assert preprocess(text) == _always_scan_preprocess(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -238,7 +170,5 @@ def test_matches_preprocess_that_always_scans_for_urls(text, config):
     "ΑΣ\u0301 https://x é", "plain ascii text, no links!", "ascii www.a.io and http://b",
 ], ids=["mixed-case-scheme", "mixed-case-www", "long-s", "sigma-before-combining",
         "ascii", "ascii-urls"])
-@pytest.mark.parametrize("name", sorted(TestTranslateTable.CONFIGS))
-def test_url_and_ascii_edges_match_preprocess_that_always_scans(name, text):
-    config = TestTranslateTable.CONFIGS[name]
-    assert preprocess(text, config) == _always_scan_preprocess(text, config)
+def test_url_and_ascii_edges_match_preprocess_that_always_scans(text):
+    assert preprocess(text) == _always_scan_preprocess(text)
