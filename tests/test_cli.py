@@ -531,6 +531,8 @@ class TestConfigPrecedence:
           for endpoint in ("localhost:8080/v1", "ftp://host/v1", "http:///v1", "http://[::1/v1",
                            "", "http://127.0.0.1:notaport/v1", "http://host:70000/v1",
                            "http://host:-1/v1")),
+        # the cleaner has no settings; emotion tags the same tokens as cv
+        ("emotion", {"clean": {"lowercase": False}}, "usage error: unknown config keys: clean"),
     ])
     def test_ill_typed_config_value_is_one_line_usage_error(self, planted_path, tmp_path,
                                                             capsys, command, config, message):

@@ -277,6 +277,24 @@ class TestTagDocument:
         assert tag_document(doc("SO Happy!!! http://x.co/a"), small_lexicon) \
             == {EmotionCategory.DELIGHT_JOY}
 
+    @pytest.mark.parametrize("text", ["ANGRY!", "angry, yes", "angry"])
+    def test_cleaning_keeps_bundled_terms_taggable(self, text):
+        # a cleaner that kept case or punctuation, or dropped five-letter
+        # tokens, would tag none of these
+        lex = load_lexicon(bundled_lexicon_path())
+        assert tag_document(doc(text), lex) == {EmotionCategory.RAGE_ANGER}
+
+    @pytest.mark.parametrize("term", sorted(json.loads(
+        bundled_lexicon_path().read_text(encoding="utf-8"))["entries"]))
+    def test_bundled_term_is_tagged_through_case_and_punctuation(self, term):
+        lex = load_lexicon(bundled_lexicon_path())
+        key = tuple(term.casefold().split())
+        assert preprocess(term) == list(key)
+        expected = {lex.grouping[emotion] for emotion, weight in lex.phrase_entries[key]
+                    if weight > 0}
+        shouted = "«" + ", ".join(term.upper().split()) + "!!!» https://t.co/x"
+        assert tag_document(doc(shouted), lex) == expected != set()
+
 
 def _reference_aggregate(dataset, lex, threshold=0.0):
     """The aggregation loop keyed by Coin and Task2Label members, kept as the oracle."""

@@ -1,6 +1,7 @@
 """Cleaning and tokenization tests."""
 
 import importlib
+import inspect
 import random
 import string
 import unicodedata
@@ -67,6 +68,32 @@ class TestPreprocess:
         # currency and math symbols fall in the symbol categories
         assert preprocess("price $100 = profit") == ["price", "100", "profit"]
 
+    def test_digit_only_tokens(self):
+        # digit-only tokens are tokens like any other
+        assert preprocess("price hits 12345 then 10x gains") == [
+            "price", "hits", "12345", "then", "10x", "gains"
+        ]
+
+    def test_min_token_length_is_three(self):
+        assert preprocess_module.MIN_TOKEN_LENGTH == 3
+        assert preprocess("ab abc abcd") == ["abc", "abcd"]
+
+    def test_length_is_counted_after_nfc(self):
+        # three code points before NFC, fewer after: both tokens are dropped
+        assert preprocess("e\u0301e \u1100\u1161\u11a8") == []
+        assert preprocess("e\u0301ee") == ["\u00e9ee"]
+
+    def test_case_is_always_folded(self):
+        assert preprocess("ADA Will RISE") == ["ada", "will", "rise"]
+
+    def test_dash_and_hash_are_special(self):
+        assert preprocess("keep-dash #drop") == ["keep", "dash", "drop"]
+
+    def test_preprocess_takes_only_the_text(self):
+        # lexicon terms are case folded and free of punctuation, so the
+        # cleaner that feeds the tagger has nothing to configure
+        assert list(inspect.signature(preprocess).parameters) == ["text"]
+
 
 class TestProperties:
     def seeded_texts(self, n=60):
@@ -123,10 +150,43 @@ class TestTranslateTable:
         "𝔘𝔫𝔦𝔠𝔬𝔡𝔢 🚀🚀 price💰up ∑∞≠ ＡＢＣ！？",
         "\x00\x1f\x7f tabs\tand\nnewlines\r\n",
         "",
+        "12 123 1234 10x",
+        "ab abc abcd a.bcd ab-cd",
+        "ıi İI ǈ",
+        "ΟΔΟΣ. ΟΔΟΣ ΣΑΣ",
+        "\u1100\u1161\u11a8 \u1112\u1161\u11ab\u1100\u116e\u11a8 한국어",
+        "👩\u200d💻 dev\u200dops",
+        "价格。上涨！好的 「引用」",
+        "سعر، ارتفع؟ نعم",
+        "𝐁𝐓𝐂 𝟏𝟐𝟑 ⓑⓣⓒ",
+        "ﬁre Ⅻ ½ ²³⁴",
+        "a\xad\xadb soft\xadhyphen \u2066isolate\u2069 rtl",
+        "tab\x0bvt\x0cff\x1cfs",
     ], ids=["lowercase-changes-length", "combining-marks", "unicode-spaces", "astral-fullwidth",
-            "control-characters", "empty"])
+            "control-characters", "empty", "digit-only", "min-length-boundary",
+            "dotless-and-dotted-i", "final-sigma", "hangul-jamo", "zwj-emoji",
+            "cjk-punctuation", "arabic-punctuation", "math-alphanumerics", "compatibility-forms",
+            "format-characters", "ascii-separators"])
     def test_edge_cases_match_reference(self, text):
         assert preprocess(text) == _reference_preprocess(text)
+
+    def test_ascii_bytes_table_matches_code_point_table(self):
+        table = preprocess_module._PunctSymbolTable()
+        for b in range(128):
+            expected = table[b]
+            assert preprocess_module._ASCII_PUNCT_SYMBOL[b] == (
+                ord(expected) if isinstance(expected, str) else expected), b
+        assert preprocess_module._ASCII_PUNCT_SYMBOL[128:] == bytes(range(128, 256))
+
+    def test_category_is_looked_up_once_per_code_point(self):
+        table = preprocess_module._PunctSymbolTable()
+        assert "«price» é".translate(table) == " price  é"
+        assert table == {ord("«"): " ", ord("»"): " ", ord("p"): ord("p"), ord("r"): ord("r"),
+                         ord("i"): ord("i"), ord("c"): ord("c"), ord("e"): ord("e"),
+                         ord(" "): ord(" "), ord("é"): ord("é")}
+        cached = dict(table)
+        assert "«price» é".translate(table) == " price  é"
+        assert table == cached
 
 
 def _always_scan_preprocess(text: str) -> list[str]:
@@ -168,7 +228,8 @@ def test_matches_preprocess_that_always_scans_for_urls(text):
 @pytest.mark.parametrize("text", [
     "HtTpS://t.co/x ΑΣhttp://a.io ΑΣ", "WwW.spam.io and ΟΔΟΣwww.x", "httpſ://a.io/Σ",
     "ΑΣ\u0301 https://x é", "plain ascii text, no links!", "ascii www.a.io and http://b",
+    "(see https://a.io/x) done", "wwwhat www dot www", "WWW.é.io Σ end",
 ], ids=["mixed-case-scheme", "mixed-case-www", "long-s", "sigma-before-combining",
-        "ascii", "ascii-urls"])
+        "ascii", "ascii-urls", "url-in-brackets", "www-without-dot", "www-non-ascii"])
 def test_url_and_ascii_edges_match_preprocess_that_always_scans(text):
     assert preprocess(text) == _always_scan_preprocess(text)
