@@ -41,9 +41,8 @@ from .corpus import (
     from_dict,
     jsonable,
     load_dataset,
-    parse_json,
-    reject_duplicate_keys,
-    reject_unknown_keys,
+    read_json,
+    read_jsonl,
     save_dataset,
     write_json,
 )
@@ -113,15 +112,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         path = Path(args.config)
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from None
-        try:
-            raw = parse_json(text, lambda reason: UsageError(
-                f"config file {path} is not valid JSON: {reason}"),
-                object_pairs_hook=reject_duplicate_keys)
+            raw = read_json(path, "config file")
         except DataError as exc:
-            raise UsageError(f"config file {path}: {exc}") from None
+            raise UsageError(str(exc)) from None
         if not isinstance(raw, dict):
             raise UsageError(f"config file {path} must contain a JSON object")
     flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
@@ -136,29 +129,23 @@ def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None
                  **digests: str) -> dict:
     """Hash the seed, command's row of _READS and the SHA-256 of each file's bytes.
 
-    digests maps <name>_sha256 to the digest of each file besides the dataset;
-    the row's field <name>, that file's path, is left out. Digests are echoed.
+    digests, dataset_sha256 included, maps <name>_sha256 to the digest of each
+    file the command read; the row's field <name>, that file's path, is left
+    out. Digests are echoed.
     """
-    reads = _READS[command][1]
-    if "dataset" in reads:
+    if dataset_sha256 is not None:
         digests = {"dataset_sha256": dataset_sha256, **digests}
-    read = {name: getattr(cfg, name) for name in ("seed", *reads)
+    read = {name: getattr(cfg, name) for name in ("seed", *_READS[command][1])
             if f"{name}_sha256" not in digests}
     canonical = json.dumps(jsonable({**read, **digests}), sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
             **digests, "seed": cfg.seed}
 
 
-def _sha256(path: str | Path, what: str) -> str:
-    """The SHA-256 of the file's bytes; what names the file in the DataError if unreadable."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from None
-    return digest.hexdigest()
+def _hashed(load, path: str | Path, *args) -> tuple:
+    """load(path, *args) and the SHA-256 of the bytes it read, which load hashes as it reads."""
+    sha256 = hashlib.sha256()
+    return load(path, *args, sha256=sha256), sha256.hexdigest()
 
 
 @contextmanager
@@ -230,11 +217,10 @@ def _run_dir(cfg: RunConfig, command: str):
 
 
 def _load_required_dataset(cfg: RunConfig):
-    """The dataset and the SHA-256 of its file's bytes, hashed once it has loaded."""
+    """The dataset and the SHA-256 of the bytes it was loaded from."""
     if not cfg.dataset:
         raise UsageError("a dataset is required; pass --dataset or set it in the config")
-    dataset = load_dataset(cfg.dataset)
-    return dataset, _sha256(cfg.dataset, "dataset")
+    return _hashed(load_dataset, cfg.dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +244,7 @@ def _distribution_section(dataset, task: Task) -> tuple[dict, list[str]]:
 
 def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, sha256 = _load_required_dataset(cfg)
-    payload = {**_config_echo(cfg, "stats", sha256), "dataset": dataset.name,
+    payload = {**_config_echo(cfg, "stats", dataset_sha256=sha256), "dataset": dataset.name,
                "documents": len(dataset)}
     md_lines: list[str] = []
     for task in (Task.PREDICTIVENESS, Task.DIRECTION):
@@ -302,7 +288,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     if "svm" in cfg.models and cfg.train.l2 <= 0:
         raise UsageError(f"train.l2 must be > 0 for the svm model, got {cfg.train.l2}")
     dataset, sha256 = _load_required_dataset(cfg)
-    echo = _config_echo(cfg, "cv", sha256)
+    echo = _config_echo(cfg, "cv", dataset_sha256=sha256)
     task = Task(cfg.task)
     payloads = {}
     pooled_rows = {}
@@ -372,7 +358,7 @@ def cmd_balance(cfg: RunConfig, args: argparse.Namespace) -> int:
     with _run_dir(cfg, "balance") as run_dir:
         save_dataset(result, run_dir / "balanced.jsonl")
         write_json(run_dir / "balance.json", {
-            **_config_echo(cfg, "balance", sha256),
+            **_config_echo(cfg, "balance", dataset_sha256=sha256),
             "task": int(task),
             "plan": plan,
             "before": before.counts,
@@ -407,9 +393,8 @@ def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     dataset, sha256 = _load_required_dataset(cfg)
     lexicon_path = Path(cfg.lexicon) if cfg.lexicon else bundled_lexicon_path()
-    lexicon = load_lexicon(lexicon_path)
-    echo = _config_echo(cfg, "emotion", sha256,
-                        lexicon_sha256=_sha256(lexicon_path, "lexicon"))
+    lexicon, lexicon_sha256 = _hashed(load_lexicon, lexicon_path)
+    echo = _config_echo(cfg, "emotion", dataset_sha256=sha256, lexicon_sha256=lexicon_sha256)
     report = aggregate(dataset, lexicon, threshold=cfg.threshold)
     markdown = render_markdown(report) + "\n"
     with _run_dir(cfg, "emotion") as run_dir:
@@ -419,39 +404,32 @@ def cmd_emotion(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_annotation_file(path: Path, task: Task) -> dict[str, int]:
-    """The label of each id in a JSONL file of {id, label} records; labels are task's codes."""
-    if not path.exists():
-        raise DataError(f"annotation file not found: {path}")
+def _read_annotation_file(path: Path, task: Task, sha256: hashlib._Hash) -> dict[str, int]:
+    """The label of each id in a JSONL file of {id, label} records; labels are task's codes.
+
+    The file follows the dataset's line rules, those of corpus.read_jsonl.
+    """
     labels: dict[str, int] = {}
-    try:
-        with path.open(encoding="utf-8") as fh:
-            lines = list(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read annotation file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            rec = parse_json(line, lambda reason: DataError(f"invalid JSON ({reason})"),
-                             object_pairs_hook=reject_duplicate_keys)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
+
+    def add(rec: object) -> None:
         if not isinstance(rec, dict) or "id" not in rec or "label" not in rec:
-            raise DataError(f"{where}: expected an object with 'id' and 'label'")
-        reject_unknown_keys(rec, {"id", "label"}, where)
+            raise DataError("expected an object with 'id' and 'label'")
+        unknown = rec.keys() - {"id", "label"}
+        if unknown:
+            raise DataError(f"unknown keys {sorted(unknown)}")
         doc_id = rec["id"]
         if not isinstance(doc_id, str) or not doc_id:
-            raise DataError(f"{where}: 'id' must be a non-empty string")
+            raise DataError("'id' must be a non-empty string")
         if doc_id in labels:
-            raise DataError(f"{where}: duplicate id {doc_id!r}")
+            raise DataError(f"duplicate id {doc_id!r}")
         label = rec["label"]
         if not isinstance(label, int) or isinstance(label, bool):
-            raise DataError(f"{where}: 'label' must be an integer")
+            raise DataError("'label' must be an integer")
         if label not in LABEL_NAMES[task]:
-            raise DataError(f"{where}: unknown label code {label} for task {int(task)}")
+            raise DataError(f"unknown label code {label} for task {int(task)}")
         labels[doc_id] = label
+
+    read_jsonl(path, "annotation file", add, sha256)
     if not labels:
         raise DataError(f"{path.name}: no annotations found")
     return labels
@@ -460,8 +438,8 @@ def _read_annotation_file(path: Path, task: Task) -> dict[str, int]:
 def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
     path_a, path_b = Path(args.annotations[0]), Path(args.annotations[1])
     task = Task(cfg.task)
-    a = _read_annotation_file(path_a, task)
-    b = _read_annotation_file(path_b, task)
+    a, file_a_sha256 = _hashed(_read_annotation_file, path_a, task)
+    b, file_b_sha256 = _hashed(_read_annotation_file, path_b, task)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))[:5]
         only_b = sorted(set(b) - set(a))[:5]
@@ -471,8 +449,7 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     ids = sorted(a)
     kappa = cohen_kappa([a[i] for i in ids], [b[i] for i in ids])
-    echo = _config_echo(cfg, "kappa", file_a_sha256=_sha256(path_a, "annotation file"),
-                        file_b_sha256=_sha256(path_b, "annotation file"))
+    echo = _config_echo(cfg, "kappa", file_a_sha256=file_a_sha256, file_b_sha256=file_b_sha256)
     with _run_dir(cfg, "kappa") as run_dir:
         write_json(run_dir / "kappa.json", {
             **echo,

@@ -12,12 +12,18 @@ first fault it finds: a JSON object without a repeated key; known keys;
 'id'; the type of 'text'; coin; source; 'parent_id'; the reserved
 'annotations' key (absent, null or empty); empty or whitespace-only text;
 labels; provenance (a synthetic document names a parent, an original none).
+
+open_input is the one opener of every input file (dataset, lexicon, kappa
+files, config file): it reads each once, as UTF-8, and can feed every byte it
+reads to a SHA-256. read_jsonl and read_json parse what it opens.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import operator
@@ -25,25 +31,27 @@ import random
 import sys
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 
 class DataError(ValueError):
     """Malformed input file, schema violation, or broken corpus invariant."""
 
 
-def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> object:
-    """json.loads(text, **kwargs) for text read from an input file.
+def parse_json(text: str, invalid: Callable[[str], Exception]) -> object:
+    """json.loads(text) for text read from an input file, no key given twice.
 
     Malformed JSON, JSON nested too deeply to decode and integers too long
     to convert all raise invalid(reason), the caller's one-line error,
-    instead of a traceback. A DataError from an object hook passes through.
+    instead of a traceback. An object that repeats a key raises DataError
+    naming the first key given twice.
     """
     try:
-        return json.loads(text, **kwargs)
+        return json.loads(text, object_pairs_hook=reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise invalid(exc.msg) from None
     except RecursionError:
@@ -55,8 +63,8 @@ def parse_json(text: str, invalid: Callable[[str], Exception], **kwargs) -> obje
 
 
 def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    """parse_json's object_pairs_hook for files where a repeated key must not
-    silently win: DataError naming the first key given twice."""
+    """The object_pairs_hook of every JSON input: DataError naming the first
+    key given twice, so a repeated key never silently wins."""
     result = dict(pairs)
     if len(result) < len(pairs):  # only then look for the key
         seen = set()
@@ -67,11 +75,55 @@ def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return result
 
 
-def reject_unknown_keys(payload: dict, known: set[str], where: object) -> None:
-    """DataError naming the keys of payload that are not in known, if any."""
-    unknown = payload.keys() - known
-    if unknown:
-        raise DataError(f"{where}: unknown keys {sorted(unknown)}")
+class _HashingReader(io.RawIOBase):
+    """Reads raw, a binary file, and passes every byte it reads to sha256.update."""
+
+    def __init__(self, raw: io.FileIO, sha256: hashlib._Hash) -> None:
+        self._raw, self._update = raw, sha256.update
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._update(memoryview(buffer)[:n])
+        return n
+
+
+@contextmanager
+def open_input(path: Path, what: str, sha256: hashlib._Hash | None = None,
+               newline: str | None = None) -> Iterator[TextIO]:
+    """The file at path as UTF-8 text with the given newline rule, opened once.
+
+    Every byte read also goes to sha256, if given. Failing to open, read or
+    decode it, in the with block too, raises DataError("cannot read <what> <path>: ...").
+    """
+    try:
+        raw = open(path, "rb", buffering=0)
+    except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        with raw, io.TextIOWrapper(io.BufferedReader(
+                raw if sha256 is None else _HashingReader(raw, sha256)),
+                encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_json(path: Path, what: str, sha256: hashlib._Hash | None = None) -> object:
+    """The JSON value in the file at path, read through open_input as <what>.
+
+    Errors read "<what> <path>: duplicate key ..." or "<what> <path> is not valid JSON: ...".
+    """
+    with open_input(path, what, sha256) as fh:
+        text = fh.read()
+    try:
+        return parse_json(text, ValueError)
+    except DataError as exc:  # a repeated key
+        raise DataError(f"{what} {path}: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def jsonable(value: object) -> object:
@@ -538,20 +590,18 @@ def _infer_format(path: Path) -> str:
     raise DataError(f"cannot infer dataset format from {path.name!r}")
 
 
-def load_dataset(path: str | Path) -> Dataset:
+def load_dataset(path: str | Path, sha256: hashlib._Hash | None = None) -> Dataset:
     """Load a dataset, named after the file's stem, from a JSONL or CSV file.
 
     The format follows the file suffix. Any schema violation raises
-    DataError naming the file and line.
+    DataError naming the file and line. Every byte of the file goes to
+    sha256, if given.
     """
     path = Path(path)
     fmt = _infer_format(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    try:
-        docs = _read_jsonl(path) if fmt == "jsonl" else _read_csv(path)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
+    docs = (_read_jsonl if fmt == "jsonl" else _read_csv)(path, sha256)
     return Dataset(documents=tuple(docs), name=path.stem)
 
 
@@ -560,8 +610,7 @@ _SCAN_JSON = json.JSONDecoder(object_pairs_hook=reject_duplicate_keys).scan_once
 
 
 def _parse_line(line: str) -> object:
-    """The value parse_json(line, _invalid_json, object_pairs_hook=reject_duplicate_keys)
-    gives, or the error it raises.
+    """The value parse_json(line, _invalid_json) gives, or the error it raises.
 
     The scanner alone takes a line that is one JSON value from its first
     character to its end or its newline. Any other line (leading whitespace,
@@ -574,25 +623,35 @@ def _parse_line(line: str) -> object:
             return value
     except (StopIteration, ValueError, RecursionError):
         pass  # no value at 0, or a malformed one, a repeated key (a DataError) included
-    return parse_json(line, _invalid_json, object_pairs_hook=reject_duplicate_keys)
+    return parse_json(line, _invalid_json)
 
 
-def _read_jsonl(path: Path) -> list[Document]:
-    docs: list[Document] = []
-    with path.open(encoding="utf-8") as fh:
+def read_jsonl(path: Path, what: str, record: Callable[[object], None],
+               sha256: hashlib._Hash | None = None) -> None:
+    """Pass the value of each JSONL line of path, read through open_input, to record.
+
+    Lines holding only whitespace are skipped. A DataError from parsing a line
+    or from record is prefixed with "<file name>:<line>: ".
+    """
+    with open_input(path, what, sha256) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                docs.append(_doc_from_record(_parse_line(line)))
+                record(_parse_line(line))
             except DataError as exc:
                 raise DataError(f"{path.name}:{lineno}: {exc}") from None
+
+
+def _read_jsonl(path: Path, sha256: hashlib._Hash | None = None) -> list[Document]:
+    docs: list[Document] = []
+    read_jsonl(path, "dataset", lambda rec: docs.append(_doc_from_record(rec)), sha256)
     return docs
 
 
-def _read_csv(path: Path) -> list[Document]:
+def _read_csv(path: Path, sha256: hashlib._Hash | None = None) -> list[Document]:
     docs: list[Document] = []
-    with path.open(encoding="utf-8", newline="") as fh:
+    with open_input(path, "dataset", sha256, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != _COLUMNS:

@@ -9,6 +9,7 @@ Categories co-occur freely, so row percentages need not sum to 100.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -17,8 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import (Coin, DataError, Dataset, Document, Task2Label, parse_json,
-                     reject_duplicate_keys)
+from .corpus import Coin, DataError, Dataset, Document, Task2Label, read_json
 from .preprocess import preprocess
 
 
@@ -69,25 +69,16 @@ class EmotionLexicon:
         return {first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()}
 
 
-def load_lexicon(path: str | Path) -> EmotionLexicon:
+def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> EmotionLexicon:
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
     Every entry value is a list of [base emotion, weight] pairs with
     weights in [0, 1]. Duplicate terms and grouped base emotions (including
     those equal after case folding) and base emotions without a grouping
-    are rejected.
+    are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: undecodable text, or an unusable path
-        raise DataError(f"cannot read lexicon {path}: {exc}") from None
-    try:
-        raw = parse_json(text, ValueError, object_pairs_hook=reject_duplicate_keys)
-    except DataError as exc:  # a repeated key
-        raise DataError(f"lexicon {path}: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"lexicon {path} is not valid JSON: {exc}") from None
+    raw = read_json(path, "lexicon", sha256)
     if not isinstance(raw, dict) or set(raw) != {"entries", "grouping"}:
         raise DataError(f"lexicon {path} must contain exactly 'entries' and 'grouping'")
 

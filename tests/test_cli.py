@@ -772,6 +772,44 @@ class TestWhatEachCommandReads:
         assert edited[0] != original[0]
 
 
+class TestDigestsAreOfTheBytesLoaded:
+    """A file rewritten once its loader returns: the echoed digest is of what was loaded."""
+
+    @pytest.mark.parametrize("command, loader, digests", [
+        ("stats", "load_dataset", ("dataset_sha256",)),
+        ("cv", "load_dataset", ("dataset_sha256",)),
+        ("emotion", "load_lexicon", ("lexicon_sha256",)),
+        ("kappa", "_read_annotation_file", ("file_a_sha256", "file_b_sha256")),
+    ])
+    def test_digest_is_of_the_bytes_the_loader_parsed(self, planted_path, tmp_path, capsys,
+                                                      monkeypatch, command, loader, digests):
+        data, lexicon = tmp_path / "data.jsonl", tmp_path / "lex.json"
+        data.write_bytes(planted_path.read_bytes())
+        lexicon.write_bytes(bundled_lexicon_path().read_bytes())
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_annotations(a, {"d1": 0, "d2": 1, "d3": 1})
+        write_annotations(b, {"d1": 0, "d2": 1, "d3": 0})
+        argv = {"stats": ["--dataset", str(data)],
+                "cv": ["--dataset", str(data), "--model", "logreg", "--k", "2"],
+                "emotion": ["--dataset", str(data), "--lexicon", str(lexicon)],
+                "kappa": [str(a), str(b)]}[command]
+        loaded = []
+        load = getattr(cli, loader)
+
+        def load_then_rewrite(path, *args, **kwargs):
+            loaded.append(Path(path).read_bytes())
+            result = load(path, *args, **kwargs)
+            Path(path).write_bytes(loaded[-1] + b"\n")  # one more blank line
+            return result
+
+        monkeypatch.setattr(cli, loader, load_then_rewrite)
+        assert run(command, *argv, "--out", str(tmp_path / "o"), "--tag", "t") == 0
+        artifact = "cv_logreg.json" if command == "cv" else f"{command}.json"
+        payload = json.loads((tmp_path / "o" / command / "t" / artifact).read_text())
+        assert [payload[name] for name in digests] == [
+            hashlib.sha256(content).hexdigest() for content in loaded]
+
+
 class TestRunDirectory:
     def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
         data = tmp_path / "six.jsonl"
@@ -953,6 +991,59 @@ class TestUnparseableInputs:
         assert code == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("line", [' {"id": "d2", "label": 1}', '{"id": "d2", "label": 1} \t',
+                                      '\t{"id": "d2", "label": 1}\r'])
+    def test_whitespace_around_an_annotation_is_read(self, tmp_path, line):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text('{"id": "d1", "label": 0}\n' + line + "\n", encoding="utf-8")
+        write_annotations(b, {"d1": 0, "d2": 1})
+        assert run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o")) == (0, "")
+
+    def test_missing_annotation_file_is_data_error(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_annotations(b, {"d1": 0})
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"data error: cannot read annotation file {a}: [Errno 2] ")
+
+    def test_crlf_annotation_file_reads_and_counts_lines(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b'{"id": "d1", "label": 0}\r\n{"id": "d2", "label": 1}\r\n')
+        write_annotations(b, {"d1": 0, "d2": 1})
+        assert run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o")) == (0, "")
+        a.write_bytes(b'{"id": "d1", "label": 0}\r\n\r\n{"id": "d2", "label": 7}\r\n')
+        assert run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o")) == (
+            2, "data error: a.jsonl:3: unknown label code 7 for task 1\n")
+
+    # the dataset's scanner fallback: a line the scanner cannot take whole keeps json.loads' error
+    @pytest.mark.parametrize("line, message", [
+        ('\ufeff{"id": "d2", "label": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ('{"id": "d2", "label": 1}{"id": "d3", "label": 1}', "Extra data"),
+        ('{"id": "d2", "label": 1} x', "Extra data"),
+        ('{"id": "d2",\n"label": 1}', "Expecting property name enclosed in double quotes"),
+    ])
+    def test_annotation_scanner_fallback_keeps_json_loads_errors(self, tmp_path, line, message):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text('{"id": "d1", "label": 0}\n' + line + "\n", encoding="utf-8")
+        write_annotations(b, {"d1": 0, "d2": 1})
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, f"data error: a.jsonl:2: invalid JSON ({message})\n")
+
+    def test_annotation_record_error_comes_before_a_later_decode_error(self, tmp_path):
+        """The file is parsed as it is read, so a bad record is named before bytes past it
+        that are not UTF-8; datasets are read the same way."""
+        filler = "".join(f'{{"id": "f{i}", "label": 0}}\n' for i in range(5000)).encode()
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b'{"id": "d1", "label": 0}\n{"id": "d2", "label": "1"}\n' + filler
+                      + b'{"id": "caf\xe9", "label": 1}\n')
+        write_annotations(b, {"d1": 0, "d2": 1})
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert (code, err) == (2, "data error: a.jsonl:2: 'label' must be an integer\n")
+        a.write_bytes(b'{"id": "d1", "label": 0}\n' + filler + b'{"id": "caf\xe9", "label": 1}\n'
+                      + b'{"id": "d2", "label": "1"}\n')
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
+        assert code == 2 and err.startswith(f"data error: cannot read annotation file {a}: ")
 
     @pytest.mark.parametrize("content", [b"", b"\n \n\t\n"], ids=["empty", "blank-lines"])
     def test_annotation_file_without_records_is_data_error(self, tmp_path, content):

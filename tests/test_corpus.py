@@ -154,8 +154,7 @@ class TestDatasetInvariants:
 
 class TestRejectDuplicateKeys:
     def test_distinct_keys_keep_their_order_and_values(self):
-        parsed = corpus.parse_json('{"b": 1, "a": [2, {"x": 0}], "c": {"d": 3}}', ValueError,
-                                   object_pairs_hook=corpus.reject_duplicate_keys)
+        parsed = corpus.parse_json('{"b": 1, "a": [2, {"x": 0}], "c": {"d": 3}}', ValueError)
         assert parsed == {"b": 1, "a": [2, {"x": 0}], "c": {"d": 3}}
         assert list(parsed) == ["b", "a", "c"]
 
@@ -167,7 +166,7 @@ class TestRejectDuplicateKeys:
     ], ids=["equal-values", "nested", "first-repeat", "in-a-list"])
     def test_repeated_key_is_named_past_parse_json(self, text, key):
         with pytest.raises(DataError) as info:
-            corpus.parse_json(text, ValueError, object_pairs_hook=corpus.reject_duplicate_keys)
+            corpus.parse_json(text, ValueError)
         assert str(info.value) == f"duplicate key {key!r}"
 
 

@@ -199,7 +199,9 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
 ], ids=["defaults", "cv", "remote"])
 def test_config_echo_matches_the_reference(cfg):
     for command in _READS:
-        assert (_config_echo(cfg, command, _SHA, **_DIGESTS.get(command, {}))
+        # a command is given the digest of each file it read, and kappa reads no dataset
+        dataset = {"dataset_sha256": _SHA} if "dataset" in _READS[command] else {}
+        assert (_config_echo(cfg, command, **dataset, **_DIGESTS.get(command, {}))
                 == _old_config_echo(cfg, command, _SHA)), command
 
 

@@ -132,16 +132,20 @@ def _reference_preprocess(text: str) -> list[str]:
 class TestTranslateTable:
     def test_every_code_point_matches_reference(self):
         code_points = [c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
-        try:
-            for start in range(0, len(code_points), 8192):
-                chunk = code_points[start:start + 8192]
-                # a special character splits its token in two short ones, which are dropped
-                text = " ".join(f"x{chr(c)}y" for c in chunk)
-                assert preprocess(text) == _reference_preprocess(text), start
-                # the cache is a plain dict; emptying it keeps the test's memory small
-                preprocess_module._PUNCT_SYMBOL.clear()
-        finally:
-            preprocess_module._PUNCT_SYMBOL.clear()
+        for start in range(0, len(code_points), 8192):
+            chunk = code_points[start:start + 8192]
+            # a special character splits its token in two short ones, which are dropped
+            text = " ".join(f"x{chr(c)}y" for c in chunk)
+            assert preprocess(text) == _reference_preprocess(text), start
+
+    def test_table_stays_within_its_bound(self):
+        """One text of more distinct code points than the table holds: it is emptied on the
+        way, keeps within the bound and still translates every character right."""
+        bound = preprocess_module._PUNCT_SYMBOL_MAX
+        code_points = [c for c in range(0x80, 0x110000) if not 0xD800 <= c <= 0xDFFF]
+        text = " ".join(f"x{chr(c)}y" for c in code_points[:bound + 1000])
+        assert preprocess(text) == _reference_preprocess(text)
+        assert len(preprocess_module._PUNCT_SYMBOL) <= bound
 
     @pytest.mark.parametrize("text", [
         "İstanbul ΣΊΣΥΦΟΣ straße ǅemal",
