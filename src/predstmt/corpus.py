@@ -12,6 +12,11 @@ first fault it finds: a JSON object without a repeated key; known keys;
 'id'; the type of 'text'; coin; source; 'parent_id'; the reserved
 'annotations' key (absent, null or empty); empty or whitespace-only text;
 labels; provenance (a synthetic document names a parent, an original none).
+A canonical JSONL line that passes them, the 8-key line save_dataset writes
+or the 5-key one json.dumps(record, ensure_ascii=False) writes for an original,
+is read by one compiled pattern, _CANONICAL. Any other line (escapes, json.dumps'
+default \\uXXXX ones included; another key order or other separators) loads the
+same Document through _parse_line, which also reads kappa files and words errors.
 
 open_input is the one opener of every input file (dataset, lexicon, kappa
 files, config file): it reads each once, as UTF-8, and can feed every byte it
@@ -28,6 +33,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 import types
 import typing
@@ -96,7 +102,8 @@ def open_input(path: Path, what: str, sha256: hashlib._Hash | None = None,
     """The file at path as UTF-8 text with the given newline rule, opened once.
 
     Every byte read also goes to sha256, if given. Failing to open, read or
-    decode it, in the with block too, raises DataError("cannot read <what> <path>: ...").
+    decode it, in the with block too, raises DataError("cannot read <what> <path>: ...");
+    a byte that is not UTF-8 is named by its line and file offset.
     """
     try:
         raw = open(path, "rb", buffering=0)
@@ -107,8 +114,27 @@ def open_input(path: Path, what: str, sha256: hashlib._Hash | None = None,
                 raw if sha256 is None else _HashingReader(raw, sha256)),
                 encoding="utf-8", newline=newline) as fh:
             yield fh
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {what} {path}: {_decode_error(path, exc)}") from None
+    except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _decode_error(path: Path, exc: UnicodeDecodeError) -> str:
+    """The line and file offset of path's first byte that is not UTF-8, else str(exc),
+    whose offset is in the chunk being decoded. Lines end as universal newlines end them.
+    Only a regular file is read again: a pipe would give other bytes."""
+    try:
+        data = path.read_bytes() if path.is_file() else b""
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = data[:whole.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return (f"line {line}, file offset {whole.start}: byte 0x{data[whole.start]:02x} "
+                f"is not UTF-8 ({whole.reason})")
+    except OSError:
+        pass
+    return str(exc)
 
 
 def read_json(path: Path, what: str, sha256: hashlib._Hash | None = None) -> object:
@@ -577,6 +603,41 @@ def _doc_from_record(rec: object) -> Document:
     })
 
 
+# The two canonical lines: the 8-key one save_dataset writes, and its first
+# five keys, the json.dumps(record, ensure_ascii=False) of an original. A
+# string group holds no quote, backslash or control character, so it decodes
+# to exactly its characters, and the keys are fixed, so none repeats.
+_STR = r'"([^"\\\x00-\x1f]+)"'
+_CANONICAL = re.compile(
+    r'\{"id": %s, "text": %s, "coin": (?:"(%s)"|null), "task1": (0|1|null), '
+    r'"task2": (1|2|3|null)(?:, "source": "(original|synthetic)", "parent_id": (?:%s|null), '
+    r'"annotations": \[\])?\}\n?' % (_STR, _STR, "|".join(_COINS), _STR))
+#: _LABEL_PAIRS keyed by the JSON spelling of the pair.
+_LINE_LABELS = {(json.dumps(t1), json.dumps(t2)): labels
+                for (t1, t2, _, _), labels in _LABEL_PAIRS.items()}
+
+
+def _doc_from_line(line: str) -> Document:
+    """The Document of one JSONL line: _doc_from_record(_parse_line(line)), or its error.
+
+    A canonical line whose labels, text and provenance pass the loader's
+    checks is built from the pattern's groups; any other line is parsed.
+    """
+    match = _CANONICAL.fullmatch(line)
+    if match is not None:
+        doc_id, text, coin, task1, task2, source, parent_id = match.groups()
+        labels = _LINE_LABELS.get((task1, task2))
+        source = _ORIGINAL if source is None else _SOURCES[source]
+        if (labels is not None and not text.isspace()
+                and (parent_id is None) is (source is _ORIGINAL)):
+            return _prechecked(Document, {
+                "id": doc_id, "text": text, "coin": coin and _COINS[coin],
+                "task1": labels[0], "task2": labels[1], "source": source,
+                "parent_id": parent_id,
+            })
+    return _doc_from_record(_parse_line(line))
+
+
 def _invalid_json(reason: str) -> DataError:
     return DataError(f"invalid JSON ({reason})")
 
@@ -626,26 +687,26 @@ def _parse_line(line: str) -> object:
     return parse_json(line, _invalid_json)
 
 
-def read_jsonl(path: Path, what: str, record: Callable[[object], None],
+def read_jsonl(path: Path, what: str, record: Callable[[str], None],
                sha256: hashlib._Hash | None = None) -> None:
-    """Pass the value of each JSONL line of path, read through open_input, to record.
+    """Pass each JSONL line of path, read through open_input, to record.
 
-    Lines holding only whitespace are skipped. A DataError from parsing a line
-    or from record is prefixed with "<file name>:<line>: ".
+    Lines holding only whitespace are skipped. A DataError from record, which
+    parses the line, is prefixed with "<file name>:<line>: ".
     """
     with open_input(path, what, sha256) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                record(_parse_line(line))
+                record(line)
             except DataError as exc:
                 raise DataError(f"{path.name}:{lineno}: {exc}") from None
 
 
 def _read_jsonl(path: Path, sha256: hashlib._Hash | None = None) -> list[Document]:
     docs: list[Document] = []
-    read_jsonl(path, "dataset", lambda rec: docs.append(_doc_from_record(rec)), sha256)
+    read_jsonl(path, "dataset", lambda line: docs.append(_doc_from_line(line)), sha256)
     return docs
 
 

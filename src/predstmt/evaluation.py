@@ -248,7 +248,7 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
         y_test = [labels[i] for i in test]
         for kind, model, predictions in _fold_predictions(
                 counts[train], [labels[i] for i in train], counts[test], model_kinds,
-                train_cfg, tfidf_cfg):
+                train_cfg, tfidf_cfg, f"fold {fold + 1} of {k}"):
             if isinstance(model, ForestModel):
                 forest_sizes[kind].append(forest_size(model))
             per_fold[kind].append(metrics(confusion(y_test, predictions, class_codes)))
@@ -268,13 +268,18 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
 
 def _fold_predictions(train_rows: SparseBatch, y_train: Sequence[int], test_rows: SparseBatch,
                       model_kinds: Sequence[str], train_cfg: TrainConfig,
-                      tfidf_cfg: TfidfConfig):
+                      tfidf_cfg: TfidfConfig, fold_name: str):
     """Yield (kind, model, test predictions) for each kind on one train/test split.
 
     The splits are count rows from count_terms. TF-IDF is fitted on the
     training rows alone, and both splits are featurized once for all kinds.
+    A vocabulary left empty, which no model can learn from, is a DataError
+    that starts with fold_name.
     """
     tfidf = fit_tfidf(train_rows, tfidf_cfg)
+    if not tfidf.dimension:
+        raise DataError(f"{fold_name}: no term occurs in tfidf.min_df={tfidf_cfg.min_df} or more "
+                        f"training documents, so the TF-IDF vocabulary is empty")
     x_train = transform_many(tfidf, train_rows)
     x_test = transform_many(tfidf, test_rows)
     for kind in model_kinds:

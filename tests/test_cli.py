@@ -437,6 +437,18 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_empty_fold_vocabulary_is_data_error(self, planted_path, tmp_path, capsys):
+        """A min_df above every term's document frequency once trained on empty rows, exit 0."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"epochs": 2, "n_trees": 2},
+                                      "tfidf": {"min_df": 1000}}))
+        code = run("cv", "--config", str(config), "--dataset", str(planted_path), "--k", "2",
+                   "--out", str(tmp_path / "o"))
+        assert (code, capsys.readouterr().err) == (2, (
+            "data error: fold 1 of 2: no term occurs in tfidf.min_df=1000 or more "
+            "training documents, so the TF-IDF vocabulary is empty\n"))
+        assert not (tmp_path / "o" / "cv").exists()
+
     @pytest.mark.parametrize("content, message", [
         (b'{"seed": "\xff"}', "cannot read config file"),
         (b'{"seed": ', "is not valid JSON"),
@@ -1044,6 +1056,33 @@ class TestUnparseableInputs:
                       + b'{"id": "d2", "label": "1"}\n')
         code, err = run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o"))
         assert code == 2 and err.startswith(f"data error: cannot read annotation file {a}: ")
+
+    @pytest.mark.parametrize("what", ["dataset", "annotation file", "config file"])
+    def test_decode_error_names_the_line_and_file_offset(self, planted_path, tmp_path, what):
+        """The decoder reads the file in 8 KB chunks; the bad byte is named by its line
+        and its offset in the file, not by its offset in a chunk."""
+        bad, args, code = tmp_path / "bad.json", (), 2
+        if what == "dataset":
+            bad = bad.with_suffix(".jsonl")
+            head = "".join(f'{{"id": "f{i}", "text": "filler text"}}\n' for i in range(900))
+            tail = b'{"id": "caf\xe9", "text": "x"}\n'
+            args = ("stats", "--dataset", str(bad))
+        elif what == "annotation file":  # CRLF line ends count once each
+            bad = bad.with_suffix(".jsonl")
+            head = "".join(f'{{"id": "d{i}", "label": 0}}\r\n' for i in range(900))
+            tail = b'{"id": "caf\xe9", "label": 1}\r\n'
+            write_annotations(tmp_path / "b.jsonl", {"d1": 0})
+            args = ("kappa", str(bad), str(tmp_path / "b.jsonl"))
+        else:
+            head, tail, code = "{" + " " * 8000 + "\n" * 900, b'"tag": "caf\xe9"}\n', 1
+            args = ("stats", "--dataset", str(planted_path), "--config", str(bad))
+        bad.write_bytes(head.encode() + tail)
+        offset = len(head) + tail.index(b"\xe9")
+        assert offset > 8192
+        prefix = "data error: " if code == 2 else "usage error: "
+        assert run_captured(*args, "--out", str(tmp_path / "o")) == (code, (
+            f"{prefix}cannot read {what} {bad}: line 901, file offset {offset}: "
+            "byte 0xe9 is not UTF-8 (invalid continuation byte)\n"))
 
     @pytest.mark.parametrize("content", [b"", b"\n \n\t\n"], ids=["empty", "blank-lines"])
     def test_annotation_file_without_records_is_data_error(self, tmp_path, content):

@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predstmt import (
@@ -742,6 +742,179 @@ def test_jsonl_line_matches_json_encoder(document):
     """The fixed-schema writer gives exactly the line the stdlib encoder gives."""
     expected = json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(document)) + "\n"
     assert _jsonl_line(document) == expected
+
+
+# ---------------------------------------------------------------------------
+# the canonical-line pattern against the JSON parser
+
+# Characters a line's strings may hold: the ones JSON escapes or that end a
+# string, separators, whitespace, emoji; no surrogate, which UTF-8 cannot hold.
+_LINE_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", ",", ":", " ", "{", "}", "a", "7", "é", "🚀", "\x00", "\x01", "\t",
+                     "\x1f", "\x7f", "\u2028", "\u3000"]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@st.composite
+def _odd_string(draw):
+    """A JSON string save_dataset does not write as it is: any text, whitespace-only or
+    empty text, escaped as json.dumps escapes it (UTF-8 or ASCII) or written raw."""
+    value = draw(st.text(_LINE_CHARS, max_size=5) | st.sampled_from(["", " ", "\t", "\u3000 "]))
+    spelling = draw(st.sampled_from(["utf-8", "ascii", "raw"]))
+    return f'"{value}"' if spelling == "raw" else json.dumps(value, ensure_ascii=spelling == "ascii")
+
+
+#: Values that break a field of a canonical line, as JSON spells them.
+_ODD_VALUES = {
+    "id": _odd_string(),
+    "text": _odd_string(),
+    "coin": st.sampled_from(['"ada"', '"DOGE"', '""', "1", '"\\u0041DA"']),
+    "task1": st.sampled_from(["true", "false", "1.0", "0.0", "2", "-1", '"1"']),
+    "task2": st.sampled_from(["true", "1.0", "3.0", "0", "4", '"2"']),
+    "source": st.sampled_from(["null", '"Original"', "1", '"synth\\u0065tic"']),
+    "parent_id": st.sampled_from(["null", '"p"']) | _odd_string(),  # one of two flips
+    "annotations": st.sampled_from(["null", "[1]", "{}"]),
+}
+
+
+#: Every (task1, task2) a canonical line can spell, the six valid ones three times.
+_LINE_LABEL_PAIRS = [(json.dumps(t1), json.dumps(t2)) for t1, t2 in
+                     [(t1, t2) for t1 in (None, 0, 1) for t2 in (None, 1, 2, 3)]
+                     + _LABEL_PAIRS * 2]
+
+
+@st.composite
+def _jsonl_lines(draw):
+    """A dataset line in a canonical form, 5 or 8 keys, with every (task1, task2), or a
+    near miss of one: an odd value, a parent_id that does not fit the source, a repeated
+    key, another order or other separators, a BOM, trailing whitespace or text."""
+    source = draw(st.sampled_from(["original", "synthetic"]))
+    task1, task2 = draw(st.sampled_from(_LINE_LABEL_PAIRS))
+    pairs = dict(
+        id=json.dumps(draw(_ID_TEXT), ensure_ascii=False),
+        text=json.dumps(draw(_ID_TEXT), ensure_ascii=False),
+        coin=draw(st.sampled_from(["null", *(f'"{coin.value}"' for coin in Coin)])),
+        task1=task1,
+        task2=task2,
+        source=f'"{source}"',
+        parent_id='"p"' if source == "synthetic" else "null",
+        annotations="[]",
+    )
+    for key in draw(st.lists(st.sampled_from(sorted(_ODD_VALUES)), max_size=2)):
+        pairs[key] = draw(_ODD_VALUES[key])
+    miss = draw(st.sampled_from(["", "", "", "", "", "", "",  # most lines miss nothing
+                                 "provenance", "repeat", "order", "compact",
+                                 " ", "\r", "\t", "x", "\ufeff"]))
+    if miss == "provenance":
+        pairs["parent_id"] = "null" if source == "synthetic" else '"p"'
+    pairs = list(pairs.items())
+    if source == "original" and miss != "provenance" and draw(st.booleans()):
+        pairs = pairs[:5]  # the original's line json.dumps writes
+    if miss == "repeat":
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    elif miss == "order":
+        pairs = draw(st.permutations(pairs))
+    comma, colon = (",", ":") if miss == "compact" else (", ", ": ")
+    line = "{" + comma.join(f'"{key}"{colon}{value}' for key, value in pairs) + "}"
+    if miss in ("", "provenance", "repeat", "order", "compact"):
+        return line
+    return miss + line if miss == "\ufeff" else line + miss
+
+
+def _json_path_outcome(path: Path):
+    """The documents, or the error message, of the line-by-line JSON parser."""
+    docs = []
+    with path.open(encoding="utf-8") as fh:  # the loader's universal newlines
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                docs.append(_doc_from_record(corpus.parse_json(line, corpus._invalid_json)))
+            except DataError as exc:
+                return f"{path.name}:{lineno}: {exc}"
+    try:
+        return Dataset(documents=tuple(docs), name=path.stem).documents
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(_jsonl_lines(), st.booleans())
+@example('{"id": "a\x01", "text": "t", "coin": null, "task1": null, "task2": null}', True)
+@example('{"id": "a", "text": "\\u0041\\"", "coin": null, "task1": null, "task2": null}', True)
+@example('{"id": "a", "text": "\u3000", "coin": "ADA", "task1": 0, "task2": null}', False)
+@example('{"id": "a", "text": "t", "coin": null, "task1": 1, "task2": 2, "source": "original", '
+         '"parent_id": "p", "annotations": []}', True)
+@example('{"id": "a", "text": "t", "coin": null, "task1": 1, "task2": 2, "source": "synthetic", '
+         '"parent_id": null, "annotations": []}', True)
+def test_canonical_lines_load_as_the_json_parser_loads_them(tmp_path_factory, line, newline):
+    """load_dataset gives the documents, members and all, or the one-line error of
+    _doc_from_record(parse_json(line)), whichever way a line is spelled. The file holds
+    the line after its parent's, so that no earlier fault hides it."""
+    path = tmp_path_factory.mktemp("lines") / "lines.jsonl"
+    path.write_text('{"id": "p", "text": "the parent"}\n' + line + "\n" * newline,
+                    encoding="utf-8")
+    expected = _json_path_outcome(path)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == expected and "\n" not in expected
+        return
+    loaded = load_dataset(path).documents
+    assert loaded == expected
+    for got, want in zip(loaded, expected):
+        assert vars(got) == vars(want)
+        for field in ("task1", "task2", "coin", "source"):
+            assert getattr(got, field) is getattr(want, field)
+
+
+def _not_parsed(line):
+    raise AssertionError(f"a canonical line went to the JSON parser: {line!r}")
+
+
+_ESCAPE_FREE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\',
+                                     min_codepoint=0x20), min_size=1, max_size=8)
+
+
+@st.composite
+def _escape_free_datasets(draw):
+    """Originals, then synthetic documents each paraphrasing one of them."""
+    ids = draw(st.lists(_ESCAPE_FREE, min_size=1, max_size=6, unique=True))
+    originals = draw(st.integers(1, len(ids)))
+    documents = []
+    for i, doc_id in enumerate(ids):
+        task1, task2 = draw(st.sampled_from(_LABEL_PAIRS))
+        documents.append(Document(
+            id=doc_id,
+            text=draw(_ESCAPE_FREE.filter(lambda text: not text.isspace())),
+            coin=draw(st.none() | st.sampled_from(Coin)),
+            task1=task1,
+            task2=task2,
+            source=Source.ORIGINAL if i < originals else Source.SYNTHETIC,
+            parent_id=None if i < originals else draw(st.sampled_from(ids[:originals])),
+        ))
+    return Dataset(documents=tuple(documents))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_escape_free_datasets())
+def test_saved_and_generated_lines_take_the_pattern(tmp_path_factory, dataset):
+    """Every line save_dataset writes without an escape, and every 5-key line of an
+    original as the benchmark's generator writes it, loads without the JSON parser."""
+    directory = tmp_path_factory.mktemp("pattern")
+    save_dataset(dataset, directory / "saved.jsonl")
+    originals = [doc for doc in dataset if doc.source is Source.ORIGINAL]
+    (directory / "generated.jsonl").write_text("".join(
+        json.dumps({"id": doc.id, "text": doc.text, "coin": doc.coin and doc.coin.value,
+                    "task1": doc.label(Task.PREDICTIVENESS),
+                    "task2": doc.label(Task.DIRECTION)}, ensure_ascii=False) + "\n"
+        for doc in originals), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(corpus, "_parse_line", _not_parsed)
+        assert load_dataset(directory / "saved.jsonl").documents == dataset.documents
+        assert list(load_dataset(directory / "generated.jsonl")) == originals
 
 
 class TestDistribution:

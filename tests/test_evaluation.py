@@ -362,7 +362,7 @@ def reference_tfidf(tokens, config) -> TfidfModel:
 
 @pytest.mark.parametrize("tfidf_cfg", [TfidfConfig(min_df=2), TfidfConfig(max_features=40),
                                        TfidfConfig(sublinear_tf=True),
-                                       TfidfConfig(min_df=1000)],  # no term survives
+                                       TfidfConfig(min_df=1000)],  # no term survives: an error
                          ids=["min_df", "max_features", "sublinear_tf", "empty_vocabulary"])
 def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cfg):
     ds, task, k = options_corpus(), Task.PREDICTIVENESS, 4
@@ -373,6 +373,14 @@ def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cf
     predict = evaluation.predict_many
     monkeypatch.setattr(evaluation, "predict_many",
                         lambda model, X: captured[-1].append(X) or predict(model, X))
+    if tfidf_cfg.min_df == 1000:  # no model may train on all-empty rows
+        with pytest.raises(DataError) as info:
+            cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k,
+                                  seed=5, tfidf_cfg=tfidf_cfg)
+        assert str(info.value) == ("fold 1 of 4: no term occurs in tfidf.min_df=1000 or more "
+                                   "training documents, so the TF-IDF vocabulary is empty")
+        assert captured == []
+        return
     reports = cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k,
                                     seed=5, tfidf_cfg=tfidf_cfg)
     assert sum(reports["logreg"].fold_sizes) == len(ds.documents)
@@ -384,8 +392,6 @@ def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cf
         train_docs = [doc for doc in docs if folds[doc.id] != fold]
         test_docs = [doc for doc in docs if folds[doc.id] == fold]
         model = reference_tfidf([preprocess(doc.text) for doc in train_docs], tfidf_cfg)
-        if tfidf_cfg.min_df == 1000:
-            assert model.dimension == 0
         assert y_train == [doc.label(task) for doc in train_docs]
         for batch, split in ((x_train, train_docs), (x_test, test_docs)):
             assert len(batch) == len(split) and batch.dim == model.dimension
