@@ -486,7 +486,7 @@ _READS = {
 
 #: The flag of each RunConfig field that has one; the others are set in the config file.
 _FLAGS = {
-    "dataset": ("--dataset", dict(metavar="PATH", help="dataset JSONL or CSV")),
+    "dataset": ("--dataset", dict(metavar="PATH", help="dataset JSONL")),
     "task": ("--task", dict(type=int, choices=(1, 2))),
     "models": ("--model", dict(action="append", choices=MODEL_KINDS, help="repeatable")),
     "k": ("--k", dict(type=int, help="number of folds")),

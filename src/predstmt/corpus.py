@@ -7,11 +7,12 @@ paraphrases pointing back at an original parent. cohen_kappa measures how far
 two raters agree; their labels live in the kappa command's own files, not in
 the corpus. Like every module the offline commands use, this one needs no numpy.
 
-load_dataset checks every record, JSONL or CSV, in one order and raises the
-first fault it finds: a JSON object without a repeated key; known keys;
-'id'; the type of 'text'; coin; source; 'parent_id'; the reserved
-'annotations' key (absent, null or empty); empty or whitespace-only text;
-labels; provenance (a synthetic document names a parent, an original none).
+A dataset is a JSONL file, one record a line. load_dataset checks every
+record in one order and raises the first fault it finds: a JSON object
+without a repeated key; known keys; 'id'; the type of 'text'; coin; source;
+'parent_id'; the reserved 'annotations' key (absent, null or empty); empty
+or whitespace-only text; labels; provenance (a synthetic document names a
+parent, an original none).
 A canonical JSONL line that passes them, the 8-key line save_dataset writes
 or the 5-key one json.dumps(record, ensure_ascii=False) writes for an original,
 is read by one compiled pattern, _CANONICAL. Any other line (escapes, json.dumps'
@@ -25,7 +26,6 @@ reads to a SHA-256. read_jsonl and read_json parse what it opens.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import io
@@ -97,9 +97,9 @@ class _HashingReader(io.RawIOBase):
 
 
 @contextmanager
-def open_input(path: Path, what: str, sha256: hashlib._Hash | None = None,
-               newline: str | None = None) -> Iterator[TextIO]:
-    """The file at path as UTF-8 text with the given newline rule, opened once.
+def open_input(path: Path, what: str,
+               sha256: hashlib._Hash | None = None) -> Iterator[TextIO]:
+    """The file at path as UTF-8 text with universal newlines, opened once.
 
     Every byte read also goes to sha256, if given. Failing to open, read or
     decode it, in the with block too, raises DataError("cannot read <what> <path>: ...");
@@ -112,11 +112,11 @@ def open_input(path: Path, what: str, sha256: hashlib._Hash | None = None,
     try:
         with raw, io.TextIOWrapper(io.BufferedReader(
                 raw if sha256 is None else _HashingReader(raw, sha256)),
-                encoding="utf-8", newline=newline) as fh:
+                encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {what} {path}: {_decode_error(path, exc)}") from None
-    except (OSError, csv.Error) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -499,25 +499,12 @@ def distribution(dataset: Dataset, task: Task) -> LabelDistribution:
 # ---------------------------------------------------------------------------
 # serialization
 
-_COLUMNS = ("id", "text", "coin", "task1", "task2", "source", "parent_id", "annotations")
-_COLUMN_SET = frozenset(_COLUMNS)
+_KEYS = frozenset(("id", "text", "coin", "task1", "task2", "source", "parent_id",
+                   "annotations"))
 
 
-def _doc_to_record(doc: Document) -> dict:
-    return {
-        "id": doc.id,
-        "text": doc.text,
-        "coin": None if doc.coin is None else doc.coin.value,
-        "task1": None if doc.task1 is None else int(doc.task1),
-        "task2": None if doc.task2 is None else int(doc.task2),
-        "source": doc.source.value,
-        "parent_id": doc.parent_id,
-        "annotations": [],
-    }
-
-
-# The JSONL line of a document: the fields of _COLUMNS in order, with the
-# separators of json.JSONEncoder(ensure_ascii=False).
+# The JSONL line of a document: every key, in this order, with the separators
+# of json.JSONEncoder(ensure_ascii=False).
 _JSONL_LINE = ('{"id": %s, "text": %s, "coin": %s, "task1": %s, "task2": %s, '
                '"source": %s, "parent_id": %s, "annotations": []}\n')
 # The string encoder JSONEncoder(ensure_ascii=False) itself calls, so every
@@ -528,10 +515,12 @@ _json_str = json.encoder.encode_basestring
 def _jsonl_line(doc: Document) -> str:
     """The JSONL line of doc, newline included.
 
-    Equal to json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(doc))
-    plus "\\n", built with one %-format: every document has the same keys
-    in the same order. Labels print as their int codes ("%d"), and members
-    are read through _value_, which skips the per-call cost of Enum.value.
+    Equal to json.JSONEncoder(ensure_ascii=False).encode of doc's record (its
+    fields, labels as their codes, members as their values, "annotations"
+    as []) plus "\\n", built with one %-format: every document has the same
+    keys in the same order. Labels print as their int codes ("%d"), and
+    members are read through _value_, which skips the per-call cost of
+    Enum.value.
     """
     coin, task1, task2, parent_id = doc.coin, doc.task1, doc.task2, doc.parent_id
     return _JSONL_LINE % (
@@ -560,8 +549,8 @@ def _doc_from_record(rec: object) -> Document:
     """
     if type(rec) is not dict:
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
-    if not _COLUMN_SET.issuperset(rec):
-        raise DataError(f"unknown fields {sorted(rec.keys() - _COLUMN_SET)}")
+    if not _KEYS.issuperset(rec):
+        raise DataError(f"unknown fields {sorted(rec.keys() - _KEYS)}")
     get = rec.get
     doc_id, text, coin, source = get("id"), get("text"), get("coin"), get("source")
     if type(doc_id) is not str or not doc_id:
@@ -642,27 +631,25 @@ def _invalid_json(reason: str) -> DataError:
     return DataError(f"invalid JSON ({reason})")
 
 
-def _infer_format(path: Path) -> str:
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise DataError(f"cannot infer dataset format from {path.name!r}")
+def _check_suffix(path: Path) -> None:
+    if path.suffix.lower() not in (".jsonl", ".ndjson"):
+        raise DataError(f"cannot infer dataset format from {path.name!r}: "
+                        "datasets are JSONL (.jsonl or .ndjson)")
 
 
 def load_dataset(path: str | Path, sha256: hashlib._Hash | None = None) -> Dataset:
-    """Load a dataset, named after the file's stem, from a JSONL or CSV file.
+    """Load a dataset, named after the file's stem, from a JSONL file.
 
-    The format follows the file suffix. Any schema violation raises
-    DataError naming the file and line. Every byte of the file goes to
-    sha256, if given.
+    The suffix must be .jsonl or .ndjson, in any case. Any schema violation
+    raises DataError naming the file and line. Every byte of the file goes
+    to sha256, if given.
     """
     path = Path(path)
-    fmt = _infer_format(path)
+    _check_suffix(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    docs = (_read_jsonl if fmt == "jsonl" else _read_csv)(path, sha256)
+    docs: list[Document] = []
+    read_jsonl(path, "dataset", lambda line: docs.append(_doc_from_line(line)), sha256)
     return Dataset(documents=tuple(docs), name=path.stem)
 
 
@@ -691,12 +678,14 @@ def read_jsonl(path: Path, what: str, record: Callable[[str], None],
                sha256: hashlib._Hash | None = None) -> None:
     """Pass each JSONL line of path, read through open_input, to record.
 
-    Lines holding only whitespace are skipped. A DataError from record, which
-    parses the line, is prefixed with "<file name>:<line>: ".
+    Lines holding only JSON whitespace (space, tab, CR, LF) are skipped; a
+    line of any other whitespace, such as U+2028, goes to record, which
+    finds it invalid JSON. A DataError from record, which parses the line,
+    is prefixed with "<file name>:<line>: ".
     """
     with open_input(path, what, sha256) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
+            if line.isspace() and not line.strip(" \t\r\n"):
                 continue
             try:
                 record(line)
@@ -704,76 +693,16 @@ def read_jsonl(path: Path, what: str, record: Callable[[str], None],
                 raise DataError(f"{path.name}:{lineno}: {exc}") from None
 
 
-def _read_jsonl(path: Path, sha256: hashlib._Hash | None = None) -> list[Document]:
-    docs: list[Document] = []
-    read_jsonl(path, "dataset", lambda line: docs.append(_doc_from_line(line)), sha256)
-    return docs
-
-
-def _read_csv(path: Path, sha256: hashlib._Hash | None = None) -> list[Document]:
-    docs: list[Document] = []
-    with open_input(path, "dataset", sha256, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _COLUMNS:
-            raise DataError(
-                f"{path.name}: expected header {','.join(_COLUMNS)}, "
-                f"got {','.join(header or ())}"
-            )
-        end = reader.line_num  # the physical line a record ends on; a cell may span lines
-        for row in reader:
-            start, end = end + 1, reader.line_num
-            if not row:  # blank lines hold no record
-                continue
-            try:
-                docs.append(_doc_from_record(_csv_row_to_record(row)))
-            except DataError as exc:
-                raise DataError(f"{path.name}:{start}: {exc}") from None
-    return docs
-
-
-def _csv_row_to_record(row: list[str]) -> dict:
-    if len(row) != len(_COLUMNS):
-        raise DataError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
-    rec: dict = {}
-    for key, cell in zip(_COLUMNS, row):
-        if cell == "":
-            rec[key] = None
-            continue
-        if key in ("task1", "task2"):
-            try:  # int() alone would also take a sign, underscores, spaces, non-ASCII digits
-                if not (cell.isascii() and cell.isdigit()):
-                    raise ValueError
-                rec[key] = int(cell)
-            except ValueError:  # or more digits than int() converts
-                raise DataError(f"'{key}' must be an integer, got {cell!r}") from None
-        else:
-            rec[key] = cell
-    if rec["text"] is None:
-        rec["text"] = ""
-    if rec["annotations"] == "[]":
-        rec["annotations"] = None
-    return rec
-
-
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset as JSONL or CSV, by file suffix.
+    """Write a dataset as JSONL, one _jsonl_line a document; the suffix is load_dataset's.
 
     load_dataset(save_dataset(ds)) round-trips.
     """
     path = Path(path)
-    fmt = _infer_format(path)
+    _check_suffix(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
-            fh.writelines(map(_jsonl_line, dataset))
-        return
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for rec in map(_doc_to_record, dataset):
-            rec["annotations"] = None  # the reserved column is written empty
-            writer.writerow(["" if rec[key] is None else rec[key] for key in _COLUMNS])
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(map(_jsonl_line, dataset))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,22 @@ class TestStats:
         assert code == 0
         assert "| Total | 0 |" in capsys.readouterr().out
 
+    def test_csv_dataset_is_data_error(self, planted_path, tmp_path, capsys):
+        """Datasets are JSONL: a .csv path fails before anything is read or written."""
+        out = tmp_path / "o"
+        assert run("stats", "--dataset", str(planted_path), "--out", str(out),
+                   "--tag", "good") == 0
+        capsys.readouterr()
+        data = tmp_path / "x.csv"
+        data.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
+                        "a,ada up,ADA,1,1,original,,\n", encoding="utf-8")
+        code = run("stats", "--dataset", str(data), "--out", str(out), "--tag", "bad")
+        assert code == 2
+        assert capsys.readouterr() == ("", "data error: cannot infer dataset format from "
+                                           "'x.csv': datasets are JSONL (.jsonl or .ndjson)\n")
+        assert sorted(p.name for p in (out / "stats").iterdir()) == ["good", "latest"]
+        assert (out / "stats" / "latest").read_text() == "good\n"
+
     def test_missing_dataset_file_is_data_error(self, tmp_path, capsys):
         code = run("stats", "--dataset", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o"))
@@ -992,9 +1008,17 @@ class TestUnparseableInputs:
         (b'{"id": "d2", "label": "1"}', "a.jsonl:2: 'label' must be an integer"),
         (b'{"id": "d2", "label": true}', "a.jsonl:2: 'label' must be an integer"),
         (b'{"id": "d2", "label": 1, "label": 0}', "a.jsonl:2: duplicate key 'label'"),
+        # whitespace JSON does not allow: the line is no blank line
+        ("\u2028".encode(), "a.jsonl:2: invalid JSON (Expecting value)"),
+        ("\x85".encode(), "a.jsonl:2: invalid JSON (Expecting value)"),
+        (b"\x0b", "a.jsonl:2: invalid JSON (Expecting value)"),
+        (b"\x0c", "a.jsonl:2: invalid JSON (Expecting value)"),
+        (b"\x1c", "a.jsonl:2: invalid JSON (Expecting value)"),
+        (b"\x1f", "a.jsonl:2: invalid JSON (Expecting value)"),
     ], ids=["nested", "long-integer", "unhashable-id", "integer-id", "empty-id", "not-utf-8",
             "unknown-key", "after-blank-lines", "no-id", "not-an-object", "float-label",
-            "string-label", "bool-label", "duplicate-key"])
+            "string-label", "bool-label", "duplicate-key", "only-2028", "only-0085",
+            "only-000b", "only-000c", "only-001c", "only-001f"])
     def test_bad_annotation_file_is_data_error(self, tmp_path, content, message):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_bytes(b'{"id": "d1", "label": 0}\n' + content + b"\n")

@@ -1,6 +1,5 @@
 """Dataset schema, serialization, distribution, and fold tests."""
 
-import csv
 import importlib.util
 import json
 import random
@@ -29,13 +28,11 @@ from predstmt import (
 from predstmt import corpus
 from predstmt.corpus import (
     _COINS,
-    _COLUMN_SET,
-    _COLUMNS,
+    _KEYS,
     _ORIGINAL,
     _SOURCES,
     _checked_labels,
     _doc_from_record,
-    _doc_to_record,
     _jsonl_line,
     _prechecked,
 )
@@ -254,6 +251,10 @@ class TestJsonl:
                      "invalid JSON (nested too deeply)", id="nested-annotations"),
         pytest.param('{"id": "a", "text": "t", "task1": 1' + "0" * 5000 + "}",
                      "invalid JSON (integer too long)", id="long-integer"),
+        # a line of whitespace JSON does not allow is no blank line
+        *(pytest.param(space, "invalid JSON (Expecting value)", id=f"only-{ord(space[-1]):04x}")
+          for space in ["\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                        " \t\u3000"]),
     ])
     def test_record_errors_name_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
@@ -295,9 +296,19 @@ class TestJsonl:
         with pytest.raises(DataError, match="cannot read dataset .*dir.jsonl"):
             load_dataset(tmp_path / "dir.jsonl")
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(DataError, match="format"):
-            load_dataset(tmp_path / "data.parquet")
+    @pytest.mark.parametrize("name", ["data.parquet", "data.csv", "data.CSV"])
+    def test_unknown_format(self, tmp_path, name):
+        """Datasets are JSONL: any other suffix, CSV's included, is refused both ways."""
+        message = (f"cannot infer dataset format from {name!r}: "
+                   "datasets are JSONL (.jsonl or .ndjson)")
+        (tmp_path / name).write_text("id,text\na,ada up\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_dataset(tmp_path / name)
+        assert str(info.value) == message
+        with pytest.raises(DataError) as info:
+            save_dataset(Dataset(documents=(doc(),)), tmp_path / "out" / name)
+        assert str(info.value) == message
+        assert not (tmp_path / "out").exists()
 
 
 def _reference_doc_from_record(rec: object) -> Document:
@@ -364,8 +375,8 @@ def _field_checks_doc_from_record(rec: object) -> Document:
     """The loader before it looked label cells up in a table: every field checked in turn."""
     if not isinstance(rec, dict):
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
-    if not _COLUMN_SET.issuperset(rec):
-        raise DataError(f"unknown fields {sorted(rec.keys() - _COLUMN_SET)}")
+    if not _KEYS.issuperset(rec):
+        raise DataError(f"unknown fields {sorted(rec.keys() - _KEYS)}")
     get = rec.get
     doc_id = get("id")
     if not isinstance(doc_id, str) or not doc_id:
@@ -487,60 +498,18 @@ def test_label_pairs_are_exactly_the_valid_combinations():
     assert loadable == len(corpus._LABEL_PAIRS) == 6
 
 
-# Values a CSV cell carries: none (an empty cell), non-empty strings, unsigned
-# integer labels and JSON annotations; text may also be empty. The breaks spoil
-# one field of an otherwise valid record. (A signed label cell is a CSV error
-# with no JSONL counterpart; TestRoundTrip tests it.)
-_CSV_STRINGS = st.text(st.sampled_from('aé7 ,"\n\r🚀'), min_size=1, max_size=4)
-_CSV_BREAKS = {
-    "id": [None], "text": ["", " \r\n"], "coin": ["DOGE", "ada"], "task1": [2, 7],
-    "task2": [0, 4], "source": ["scraped"], "parent_id": [None, "p"],
-    "annotations": _BREAKS["annotations"],
-}
-
-
-@st.composite
-def _csv_records(draw):
-    task1, task2 = draw(st.sampled_from(_LABEL_PAIRS))
-    source = draw(st.sampled_from(_VALID_SOURCES))
-    rec = {
-        "id": draw(_CSV_STRINGS),
-        "text": draw(_CSV_STRINGS.filter(lambda text: not text.isspace())),
-        "coin": draw(st.sampled_from([None, *(coin.value for coin in Coin)])),
-        "task1": task1,
-        "task2": task2,
-        "source": source,
-        "parent_id": draw(_CSV_STRINGS) if source == "synthetic" else None,
-        "annotations": draw(st.sampled_from([None, [], [{"annotator": "x", "task": 2,
-                                                           "label": 3}]])),
+def _doc_to_record(doc: Document) -> dict:
+    """The record of doc that save_dataset's line encodes, as json.dumps takes it."""
+    return {
+        "id": doc.id,
+        "text": doc.text,
+        "coin": None if doc.coin is None else doc.coin.value,
+        "task1": None if doc.task1 is None else int(doc.task1),
+        "task2": None if doc.task2 is None else int(doc.task2),
+        "source": doc.source.value,
+        "parent_id": doc.parent_id,
+        "annotations": [],
     }
-    for key in draw(st.lists(st.sampled_from(sorted(_CSV_BREAKS)), max_size=2)):
-        rec[key] = draw(st.sampled_from(_CSV_BREAKS[key]))
-    return rec
-
-
-@settings(max_examples=400, deadline=None, database=None)
-@given(_csv_records())
-def test_csv_row_loads_as_its_jsonl_line(tmp_path_factory, rec):
-    """A one-row CSV file gives its JSONL line's Document, members and all, or its message."""
-    directory = tmp_path_factory.mktemp("csv")
-    with (directory / "rec.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        writer.writerow(["" if rec[key] is None else json.dumps(rec[key])
-                         if key == "annotations" else rec[key] for key in _COLUMNS])
-    (directory / "rec.jsonl").write_text(json.dumps(rec) + "\n", encoding="utf-8")
-    try:
-        expected = corpus._read_jsonl(directory / "rec.jsonl")
-    except DataError as exc:
-        with pytest.raises(DataError) as info:
-            corpus._read_csv(directory / "rec.csv")
-        assert str(info.value) == str(exc).replace("rec.jsonl:1: ", "rec.csv:2: ", 1)
-        return
-    [loaded] = corpus._read_csv(directory / "rec.csv")
-    assert loaded == expected[0]
-    for field in ("task1", "task2", "coin", "source"):
-        assert getattr(loaded, field) is getattr(expected[0], field)
 
 
 class TestRoundTrip:
@@ -575,105 +544,20 @@ class TestRoundTrip:
             (json.JSONEncoder(ensure_ascii=False).encode(_doc_to_record(d)) + "\n")
             .encode("utf-8") for d in ds)
 
-    def test_csv_round_trip(self, tmp_path):
-        ds = self.build()
-        path = tmp_path / "rt.csv"
-        save_dataset(ds, path)
-        again = load_dataset(path)
-        assert again.documents == ds.documents
-
-    def test_csv_bytes_are_pinned(self, tmp_path):
-        """Quoting, empty cells and UTF-8 text, byte for byte."""
-        ds = Dataset(documents=(
-            Document(id="a", text='ADA, "up" 10%\nsoon', coin=Coin.ADA, task1=1, task2=1),
-            Document(id="b", text="no coin, no label"),
-            Document(id="c", text="naïve ₳ moon 🚀", coin=Coin.OTHER, task1=0),
-            Document(id="s", text="ada will rise", coin=Coin.ADA, task1=1, task2=3,
-                     source=Source.SYNTHETIC, parent_id="a"),
-        ))
-        path = tmp_path / "mix.csv"
-        save_dataset(ds, path)
-        assert path.read_bytes() == (
-            'id,text,coin,task1,task2,source,parent_id,annotations\r\n'
-            'a,"ADA, ""up"" 10%\nsoon",ADA,1,1,original,,\r\n'
-            'b,"no coin, no label",,,,original,,\r\n'
-            'c,naïve ₳ moon 🚀,Other,0,,original,,\r\n'
-            's,ada will rise,ADA,1,3,synthetic,a,\r\n'
-        ).encode("utf-8")
-        assert load_dataset(path).documents == ds.documents
-
-    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
     @pytest.mark.parametrize("value", [
         None, [], [{"annotator": "x", "task": 1, "label": 1}], False, "", {}, 0,
     ], ids=["null", "empty-list", "annotation", "false", "empty-string", "object", "zero"])
-    def test_annotations_is_a_reserved_key(self, tmp_path, suffix, value):
-        """Only null (an empty CSV cell) or [] loads: agreement labels live in kappa files."""
+    def test_annotations_is_a_reserved_key(self, tmp_path, value):
+        """Only null or [] loads: agreement labels live in kappa files."""
         rec = {"id": "a", "text": "ada up", "task1": 1, "annotations": value}
-        path = tmp_path / f"reserved.{suffix}"
-        if suffix == "jsonl":
-            path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-        else:
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_COLUMNS)
-                writer.writerow(["" if rec.get(key) is None else json.dumps(value)
-                                 if key == "annotations" else rec[key] for key in _COLUMNS])
+        path = tmp_path / "reserved.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         if value in (None, []):
             assert load_dataset(path).documents == (doc("a", "ada up", task1=1),)
             return
         with pytest.raises(DataError) as info:
             load_dataset(path)
-        line = 1 if suffix == "jsonl" else 2
-        assert str(info.value) == f"reserved.{suffix}:{line}: {RESERVED}"
-
-    def test_csv_field_over_the_size_limit_is_data_error(self, tmp_path):
-        path = tmp_path / "big.csv"
-        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
-                        f"a,{'x' * 200_000},,,,original,,\n")
-        with pytest.raises(DataError, match="cannot read dataset .*field larger than"):
-            load_dataset(path)
-
-    # int() takes all but the first and last of these: as 1, 1, 0, -1 and 1
-    @pytest.mark.parametrize("cell", ["x", "+1", "١", " 0_0 ", "-1", "1\u00a0", "1" * 5000],
-                             ids=["letter", "plus", "arabic-indic", "spaces-underscore",
-                                  "minus", "nbsp", "long-integer"])
-    def test_csv_errors_name_file_and_line(self, tmp_path, cell):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
-                        f"a,hello,,,,original,,\nb,bye,ADA,{cell},,original,,\n",
-                        encoding="utf-8")
-        with pytest.raises(DataError) as info:
-            load_dataset(path)
-        assert str(info.value) == f"bad.csv:3: 'task1' must be an integer, got {cell!r}"
-
-    @pytest.mark.parametrize("body, line", [
-        ('a,hello,,,,original,,\n\nb,"two\nlines",,,,original,,\nc,bye,ADA,x,,original,,\n', 6),
-        ('\nc,"bye\nnow",ADA,x,,original,,\n', 3),
-    ], ids=["after-blank-and-two-line-cell", "record-spanning-lines"])
-    def test_csv_errors_name_the_physical_line_a_record_starts_on(self, tmp_path, body, line):
-        path = tmp_path / "found.csv"
-        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n" + body)
-        with pytest.raises(DataError) as info:
-            load_dataset(path)
-        assert str(info.value) == f"found.csv:{line}: 'task1' must be an integer, got 'x'"
-
-    @pytest.mark.parametrize("row, cells", [
-        ("b,hello,,,,original,,,EXTRA,MORE", 10),
-        ("b,short", 2),
-    ], ids=["surplus", "truncated"])
-    def test_csv_row_with_the_wrong_cell_count_fails(self, tmp_path, row, cells):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,text,coin,task1,task2,source,parent_id,annotations\n"
-                        f"a,hello,,,,original,,\n{row}\n")
-        with pytest.raises(DataError) as info:
-            load_dataset(path)
-        assert str(info.value) == f"bad.csv:3: expected 8 cells, got {cells}"
-
-    def test_csv_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,body\na,hello\n")
-        with pytest.raises(DataError, match="header"):
-            load_dataset(path)
+        assert str(info.value) == f"reserved.jsonl:1: {RESERVED}"
 
 
 def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
@@ -702,9 +586,8 @@ def test_valid_traffic_never_reaches_the_label_checks(tmp_path, monkeypatch):
     assert any(doc.source is Source.SYNTHETIC for doc in balanced)
     save_dataset(balanced, tmp_path / "balanced.jsonl")
     assert load(tmp_path / "balanced.jsonl").documents == balanced.documents
-    for suffix in ("jsonl", "csv"):
-        save_dataset(built, tmp_path / f"built.{suffix}")
-        assert load(tmp_path / f"built.{suffix}").documents == built.documents
+    save_dataset(built, tmp_path / "built.jsonl")
+    assert load(tmp_path / "built.jsonl").documents == built.documents
 
 
 # Characters the JSON string encoder treats specially: quotes, backslashes,
@@ -828,7 +711,7 @@ def _json_path_outcome(path: Path):
     docs = []
     with path.open(encoding="utf-8") as fh:  # the loader's universal newlines
         for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
+            if not line.strip(" \t\r\n"):  # only JSON whitespace
                 continue
             try:
                 docs.append(_doc_from_record(corpus.parse_json(line, corpus._invalid_json)))
