@@ -287,6 +287,35 @@ class TestJsonl:
         path.write_text(line + "\n" + '{"id": "b", "text": "u"}', encoding="utf-8")
         assert [doc.id for doc in load_dataset(path)] == ["a", "b"]
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", " \t ", " \t\r"],
+                             ids=["empty", "space", "tab", "spaces-and-tab", "carriage-return"])
+    def test_json_whitespace_lines_are_skipped_and_counted(self, tmp_path, blank):
+        """A line of JSON whitespace alone is no record, but still a line of the file."""
+        path = tmp_path / "gaps.jsonl"
+        path.write_text('{"id": "a", "text": "t"}\n' + blank + '\n{"id": "b", "text": "u"}\n',
+                        encoding="utf-8")
+        assert [doc.id for doc in load_dataset(path)] == ["a", "b"]
+        path.write_text(blank + "\n" + blank + '\n{"id": "a", "text": "t", "task1": 7}\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == "gaps.jsonl:3: document 'a': unknown label code 7 for task 1"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_line_end_reads_and_counts_lines(self, tmp_path, end):
+        """Datasets are read with universal newlines: CRLF and a lone CR end a line once."""
+        ds = Dataset(documents=(doc("a", "ada up", task1=1, task2=1),
+                                doc("b", "ada down", coin=Coin.OTHER, task1=0)))
+        body = "".join(line.replace("\n", end) for line in map(_jsonl_line, ds)) + end
+        path = tmp_path / "ends.jsonl"
+        path.write_text(body, encoding="utf-8", newline="")
+        assert load_dataset(path).documents == ds.documents
+        path.write_text(body + '{"id": "c", "text": "t", "task1": 7}' + end,
+                        encoding="utf-8", newline="")
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == "ends.jsonl:4: document 'c': unknown label code 7 for task 1"
+
     def test_unreadable_file_is_data_error(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')
