@@ -26,12 +26,18 @@ from .corpus import (
     LabelDistribution,
     Source,
     Task,
+    _prechecked,
     distribution,
 )
 
 
 def normalize_key(text: str) -> str:
     """Duplicate-detection key: collapsed whitespace, case-folded."""
+    # U+0020 is the only whitespace that isprintable() accepts, so a printable
+    # text with no run of spaces and none at either end is already collapsed.
+    if (text.isprintable() and "  " not in text
+            and not text.startswith(" ") and not text.endswith(" ")):
+        return text.casefold()
     return " ".join(text.split()).casefold()
 
 
@@ -312,7 +318,7 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
     request_counter = 0
     serial = 0
     parents_of: dict[int, list[Document]] = {code: [] for code in plan.needed}
-    original = Source.ORIGINAL
+    original, synthetic = Source.ORIGINAL, Source.SYNTHETIC
     for doc in dataset:  # one pass; each class keeps corpus order
         if doc.source is original:
             parents = parents_of.get(doc.label(task))
@@ -328,6 +334,8 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
             for _ in range(max_retries + 1):
                 request_counter += 1
                 made = provider.paraphrase(parent.text, seed=_derived_seed(seed, request_counter))
+                if not isinstance(made, str):  # the document below is built unchecked
+                    raise DataError(f"provider returned a {type(made).__name__}, not a string")
                 key = normalize_key(made)
                 if key and key not in seen_texts:
                     seen_texts.add(key)
@@ -340,15 +348,9 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
                 if syn_id not in existing_ids:
                     break
             existing_ids.add(syn_id)
-            new_docs.append(
-                Document(
-                    id=syn_id,
-                    text=made,
-                    coin=parent.coin,
-                    task1=parent.task1,
-                    task2=parent.task2,
-                    source=Source.SYNTHETIC,
-                    parent_id=parent.id,
-                )
-            )
-    return Dataset(documents=tuple(new_docs), name=f"{dataset.name}-balanced")
+            new_docs.append(_prechecked(Document, {
+                "id": syn_id, "text": made, "coin": parent.coin, "task1": parent.task1,
+                "task2": parent.task2, "source": synthetic, "parent_id": parent.id,
+            }))
+    return _prechecked(Dataset, {"documents": tuple(new_docs),
+                                 "name": f"{dataset.name}-balanced"})

@@ -322,9 +322,9 @@ def _is_int(value: object) -> bool:
 def _prechecked(cls: type[_C], fields: dict) -> _C:
     """An instance of the frozen dataclass cls whose __dict__ is fields itself.
 
-    For the loader only, which has already made every check of cls's
-    __post_init__ on these fields, with the same messages, and which hands
-    over a dict it built for this instance alone.
+    For callers whose fields could only pass cls's __post_init__: the loader,
+    which has made its checks with the same messages, and balance(), which
+    copies checked documents. fields is a dict built for this instance alone.
     """
     instance = object.__new__(cls)
     object.__setattr__(instance, "__dict__", fields)

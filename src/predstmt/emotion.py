@@ -10,6 +10,7 @@ Categories co-occur freely, so row percentages need not sum to 100.
 from __future__ import annotations
 
 import hashlib
+import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -52,9 +53,9 @@ _DIRECTION_ROW_NAMES = {
 class EmotionLexicon:
     """Validated term table plus base-emotion grouping.
 
-    phrase_entries maps token tuples (terms split on whitespace, case
-    folded) to (base emotion, weight) pairs; every base emotion appearing
-    in an entry has a grouping into one of the six categories.
+    phrase_entries maps token tuples (terms lowercased, NFC-normalized and
+    split, as preprocess makes tokens) to (base emotion, weight) pairs; every
+    base emotion appearing in an entry has a grouping into one of the six categories.
     """
 
     phrase_entries: Mapping[tuple[str, ...], tuple[tuple[str, float], ...]]
@@ -73,8 +74,8 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
     Every entry value is a list of [base emotion, weight] pairs with
-    weights in [0, 1]. Duplicate terms and grouped base emotions (including
-    those equal after case folding) and base emotions without a grouping
+    weights in [0, 1]. Terms equal after lower() and NFC, grouped base
+    emotions equal after case folding and base emotions without a grouping
     are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
     """
     path = Path(path)
@@ -101,7 +102,7 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
         raise DataError("lexicon 'entries' must be an object")
     phrase_entries: dict[tuple[str, ...], tuple[tuple[str, float], ...]] = {}
     for term, rows in entries_raw.items():
-        key = tuple(term.casefold().split())
+        key = tuple(unicodedata.normalize("NFC", term.lower()).split())  # as preprocess
         if not key:
             raise DataError("lexicon entry term must be non-empty")
         if key in phrase_entries:

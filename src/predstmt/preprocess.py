@@ -5,7 +5,7 @@ and symbol character is replaced with a space, text is lowercased and
 Unicode-normalized (NFC), then split on whitespace, and tokens shorter
 than MIN_TOKEN_LENGTH are dropped. Running the pipeline on its own joined
 output changes nothing. It has no settings: emotion tagging reads these
-tokens too, and lexicon terms are case folded and free of punctuation.
+tokens too, and keys lexicon terms by the same lower() and NFC.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ MIN_TOKEN_LENGTH = 3
 
 # http(s) or www prefixed runs of non-space characters
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
+_ASCII_URL_RE = re.compile(_URL_RE.pattern)  # for lowercased ASCII text
 
 
 def strip_urls(text: str) -> str:
@@ -30,8 +31,8 @@ _PUNCT_SYMBOL_MAX = 1 << 16
 
 
 class _PunctSymbolTable(dict):
-    """str.translate table mapping every Unicode punctuation (P*) and symbol
-    (S*) character to a space and every other character to itself.
+    """Table in str.translate form, mapping every Unicode punctuation (P*) and
+    symbol (S*) character to a space and every other character to itself.
 
     A code point's category is looked up once, on first use, and cached; the
     cache starts again empty once it holds _PUNCT_SYMBOL_MAX code points.
@@ -52,17 +53,36 @@ _PUNCT_SYMBOL = _PunctSymbolTable()
 _ASCII_PUNCT_SYMBOL = bytes(
     ord(" ") if unicodedata.category(chr(b))[0] in "PS" else b for b in range(128)
 ) + bytes(range(128, 256))
+_ASCII = bytes(range(128))  # every ASCII byte, for bytes.translate to delete
+#: Most distinct special characters replaced by one str.replace scan each; a text
+#: with more is translated per character, so none costs much over str.translate.
+_REPLACE_MAX = 64
 
 
 def preprocess(text: str) -> list[str]:
     """Clean and tokenize one text. Returns the kept tokens in order."""
     # Every URL match holds "://" or a case variant of "www.", so a text with
     # neither has nothing to strip.
-    if "://" in text or "www." in text.lower():
-        text = strip_urls(text)
     if text.isascii():
+        # Lowercasing first changes no match: in ASCII text the pattern's case
+        # variants are exactly the letters lower() maps, and NFC changes nothing.
+        text = text.lower()
+        if "://" in text or "www." in text:
+            text = _ASCII_URL_RE.sub("", text)
         text = text.encode("ascii").translate(_ASCII_PUNCT_SYMBOL).decode("ascii")
     else:
-        text = text.translate(_PUNCT_SYMBOL)
-    text = unicodedata.normalize("NFC", text.lower())
+        if "://" in text or "www." in text.lower():
+            text = strip_urls(text)
+        # UTF-8 multi-byte sequences hold no ASCII byte: the bytes table replaces
+        # ASCII characters only, and deleting every ASCII byte leaves the others.
+        data = text.encode("utf-8", "surrogatepass")
+        text = data.translate(_ASCII_PUNCT_SYMBOL).decode("utf-8", "surrogatepass")
+        special = [ch for ch in set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
+                   if _PUNCT_SYMBOL[ord(ch)] == " "]
+        if len(special) > _REPLACE_MAX:
+            text = text.translate(_PUNCT_SYMBOL)
+        else:
+            for ch in special:
+                text = text.replace(ch, " ")
+        text = unicodedata.normalize("NFC", text.lower())
     return [t for t in text.split() if len(t) >= MIN_TOKEN_LENGTH]

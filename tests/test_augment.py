@@ -4,6 +4,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predstmt import (
     Coin,
@@ -239,3 +241,89 @@ class TestBalance:
         again = ScriptedProvider(provider.script)
         balance(ds, Task.PREDICTIVENESS, again, seed=5)
         assert [s for _, s in again.calls] == seeds
+
+
+def _collapsed_key(text):
+    """normalize_key without its shortcut for text that is already collapsed."""
+    return " ".join(text.split()).casefold()
+
+
+class TestNormalizeKey:
+    def test_space_is_the_only_printable_whitespace(self):
+        # the shortcut rests on this; another Unicode database must fail here
+        both = [c for c in range(0x110000) if chr(c).isspace() and chr(c).isprintable()]
+        assert both == [0x20]
+
+    def test_every_code_point_matches_collapsed_key(self):
+        for start in range(0, 0x110000, 0x10000):
+            chars = [chr(c) for c in range(start, start + 0x10000) if not 0xD800 <= c <= 0xDFFF]
+            texts = [t for ch in chars for t in (ch, f"a{ch}b", f" {ch} ", f"a  {ch}b")]
+            assert list(map(normalize_key, texts)) == list(map(_collapsed_key, texts)), start
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["BTC", "Straße", "ΟΔΟΣ", "ﬁre", "İ", "ǅ", "é", "e\u0301"]),
+        st.text(st.sampled_from("abcXYZ.!"), min_size=1, max_size=5),
+        st.just(" "),  # alone, so that many texts are printable and take the shortcut
+        st.text(st.sampled_from(" \t\u2028\u00a0"), min_size=1, max_size=4),
+    ), max_size=10).map("".join))
+    def test_words_and_whitespace_runs_match_collapsed_key(self, text):
+        assert normalize_key(text) == _collapsed_key(text)
+
+
+def _mixed_corpus(seed):
+    """Originals of every label, synthetic children of some, and ids balance() numbers."""
+    rng = random.Random(seed)
+    texts = ["BTC up  soon", "Straße\tnow", "ADA will rise", "bearish on XRP", "buy the dip"]
+    docs = [Document(id="first", text="good coin today", coin=Coin.ADA, task1=1, task2=1)]
+    for i in range(rng.randint(4, 30)):
+        task1 = rng.choice([0, 1, 1, None])
+        docs.append(Document(
+            id=rng.choice([f"o{i}", f"syn-1-{i:05d}", f"syn-2-{i:05d}"]),
+            text=f"{rng.choice(texts)} {i}",
+            coin=rng.choice([*Coin, None]),
+            task1=task1,
+            task2=rng.choice([1, 2, 3, None]) if task1 == 1 else None,
+        ))
+    originals = list(docs)
+    for j in range(rng.randint(0, 4)):
+        parent = rng.choice(originals)
+        docs.append(Document(id=f"s{j}", text=f"copy {j}: {parent.text}", coin=parent.coin,
+                             task1=parent.task1, task2=parent.task2, source=Source.SYNTHETIC,
+                             parent_id=parent.id))
+    return Dataset(documents=tuple(docs), name=f"mixed-{seed}")
+
+
+class TestBalanceBuildsValidDocuments:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_validating_constructors_rebuild_the_result(self, seed):
+        ds = _mixed_corpus(seed)
+        for task in Task:
+            result = balance(ds, task, OfflineParaphraser(), seed=seed)
+            rebuilt = Dataset(tuple(Document(**vars(d)) for d in result), result.name)
+            assert rebuilt == result
+            assert rebuilt.name is result.name
+            for made, checked in zip(result, rebuilt):
+                assert vars(made).keys() == vars(checked).keys()
+                assert all(vars(checked)[k] is v for k, v in vars(made).items()), made.id
+
+    def test_balances_without_running_a_constructor_check(self, monkeypatch):
+        ds = _mixed_corpus(3)
+        assert any(d.id.startswith("syn-2-") for d in ds)
+        expected = balance(ds, Task.DIRECTION, OfflineParaphraser(), seed=3)
+
+        def refuse(self):
+            raise AssertionError(f"balance() ran a {type(self).__name__} check")
+
+        monkeypatch.setattr(Document, "__post_init__", refuse)
+        monkeypatch.setattr(Dataset, "__post_init__", refuse)
+        result = balance(ds, Task.DIRECTION, OfflineParaphraser(), seed=3)
+        assert len(result) > len(ds)
+        assert result.documents == expected.documents and result.name == expected.name
+
+    @pytest.mark.parametrize("answer", [None, b"bytes text", ["a", "list"]])
+    def test_provider_answer_that_is_not_a_string_is_a_data_error(self, answer):
+        ds = build_planted_dataset(Task.PREDICTIVENESS, {0: 3, 1: 1}, seed=8)
+        provider = ScriptedProvider({doc.text: [answer] for doc in ds})
+        with pytest.raises(DataError, match="not a string"):
+            balance(ds, Task.PREDICTIVENESS, provider, seed=1)

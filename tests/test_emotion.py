@@ -272,6 +272,30 @@ class TestTagDocument:
         assert tag_document(doc("over the moon about moon talk"), small_lexicon) \
             == {EmotionCategory.DELIGHT_PLEASANTNESS, EmotionCategory.RAGE_ANGER}
 
+    def test_terms_are_keyed_as_text_is_tokenized(self, tmp_path):
+        # casefold() keys these as "strasse", "οδοσ" and "fire", which no token spells
+        terms = {"straße": "joy", "ΟΔΟΣ": "fear", "ﬁre": "rage",
+                 "cafe\u0301 latte": "sadness"}
+        lex = load_lexicon(write_lexicon(tmp_path, {
+            "entries": {term: [[emotion, 0.5]] for term, emotion in terms.items()},
+            "grouping": GROUPING,
+        }))
+        for text, emotion in [("Straße rocks", "joy"), ("ΟΔΟΣ ahead", "fear"),
+                              ("ﬁre sale", "rage"), ("CAFÉ LATTE!", "sadness")]:
+            assert tag_document(doc(text), lex) == {EmotionCategory(GROUPING[emotion])}, text
+        for term in terms:
+            assert tuple(preprocess(term)) in lex.phrase_entries, term
+
+    def test_terms_equal_after_lower_and_nfc_are_duplicates(self, tmp_path):
+        path = write_lexicon(tmp_path, {
+            "entries": {"ΟΔΟΣ": [["fear", 0.5]], "caf\u00e9": [["joy", 0.5]],
+                        "CAFE\u0301": [["joy", 0.7]]},
+            "grouping": GROUPING,
+        })
+        with pytest.raises(DataError) as info:
+            load_lexicon(path)
+        assert str(info.value) == "duplicate lexicon term 'CAFE\u0301' after case folding"
+
     def test_matching_uses_preprocessed_tokens(self, small_lexicon):
         # punctuation and case vanish before lookup
         assert tag_document(doc("SO Happy!!! http://x.co/a"), small_lexicon) \

@@ -166,11 +166,12 @@ class TestTranslateTable:
         "ﬁre Ⅻ ½ ²³⁴",
         "a\xad\xadb soft\xadhyphen \u2066isolate\u2069 rtl",
         "tab\x0bvt\x0cff\x1cfs",
+        "x\ud800yz \udfffabc« \ud83d\ude80pair\ude80",
     ], ids=["lowercase-changes-length", "combining-marks", "unicode-spaces", "astral-fullwidth",
             "control-characters", "empty", "digit-only", "min-length-boundary",
             "dotless-and-dotted-i", "final-sigma", "hangul-jamo", "zwj-emoji",
             "cjk-punctuation", "arabic-punctuation", "math-alphanumerics", "compatibility-forms",
-            "format-characters", "ascii-separators"])
+            "format-characters", "ascii-separators", "lone-surrogates"])
     def test_edge_cases_match_reference(self, text):
         assert preprocess(text) == _reference_preprocess(text)
 
@@ -207,9 +208,10 @@ def _any_case(word: str):
     return st.tuples(*(st.sampled_from(variants(ch)) for ch in word)).map("".join)
 
 
-# URL prefixes in any case, and near misses that hold a piece of one
-_URL_PIECES = st.one_of(*(_any_case(p) for p in ("http://", "https://", "www.", "httpss://",
-                                                  "ftp://", "www", "ww.", "://", "http:/")))
+# URL prefixes, and near misses that hold a piece of one
+_URL_PREFIXES = ("http://", "https://", "www.", "httpss://", "ftp://", "www", "ww.", "://",
+                 "http:/")
+_URL_PIECES = st.one_of(*(_any_case(p) for p in _URL_PREFIXES))
 # Text around them: ASCII words, digits and punctuation, and non-ASCII letters
 # (Greek capital sigma, whose lowercase depends on the next character; dotted I),
 # punctuation, symbols, combining marks and whitespace.
@@ -229,11 +231,33 @@ def test_matches_preprocess_that_always_scans_for_urls(text):
     assert preprocess(text) == _always_scan_preprocess(text)
 
 
+# ASCII text alone, which preprocess lowercases before it strips URLs: the
+# prefixes with each letter in either ASCII case, and any ASCII characters.
+_ASCII_TEXTS = st.lists(st.one_of(
+    *(st.tuples(*(st.sampled_from(sorted({ch.lower(), ch.upper()})) for ch in prefix))
+      .map("".join) for prefix in _URL_PREFIXES),
+    st.text(st.sampled_from(string.ascii_letters + string.digits + string.punctuation + " \t\n"),
+            max_size=10),
+    st.text(st.characters(max_codepoint=0x7F), max_size=6),
+), max_size=8).map("".join)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_ASCII_TEXTS)
+def test_ascii_text_matches_preprocess_that_always_scans(text):
+    assert text.isascii()
+    assert preprocess(text) == _always_scan_preprocess(text) == _reference_preprocess(text)
+
+
 @pytest.mark.parametrize("text", [
     "HtTpS://t.co/x ΑΣhttp://a.io ΑΣ", "WwW.spam.io and ΟΔΟΣwww.x", "httpſ://a.io/Σ",
     "ΑΣ\u0301 https://x é", "plain ascii text, no links!", "ascii www.a.io and http://b",
     "(see https://a.io/x) done", "wwwhat www dot www", "WWW.é.io Σ end",
+    "HTTP://X.IO/A", "HtTpS://t.co/x", "xhttp://y z", "see WWW.A.IO.", "www.",
+    "ftp://a http:/b",
 ], ids=["mixed-case-scheme", "mixed-case-www", "long-s", "sigma-before-combining",
-        "ascii", "ascii-urls", "url-in-brackets", "www-without-dot", "www-non-ascii"])
+        "ascii", "ascii-urls", "url-in-brackets", "www-without-dot", "www-non-ascii",
+        "ascii-upper-case-url", "ascii-mixed-case-scheme", "ascii-scheme-inside-word",
+        "ascii-upper-case-www", "ascii-bare-www", "ascii-near-misses"])
 def test_url_and_ascii_edges_match_preprocess_that_always_scans(text):
     assert preprocess(text) == _always_scan_preprocess(text)
