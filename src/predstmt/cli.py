@@ -36,12 +36,12 @@ from .corpus import (
     LABEL_NAMES,
     DataError,
     Task,
-    _parse_line,
     cohen_kappa,
     distribution,
     from_dict,
     jsonable,
     load_dataset,
+    parse_json,
     read_json,
     read_jsonl,
     save_dataset,
@@ -430,7 +430,7 @@ def _read_annotation_file(path: Path, task: Task, sha256: hashlib._Hash) -> dict
             raise DataError(f"unknown label code {label} for task {int(task)}")
         labels[doc_id] = label
 
-    read_jsonl(path, "annotation file", lambda line: add(_parse_line(line)), sha256)
+    read_jsonl(path, "annotation file", lambda line: add(parse_json(line)), sha256)
     if not labels:
         raise DataError(f"{path.name}: no annotations found")
     return labels

@@ -17,7 +17,8 @@ A canonical JSONL line that passes them, the 8-key line save_dataset writes
 or the 5-key one json.dumps(record, ensure_ascii=False) writes for an original,
 is read by one compiled pattern, _CANONICAL. Any other line (escapes, json.dumps'
 default \\uXXXX ones included; another key order or other separators) loads the
-same Document through _parse_line, which also reads kappa files and words errors.
+same Document through parse_json, the one strict decoder of every JSON input
+(lexicon, config and kappa files too), which words its errors.
 
 open_input is the one opener of every input file (dataset, lexicon, kappa
 files, config file): it reads each once, as UTF-8, and can feed every byte it
@@ -48,24 +49,8 @@ class DataError(ValueError):
     """Malformed input file, schema violation, or broken corpus invariant."""
 
 
-def parse_json(text: str, invalid: Callable[[str], Exception]) -> object:
-    """json.loads(text) for text read from an input file, no key given twice.
-
-    Malformed JSON, JSON nested too deeply to decode and integers too long
-    to convert all raise invalid(reason), the caller's one-line error,
-    instead of a traceback. An object that repeats a key raises DataError
-    naming the first key given twice.
-    """
-    try:
-        return json.loads(text, object_pairs_hook=reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise invalid(exc.msg) from None
-    except RecursionError:
-        raise invalid("nested too deeply") from None
-    except DataError:
-        raise
-    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
-        raise invalid("integer too long") from None
+def _invalid_json(reason: str) -> DataError:
+    return DataError(f"invalid JSON ({reason})")
 
 
 def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -79,6 +64,32 @@ def reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
                 raise DataError(f"duplicate key {key!r}")
             seen.add(key)
     return result
+
+
+#: The one decoder of every JSON input, built once; json.loads builds one a call.
+_DECODER = json.JSONDecoder(object_pairs_hook=reject_duplicate_keys)
+
+
+def parse_json(text: str, invalid: Callable[[str], Exception] = _invalid_json) -> object:
+    """json.loads(text) for text read from an input file, no key given twice.
+
+    Malformed JSON (a leading BOM included, as json.loads refuses it), JSON
+    nested too deeply to decode and integers too long to convert all raise
+    invalid(reason), the caller's one-line error, instead of a traceback. An
+    object that repeats a key raises DataError naming the first key given twice.
+    """
+    if text.startswith("\ufeff"):
+        raise invalid("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise invalid(exc.msg) from None
+    except RecursionError:
+        raise invalid("nested too deeply") from None
+    except DataError:
+        raise
+    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise invalid("integer too long") from None
 
 
 class _HashingReader(io.RawIOBase):
@@ -534,18 +545,10 @@ def _jsonl_line(doc: Document) -> str:
     )
 
 
-#: The label members of every valid (task1, task2), keyed with the two types,
-#: since true == 1 == 1.0 hash alike and only an int is a label code.
-_LABEL_PAIRS = {(t1, t2, type(t1), type(t2)): (_LABELS[1].get(t1), _LABELS[2].get(t2))
-                for t1, t2 in ((None, None), (0, None), (1, None), (1, 1), (1, 2), (1, 3))}
-
-
 def _doc_from_record(rec: object) -> Document:
     """The Document of one parsed record; the caller prefixes errors with their location.
 
-    Runs the checks in the order the module docstring gives. A (task1,
-    task2) in _LABEL_PAIRS skips the label checks; any other pair, and any
-    provenance fault, goes to _checked_labels, which raises its message.
+    Runs the checks in the order the module docstring gives.
     """
     if type(rec) is not dict:
         raise DataError(f"expected a JSON object, got {type(rec).__name__}")
@@ -579,15 +582,9 @@ def _doc_from_record(rec: object) -> Document:
         raise DataError(f"document {doc_id!r}: text must be a non-empty string")
     if text.isspace():
         raise DataError(f"document {doc_id!r}: text must hold a non-whitespace character")
-    task1, task2 = get("task1"), get("task2")
-    try:
-        labels = _LABEL_PAIRS.get((task1, task2, type(task1), type(task2)))
-    except TypeError:  # an unhashable label, such as [1]
-        labels = None
-    if labels is None or (parent_id is not None if source is _ORIGINAL else not parent_id):
-        labels = _checked_labels(doc_id, task1, task2, source, parent_id)
+    task1, task2 = _checked_labels(doc_id, get("task1"), get("task2"), source, parent_id)
     return _prechecked(Document, {
-        "id": doc_id, "text": text, "coin": coin, "task1": labels[0], "task2": labels[1],
+        "id": doc_id, "text": text, "coin": coin, "task1": task1, "task2": task2,
         "source": source, "parent_id": parent_id,
     })
 
@@ -601,13 +598,13 @@ _CANONICAL = re.compile(
     r'\{"id": %s, "text": %s, "coin": (?:"(%s)"|null), "task1": (0|1|null), '
     r'"task2": (1|2|3|null)(?:, "source": "(original|synthetic)", "parent_id": (?:%s|null), '
     r'"annotations": \[\])?\}\n?' % (_STR, _STR, "|".join(_COINS), _STR))
-#: _LABEL_PAIRS keyed by the JSON spelling of the pair.
-_LINE_LABELS = {(json.dumps(t1), json.dumps(t2)): labels
-                for (t1, t2, _, _), labels in _LABEL_PAIRS.items()}
+#: The label members of every valid (task1, task2), keyed by the pair's JSON spelling.
+_LINE_LABELS = {(json.dumps(t1), json.dumps(t2)): (_LABELS[1].get(t1), _LABELS[2].get(t2))
+                for t1, t2 in ((None, None), (0, None), (1, None), (1, 1), (1, 2), (1, 3))}
 
 
 def _doc_from_line(line: str) -> Document:
-    """The Document of one JSONL line: _doc_from_record(_parse_line(line)), or its error.
+    """The Document of one JSONL line: _doc_from_record(parse_json(line)), or its error.
 
     A canonical line whose labels, text and provenance pass the loader's
     checks is built from the pattern's groups; any other line is parsed.
@@ -624,11 +621,7 @@ def _doc_from_line(line: str) -> Document:
                 "task1": labels[0], "task2": labels[1], "source": source,
                 "parent_id": parent_id,
             })
-    return _doc_from_record(_parse_line(line))
-
-
-def _invalid_json(reason: str) -> DataError:
-    return DataError(f"invalid JSON ({reason})")
+    return _doc_from_record(parse_json(line))
 
 
 def _check_suffix(path: Path) -> None:
@@ -651,27 +644,6 @@ def load_dataset(path: str | Path, sha256: hashlib._Hash | None = None) -> Datas
     docs: list[Document] = []
     read_jsonl(path, "dataset", lambda line: docs.append(_doc_from_line(line)), sha256)
     return Dataset(documents=tuple(docs), name=path.stem)
-
-
-#: The C scanner under json.loads, called without loads' per-call wrappers.
-_SCAN_JSON = json.JSONDecoder(object_pairs_hook=reject_duplicate_keys).scan_once
-
-
-def _parse_line(line: str) -> object:
-    """The value parse_json(line, _invalid_json) gives, or the error it raises.
-
-    The scanner alone takes a line that is one JSON value from its first
-    character to its end or its newline. Any other line (leading whitespace,
-    a BOM, trailing text, malformed JSON) goes through parse_json, so every
-    error message stays json.loads'.
-    """
-    try:
-        value, end = _SCAN_JSON(line, 0)
-        if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass  # no value at 0, or a malformed one, a repeated key (a DataError) included
-    return parse_json(line, _invalid_json)
 
 
 def read_jsonl(path: Path, what: str, record: Callable[[str], None],

@@ -10,7 +10,6 @@ Categories co-occur freely, so row percentages need not sum to 100.
 from __future__ import annotations
 
 import hashlib
-import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -53,8 +52,8 @@ _DIRECTION_ROW_NAMES = {
 class EmotionLexicon:
     """Validated term table plus base-emotion grouping.
 
-    phrase_entries maps token tuples (terms lowercased, NFC-normalized and
-    split, as preprocess makes tokens) to (base emotion, weight) pairs; every
+    phrase_entries maps token tuples (each term's tokens, as preprocess makes
+    them from a text holding the term) to (base emotion, weight) pairs; every
     base emotion appearing in an entry has a grouping into one of the six categories.
     """
 
@@ -74,7 +73,8 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
     Every entry value is a list of [base emotion, weight] pairs with
-    weights in [0, 1]. Terms equal after lower() and NFC, grouped base
+    weights in [0, 1]. A term is keyed by tuple(preprocess(term)). Terms
+    equal after cleaning, a term word that cleaning removes, grouped base
     emotions equal after case folding and base emotions without a grouping
     are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
     """
@@ -102,11 +102,12 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
         raise DataError("lexicon 'entries' must be an object")
     phrase_entries: dict[tuple[str, ...], tuple[tuple[str, float], ...]] = {}
     for term, rows in entries_raw.items():
-        key = tuple(unicodedata.normalize("NFC", term.lower()).split())  # as preprocess
-        if not key:
+        words = term.split()
+        if not words:
             raise DataError("lexicon entry term must be non-empty")
+        key = tuple(preprocess(term))
         if key in phrase_entries:
-            raise DataError(f"duplicate lexicon term {term!r} after case folding")
+            raise DataError(f"duplicate lexicon term {term!r} after cleaning")
         if not isinstance(rows, list) or not rows:
             raise DataError(f"lexicon entry {term!r} must list [emotion, weight] pairs")
         pairs = []
@@ -124,6 +125,11 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
                     f"lexicon entry {term!r} references ungrouped base emotion {row[0]!r}"
                 )
             pairs.append((emotion, float(weight)))
+        for word in words:  # a word no text can spell as a token would be dropped
+            if not preprocess(word):
+                raise DataError(
+                    f"lexicon entry {term!r}: word {word!r} has no token after cleaning"
+                )
         phrase_entries[key] = tuple(pairs)
     return EmotionLexicon(phrase_entries=phrase_entries, grouping=grouping)
 

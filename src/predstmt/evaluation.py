@@ -57,21 +57,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def tp(self, i: int) -> int:
-        return int(self.counts[i, i])
-
-    def fp(self, i: int) -> int:
-        return int(self.counts[:, i].sum()) - self.tp(i)
-
-    def fn(self, i: int) -> int:
-        return int(self.counts[i, :].sum()) - self.tp(i)
-
-    def tn(self, i: int) -> int:
-        return self.total - self.tp(i) - self.fp(i) - self.fn(i)
-
-    def support(self, i: int) -> int:
-        return int(self.counts[i, :].sum())
-
 
 @dataclass(frozen=True)
 class ClassMetrics:
@@ -142,14 +127,14 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         raise DataError("cannot compute metrics on a zero-total confusion matrix")
     per_class: dict[int, ClassMetrics] = {}
     k = len(cm.class_codes)
+    counts = cm.counts  # rows are gold classes, columns predictions
+    hits = np.diag(counts).tolist()
+    gold, predicted = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
     for i, code in enumerate(cm.class_codes):
-        tp = cm.tp(i)
-        precision = _safe_div(tp, tp + cm.fp(i))
-        recall = _safe_div(tp, tp + cm.fn(i))
+        precision = _safe_div(hits[i], predicted[i])
+        recall = _safe_div(hits[i], gold[i])
         f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_class[code] = ClassMetrics(
-            precision=precision, recall=recall, f1=f1, support=cm.support(i)
-        )
+        per_class[code] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=gold[i])
     values = list(per_class.values())
     weight = [m.support / total for m in values]
     # the macro mean is written as a uniform-weight dot product so that with

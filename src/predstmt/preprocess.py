@@ -5,7 +5,7 @@ and symbol character is replaced with a space, text is lowercased and
 Unicode-normalized (NFC), then split on whitespace, and tokens shorter
 than MIN_TOKEN_LENGTH are dropped. Running the pipeline on its own joined
 output changes nothing. It has no settings: emotion tagging reads these
-tokens too, and keys lexicon terms by the same lower() and NFC.
+tokens too, and keys each lexicon term by the tokens it gives.
 """
 
 from __future__ import annotations

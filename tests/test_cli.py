@@ -1052,7 +1052,7 @@ class TestUnparseableInputs:
         assert run_captured("kappa", str(a), str(b), "--out", str(tmp_path / "o")) == (
             2, "data error: a.jsonl:3: unknown label code 7 for task 1\n")
 
-    # the dataset's scanner fallback: a line the scanner cannot take whole keeps json.loads' error
+    # kappa files share the dataset's one decoder, which words errors as json.loads does
     @pytest.mark.parametrize("line, message", [
         ('\ufeff{"id": "d2", "label": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ('{"id": "d2", "label": 1}{"id": "d3", "label": 1}', "Extra data"),

@@ -239,7 +239,7 @@ class TestJsonl:
         ('{"id": "a", "text": "t"', "invalid JSON (Expecting ',' delimiter)"),
         pytest.param('{"id": "d0", "text": "a", "text": "b"}', "duplicate key 'text'",
                      id="duplicate-key"),
-        # the two lines the scanner hands to parse_json: both keep the hook
+        # a repeated key is found past leading whitespace and before trailing text
         pytest.param(' {"id": "d0", "text": "a", "text": "b"}', "duplicate key 'text'",
                      id="duplicate-key-leading-space"),
         pytest.param('{"id": "d0", "text": "a", "text": "b"} x', "duplicate key 'text'",
@@ -263,7 +263,7 @@ class TestJsonl:
             load_dataset(path)
         assert str(info.value) == f"bad.jsonl:3: {message}"
 
-    # a line the JSON scanner cannot take whole goes through json.loads for its message
+    # the one decoder words a line's errors as json.loads does
     @pytest.mark.parametrize("line, message", [
         ('\ufeff{"id": "a", "text": "t"}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ('{"id": "a", "text": "t"}{"id": "b", "text": "u"}', "Extra data"),
@@ -506,7 +506,8 @@ def test_loader_agrees_with_field_by_field_checks(rec):
 
 
 def test_label_pairs_are_exactly_the_valid_combinations():
-    """A (task1, task2) is a key of the label shortcut iff a record holding it loads."""
+    """A (task1, task2) is a key of the line loader's label table, under its JSON
+    spelling, iff a record holding it loads; true and 1.0 spell no key."""
     loadable = 0
     for task1 in [None, 0, 1, 2, True, False, 1.0, 0.0, "1"]:
         for task2 in [None, 0, 1, 2, 3, 4, True, 1.0, 2.0, 3.0]:
@@ -515,16 +516,17 @@ def test_label_pairs_are_exactly_the_valid_combinations():
                     _assert_same_outcome({"id": "a", "text": "t", "task1": task1, "task2": task2,
                                           "source": source, "parent_id": parent_id},
                                          _field_checks_doc_from_record)
-            key = (task1, task2, type(task1), type(task2))
+            key = (json.dumps(task1), json.dumps(task2))
             try:
                 expected = _field_checks_doc_from_record(
                     {"id": "a", "text": "t", "task1": task1, "task2": task2})
             except DataError:
-                assert key not in corpus._LABEL_PAIRS, key
+                assert key not in corpus._LINE_LABELS, key
                 continue
             loadable += 1
-            assert corpus._LABEL_PAIRS[key] == (expected.task1, expected.task2)
-    assert loadable == len(corpus._LABEL_PAIRS) == 6
+            labels = corpus._LINE_LABELS[key]
+            assert labels[0] is expected.task1 and labels[1] is expected.task2
+    assert loadable == len(corpus._LINE_LABELS) == 6
 
 
 def _doc_to_record(doc: Document) -> dict:
@@ -735,6 +737,70 @@ def _jsonl_lines(draw):
     return miss + line if miss == "\ufeff" else line + miss
 
 
+def _invalid_json(reason: str) -> DataError:
+    return DataError(f"invalid JSON ({reason})")
+
+
+def _reference_parse(line: str, invalid=_invalid_json) -> object:
+    """json.loads with the loaders' duplicate-key hook, its errors worded as the loaders
+    word them: the reference the one decoder of corpus.parse_json must match."""
+    try:
+        return json.loads(line, object_pairs_hook=corpus.reject_duplicate_keys)
+    except json.JSONDecodeError as exc:
+        raise invalid(exc.msg) from None
+    except RecursionError:
+        raise invalid("nested too deeply") from None
+    except DataError:
+        raise
+    except ValueError:
+        raise invalid("integer too long") from None
+
+
+def _parse_outcome(parse, text: str) -> str:
+    """repr of the value parse gives text, which tells 1, 1.0 and true and key orders
+    apart, or its error as type and message."""
+    try:
+        return repr(parse(text))
+    except Exception as exc:  # any error is an outcome to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+# JSON text near a valid value: atoms a decoder refuses or reads oddly, keys that repeat
+# only once decoded ("\u006b" is "k"), whitespace, a BOM and text around the value.
+_JSON_ATOMS = st.sampled_from([
+    "null", "true", "false", "0", "-1", "01", "1.", "1.5e3", "1E400", "-0.0", "NaN",
+    "-Infinity", '"a"', '"\\u00e9"', '"\\ud800"', '"\\x"', '"\t"', "nul", "",
+])
+_JSON_KEYS = st.sampled_from(['"k"', '"j"', '"\\u006b"', "k"])
+_JSON_VALUES = st.recursive(_JSON_ATOMS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]"),
+    st.lists(st.tuples(_JSON_KEYS, st.sampled_from([": ", ":", " : "]), inner), max_size=3)
+    .map(lambda pairs: "{" + ",".join("".join(pair) for pair in pairs) + "}"),
+), max_leaves=8)
+_JSON_TEXTS = st.one_of(
+    st.tuples(st.sampled_from(["", "", " ", "\t\r", "\n", "\ufeff", "\u2028"]), _JSON_VALUES,
+              st.sampled_from(["", "", "\n", " \r\n", " x", ",", "}", "]", " {}"]))
+    .map("".join),
+    st.text(st.sampled_from('{}[]":, \t\n\\u0123456789.eE+-tfnrulsaINy\ufeff'), max_size=12),
+)
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(_JSON_TEXTS)
+@example('\ufeff{"id": "a", "text": "t"}')
+@example(' \t{"id": "a"}\r\n')
+@example('{"id": "a"} {"id": "b"}')
+@example('{"a": [{"b": {"x": 1, "y": 2, "x": 3}}]}')
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"task1": 1' + "0" * 5000 + "}")
+def test_parse_json_matches_json_loads(text):
+    """parse_json gives json.loads' value, with the duplicate-key hook, or its error as
+    the loaders word it, by default and with read_json's invalid=ValueError."""
+    assert _parse_outcome(corpus.parse_json, text) == _parse_outcome(_reference_parse, text)
+    assert (_parse_outcome(lambda t: corpus.parse_json(t, ValueError), text)
+            == _parse_outcome(lambda t: _reference_parse(t, ValueError), text))
+
+
 def _json_path_outcome(path: Path):
     """The documents, or the error message, of the line-by-line JSON parser."""
     docs = []
@@ -743,7 +809,7 @@ def _json_path_outcome(path: Path):
             if not line.strip(" \t\r\n"):  # only JSON whitespace
                 continue
             try:
-                docs.append(_doc_from_record(corpus.parse_json(line, corpus._invalid_json)))
+                docs.append(_doc_from_record(_reference_parse(line)))
             except DataError as exc:
                 return f"{path.name}:{lineno}: {exc}"
     try:
@@ -824,7 +890,7 @@ def test_saved_and_generated_lines_take_the_pattern(tmp_path_factory, dataset):
                     "task2": doc.label(Task.DIRECTION)}, ensure_ascii=False) + "\n"
         for doc in originals), encoding="utf-8")
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(corpus, "_parse_line", _not_parsed)
+        patched.setattr(corpus, "parse_json", _not_parsed)
         assert load_dataset(directory / "saved.jsonl").documents == dataset.documents
         assert list(load_dataset(directory / "generated.jsonl")) == originals
 

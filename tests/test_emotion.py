@@ -194,14 +194,21 @@ class TestLoadLexicon:
          "lexicon entry 'happy': weight -1e-300 outside [0, 1]"),
         ({"entries": {"over the moon": [["joy", 0.9]], "Over  the\tMoon": [["joy", 0.8]]},
           "grouping": GROUPING},
-         "duplicate lexicon term 'Over  the\\tMoon' after case folding"),
+         "duplicate lexicon term 'Over  the\\tMoon' after cleaning"),
+        ({"entries": {"so happy": [["joy", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry 'so happy': word 'so' has no token after cleaning"),
+        ({"entries": {"go up": [["joy", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry 'go up': word 'go' has no token after cleaning"),
+        ({"entries": {"to the moon": [["joy", 0.5]]}, "grouping": GROUPING},
+         "lexicon entry 'to the moon': word 'to' has no token after cleaning"),
         ({"entries": {"happy": [["Zeal", 0.5]]}, "grouping": GROUPING},
          "lexicon entry 'happy' references ungrouped base emotion 'Zeal'"),
     ], ids=["list", "key-list", "extra-key", "no-entries", "grouping-list", "grouping-null",
             "number-category", "list-category", "upper-case-category", "entries-list",
             "blank-term", "empty-term", "no-rows", "rows-object", "rows-string",
             "null-weight", "null-emotion", "row-not-a-pair", "nan-weight", "infinite-weight",
-            "negative-weight", "whitespace-duplicate", "ungrouped-emotion"])
+            "negative-weight", "whitespace-duplicate", "no-token-so", "no-token-go", "no-token-to",
+            "ungrouped-emotion"])
     def test_malformed_lexicon_is_one_line_data_error(self, tmp_path, payload, message):
         path = write_lexicon(tmp_path, payload)
         with pytest.raises(DataError) as info:
@@ -210,12 +217,12 @@ class TestLoadLexicon:
 
     def test_boundary_weights_and_case_folded_names_load(self, tmp_path):
         path = write_lexicon(tmp_path, {
-            "entries": {"Calm": [["JOY", 0], ["Fear", 1]], "so  Happy": [["joy", 1.0]]},
+            "entries": {"Calm": [["JOY", 0], ["Fear", 1]], "too  Happy": [["joy", 1.0]]},
             "grouping": {"Joy": "delight_joy", "fear": "fear_anxiety"},
         })
         lex = load_lexicon(path)
         assert lex.phrase_entries == {("calm",): (("joy", 0.0), ("fear", 1.0)),
-                                      ("so", "happy"): (("joy", 1.0),)}
+                                      ("too", "happy"): (("joy", 1.0),)}
         assert lex.grouping == {"joy": EmotionCategory.DELIGHT_JOY,
                                 "fear": EmotionCategory.FEAR_ANXIETY}
 
@@ -294,7 +301,18 @@ class TestTagDocument:
         })
         with pytest.raises(DataError) as info:
             load_lexicon(path)
-        assert str(info.value) == "duplicate lexicon term 'CAFE\u0301' after case folding"
+        assert str(info.value) == "duplicate lexicon term 'CAFE\u0301' after cleaning"
+
+    def test_terms_with_punctuation_tag_their_own_spelling(self, tmp_path):
+        # keyed by lower() and NFC alone, these were ("moon!",) and ("pump-and-dump",),
+        # which no text's tokens spell
+        lex = load_lexicon(write_lexicon(tmp_path, {
+            "entries": {"moon!": [["joy", 0.5]], "pump-and-dump": [["rage", 0.5]]},
+            "grouping": GROUPING,
+        }))
+        assert set(lex.phrase_entries) == {("moon",), ("pump", "and", "dump")}
+        assert tag_document(doc("moon!"), lex) == {EmotionCategory.DELIGHT_JOY}
+        assert tag_document(doc("pump-and-dump"), lex) == {EmotionCategory.RAGE_ANGER}
 
     def test_matching_uses_preprocessed_tokens(self, small_lexicon):
         # punctuation and case vanish before lookup

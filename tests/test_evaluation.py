@@ -39,10 +39,13 @@ class TestConfusion:
         cm = confusion([0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1])
         assert cm.class_codes == (0, 1)
         assert cm.counts.tolist() == [[4, 0], [1, 1]]
-        assert cm.tp(0) == 4 and cm.fp(0) == 1 and cm.fn(0) == 0 and cm.tn(0) == 1
-        assert cm.tp(1) == 1 and cm.fp(1) == 0 and cm.fn(1) == 1 and cm.tn(1) == 4
-        assert cm.support(0) == 4 and cm.support(1) == 2
+        assert cm.counts.diagonal().tolist() == [4, 1]  # hits
+        assert cm.counts.sum(axis=1).tolist() == [4, 2]  # gold: tp + fn
+        assert cm.counts.sum(axis=0).tolist() == [5, 1]  # predicted: tp + fp
         assert cm.total == 6
+        report = metrics(cm)
+        assert [(m.precision, m.recall, m.support) for m in report.per_class.values()] \
+            == [(4 / 5, 4 / 4, 4), (1 / 1, 1 / 2, 2)]
 
     def test_one_majority_flip(self):
         cm = confusion([0, 0, 1, 1], [0, 1, 1, 1])
@@ -62,7 +65,9 @@ class TestConfusion:
     def test_explicit_class_codes_keep_absent_rows(self):
         cm = confusion([0, 0], [0, 0], class_codes=[0, 1])
         assert cm.counts.tolist() == [[2, 0], [0, 0]]
-        assert cm.support(1) == 0
+        assert cm.counts.sum(axis=1).tolist() == [2, 0]
+        absent = metrics(cm).per_class[1]
+        assert (absent.precision, absent.recall, absent.f1, absent.support) == (0.0, 0.0, 0.0, 0)
 
     def test_errors(self):
         with pytest.raises(DataError, match="lengths differ"):
