@@ -15,8 +15,9 @@ import math
 import os
 import random
 import time
+import types
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 from .config import ProviderConfig, ProviderError
 from .corpus import (
@@ -26,6 +27,7 @@ from .corpus import (
     LabelDistribution,
     Source,
     Task,
+    _check_encodable,
     _prechecked,
     distribution,
 )
@@ -147,8 +149,7 @@ class OfflineParaphraser:
     conjunction. Output is a pure function of (text, seed).
     """
 
-    def __init__(self, synonyms: Mapping[str, Sequence[str]] | None = None):
-        self.synonyms = dict(_SYNONYMS if synonyms is None else synonyms)
+    synonyms = types.MappingProxyType(_SYNONYMS)  # read-only: one table for every instance
 
     def _mutate(self, text: str, rng: random.Random) -> str:
         words = text.split()
@@ -336,6 +337,7 @@ def balance(dataset: Dataset, task: Task, provider: ParaphraseProvider,
                 made = provider.paraphrase(parent.text, seed=_derived_seed(seed, request_counter))
                 if not isinstance(made, str):  # the document below is built unchecked
                     raise DataError(f"provider returned a {type(made).__name__}, not a string")
+                _check_encodable({"provider reply": made})
                 key = normalize_key(made)
                 if key and key not in seen_texts:
                     seen_texts.add(key)

@@ -128,7 +128,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None,
                  **digests: str) -> dict:
-    """Hash the seed, command's row of _READS and the SHA-256 of each file's bytes.
+    """Hash the seed, the fields that command's row of _COMMANDS reads and each file's SHA-256.
 
     digests, dataset_sha256 included, maps <name>_sha256 to the digest of each
     file the command read; the row's field <name>, that file's path, is left
@@ -136,7 +136,7 @@ def _config_echo(cfg: RunConfig, command: str, dataset_sha256: str | None = None
     """
     if dataset_sha256 is not None:
         digests = {"dataset_sha256": dataset_sha256, **digests}
-    read = {name: getattr(cfg, name) for name in ("seed", *_READS[command][1])
+    read = {name: getattr(cfg, name) for name in ("seed", *_COMMANDS[command][2])
             if f"{name}_sha256" not in digests}
     canonical = json.dumps(jsonable({**read, **digests}), sort_keys=True)
     return {"config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
@@ -283,7 +283,7 @@ def _one_blas_thread() -> None:
 
 def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     _one_blas_thread()
-    from .evaluation import classification_report, report_headline, summary_table
+    from .evaluation import classification_report, summary_table
 
     # the squared hinge needs l2 > 0; catch l2 = 0 here, not after a fold's features
     if "svm" in cfg.models and cfg.train.l2 <= 0:
@@ -300,9 +300,9 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
         k=cfg.k, seed=cfg.seed, tfidf_cfg=cfg.tfidf,
     )
     for kind, report in reports.items():
-        payloads[f"cv_{kind}.json"] = {**echo, **report.to_dict()}
-        pooled_rows[kind] = report_headline(report.pooled)
-        mean_rows[kind] = report.fold_means()
+        payload = payloads[f"cv_{kind}.json"] = {**echo, **report.to_dict()}
+        pooled_rows[kind] = payload["pooled"]
+        mean_rows[kind] = payload["fold_means"]
         md_parts.extend([
             f"### {kind}: pooled per-label report",
             "",
@@ -463,25 +463,17 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Each command's handler, description and the RunConfig fields it reads besides seed, out_dir
+#: and tag: its flags are theirs and the common four, its config hash covers them and the seed.
 _COMMANDS = {
-    "stats": cmd_stats,
-    "cv": cmd_cv,
-    "balance": cmd_balance,
-    "emotion": cmd_emotion,
-    "kappa": cmd_kappa,
-}
-
-#: Each command's description and the RunConfig fields it reads besides seed, out_dir and
-#: tag: its flags are theirs and the common four, its config hash covers them and the seed.
-_READS = {
-    "stats": ("print and save label distribution tables", ("dataset",)),
-    "cv": ("stratified cross-validation of the configured models",
+    "stats": (cmd_stats, "print and save label distribution tables", ("dataset",)),
+    "cv": (cmd_cv, "stratified cross-validation of the configured models",
            ("dataset", "task", "models", "k", "train", "tfidf")),
-    "balance": ("upsample minority classes with paraphrases",
+    "balance": (cmd_balance, "upsample minority classes with paraphrases",
                 ("dataset", "task", "provider", "provider_config")),
-    "emotion": ("aggregate lexicon emotion percentages per coin and label",
+    "emotion": (cmd_emotion, "aggregate lexicon emotion percentages per coin and label",
                 ("dataset", "lexicon", "threshold")),
-    "kappa": ("inter-annotator agreement between two annotation files", ("task",)),
+    "kappa": (cmd_kappa, "inter-annotator agreement between two annotation files", ("task",)),
 }
 
 #: The flag of each RunConfig field that has one; the others are set in the config file.
@@ -502,7 +494,7 @@ def build_parser() -> _ArgumentParser:
         description="Predictive-statement classification pipeline for crypto tweets.",
     )
     subparsers = parser.add_subparsers(dest="command")
-    for name, (description, reads) in _READS.items():
+    for name, (_, description, reads) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=description, description=description)
         sub.add_argument("--config", metavar="PATH", help="JSON config file")
         sub.add_argument("--seed", type=int)
@@ -541,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         thresholds = gc.get_threshold()
         gc.set_threshold(_BATCH_GC_THRESHOLD, *thresholds[1:])
         try:
-            return _COMMANDS[args.command](cfg, args)
+            return _COMMANDS[args.command][0](cfg, args)
         finally:
             gc.set_threshold(*thresholds)
     except UsageError as exc:

@@ -10,15 +10,18 @@ the corpus. Like every module the offline commands use, this one needs no numpy.
 A dataset is a JSONL file, one record a line. load_dataset checks every
 record in one order and raises the first fault it finds: a JSON object
 without a repeated key; known keys; 'id'; the type of 'text'; coin; source;
-'parent_id'; the reserved 'annotations' key (absent, null or empty); empty
-or whitespace-only text; labels; provenance (a synthetic document names a
-parent, an original none).
+'parent_id'; no lone surrogate (an escape such as \\ud800, which UTF-8
+cannot encode) in 'id', 'text' or 'parent_id'; the reserved 'annotations'
+key (absent, null or empty); empty or whitespace-only text; labels;
+provenance (a synthetic document names a parent, an original none).
 A canonical JSONL line that passes them, the 8-key line save_dataset writes
 or the 5-key one json.dumps(record, ensure_ascii=False) writes for an original,
-is read by one compiled pattern, _CANONICAL. Any other line (escapes, json.dumps'
-default \\uXXXX ones included; another key order or other separators) loads the
-same Document through parse_json, the one strict decoder of every JSON input
-(lexicon, config and kappa files too), which words its errors.
+is read by one compiled pattern, _CANONICAL; its groups hold no backslash and
+the file is strict UTF-8, so they hold no surrogate either. Any other line
+(escapes, json.dumps' default \\uXXXX ones included; another key order or
+other separators) loads the same Document through parse_json, the one strict
+decoder of every JSON input (lexicon, config and kappa files too), which
+words its errors.
 
 open_input is the one opener of every input file (dataset, lexicon, kappa
 files, config file): it reads each once, as UTF-8, and can feed every byte it
@@ -38,6 +41,7 @@ import re
 import sys
 import types
 import typing
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -309,14 +313,10 @@ LABEL_NAMES: dict[Task, dict[int, str]] = {
 }
 
 
-def label_enum(task: Task) -> type[IntEnum]:
-    return Task1Label if Task(task) is Task.PREDICTIVENESS else Task2Label
-
-
 # Members by value for the loaders: a dict lookup costs a fraction of an Enum
 # call. Only values of the members' own type are looked up, so an unhashable
 # value never reaches a dict.
-_LABELS = {task: {int(member): member for member in label_enum(task)} for task in Task}
+_LABELS = {task: {int(member): member for member in names} for task, names in LABEL_NAMES.items()}
 _COINS = {coin.value: coin for coin in Coin}
 _SOURCES = {source.value: source for source in Source}
 # Members the loader, Dataset and Document.label compare against on every record.
@@ -324,10 +324,6 @@ _SOURCES = {source.value: source for source in Source}
 # descriptor call in Python 3.11), so the per-record path reads these.
 _ORIGINAL, _SYNTHETIC, _PREDICTIVE = Source.ORIGINAL, Source.SYNTHETIC, Task1Label.PREDICTIVE
 _PREDICTIVENESS, _DIRECTION = Task.PREDICTIVENESS, Task.DIRECTION
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _prechecked(cls: type[_C], fields: dict) -> _C:
@@ -342,6 +338,18 @@ def _prechecked(cls: type[_C], fields: dict) -> _C:
     return instance
 
 
+def _check_encodable(fields: Mapping[str, str | None]) -> None:
+    """DataError naming the first field whose value holds a lone surrogate (a JSON escape
+    such as \\ud800 gives one), which UTF-8, and so no dataset file, can hold."""
+    for name, value in fields.items():
+        if value is not None and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DataError(f"{name} holds lone surrogate U+{ord(value[exc.start]):04X}, "
+                                "which UTF-8 cannot encode") from None
+
+
 def cohen_kappa(a: Sequence[int], b: Sequence[int]) -> float:
     """Chance-corrected agreement (p0 - pe) / (1 - pe) between two raters."""
     if len(a) != len(b):
@@ -352,12 +360,7 @@ def cohen_kappa(a: Sequence[int], b: Sequence[int]) -> float:
     agree = sum(1 for x, y in zip(a, b) if x == y)
     p0 = agree / n
     labels = set(a) | set(b)
-    count_a = {lab: 0 for lab in labels}
-    count_b = {lab: 0 for lab in labels}
-    for x in a:
-        count_a[x] += 1
-    for y in b:
-        count_b[y] += 1
+    count_a, count_b = Counter(a), Counter(b)
     pe = sum((count_a[lab] / n) * (count_b[lab] / n) for lab in labels)
     if pe >= 1.0:
         if p0 == 1.0:
@@ -385,7 +388,7 @@ def _checked_labels(doc_id: str, task1: object, task2: object, source: Source,
 
 
 def _coerce_label(value: object, task: int, doc_id: str) -> IntEnum:
-    if type(value) is not int and not _is_int(value):  # a plain int needs no second look
+    if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"document {doc_id!r}: task{task} label must be an integer")
     member = _LABELS[task].get(value)
     if member is None:
@@ -423,6 +426,7 @@ class Document:
             raise DataError(f"document {doc_id!r}: unknown source {source!r}")
         if parent_id is not None and not isinstance(parent_id, str):
             raise DataError(f"document {doc_id!r}: 'parent_id' must be a string or null")
+        _check_encodable({"'id'": doc_id, "'text'": self.text, "'parent_id'": parent_id})
         task1, task2 = _checked_labels(doc_id, self.task1, self.task2, source, parent_id)
         self.__dict__.update(task1=task1, task2=task2)  # frozen: bypass __setattr__
 
@@ -499,7 +503,7 @@ class LabelDistribution:
 def distribution(dataset: Dataset, task: Task) -> LabelDistribution:
     """Count labeled documents per class. Unlabeled documents are ignored."""
     task = Task(task)
-    counts = {int(code): 0 for code in label_enum(task)}
+    counts = {int(code): 0 for code in LABEL_NAMES[task]}
     for doc in dataset:
         code = doc.label(task)
         if code is not None:
@@ -575,6 +579,7 @@ def _doc_from_record(rec: object) -> Document:
     parent_id, annotations = get("parent_id"), get("annotations")
     if parent_id is not None and type(parent_id) is not str:
         raise DataError("'parent_id' must be a string or null")
+    _check_encodable({"'id'": doc_id, "'text'": text, "'parent_id'": parent_id})
     if annotations is not None and (type(annotations) is not list or annotations):
         raise DataError("'annotations' must be absent, null or []: "
                         "agreement labels go in kappa files")

@@ -73,10 +73,10 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
     """Load and validate a JSON lexicon of {"entries": ..., "grouping": ...}.
 
     Every entry value is a list of [base emotion, weight] pairs with
-    weights in [0, 1]. A term is keyed by tuple(preprocess(term)). Terms
-    equal after cleaning, a term word that cleaning removes, grouped base
-    emotions equal after case folding and base emotions without a grouping
-    are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
+    weights in [0, 1]. A term is keyed by tuple(preprocess(term)), built by cleaning each
+    whitespace-separated word once. Terms equal after cleaning, a term word that cleaning
+    removes, grouped base emotions equal after case folding and base emotions without a
+    grouping are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
     """
     path = Path(path)
     raw = read_json(path, "lexicon", sha256)
@@ -105,7 +105,8 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
         words = term.split()
         if not words:
             raise DataError("lexicon entry term must be non-empty")
-        key = tuple(preprocess(term))
+        word_tokens = [preprocess(word) for word in words]
+        key = tuple(token for tokens in word_tokens for token in tokens)
         if key in phrase_entries:
             raise DataError(f"duplicate lexicon term {term!r} after cleaning")
         if not isinstance(rows, list) or not rows:
@@ -125,8 +126,8 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
                     f"lexicon entry {term!r} references ungrouped base emotion {row[0]!r}"
                 )
             pairs.append((emotion, float(weight)))
-        for word in words:  # a word no text can spell as a token would be dropped
-            if not preprocess(word):
+        for word, tokens in zip(words, word_tokens):  # a word without a token is dropped
+            if not tokens:
                 raise DataError(
                     f"lexicon entry {term!r}: word {word!r} has no token after cleaning"
                 )

@@ -305,7 +305,3 @@ def summary_table(rows: Mapping[str, Mapping[str, float]], caption: str) -> str:
                  for m in ("precision", "recall", "f1")] + [vals["accuracy"]]
         lines.append("| " + " | ".join([model_name] + [f"{v:.4f}" for v in cells]) + " |")
     return "\n".join(lines)
-
-
-def report_headline(report: MetricsReport) -> dict[str, float]:
-    return {name: getattr(report, name) for name in HEADLINE}

@@ -64,7 +64,8 @@ class TestOfflineParaphraser:
         assert normalize_key(text) not in keys
 
     def test_synonym_swap_surfaces_plain_variant(self):
-        para = OfflineParaphraser(synonyms={"rise": ("increase",)})
+        para = OfflineParaphraser()
+        para.synonyms = {"rise": ("increase",)}
         outs = [para.paraphrase("price will rise soon", seed=seed) for seed in range(10)]
         assert "price will increase soon" in outs
 
@@ -327,3 +328,12 @@ class TestBalanceBuildsValidDocuments:
         provider = ScriptedProvider({doc.text: [answer] for doc in ds})
         with pytest.raises(DataError, match="not a string"):
             balance(ds, Task.PREDICTIVENESS, provider, seed=1)
+
+    def test_provider_answer_with_a_lone_surrogate_is_a_data_error(self):
+        # the synthetic document is built unchecked; saving it would raise UnicodeEncodeError
+        ds = build_planted_dataset(Task.PREDICTIVENESS, {0: 3, 1: 1}, seed=8)
+        provider = ScriptedProvider({doc.text: ["\ud800"] for doc in ds})
+        with pytest.raises(DataError) as info:
+            balance(ds, Task.PREDICTIVENESS, provider, seed=1)
+        assert str(info.value) == ("provider reply holds lone surrogate U+D800, "
+                                   "which UTF-8 cannot encode")

@@ -151,6 +151,26 @@ class TestCv:
         macro_f1 = float(row.strip("|").split("|")[-2])
         assert macro_f1 >= 0.95
 
+    def test_summary_tables_hold_the_artifacts_rows(self, planted_path, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"epochs": 5, "n_trees": 3}}))
+        code, err = run_captured("cv", "--config", str(config), "--dataset", str(planted_path),
+                                 "--model", "logreg", "--model", "rf", "--k", "3",
+                                 "--out", str(tmp_path), "--tag", "r")
+        assert (code, err) == (0, "")
+        run_dir = tmp_path / "cv" / "r"
+        report = (run_dir / "report.md").read_text(encoding="utf-8")
+        tables = report.split("Pooled (micro) metrics across folds:")[1].split("### ")[0]
+        pooled, means = tables.split("Per-fold means:")
+        columns = [f"{mean}_{m}" for mean in ("weighted", "macro")
+                   for m in ("precision", "recall", "f1")] + ["accuracy"]
+        for kind in ("logreg", "rf"):
+            payload = json.loads((run_dir / f"cv_{kind}.json").read_text(encoding="utf-8"))
+            for table, key in ((pooled, "pooled"), (means, "fold_means")):
+                rows = [line for line in table.splitlines() if line.startswith(f"| {kind} |")]
+                assert rows == ["| " + " | ".join(
+                    [kind] + [f"{payload[key][column]:.4f}" for column in columns]) + " |"]
+
     def test_reruns_are_byte_identical(self, planted_path, tmp_path, capsys):
         argv = ("cv", "--dataset", str(planted_path), "--model", "logreg",
                 "--k", "3", "--seed", "11", "--out", str(tmp_path), "--tag", "t")
@@ -301,6 +321,21 @@ class TestBalance:
             "warning: balancing fell short of the plan (class 1: 26)\n")
         payload = json.loads((tmp_path / "balance" / "r" / "balance.json").read_text())
         assert payload["shortfall"] == {"1": 26}
+
+    def test_escaped_lone_surrogate_is_data_error_before_the_run(self, planted_path, tmp_path):
+        out = tmp_path / "o"
+        assert run_captured("balance", "--dataset", str(planted_path), "--out", str(out),
+                            "--tag", "good") == (0, "")
+        path = tmp_path / "d.jsonl"
+        path.write_text(planted_path.read_text(encoding="utf-8")
+                        + '{"id": "x", "text": "ada \\ud800 up", "task1": 0}\n', encoding="utf-8")
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
+        code, err = run_captured("balance", "--dataset", str(path), "--out", str(out),
+                                 "--tag", "bad")
+        assert (code, err) == (2, f"data error: d.jsonl:{lineno}: 'text' holds lone surrogate "
+                                  "U+D800, which UTF-8 cannot encode\n")
+        assert sorted(p.name for p in (out / "balance").iterdir()) == ["good", "latest"]
+        assert (out / "balance" / "latest").read_text() == "good\n"
 
     def test_remote_without_endpoint_is_provider_error(self, planted_path, tmp_path,
                                                        capsys):
@@ -1059,7 +1094,7 @@ class TestUnparseableInputs:
         ('{"id": "d2", "label": 1} x', "Extra data"),
         ('{"id": "d2",\n"label": 1}', "Expecting property name enclosed in double quotes"),
     ])
-    def test_annotation_scanner_fallback_keeps_json_loads_errors(self, tmp_path, line, message):
+    def test_parsed_annotation_line_keeps_json_loads_errors(self, tmp_path, line, message):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         a.write_text('{"id": "d1", "label": 0}\n' + line + "\n", encoding="utf-8")
         write_annotations(b, {"d1": 0, "d2": 1})
@@ -1261,7 +1296,7 @@ def test_command_runs_with_the_batch_gc_threshold(planted_path, tmp_path, monkey
             raise RuntimeError("boom")
         return 0
 
-    monkeypatch.setitem(cli._COMMANDS, "stats", command)
+    monkeypatch.setitem(cli._COMMANDS, "stats", (command, *cli._COMMANDS["stats"][1:]))
     assert main(["stats", "--out", str(tmp_path)]) == 0
     with pytest.raises(RuntimeError, match="boom"):
         main(["stats", "--out", str(tmp_path)])

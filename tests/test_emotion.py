@@ -5,6 +5,8 @@ import random
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from predstmt import (
     CATEGORY_TITLES,
@@ -232,6 +234,44 @@ class TestLoadLexicon:
         grouped = {lex.grouping[e] for pairs in lex.phrase_entries.values()
                    for e, _ in pairs}
         assert grouped == set(EmotionCategory)
+
+    def test_bundled_terms_key_as_their_cleaned_spelling(self):
+        entries = json.loads(bundled_lexicon_path().read_text(encoding="utf-8"))["entries"]
+        lex = load_lexicon(bundled_lexicon_path())
+        assert len(lex.phrase_entries) == len(entries)
+        for term, rows in entries.items():
+            assert lex.phrase_entries[tuple(preprocess(term))] == tuple(
+                (emotion.casefold(), float(weight)) for emotion, weight in rows), term
+
+
+# Pieces of lexicon terms that cleaning treats specially: URL prefixes, punctuation,
+# accents and combining marks, whitespace str.split() knows (NEL, U+001C, U+3000),
+# characters lower() lengthens or NFC composes, and lone surrogates; plus any character.
+_TERM_PIECES = st.one_of(
+    st.sampled_from([" ", "  ", "\t", "\x85", "\x1c", "\u3000", "\u2028", "https://", "HTTP://",
+                     "www.", "WwW.", "x.co/a", "!", "-", "'", "…", "«", "é", "e\u0301", "\u0301",
+                     "İ", "ß", "ﬁ", "Σ", "\ud800", "\udfff", "🚀", "to", "moon", "ΟΔΟΣ",
+                     "Straße", "pump-and-dump"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_TERM_PIECES, min_size=1, max_size=10).map("".join))
+def test_each_term_is_keyed_as_preprocess_keys_it(tmp_path_factory, term):
+    """Cleaning each whitespace-separated word once keys a term as tuple(preprocess(term))."""
+    path = tmp_path_factory.getbasetemp() / "generated_lexicon.json"
+    path.write_text(json.dumps({"entries": {term: [["joy", 0.5]]}, "grouping": GROUPING}),
+                    encoding="utf-8")
+    words = term.split()
+    try:
+        lex = load_lexicon(path)
+    except DataError as exc:
+        event("rejected")
+        assert not words or not all(preprocess(word) for word in words), str(exc)
+        return
+    event("loaded")
+    assert set(lex.phrase_entries) == {tuple(preprocess(term))}
 
 
 @pytest.fixture

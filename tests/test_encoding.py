@@ -30,10 +30,10 @@ from predstmt.cli import RunConfig, _config_echo, main
 from predstmt.config import ProviderConfig
 from predstmt.corpus import jsonable, write_json
 from predstmt.evaluation import (
+    HEADLINE,
     ConfusionMatrix,
     cross_validate_models,
     metrics,
-    report_headline,
 )
 
 from conftest import FILLER_WORDS, PLANT_WORDS
@@ -50,7 +50,7 @@ def _old_metrics(report):
     return {
         "confusion": _old_confusion(report.confusion),
         "per_class": {str(code): asdict(cm) for code, cm in report.per_class.items()},
-        **report_headline(report),
+        **{name: getattr(report, name) for name in HEADLINE},
         "n_classes": report.n_classes,
     }
 
