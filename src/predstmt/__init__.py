@@ -4,7 +4,7 @@ Library layout:
 
 * corpus: dataset schema, loading, label statistics, stratified folds, Cohen's kappa
 * preprocess: tweet cleaning and tokenization
-* config: TF-IDF, training and remote-provider settings, and the model kinds
+* config: training and remote-provider settings, and the model kinds
 * features: TF-IDF vectorization
 * models: logistic regression, linear SVM, random forest (from scratch)
 * evaluation: metrics and the cross-validation harness
@@ -38,7 +38,7 @@ from .corpus import (
     stratified_folds,
 )
 from .preprocess import preprocess, strip_urls
-from .config import ProviderConfig, ProviderError, TfidfConfig, TrainConfig
+from .config import ProviderConfig, ProviderError, TrainConfig
 
 #: Exported name -> the module it comes from, imported on first access.
 _LAZY = {
@@ -61,7 +61,7 @@ __all__ = [
     "Source", "Task", "Task1Label", "Task2Label", "cohen_kappa", "distribution",
     "load_dataset", "save_dataset", "stratified_folds",
     "preprocess", "strip_urls",
-    "ProviderConfig", "ProviderError", "TfidfConfig", "TrainConfig",
+    "ProviderConfig", "ProviderError", "TrainConfig",
     *_LAZY,
 ]
 

@@ -28,7 +28,6 @@ from .config import (
     MODEL_KINDS,
     ProviderConfig,
     ProviderError,
-    TfidfConfig,
     TrainConfig,
     check_os_string,
 )
@@ -36,6 +35,7 @@ from .corpus import (
     LABEL_NAMES,
     DataError,
     Task,
+    _check_encodable,
     cohen_kappa,
     distribution,
     from_dict,
@@ -78,7 +78,6 @@ class RunConfig:
     lexicon: str | None = None
     threshold: float = 0.0
     train: TrainConfig = field(default_factory=TrainConfig)
-    tfidf: TfidfConfig = field(default_factory=TfidfConfig)
     provider_config: ProviderConfig | None = None
 
     def __post_init__(self) -> None:
@@ -295,10 +294,7 @@ def cmd_cv(cfg: RunConfig, args: argparse.Namespace) -> int:
     pooled_rows = {}
     mean_rows = {}
     md_parts = [f"## Cross-validation, task {int(task)}, k={cfg.k}, seed={cfg.seed}", ""]
-    reports = cross_validate(
-        dataset, task, cfg.models, cfg.train,
-        k=cfg.k, seed=cfg.seed, tfidf_cfg=cfg.tfidf,
-    )
+    reports = cross_validate(dataset, task, cfg.models, cfg.train, k=cfg.k, seed=cfg.seed)
     for kind, report in reports.items():
         payload = payloads[f"cv_{kind}.json"] = {**echo, **report.to_dict()}
         pooled_rows[kind] = payload["pooled"]
@@ -421,6 +417,7 @@ def _read_annotation_file(path: Path, task: Task, sha256: hashlib._Hash) -> dict
         doc_id = rec["id"]
         if not isinstance(doc_id, str) or not doc_id:
             raise DataError("'id' must be a non-empty string")
+        _check_encodable({"'id'": doc_id})
         if doc_id in labels:
             raise DataError(f"duplicate id {doc_id!r}")
         label = rec["label"]
@@ -468,7 +465,7 @@ def cmd_kappa(cfg: RunConfig, args: argparse.Namespace) -> int:
 _COMMANDS = {
     "stats": (cmd_stats, "print and save label distribution tables", ("dataset",)),
     "cv": (cmd_cv, "stratified cross-validation of the configured models",
-           ("dataset", "task", "models", "k", "train", "tfidf")),
+           ("dataset", "task", "models", "k", "train")),
     "balance": (cmd_balance, "upsample minority classes with paraphrases",
                 ("dataset", "task", "provider", "provider_config")),
     "emotion": (cmd_emotion, "aggregate lexicon emotion percentages per coin and label",

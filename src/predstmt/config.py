@@ -1,9 +1,9 @@
-"""Feature, training and remote-provider settings, free of numpy.
+"""Training and remote-provider settings, free of numpy.
 
 The CLI parses and hashes these for every command, so they live apart from
-features, models and evaluation, which load numpy and which only `cv`
-needs, and from augment, which only `balance` needs. features, models and
-augment import them from here.
+models and evaluation, which load numpy and which only `cv` needs, and from
+augment, which only `balance` needs. models, evaluation and augment import
+them from here.
 """
 
 from __future__ import annotations
@@ -39,26 +39,12 @@ def check_os_string(name: str, value: str | None, *, path: bool) -> None:
 
 
 @dataclass(frozen=True)
-class TfidfConfig:
-    min_df: int = 1
-    max_features: int | None = None
-    sublinear_tf: bool = False
-
-    def __post_init__(self) -> None:
-        if self.min_df < 1:
-            raise DataError(f"min_df must be >= 1, got {self.min_df}")
-        if self.max_features is not None and self.max_features < 1:
-            raise DataError(f"max_features must be >= 1, got {self.max_features}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Shared training settings; n_trees, max_depth, min_samples_leaf and bootstrap are the forest's.
 
-    epochs caps the linear models' L-BFGS iterations; learning_rate scales their first step.
+    epochs caps the linear models' L-BFGS iterations.
     """
 
-    learning_rate: float = 0.1
     epochs: int = 100
     l2: float = 1e-4
     seed: int = 0
@@ -69,16 +55,12 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # NaN passes every comparison below and makes every linear model's trial objective NaN
-        for name in ("learning_rate", "l2"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int past the float range; str() of one may raise too
-                finite, value = False, "an int past the float range"
-            if not finite:
-                raise DataError(f"{name} must be finite, got {value}")
-        if self.learning_rate <= 0:
-            raise DataError(f"learning_rate must be positive, got {self.learning_rate}")
+        try:
+            finite, value = math.isfinite(self.l2), self.l2
+        except OverflowError:  # an int past the float range; str() of one may raise too
+            finite, value = False, "an int past the float range"
+        if not finite:
+            raise DataError(f"l2 must be finite, got {value}")
         if self.l2 < 0:
             raise DataError(f"l2 must be non-negative, got {self.l2}")
         for name in ("epochs", "n_trees", "max_depth", "min_samples_leaf"):

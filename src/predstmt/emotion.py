@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Coin, DataError, Dataset, Document, Task2Label, read_json
+from .corpus import Coin, DataError, Dataset, Document, Task2Label, _check_encodable, read_json
 from .preprocess import preprocess
 
 
@@ -74,9 +74,10 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
 
     Every entry value is a list of [base emotion, weight] pairs with
     weights in [0, 1]. A term is keyed by tuple(preprocess(term)), built by cleaning each
-    whitespace-separated word once. Terms equal after cleaning, a term word that cleaning
-    removes, grouped base emotions equal after case folding and base emotions without a
-    grouping are rejected. Every byte of the file goes to sha256, a hashlib object, if given.
+    whitespace-separated word once. A term holding a lone surrogate, which no dataset text
+    holds, terms equal after cleaning, a term word that cleaning removes, grouped base
+    emotions equal after case folding and base emotions without a grouping are rejected.
+    Every byte of the file goes to sha256, a hashlib object, if given.
     """
     path = Path(path)
     raw = read_json(path, "lexicon", sha256)
@@ -102,6 +103,7 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
         raise DataError("lexicon 'entries' must be an object")
     phrase_entries: dict[tuple[str, ...], tuple[tuple[str, float], ...]] = {}
     for term, rows in entries_raw.items():
+        _check_encodable({f"lexicon term {term!r}": term})
         words = term.split()
         if not words:
             raise DataError("lexicon entry term must be non-empty")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import MODEL_KINDS, TfidfConfig, TrainConfig
+from .config import MODEL_KINDS, TrainConfig
 from .corpus import LABEL_NAMES, DataError, Dataset, Task, jsonable, stratified_folds
 from .features import SparseBatch, count_terms, fit_tfidf, transform_many
 from .models import (
@@ -192,16 +192,15 @@ class CvReport:
 
 
 def cross_validate(dataset: Dataset, task: Task, model_kind: str, train_cfg: TrainConfig,
-                   k: int = 5, seed: int = 42,
-                   tfidf_cfg: TfidfConfig = TfidfConfig()) -> CvReport:
+                   k: int = 5, seed: int = 42) -> CvReport:
     """Run stratified k-fold evaluation of one model kind on one task."""
-    return cross_validate_models(dataset, task, (model_kind,), train_cfg, k=k, seed=seed,
-                                 tfidf_cfg=tfidf_cfg)[model_kind]
+    return cross_validate_models(dataset, task, (model_kind,), train_cfg, k=k,
+                                 seed=seed)[model_kind]
 
 
 def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[str],
-                          train_cfg: TrainConfig, k: int = 5, seed: int = 42,
-                          tfidf_cfg: TfidfConfig = TfidfConfig()) -> dict[str, CvReport]:
+                          train_cfg: TrainConfig, k: int = 5,
+                          seed: int = 42) -> dict[str, CvReport]:
     """Run stratified k-fold evaluation of several model kinds on the same folds.
 
     Each document is preprocessed and its terms counted once. Every fold
@@ -233,7 +232,7 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
         y_test = [labels[i] for i in test]
         for kind, model, predictions in _fold_predictions(
                 counts[train], [labels[i] for i in train], counts[test], model_kinds,
-                train_cfg, tfidf_cfg, f"fold {fold + 1} of {k}"):
+                train_cfg, f"fold {fold + 1} of {k}"):
             if isinstance(model, ForestModel):
                 forest_sizes[kind].append(forest_size(model))
             per_fold[kind].append(metrics(confusion(y_test, predictions, class_codes)))
@@ -252,8 +251,7 @@ def cross_validate_models(dataset: Dataset, task: Task, model_kinds: Sequence[st
 
 
 def _fold_predictions(train_rows: SparseBatch, y_train: Sequence[int], test_rows: SparseBatch,
-                      model_kinds: Sequence[str], train_cfg: TrainConfig,
-                      tfidf_cfg: TfidfConfig, fold_name: str):
+                      model_kinds: Sequence[str], train_cfg: TrainConfig, fold_name: str):
     """Yield (kind, model, test predictions) for each kind on one train/test split.
 
     The splits are count rows from count_terms. TF-IDF is fitted on the
@@ -261,10 +259,10 @@ def _fold_predictions(train_rows: SparseBatch, y_train: Sequence[int], test_rows
     A vocabulary left empty, which no model can learn from, is a DataError
     that starts with fold_name.
     """
-    tfidf = fit_tfidf(train_rows, tfidf_cfg)
+    tfidf = fit_tfidf(train_rows)
     if not tfidf.dimension:
-        raise DataError(f"{fold_name}: no term occurs in tfidf.min_df={tfidf_cfg.min_df} or more "
-                        f"training documents, so the TF-IDF vocabulary is empty")
+        raise DataError(f"{fold_name}: no training document has a token, "
+                        "so the TF-IDF vocabulary is empty")
     x_train = transform_many(tfidf, train_rows)
     x_test = transform_many(tfidf, test_rows)
     for kind in model_kinds:

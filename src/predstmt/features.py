@@ -4,9 +4,9 @@ The weighting is the smoothed variant
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1
 
-with raw term counts by default (optionally 1 + ln(tf)) and L2-normalized
-document vectors. Vocabulary indices follow lexicographic term order, so a
-fitted model is independent of document order.
+with raw term counts and L2-normalized document vectors. Vocabulary
+indices follow lexicographic term order, so a fitted model is independent
+of document order.
 
 count_terms walks the token lists once, into a SparseBatch of raw term
 counts; fit_tfidf and transform_many take rows of it (an index array selects
@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import DataError
-from .config import TfidfConfig
 
 
 class SparseBatch:
@@ -122,7 +121,6 @@ class TfidfModel:
     terms: tuple[str, ...]
     doc_freq: tuple[int, ...]
     n_docs: int
-    config: TfidfConfig
 
     @property
     def dimension(self) -> int:
@@ -165,22 +163,17 @@ def count_terms(docs: Iterable[Sequence[str]]) -> SparseBatch:
     return SparseBatch(indptr, indices, counts, len(ids), tuple(first_seen[i] for i in order))
 
 
-def fit_tfidf(rows: SparseBatch, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+def fit_tfidf(rows: SparseBatch) -> TfidfModel:
     """Build a TF-IDF model from the count rows of the training documents.
 
-    min_df drops rare terms first; max_features then keeps the terms with
-    the highest document frequency, ties broken lexicographically. The
-    surviving terms are indexed in sorted order.
+    Every term that occurs in a row is kept; the terms are indexed in sorted order.
     """
     if not len(rows):
         raise DataError("cannot fit TF-IDF on an empty document collection")
     df = np.bincount(rows.indices, minlength=rows.dim)  # a row holds each column once
-    kept = np.flatnonzero(df >= config.min_df)  # min_df >= 1, so unseen terms go too
-    if config.max_features is not None and kept.size > config.max_features:
-        # columns are in lexicographic order, so a stable sort breaks ties by term
-        kept = np.sort(kept[np.argsort(-df[kept], kind="stable")[:config.max_features]])
+    kept = np.flatnonzero(df)  # a column no row holds names a term of other documents
     return TfidfModel(tuple(rows.terms[c] for c in kept.tolist()), tuple(df[kept].tolist()),
-                      len(rows), config)
+                      len(rows))
 
 
 def transform_many(model: TfidfModel, rows: SparseBatch) -> SparseBatch:
@@ -198,9 +191,6 @@ def transform_many(model: TfidfModel, rows: SparseBatch) -> SparseBatch:
     indices, counts = column[known], rows.data[known]
     row_of = np.repeat(np.arange(n), np.diff(rows.indptr))[known]
     lengths = np.bincount(row_of, minlength=n)
-    if model.config.sublinear_tf:  # math.log, as numpy's log may round differently
-        distinct, inverse = np.unique(counts, return_inverse=True)
-        counts = np.array([1.0 + math.log(c) for c in distinct.tolist()])[inverse]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the check
         values = counts * np.array(model.idf, dtype=np.float64)[indices]
         # bincount adds each row's squares in entry order, starting from 0.0

@@ -147,6 +147,7 @@ def _check_inputs(X: SparseBatch, y: Sequence[int]) -> tuple[list[int], np.ndarr
 
 _LBFGS_MEMORY = 10  # curvature pairs (s, y) kept
 _LBFGS_TOL = 1e-5  # a run stops once an iteration lowers f by at most this share of max(|f|, 1)
+_FIRST_STEP = 0.1  # the linear trainers' first trial step, as a multiple of -grad f
 
 
 def _lbfgs(fun_grad: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
@@ -240,7 +241,7 @@ def logreg_gradient(weights: np.ndarray, bias: np.ndarray,
 def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     """Fit a multinomial softmax classifier by L-BFGS on logreg_objective, from zero.
 
-    cfg.epochs caps the iterations; the first trial step is -cfg.learning_rate
+    cfg.epochs caps the iterations; the first trial step is -_FIRST_STEP
     times the gradient. One scoring of the batch per trial point gives both
     the objective and the gradient. The loss history holds the objective at
     the start and after every iteration.
@@ -253,7 +254,7 @@ def train_logreg(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> LinearMo
                                                  y_idx, cfg.l2)
         return loss, np.append(grad_b, grad_w)
 
-    params, history = _lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs, cfg.learning_rate)
+    params, history = _lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs, _FIRST_STEP)
     return LinearModel(
         kind=KIND_LOGREG,
         weights=params[k:].reshape(k, X.dim),
@@ -312,7 +313,7 @@ def train_svm_linear(X: SparseBatch, y: Sequence[int], cfg: TrainConfig) -> Line
     for ci in ([1] if k == 2 else range(k)):
         fun_grad = partial(_svm_loss_grad, X=X, y_signed=np.where(y_idx == ci, 1.0, -1.0),
                            l2=cfg.l2)
-        params, _ = _lbfgs(fun_grad, np.zeros(X.dim + 1), cfg.epochs, cfg.learning_rate)
+        params, _ = _lbfgs(fun_grad, np.zeros(X.dim + 1), cfg.epochs, _FIRST_STEP)
         weights[ci], bias[ci] = params[:-1], params[-1]
     if k == 2:
         weights[0], bias[0] = -weights[1], -bias[1]

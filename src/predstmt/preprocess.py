@@ -26,30 +26,8 @@ def strip_urls(text: str) -> str:
     return _URL_RE.sub("", text)
 
 
-#: Most code points _PUNCT_SYMBOL caches; unbounded, all 1,112,064 held 122.6 MB.
-_PUNCT_SYMBOL_MAX = 1 << 16
-
-
-class _PunctSymbolTable(dict):
-    """Table in str.translate form, mapping every Unicode punctuation (P*) and
-    symbol (S*) character to a space and every other character to itself.
-
-    A code point's category is looked up once, on first use, and cached; the
-    cache starts again empty once it holds _PUNCT_SYMBOL_MAX code points.
-    """
-
-    def __missing__(self, code: int) -> str | int:
-        if len(self) >= _PUNCT_SYMBOL_MAX:
-            self.clear()
-        value = " " if unicodedata.category(chr(code))[0] in "PS" else code
-        self[code] = value
-        return value
-
-
-_PUNCT_SYMBOL = _PunctSymbolTable()
-
-# The table's ASCII part as a bytes.translate table: the same rule, applied
-# by one C loop with no per-character mapping lookup.
+# Every ASCII punctuation (P*) and symbol (S*) character to a space, as a
+# bytes.translate table: one C loop with no per-character mapping lookup.
 _ASCII_PUNCT_SYMBOL = bytes(
     ord(" ") if unicodedata.category(chr(b))[0] in "PS" else b for b in range(128)
 ) + bytes(range(128, 256))
@@ -78,9 +56,9 @@ def preprocess(text: str) -> list[str]:
         data = text.encode("utf-8", "surrogatepass")
         text = data.translate(_ASCII_PUNCT_SYMBOL).decode("utf-8", "surrogatepass")
         special = [ch for ch in set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
-                   if _PUNCT_SYMBOL[ord(ch)] == " "]
+                   if unicodedata.category(ch)[0] in "PS"]
         if len(special) > _REPLACE_MAX:
-            text = text.translate(_PUNCT_SYMBOL)
+            text = text.translate(dict.fromkeys(map(ord, special), " "))
         else:
             for ch in special:
                 text = text.replace(ch, " ")

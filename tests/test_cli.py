@@ -23,7 +23,6 @@ from predstmt import (
     Document,
     ProviderConfig,
     Task,
-    TfidfConfig,
     TrainConfig,
     bundled_lexicon_path,
     distribution,
@@ -368,6 +367,25 @@ class TestEmotion:
                    "--out", str(tmp_path), "--tag", "r2") == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("term, code_point", [
+        ("thrilled\ud800", "D800"), ("over the \udfffmoon", "DFFF"),
+    ], ids=["one-word", "later-word"])
+    def test_escaped_lone_surrogate_in_a_term_is_data_error_before_the_run(
+            self, planted_path, tmp_path, term, code_point):
+        """A term "thrilled\\ud800" once loaded and then never matched a text."""
+        out = tmp_path / "o"
+        assert run_captured("emotion", "--dataset", str(planted_path), "--out", str(out),
+                            "--tag", "good") == (0, "")
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(json.dumps({"entries": {term: [["joy", 0.9]]},
+                                       "grouping": {"joy": "delight_joy"}}), encoding="utf-8")
+        code, err = run_captured("emotion", "--dataset", str(planted_path), "--lexicon",
+                                 str(lexicon), "--out", str(out), "--tag", "bad")
+        assert (code, err) == (2, f"data error: lexicon term {term!r} holds lone "
+                                  f"surrogate U+{code_point}, which UTF-8 cannot encode\n")
+        assert sorted(p.name for p in (out / "emotion").iterdir()) == ["good", "latest"]
+        assert (out / "emotion" / "latest").read_text() == "good\n"
+
 
 def write_annotations(path, labels):
     with path.open("w", encoding="utf-8") as fh:
@@ -402,6 +420,26 @@ class TestKappa:
         assert run("kappa", str(a), str(b), "--out", str(tmp_path), "--tag", "r3") == 0
         assert capsys.readouterr().out.strip() == "0.5000"
         assert json.loads((tmp_path / "kappa" / "r3" / "kappa.json").read_text())["n"] == 4
+
+    @pytest.mark.parametrize("ids_a, ids_b, where, code_point", [
+        (("x\ud800", "d2"), ("x\ud800", "d2"), "a.jsonl:1", "D800"),
+        (("d1", "d2"), ("d1", "y\udfff"), "b.jsonl:2", "DFFF"),
+        (("\udc00", "d2"), ("d1", "d2"), "a.jsonl:1", "DC00"),
+    ], ids=["both-files", "second-file-later-line", "low-surrogate-alone"])
+    def test_escaped_lone_surrogate_id_is_data_error_before_the_run(self, tmp_path, ids_a,
+                                                                     ids_b, where, code_point):
+        """Two files whose first id is "x\\ud800" once scored 1.0000."""
+        a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "o"
+        for path in (a, b):
+            write_annotations(path, {"d1": 0, "d2": 1})
+        assert run_captured("kappa", str(a), str(b), "--out", str(out), "--tag", "good") == (0, "")
+        for path, ids in ((a, ids_a), (b, ids_b)):
+            write_annotations(path, dict(zip(ids, (0, 1))))  # json.dumps escapes a surrogate
+        code, err = run_captured("kappa", str(a), str(b), "--out", str(out), "--tag", "bad")
+        assert (code, err) == (2, f"data error: {where}: 'id' holds lone surrogate "
+                                  f"U+{code_point}, which UTF-8 cannot encode\n")
+        assert sorted(p.name for p in (out / "kappa").iterdir()) == ["good", "latest"]
+        assert (out / "kappa" / "latest").read_text() == "good\n"
 
     def test_mismatched_ids(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -488,16 +526,15 @@ class TestConfigPrecedence:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_empty_fold_vocabulary_is_data_error(self, planted_path, tmp_path, capsys):
-        """A min_df above every term's document frequency once trained on empty rows, exit 0."""
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"train": {"epochs": 2, "n_trees": 2},
-                                      "tfidf": {"min_df": 1000}}))
-        code = run("cv", "--config", str(config), "--dataset", str(planted_path), "--k", "2",
-                   "--out", str(tmp_path / "o"))
+    def test_empty_fold_vocabulary_is_data_error(self, tmp_path, capsys):
+        """Texts without a token of 3+ characters leave every fold without a vocabulary."""
+        path = tmp_path / "tokenless.jsonl"
+        save_dataset(Dataset(tuple(Document(id=f"d{i}", text=f"{i % 10} ok!", coin=Coin.ADA,
+                                            task1=i % 2) for i in range(12))), path)
+        code = run("cv", "--dataset", str(path), "--k", "2", "--out", str(tmp_path / "o"))
         assert (code, capsys.readouterr().err) == (2, (
-            "data error: fold 1 of 2: no term occurs in tfidf.min_df=1000 or more "
-            "training documents, so the TF-IDF vocabulary is empty\n"))
+            "data error: fold 1 of 2: no training document has a token, "
+            "so the TF-IDF vocabulary is empty\n"))
         assert not (tmp_path / "o" / "cv").exists()
 
     @pytest.mark.parametrize("content, message", [
@@ -535,8 +572,9 @@ class TestConfigPrecedence:
         ("emotion", {"threshold": "high"}, "threshold must be a number"),
         ("stats", {"tag": 5}, "tag must be a string"),
         ("cv", {"train": {"epoch": 10}}, "unknown config keys: train.epoch"),
-        ("cv", {"tfidf": {"min_dff": 3}}, "unknown config keys: tfidf.min_dff"),
-        ("cv", {"tfidf": {"sublinear_tf": "no"}}, "tfidf.sublinear_tf must be true or false"),
+        # sections and keys of settings that are now constants
+        ("cv", {"tfidf": {}}, "unknown config keys: tfidf"),
+        ("cv", {"train": {"learning_rate": 0.1}}, "unknown config keys: train.learning_rate"),
         ("cv", {"train": {"epochs": True}}, "train.epochs must be an integer"),
         ("cv", {"train": {"epochs": "5"}}, "train.epochs must be an integer"),
         ("cv", {"train": {"epochs": 0}}, "train: epochs must be >= 1"),
@@ -553,8 +591,7 @@ class TestConfigPrecedence:
         ("stats", {"\n": None}, "unknown config keys: \\n"),
         ("stats", {"train": {"a\rb": 1}}, "unknown config keys: train.a\\rb"),
         ("stats", {"threshold": 10 ** 400}, "threshold must be a number, got int"),
-        ("cv", {"train": {"learning_rate": 10 ** 400}},
-         "train.learning_rate must be a number, got int"),
+        ("cv", {"train": {"l2": 10 ** 400}}, "train.l2 must be a number, got int"),
         ("stats", {"tag": "t\udcff"},  # what --tag $'t\xff' gives
          "tag must be a UTF-8 encodable string without NUL characters, got 't\\udcff'"),
         ("stats", {"tag": "a\x00b"},
@@ -676,7 +713,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("config, command, digest", [
         (RunConfig(dataset="d.jsonl"), "cv",
-         "22393a1c2c747aac5a9a1379904f4815029bc4b39a30ff7dee9feef4437be515"),
+         "c7c559c69fe1d1f9d50dbc070561201bddd286c79c2e4d2d72980a3e6467f4f7"),
         # ints given for float fields are kept as ints, as they always were
         (from_dict(RunConfig, {
             "dataset": "d.jsonl", "models": ["svm"], "threshold": 1, "provider": "remote",
@@ -689,6 +726,17 @@ class TestConfigPrecedence:
         # the dataset's bytes stand for its path; these are the SHA-256 of b""
         sha = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         assert _config_echo(config, command, sha)["config_hash"] == digest
+
+    def test_cv_config_hash_is_the_digest_of_its_canonical_json(self):
+        """The default cv hash covers the seed, the fields cv reads and, for the dataset's
+        path, the digest of its bytes, as sorted JSON."""
+        sha = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        canonical = (
+            f'{{"dataset_sha256": "{sha}", "k": 5, "models": ["logreg", "svm", "rf"], '
+            '"seed": 42, "task": 1, "train": {"bootstrap": true, "epochs": 100, "l2": 0.0001, '
+            '"max_depth": 16, "min_samples_leaf": 2, "n_trees": 100, "seed": 0}}')
+        assert _config_echo(RunConfig(dataset="d.jsonl"), "cv", sha)["config_hash"] == (
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 
     def test_readme_config_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1350,8 +1398,7 @@ _PLAUSIBLE = st.sampled_from([0, 1, 2, 3, 5, -1, 0.5, 1e-4, True, False, None, "
 
 def _config_object(cls) -> st.SearchStrategy:
     """JSON objects over cls's keys, typo'd keys and random values, nested sections too."""
-    nested = {"train": TrainConfig, "tfidf": TfidfConfig,
-              "provider_config": ProviderConfig}
+    nested = {"train": TrainConfig, "provider_config": ProviderConfig}
     names = [f.name for f in fields(cls)]
     defaults = {f.name: st.just(f.default) for f in fields(cls)
                 if type(f.default) in (int, float, bool, str, type(None))}

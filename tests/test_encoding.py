@@ -19,7 +19,6 @@ from predstmt import (
     Dataset,
     Document,
     Task,
-    TfidfConfig,
     TrainConfig,
     compute_plan,
     distribution,
@@ -83,7 +82,7 @@ def _old_plan(plan):
 #: The RunConfig fields each command reads besides seed, out_dir and tag.
 _READS = {
     "stats": {"dataset"},
-    "cv": {"dataset", "task", "models", "k", "train", "tfidf"},
+    "cv": {"dataset", "task", "models", "k", "train"},
     "balance": {"dataset", "task", "provider", "provider_config"},
     "emotion": {"dataset", "lexicon", "threshold"},
     "kappa": {"task"},
@@ -193,7 +192,7 @@ def test_balance_plan_and_artifact_match_the_reference(noisy, tmp_path):
 @pytest.mark.parametrize("cfg", [
     RunConfig(),
     RunConfig(dataset="d.jsonl", task=2, models=["rf", "svm"], out_dir="o", tag="t",
-              tfidf=TfidfConfig(max_features=50), lexicon="lex.json", threshold=0.25),
+              train=TRAIN, lexicon="lex.json", threshold=0.25),
     RunConfig(provider="remote", provider_config=ProviderConfig(
         endpoint="http://127.0.0.1:9/v1", api_key_env="K", model="m", timeout_s=2.5)),
 ], ids=["defaults", "cv", "remote"])

@@ -14,7 +14,6 @@ from predstmt import (
     Document,
     MetricsReport,
     Task,
-    TfidfConfig,
     TfidfModel,
     TrainConfig,
     classification_report,
@@ -354,23 +353,24 @@ def options_corpus() -> Dataset:
                                    for i, text in enumerate(texts)), name="options")
 
 
-def reference_tfidf(tokens, config) -> TfidfModel:
-    """The TfidfModel of tokenized documents by the selection rule, one term at a time."""
+def reference_tfidf(tokens) -> TfidfModel:
+    """The TfidfModel of tokenized documents, one term at a time: every term, sorted."""
     df = {}
     for doc in tokens:
         for term in set(doc):
             df[term] = df.get(term, 0) + 1
-    kept = sorted((term for term in df if df[term] >= config.min_df), key=lambda t: (-df[t], t))
-    kept = sorted(kept[:config.max_features])
-    return TfidfModel(tuple(kept), tuple(df[t] for t in kept), len(tokens), config)
+    kept = sorted(df)
+    return TfidfModel(tuple(kept), tuple(df[t] for t in kept), len(tokens))
 
 
-@pytest.mark.parametrize("tfidf_cfg", [TfidfConfig(min_df=2), TfidfConfig(max_features=40),
-                                       TfidfConfig(sublinear_tf=True),
-                                       TfidfConfig(min_df=1000)],  # no term survives: an error
-                         ids=["min_df", "max_features", "sublinear_tf", "empty_vocabulary"])
-def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cfg):
-    ds, task, k = options_corpus(), Task.PREDICTIVENESS, 4
+@pytest.mark.parametrize("tokenless, k, seed", [
+    (False, 4, 5), (False, 2, 3), (False, 5, 11), (True, 4, 5),
+], ids=["default", "two_folds", "five_folds", "empty_vocabulary"])
+def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tokenless, k, seed):
+    ds, task = options_corpus(), Task.PREDICTIVENESS
+    if tokenless:  # no text holds a token of 3+ characters, so no fold has a vocabulary
+        ds = Dataset(documents=tuple(Document(id=doc.id, text="?! ... ok", task1=doc.task1)
+                                     for doc in ds.documents), name="tokenless")
     captured = []
     train = evaluation._TRAINERS["logreg"]
     monkeypatch.setitem(evaluation._TRAINERS, "logreg",
@@ -378,25 +378,23 @@ def test_cv_fold_features_equal_the_per_document_transform(monkeypatch, tfidf_cf
     predict = evaluation.predict_many
     monkeypatch.setattr(evaluation, "predict_many",
                         lambda model, X: captured[-1].append(X) or predict(model, X))
-    if tfidf_cfg.min_df == 1000:  # no model may train on all-empty rows
+    if tokenless:  # no model may train on all-empty rows
         with pytest.raises(DataError) as info:
-            cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k,
-                                  seed=5, tfidf_cfg=tfidf_cfg)
-        assert str(info.value) == ("fold 1 of 4: no term occurs in tfidf.min_df=1000 or more "
-                                   "training documents, so the TF-IDF vocabulary is empty")
+            cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k, seed=seed)
+        assert str(info.value) == ("fold 1 of 4: no training document has a token, "
+                                   "so the TF-IDF vocabulary is empty")
         assert captured == []
         return
-    reports = cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k,
-                                    seed=5, tfidf_cfg=tfidf_cfg)
+    reports = cross_validate_models(ds, task, ("logreg",), TrainConfig(epochs=2), k=k, seed=seed)
     assert sum(reports["logreg"].fold_sizes) == len(ds.documents)
 
-    folds = stratified_folds(ds, task, k, 5).folds
+    folds = stratified_folds(ds, task, k, seed).folds
     docs = ds.labeled(task)
     assert len(captured) == k
     for fold, (x_train, y_train, x_test) in enumerate(captured):
         train_docs = [doc for doc in docs if folds[doc.id] != fold]
         test_docs = [doc for doc in docs if folds[doc.id] == fold]
-        model = reference_tfidf([preprocess(doc.text) for doc in train_docs], tfidf_cfg)
+        model = reference_tfidf([preprocess(doc.text) for doc in train_docs])
         assert y_train == [doc.label(task) for doc in train_docs]
         for batch, split in ((x_train, train_docs), (x_test, test_docs)):
             assert len(batch) == len(split) and batch.dim == model.dimension

@@ -7,14 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from predstmt import DataError, SparseBatch, TfidfConfig, count_terms, features
+from predstmt import DataError, SparseBatch, count_terms, features
 
 TWO_DOCS = [["btc", "up", "up"], ["btc", "down"]]
 
 
-def fit_tfidf(docs, config=TfidfConfig()):
+def fit_tfidf(docs):
     """features.fit_tfidf of tokenized documents, counted by count_terms."""
-    return features.fit_tfidf(count_terms(docs), config)
+    return features.fit_tfidf(count_terms(docs))
 
 
 def transform_many(model, docs):
@@ -137,50 +137,39 @@ class TestFit:
         assert m1.idf == m2.idf
         assert m1.doc_freq == m2.doc_freq
 
-    def test_min_df_filters(self):
-        model = fit_tfidf(TWO_DOCS, TfidfConfig(min_df=2))
-        assert model.terms == ("btc",)
+    def test_terms_of_other_rows_are_dropped(self):
+        # a row selection keeps every column of the count batch, seen in its rows or not
+        rows = count_terms(TWO_DOCS + [["moon", "btc"]])[np.array([2, 1])]
+        model = features.fit_tfidf(rows)
+        assert rows.terms == ("btc", "down", "moon", "up")
+        assert model.terms == ("btc", "down", "moon") and model.doc_freq == (2, 1, 1)
+        assert model.n_docs == 2
 
-    def test_max_features_tie_breaks_lexicographically(self):
-        # all terms have df=1: highest-df ties resolve to lexicographic order
-        model = fit_tfidf([["delta"], ["beta"], ["alpha"]], TfidfConfig(max_features=2))
-        assert model.terms == ("alpha", "beta")
-
-    def test_max_features_prefers_high_df(self):
-        docs = [["common", "rare1"], ["common", "rare2"], ["common"]]
-        model = fit_tfidf(docs, TfidfConfig(max_features=1))
-        assert model.terms == ("common",)
-
-    @pytest.mark.parametrize("min_df, max_features", [
-        (1, None), (2, None), (4, None), (1, 1), (1, 7), (2, 12), (3, 5), (1, 10_000),
+    @pytest.mark.parametrize("n_docs, n_vocab, max_len", [
+        (60, 50, 9), (1, 50, 9), (2, 1, 3), (200, 5, 9), (30, 300, 40), (8, 3, 2),
+        (120, 50, 1), (400, 1000, 60),
     ])
-    def test_vocabulary_follows_the_selection_rule(self, min_df, max_features):
-        # a Zipf-like corpus, so document frequencies tie often
-        rng = random.Random(17 * min_df + (max_features or 0))
-        vocab = [f"w{i:02d}" for i in range(50)]
+    def test_vocabulary_follows_the_selection_rule(self, n_docs, n_vocab, max_len):
+        # a Zipf-like corpus: every term is kept, with its document frequency
+        rng = random.Random(17 * n_docs + n_vocab)
+        vocab = [f"w{i:04d}" for i in range(n_vocab)]
         weights = [1.0 / (r + 1) for r in range(len(vocab))]
-        docs = [rng.choices(vocab, weights, k=rng.randint(0, 9)) for _ in range(60)]
+        docs = [rng.choices(vocab, weights, k=rng.randint(0, max_len)) for _ in range(n_docs)]
+        docs[0] = docs[0] or [vocab[0]]  # one term at least, or the vocabulary is empty
         df = {}
         for tokens in docs:
             for term in set(tokens):
                 df[term] = df.get(term, 0) + 1
-        kept = sorted((term for term in df if df[term] >= min_df), key=lambda t: (-df[t], t))
-        kept = sorted(kept[:max_features])
-        model = fit_tfidf(docs, TfidfConfig(min_df=min_df, max_features=max_features))
+        kept = sorted(df)
+        model = fit_tfidf(docs)
         assert model.terms == tuple(kept)
         assert model.doc_freq == tuple(df[t] for t in kept)
         assert model.n_docs == len(docs)
-        assert fit_tfidf(docs[::-1], model.config) == model
+        assert fit_tfidf(docs[::-1]) == model
 
     def test_empty_collection_rejected(self):
         with pytest.raises(DataError, match="empty"):
             fit_tfidf([])
-
-    def test_config_validation(self):
-        with pytest.raises(DataError):
-            TfidfConfig(min_df=0)
-        with pytest.raises(DataError):
-            TfidfConfig(max_features=0)
 
 
 class TestTransform:
@@ -220,15 +209,6 @@ class TestTransform:
             norm = np.linalg.norm(transform_many(model, [tokens]).data)
             assert norm == pytest.approx(1.0, abs=1e-9)
 
-    def test_sublinear_tf(self):
-        model = fit_tfidf(TWO_DOCS, TfidfConfig(sublinear_tf=True))
-        vec = transform_many(model, [["up", "up", "btc"]])
-        by_term = {model.terms[i]: v for i, v in zip(vec.indices, vec.data)}
-        idf_up = math.log(3 / 2) + 1
-        raw = {"btc": 1.0, "up": (1 + math.log(2)) * idf_up}
-        norm = math.hypot(raw["btc"], raw["up"])
-        assert by_term["up"] == pytest.approx(raw["up"] / norm, abs=1e-12)
-
     def test_indices_strictly_increasing(self):
         model = fit_tfidf(TWO_DOCS)
         vec = transform_many(model, [["up", "btc", "down", "btc"]])
@@ -256,10 +236,7 @@ def per_document_transform(model, tokens):
     indices = sorted(counts)
     values = []
     for i in indices:
-        tf = float(counts[i])
-        if model.config.sublinear_tf:
-            tf = 1.0 + math.log(tf)
-        values.append(tf * model.idf[i])
+        values.append(float(counts[i]) * model.idf[i])
     norm = math.sqrt(sum(v * v for v in values))
     if norm > 0:
         values = [v / norm for v in values]
@@ -278,12 +255,13 @@ class TestTransformMany:
             assert [v.hex() for v in row.data.tolist()] == [v.hex() for v in values]
         return batch
 
-    @pytest.mark.parametrize("sublinear", [False, True])
-    def test_equals_per_document_transform(self, sublinear):
+    @pytest.mark.parametrize("n_known", [40, 8], ids=["most-known", "most-unknown"])
+    def test_equals_per_document_transform(self, n_known):
         rng = random.Random(29)
         vocab = [f"t{i:03d}" for i in range(60)]
-        train = [[rng.choice(vocab[:40]) for _ in range(rng.randint(1, 12))] for _ in range(50)]
-        model = fit_tfidf(train, TfidfConfig(min_df=2, sublinear_tf=sublinear))
+        train = [[rng.choice(vocab[:n_known]) for _ in range(rng.randint(1, 12))]
+                 for _ in range(50)]
+        model = fit_tfidf(train)
         docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 15))] for _ in range(80)]
         docs += [
             [],  # empty document
@@ -294,23 +272,23 @@ class TestTransformMany:
         assert batch[-3].indices.size == 0 and batch[-2].indices.size == 0
         assert len(batch[-1].indices) == 2
 
-    @pytest.mark.parametrize("sublinear", [False, True])
-    def test_equals_per_document_transform_on_long_zipfian_rows(self, sublinear):
+    @pytest.mark.parametrize("n_train", [200, 20])
+    def test_equals_per_document_transform_on_long_zipfian_rows(self, n_train):
         # rows of up to 120 distinct terms, where the order of the norm's sum shows
         rng = random.Random(71)
         vocab = [f"w{i}" for i in range(400)]
         weights = [1.0 / (r + 1) for r in range(len(vocab))]
         docs = [rng.choices(vocab, weights, k=rng.randint(0, 200)) for _ in range(300)]
-        model = fit_tfidf(docs[:200], TfidfConfig(sublinear_tf=sublinear))
+        model = fit_tfidf(docs[:n_train])
         self.assert_equals_per_document(model, docs)
 
-    @pytest.mark.parametrize("sublinear, min_df", [(False, 1), (True, 1), (False, 3),
-                                                     (True, 3)])
-    def test_each_document_alone_gives_its_batch_row(self, sublinear, min_df):
-        rng = random.Random(53 + min_df)
+    @pytest.mark.parametrize("seed, n_train", [(54, 50), (53, 70), (55, 10), (56, 2)])
+    def test_each_document_alone_gives_its_batch_row(self, seed, n_train):
+        rng = random.Random(seed)
         vocab = [f"v{i}" for i in range(80)]
         docs = [[rng.choice(vocab) for _ in range(rng.randint(0, 25))] for _ in range(70)]
-        model = fit_tfidf(docs[:50], TfidfConfig(min_df=min_df, sublinear_tf=sublinear))
+        docs[0] = docs[0] or [vocab[0]]  # one term at least, or the vocabulary is empty
+        model = fit_tfidf(docs[:n_train])
         batch = transform_many(model, docs)
         for row, tokens in zip(batch, docs):
             alone = transform_many(model, [tokens])

@@ -521,7 +521,7 @@ class TestFlatLayout:
                      "--model", "rf", "--k", "3", "--seed", "11", "--out", "out",
                      "--tag", "pin"]) == 0
         digest = hashlib.sha256((tmp_path / "out/cv/pin/cv_rf.json").read_bytes()).hexdigest()
-        assert digest == "296792fe60329ad8a2dc8c6937b8f1dedd6c7bf99ee79fb9fa3b5fea50ef20d1"
+        assert digest == "7887cb7839eba2d9d8f7a08bfa72a3fb83a257b06a06b0ee6f6f1589959cab6b"
 
 
 class TestForest:

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -138,12 +139,12 @@ class TestLogreg:
             train_logreg(dense_batch([[1.0], [1.0, 2.0]], 1), [0, 1], TrainConfig())
 
     @pytest.mark.parametrize("setting", [
-        {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")},
         {"l2": float("nan")},
-        {"learning_rate": 10 ** 400},  # past the float range: math.isfinite overflows
-        {"l2": 10 ** 400},
-        {"learning_rate": 10 ** 5000},  # too long for str() on Python 3.11+ as well
+        {"l2": float("inf")},
+        {"l2": -float("inf")},
+        {"l2": 10 ** 400},  # past the float range: math.isfinite overflows
+        {"l2": -10 ** 400},
+        {"l2": 10 ** 5000},  # too long for str() on Python 3.11+ as well
         {"l2": -10 ** 5000},
     ])
     def test_non_finite_config_refused(self, setting):
@@ -425,40 +426,40 @@ class TestLbfgs:
 
 
 class TestExtremeSettings:
-    """A step scale or l2 so large that trial objectives overflow fails the line search:
+    """A first step or l2 so large that trial objectives overflow fails the line search:
     no floating-point warning, and the fit stays finite."""
 
     @pytest.mark.parametrize("trainer", [train_logreg, train_svm_linear])
-    @pytest.mark.parametrize("setting", [{"learning_rate": 1e300}, {"l2": 1e300}],
-                             ids=["learning_rate=1e300", "l2=1e300"])
-    def test_overflow_is_a_failed_step(self, trainer, setting):
+    def test_overflow_is_a_failed_step(self, trainer):
         X, y = scaled_problem(6, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = trainer(X, y, TrainConfig(epochs=40, **setting))
+            model = trainer(X, y, TrainConfig(epochs=40, l2=1e300))
         assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
         history = model.loss_history
         assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
-    @pytest.mark.parametrize("trainer", [train_logreg, train_svm_linear])
-    def test_step_scale_past_any_halving_still_trains(self, monkeypatch, trainer):
+    @pytest.mark.parametrize("objective", ["logreg", "svm"])
+    def test_step_scale_past_any_halving_still_trains(self, objective):
         # 40 halvings of a 1e300 step still overflow; the unit-length restart must move
-        histories = []
-        lbfgs = models._lbfgs
-
-        def recording(*args):
-            x, history = lbfgs(*args)
-            histories.append(history)
-            return x, history
-
-        monkeypatch.setattr(models, "_lbfgs", recording)
         X, y = scaled_problem(6, 1.0)
+        y_idx = np.asarray(y)
+        if objective == "logreg":
+            def fun_grad(params):
+                loss, grad_w, grad_b = models._logreg_loss_grad(
+                    params[3:].reshape(3, X.dim), params[:3], X, y_idx, 1e-4)
+                return loss, np.append(grad_b, grad_w)
+            x0 = np.zeros(3 * (X.dim + 1))
+        else:  # class 1 against the rest
+            fun_grad = partial(models._svm_loss_grad, X=X,
+                               y_signed=np.where(y_idx == 1, 1.0, -1.0), l2=1e-4)
+            x0 = np.zeros(X.dim + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trainer(X, y, TrainConfig(epochs=40, learning_rate=1e300))
-        assert histories
-        for history in histories:
-            assert len(history) > 1 and history[-1] < history[0]
+            x, history = models._lbfgs(fun_grad, x0, 40, first_step=1e300)
+        assert np.isfinite(x).all()
+        assert len(history) > 1 and history[-1] < history[0]
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
 
 def two_softmax_logreg(X, y, cfg):
@@ -483,7 +484,7 @@ def two_softmax_logreg(X, y, cfg):
         return loss, np.append(probs.sum(axis=0), grad_w)
 
     params, history = models._lbfgs(fun_grad, np.zeros(k * (X.dim + 1)), cfg.epochs,
-                                    cfg.learning_rate)
+                                    models._FIRST_STEP)
     return params[k:].reshape(k, X.dim), params[:k], history
 
 

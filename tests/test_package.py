@@ -20,8 +20,7 @@ EXPORTS = {
                "cohen_kappa", "distribution", "load_dataset", "save_dataset",
                "stratified_folds"),
     "preprocess": ("preprocess", "strip_urls"),
-    "features": ("SparseBatch", "TfidfConfig", "TfidfModel", "count_terms", "fit_tfidf",
-                 "transform_many"),
+    "features": ("SparseBatch", "TfidfModel", "count_terms", "fit_tfidf", "transform_many"),
     "models": ("ForestModel", "LinearModel", "TrainConfig", "TreeNode", "predict_many",
                "train_logreg", "train_random_forest", "train_svm_linear"),
     "evaluation": ("ClassMetrics", "ConfusionMatrix", "CvReport", "MetricsReport",
@@ -34,8 +33,7 @@ EXPORTS = {
                 "render_markdown", "tag_document"),
 }
 #: Names whose definition moved to a numpy-free module; the old module re-exports them.
-MOVED = {"TfidfConfig": "config", "TrainConfig": "config",
-         "ProviderConfig": "config", "ProviderError": "config"}
+MOVED = {"TrainConfig": "config", "ProviderConfig": "config", "ProviderError": "config"}
 ALL_NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 

@@ -122,7 +122,7 @@ class TestProperties:
 
 
 def _reference_preprocess(text: str) -> list[str]:
-    """The per-character pipeline that the translate table replaced, kept as the oracle."""
+    """The oracle: one category lookup per character, and a URL scan of every text."""
     text = strip_urls(text)
     text = "".join(" " if unicodedata.category(ch)[0] in ("P", "S") else ch for ch in text)
     text = unicodedata.normalize("NFC", text.lower())
@@ -138,14 +138,11 @@ class TestTranslateTable:
             text = " ".join(f"x{chr(c)}y" for c in chunk)
             assert preprocess(text) == _reference_preprocess(text), start
 
-    def test_table_stays_within_its_bound(self):
-        """One text of more distinct code points than the table holds: it is emptied on the
-        way, keeps within the bound and still translates every character right."""
-        bound = preprocess_module._PUNCT_SYMBOL_MAX
+    def test_dense_non_ascii_text_matches_reference(self):
+        """One text of 66,536 distinct non-ASCII code points, thousands of them special."""
         code_points = [c for c in range(0x80, 0x110000) if not 0xD800 <= c <= 0xDFFF]
-        text = " ".join(f"x{chr(c)}y" for c in code_points[:bound + 1000])
+        text = " ".join(f"x{chr(c)}y" for c in code_points[:(1 << 16) + 1000])
         assert preprocess(text) == _reference_preprocess(text)
-        assert len(preprocess_module._PUNCT_SYMBOL) <= bound
 
     @pytest.mark.parametrize("text", [
         "İstanbul ΣΊΣΥΦΟΣ straße ǅemal",
@@ -175,30 +172,24 @@ class TestTranslateTable:
     def test_edge_cases_match_reference(self, text):
         assert preprocess(text) == _reference_preprocess(text)
 
+    @pytest.mark.parametrize("offset", [-preprocess_module._REPLACE_MAX, -1, 0, 1,
+                                        preprocess_module._REPLACE_MAX])
+    def test_either_side_of_the_replace_bound_matches_reference(self, offset):
+        """A text of _REPLACE_MAX + offset distinct non-ASCII specials, each twice, among
+        non-ASCII letters: str.replace per special up to the bound, str.translate above."""
+        n_special = preprocess_module._REPLACE_MAX + offset
+        non_ascii = (chr(c) for c in range(0x80, 0x3000))
+        special = [ch for ch in non_ascii if unicodedata.category(ch)[0] in "PS"][:n_special]
+        assert len(special) == n_special
+        text = " ".join(f"Ëx{ch}yÿz{ch}wordé" for ch in special) + " café ÉTÉ, naïve!"
+        assert preprocess(text) == _reference_preprocess(text)
+        assert len(preprocess(text)) == 2 * n_special + 3
+
     def test_ascii_bytes_table_matches_code_point_table(self):
-        table = preprocess_module._PunctSymbolTable()
         for b in range(128):
-            expected = table[b]
-            assert preprocess_module._ASCII_PUNCT_SYMBOL[b] == (
-                ord(expected) if isinstance(expected, str) else expected), b
+            expected = ord(" ") if unicodedata.category(chr(b))[0] in "PS" else b
+            assert preprocess_module._ASCII_PUNCT_SYMBOL[b] == expected, b
         assert preprocess_module._ASCII_PUNCT_SYMBOL[128:] == bytes(range(128, 256))
-
-    def test_category_is_looked_up_once_per_code_point(self):
-        table = preprocess_module._PunctSymbolTable()
-        assert "«price» é".translate(table) == " price  é"
-        assert table == {ord("«"): " ", ord("»"): " ", ord("p"): ord("p"), ord("r"): ord("r"),
-                         ord("i"): ord("i"), ord("c"): ord("c"), ord("e"): ord("e"),
-                         ord(" "): ord(" "), ord("é"): ord("é")}
-        cached = dict(table)
-        assert "«price» é".translate(table) == " price  é"
-        assert table == cached
-
-
-def _always_scan_preprocess(text: str) -> list[str]:
-    """preprocess before it skipped the URL scan and translated ASCII text as bytes."""
-    text = strip_urls(text).translate(preprocess_module._PunctSymbolTable())
-    text = unicodedata.normalize("NFC", text.lower())
-    return [t for t in text.split() if len(t) >= 3]
 
 
 def _any_case(word: str):
@@ -228,7 +219,7 @@ _TEXTS = st.lists(st.one_of(_URL_PIECES, _TEXT_PIECES), max_size=8).map("".join)
 @settings(max_examples=600, deadline=None, database=None)
 @given(_TEXTS)
 def test_matches_preprocess_that_always_scans_for_urls(text):
-    assert preprocess(text) == _always_scan_preprocess(text)
+    assert preprocess(text) == _reference_preprocess(text)
 
 
 # ASCII text alone, which preprocess lowercases before it strips URLs: the
@@ -246,7 +237,7 @@ _ASCII_TEXTS = st.lists(st.one_of(
 @given(_ASCII_TEXTS)
 def test_ascii_text_matches_preprocess_that_always_scans(text):
     assert text.isascii()
-    assert preprocess(text) == _always_scan_preprocess(text) == _reference_preprocess(text)
+    assert preprocess(text) == _reference_preprocess(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -260,4 +251,4 @@ def test_ascii_text_matches_preprocess_that_always_scans(text):
         "ascii-upper-case-url", "ascii-mixed-case-scheme", "ascii-scheme-inside-word",
         "ascii-upper-case-www", "ascii-bare-www", "ascii-near-misses"])
 def test_url_and_ascii_edges_match_preprocess_that_always_scans(text):
-    assert preprocess(text) == _always_scan_preprocess(text)
+    assert preprocess(text) == _reference_preprocess(text)
