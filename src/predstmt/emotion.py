@@ -74,9 +74,10 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
 
     Every entry value is a list of [base emotion, weight] pairs with
     weights in [0, 1]. A term is keyed by tuple(preprocess(term)), built by cleaning each
-    whitespace-separated word once. A term holding a lone surrogate, which no dataset text
-    holds, terms equal after cleaning, a term word that cleaning removes, grouped base
-    emotions equal after case folding and base emotions without a grouping are rejected.
+    whitespace-separated word once. A term or base emotion holding a lone surrogate, which
+    UTF-8 cannot encode, terms equal after cleaning, a term word that cleaning removes,
+    grouped base emotions equal after case folding and base emotions without a grouping are
+    rejected.
     Every byte of the file goes to sha256, a hashlib object, if given.
     """
     path = Path(path)
@@ -89,6 +90,7 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
         raise DataError("lexicon 'grouping' must be an object")
     grouping: dict[str, EmotionCategory] = {}
     for emotion, category in grouping_raw.items():
+        _check_encodable({f"base emotion {emotion!r} in 'grouping'": emotion})
         if emotion.casefold() in grouping:
             raise DataError(f"duplicate base emotion {emotion!r} in 'grouping' after case folding")
         try:
@@ -119,6 +121,7 @@ def load_lexicon(path: str | Path, sha256: hashlib._Hash | None = None) -> Emoti
                     or not isinstance(row[0], str)
                     or not isinstance(row[1], (int, float)) or isinstance(row[1], bool)):
                 raise DataError(f"lexicon entry {term!r} has a malformed [emotion, weight] row")
+            _check_encodable({f"lexicon entry {term!r}: base emotion {row[0]!r}": row[0]})
             emotion = row[0].casefold()
             weight = row[1]  # compared before float(), which overflows on a huge int
             if not 0.0 <= weight <= 1.0:

@@ -1,11 +1,14 @@
 """Command line interface tests; every command runs in-process via main()."""
 
 import argparse
+import ast
 import gc
 import hashlib
 import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -367,21 +370,27 @@ class TestEmotion:
                    "--out", str(tmp_path), "--tag", "r2") == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("term, code_point", [
-        ("thrilled\ud800", "D800"), ("over the \udfffmoon", "DFFF"),
-    ], ids=["one-word", "later-word"])
+    @pytest.mark.parametrize("term, emotion, grouped, where, code_point", [
+        ("thrilled\ud800", "joy", "joy", "lexicon term 'thrilled\\ud800'", "D800"),
+        ("over the \udfffmoon", "joy", "joy", "lexicon term 'over the \\udfffmoon'", "DFFF"),
+        ("thrilled", "joy\ud800", "joy\ud800", "base emotion 'joy\\ud800' in 'grouping'",
+         "D800"),
+        ("thrilled", "joy\ud800", "joy",
+         "lexicon entry 'thrilled': base emotion 'joy\\ud800'", "D800"),
+    ], ids=["one-word", "later-word", "grouped-emotion", "entry-emotion"])
     def test_escaped_lone_surrogate_in_a_term_is_data_error_before_the_run(
-            self, planted_path, tmp_path, term, code_point):
-        """A term "thrilled\\ud800" once loaded and then never matched a text."""
+            self, planted_path, tmp_path, term, emotion, grouped, where, code_point):
+        """A term "thrilled\\ud800" once loaded and then never matched a text, and a base
+        emotion "joy\\ud800", grouped and used, once loaded and ran."""
         out = tmp_path / "o"
         assert run_captured("emotion", "--dataset", str(planted_path), "--out", str(out),
                             "--tag", "good") == (0, "")
         lexicon = tmp_path / "lex.json"
-        lexicon.write_text(json.dumps({"entries": {term: [["joy", 0.9]]},
-                                       "grouping": {"joy": "delight_joy"}}), encoding="utf-8")
+        lexicon.write_text(json.dumps({"entries": {term: [[emotion, 0.9]]},
+                                       "grouping": {grouped: "delight_joy"}}), encoding="utf-8")
         code, err = run_captured("emotion", "--dataset", str(planted_path), "--lexicon",
                                  str(lexicon), "--out", str(out), "--tag", "bad")
-        assert (code, err) == (2, f"data error: lexicon term {term!r} holds lone "
+        assert (code, err) == (2, f"data error: {where} holds lone "
                                   f"surrogate U+{code_point}, which UTF-8 cannot encode\n")
         assert sorted(p.name for p in (out / "emotion").iterdir()) == ["good", "latest"]
         assert (out / "emotion" / "latest").read_text() == "good\n"
@@ -1329,9 +1338,12 @@ def caller_gc_threshold():
 ], ids=["ok", "usage", "data", "provider"])
 def test_main_restores_the_callers_gc_threshold(planted_path, tmp_path, capsys,
                                                 caller_gc_threshold, argv, code):
+    """main leaves the collector as it found it; only the program entry freezes the heap."""
+    frozen = gc.get_freeze_count()
     argv = [str(planted_path) if a == "PLANTED" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == code
     assert gc.get_threshold() == caller_gc_threshold
+    assert gc.get_freeze_count() == frozen
 
 
 def test_command_runs_with_the_batch_gc_threshold(planted_path, tmp_path, monkeypatch,
@@ -1351,6 +1363,79 @@ def test_command_runs_with_the_batch_gc_threshold(planted_path, tmp_path, monkey
     # only the young generation changes, and the collector stays enabled
     assert seen == [((100_000, 7, 9), True)] * 2
     assert gc.get_threshold() == caller_gc_threshold
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_module(argv, cwd, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m predstmt.cli argv` in a fresh process, its stderr captured as bytes."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "predstmt.cli", *argv], cwd=cwd,
+                          stderr=subprocess.PIPE, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--dataset", "planted.jsonl", "--tag", "t"], 0),
+    (["cv", "--dataset", "planted.jsonl", "--k", "1"], 1),
+    (["stats", "--dataset", "missing.jsonl"], 2),
+], ids=["ok", "usage", "data"])
+def test_module_entry_exits_and_prints_as_main_returns_and_prints(
+        planted_path, tmp_path, monkeypatch, capsysbinary, argv, code):
+    shutil.copy(planted_path, tmp_path / "planted.jsonl")
+    monkeypatch.chdir(tmp_path)
+    proc = run_module([*argv, "--out", "module"], tmp_path)
+    assert main([*argv, "--out", "in-process"]) == code
+    captured = capsysbinary.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_program_entry_exits_with_a_frozen_heap(tmp_path):
+    """Interpreter shutdown's collections skip the permanent generation, where the entry
+    moves every object once main has returned; atexit handlers still run."""
+    script = ("import atexit, gc, sys\n"
+              "from predstmt import cli\n"
+              "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 1000))\n"
+              "sys.argv[1:] = ['stats']\n"
+              "cli.entry()\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stdout) == (1, b"frozen: True\n"), proc.stderr
+
+
+def test_script_target_is_the_function_the_module_entry_calls():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+    target = re.fullmatch(r'predstmt = "([\w.]+):(\w+)"', scripts.group(1).strip())
+    module, function = target.groups()
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--dataset", "PLANTED"],
+    ["kappa", "a.jsonl", "a.jsonl"],
+], ids=["stats", "kappa"])
+def test_closed_stdout_is_one_line_and_its_own_exit_code(planted_path, tmp_path, argv):
+    """A command whose stdout reader had gone once exited 1, the usage-error code, with a
+    BrokenPipeError traceback, after committing its run directory."""
+    write_annotations(tmp_path / "a.jsonl", {"d1": 0, "d2": 1})
+    argv = [str(planted_path) if a == "PLANTED" else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = run_module([*argv, "--out", "out", "--tag", "t"], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4 == cli.EXIT_STDOUT_CLOSED
+    assert proc.stderr == b"output error: standard output was closed by its reader\n"
+    command_dir = tmp_path / "out" / argv[0]
+    assert sorted(p.name for p in command_dir.iterdir()) == ["latest", "t"]
+    assert (command_dir / "latest").read_text() == "t\n"
 
 
 @pytest.mark.parametrize("user, expected", [
